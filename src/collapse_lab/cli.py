@@ -213,8 +213,7 @@ def _cmd_berger(cfg: dict):
     radii = np.linspace(r_min, r_max, num)
     scan = submersion_radius_scan(metric, radii, samples=samples, seed=seed)
     best_r, best_d = find_submersion_radius(metric, samples=samples,
-                                            seed=seed, radius_lo=r_min,
-                                            radius_hi=r_max)
+                                            seed=seed)
     rows = np.column_stack([radii, scan])
     info = [f"berger: A={metric.A:g} B={metric.B:g} C={metric.C:g}",
             f"berger: best radius {best_r:.12g} "

@@ -13,10 +13,12 @@ hence equivariant under left translations).  Note the invariance under the
 F_1 flow forces the product z w here: under (z, w) -> (z e^{it}, w e^{-it})
 the combination conj(z) w picks up e^{-2it} and is not constant on fibers.
 
-For B = C the map becomes a Riemannian submersion onto a round 2-sphere at
-exactly one target radius; submersion_distortion measures the failure at any
-candidate radius and find_submersion_radius locates the best fit by a scan
-plus golden-section refinement.
+The map is quadratic, so hopf_pushforward is its exact differential.  For
+B = C the map becomes a Riemannian submersion onto a round 2-sphere at
+exactly one target radius, sqrt(B)/2; submersion_distortion measures the
+failure max_i |R a_i - 1| at any candidate radius R, given the pushforward
+norms a_i of sampled horizontal unit vectors, and find_submersion_radius
+returns its exact minimiser R* = 2 / (a_min + a_max).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, QuotientCollapseError, TangencyError
 from .killing_quotient import transform_killing
@@ -177,21 +178,21 @@ def hopf_map(q) -> np.ndarray:
                      (x1 * x1 + x2 * x2) - (x3 * x3 + x4 * x4)])
 
 
-def hopf_pushforward(q, v, step: float = 1e-5) -> np.ndarray:
-    """Central-difference differential of hopf_map along tangent v.
+def hopf_pushforward(q, v) -> np.ndarray:
+    """Exact differential of hopf_map at q along v.
 
-    The curve points are renormalized onto the sphere, so the truncation
-    error is O(step^2).
+    The component of v along q is dropped first, so v is read as a tangent
+    vector of S^3.  With dz = v1 + i v2 and dw = v3 + i v4 the image is
+    (2 Re d(zw), 2 Im d(zw), 2 (x1 v1 + x2 v2 - x3 v3 - x4 v4)), where
+    d(zw) = z dw + dz w.
     """
     qv = _as_quat(q)
     vv = np.asarray(v, dtype=float)
-    if step <= 0:
-        raise DomainError("need step > 0")
-    plus = qv + step * vv
-    minus = qv - step * vv
-    plus = plus / np.linalg.norm(plus)
-    minus = minus / np.linalg.norm(minus)
-    return (hopf_map(plus) - hopf_map(minus)) / (2.0 * step)
+    x1, x2, x3, x4 = qv
+    v1, v2, v3, v4 = vv - (vv @ qv) * qv
+    dzw = complex(x1, x2) * complex(v3, v4) + complex(v1, v2) * complex(x3, x4)
+    return np.array([2.0 * dzw.real, 2.0 * dzw.imag,
+                     2.0 * (x1 * v1 + x2 * v2 - x3 * v3 - x4 * v4)])
 
 
 def _horizontal_unit_samples(metric: BergerMetric, count: int, seed: int):
@@ -219,11 +220,18 @@ def _horizontal_unit_samples(metric: BergerMetric, count: int, seed: int):
     return points, vectors
 
 
-def _pushforward_norms(metric: BergerMetric, count: int, seed: int,
-                       step: float = 1e-5) -> np.ndarray:
+def _pushforward_norms(metric: BergerMetric, count: int,
+                       seed: int) -> np.ndarray:
+    if count < 1:
+        raise DomainError("need at least one sample")
     points, vectors = _horizontal_unit_samples(metric, count, seed)
-    return np.array([np.linalg.norm(hopf_pushforward(q, v, step))
+    return np.array([np.linalg.norm(hopf_pushforward(q, v))
                      for q, v in zip(points, vectors)])
+
+
+def _max_distortion(radii, norms):
+    """max_i |R a_i - 1| for each radius R (a scalar radius gives a scalar)."""
+    return np.max(np.abs(np.multiply.outer(radii, norms) - 1.0), axis=-1)
 
 
 def submersion_distortion(metric: BergerMetric, target_radius: float,
@@ -236,10 +244,8 @@ def submersion_distortion(metric: BergerMetric, target_radius: float,
     """
     if target_radius <= 0:
         raise DomainError("need target_radius > 0")
-    if samples < 1:
-        raise DomainError("need at least one sample")
     norms = _pushforward_norms(metric, samples, seed)
-    return float(np.max(np.abs(target_radius * norms - 1.0)))
+    return float(_max_distortion(target_radius, norms))
 
 
 def submersion_radius_scan(metric: BergerMetric, radii, samples: int = 200,
@@ -249,32 +255,21 @@ def submersion_radius_scan(metric: BergerMetric, radii, samples: int = 200,
     if np.any(radii <= 0):
         raise DomainError("radii must be positive")
     norms = _pushforward_norms(metric, samples, seed)
-    return np.max(np.abs(radii[:, None] * norms[None, :] - 1.0), axis=1)
+    return _max_distortion(radii, norms)
 
 
 def find_submersion_radius(metric: BergerMetric, samples: int = 200,
-                           seed: int = 0, radius_lo: float = 0.05,
-                           radius_hi: float = 3.0):
-    """Best-fit submersion radius by coarse scan + golden-section refinement.
+                           seed: int = 0):
+    """Best-fit submersion radius and its distortion, in closed form.
 
-    Returns (radius, distortion).  The distortion as a function of radius is
-    max_i |R a_i - 1| for the sampled pushforward norms a_i, so it is convex
-    piecewise linear and the golden-section step converges cleanly.
+    Returns (radius, distortion).  For the sampled pushforward norms a_i the
+    distortion max_i |R a_i - 1| is convex piecewise linear in R, with the
+    two outer pieces 1 - R a_min and R a_max - 1; they cross at the exact
+    minimiser R* = 2 / (a_min + a_max), which may lie anywhere in (0, inf).
     """
     norms = _pushforward_norms(metric, samples, seed)
-
-    def dist(radius):
-        return float(np.max(np.abs(radius * norms - 1.0)))
-
-    grid = np.linspace(radius_lo, radius_hi, 121)
-    values = [dist(radius) for radius in grid]
-    k = int(np.argmin(values))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    res = minimize_scalar(dist, bracket=(lo, 0.5 * (lo + hi), hi),
-                          method="golden", options={"xtol": 1e-12})
-    best = float(res.x)
-    return best, dist(best)
+    best = 2.0 / (float(np.min(norms)) + float(np.max(norms)))
+    return best, float(_max_distortion(best, norms))
 
 
 @dataclass(frozen=True)

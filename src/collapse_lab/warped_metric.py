@@ -289,19 +289,31 @@ def _chain_d(base, rho):
 
 @dataclass(frozen=True)
 class TransformedWarp(WarpCurve):
-    """r f / sqrt(kappa^2 f^2 + r^2) with exact chain-rule derivatives.
+    """r f / sqrt(D), D = r^2 + sign kappa^2 f^2, with exact chain-rule
+    derivatives.
 
-    Used when the transform of a named family has no closed form.  Carries a
-    closed-form curvature whenever the base warp does:
+    sign = +1 is the forward transform, used when the transform of a named
+    family has no closed form; sign = -1 is its inverse, defined only while
+    the base warp stays strictly below r/kappa (D <= 0 raises
+    NotInRangeError).  Carries a closed-form curvature whenever the base
+    warp does:
 
-        K_new = r^2 (K_base * D + 3 kappa^2 f'^2) / D^2,   D = kappa^2 f^2 + r^2
+        K_new = r^2 (K_base * D + 3 sign kappa^2 f'^2) / D^2
 
     which stays finite at a capped pole.
     """
     base: WarpCurve
     r: float
     kappa: float
-    kind = "transformed"
+    sign: int = 1
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise DomainError("transform sign must be +1 or -1")
+
+    @property
+    def kind(self):
+        return "transformed" if self.sign > 0 else "inverse-transformed"
 
     @property
     def has_closed_curvature(self):
@@ -319,90 +331,38 @@ class TransformedWarp(WarpCurve):
     def open_right(self):
         return self.base.open_right
 
+    def _denominator(self, fb):
+        d = self.r ** 2 + self.sign * self.kappa ** 2 * fb ** 2
+        if self.sign < 0 and np.any(d <= 0):
+            raise NotInRangeError(
+                "warp reaches the asymptote r/kappa; inverse undefined")
+        return d
+
     def f(self, rho):
         fb = self.base.f(np.asarray(rho, dtype=float))
-        d = self.kappa ** 2 * fb ** 2 + self.r ** 2
+        d = self._denominator(fb)
         return (self.r * fb / np.sqrt(d))[()]
 
     def df(self, rho):
         fb, dfb, _ = _chain_d(self.base, rho)
-        d = self.kappa ** 2 * fb ** 2 + self.r ** 2
+        d = self._denominator(fb)
         return (self.r ** 3 * dfb * d ** -1.5)[()]
 
     def d2f(self, rho):
         fb, dfb, d2fb = _chain_d(self.base, rho)
-        d = self.kappa ** 2 * fb ** 2 + self.r ** 2
+        d = self._denominator(fb)
         return (self.r ** 3 * d ** -2.5
-                * (d2fb * d - 3.0 * self.kappa ** 2 * fb * dfb ** 2))[()]
+                * (d2fb * d - 3.0 * self.sign * self.kappa ** 2 * fb
+                   * dfb ** 2))[()]
 
     def curvature(self, rho):
         if not self.base.has_closed_curvature:
             return super().curvature(rho)
         fb, dfb, _ = _chain_d(self.base, rho)
         kb = self.base.curvature(rho)
-        d = self.kappa ** 2 * fb ** 2 + self.r ** 2
-        return (self.r ** 2 * (kb * d + 3.0 * self.kappa ** 2 * dfb ** 2)
-                / d ** 2)[()]
-
-
-@dataclass(frozen=True)
-class InverseTransformedWarp(WarpCurve):
-    """r f / sqrt(r^2 - kappa^2 f^2), inverting TransformedWarp.
-
-    Only defined while the base warp stays strictly below r/kappa.
-    """
-    base: WarpCurve
-    r: float
-    kappa: float
-    kind = "inverse-transformed"
-
-    @property
-    def has_closed_curvature(self):
-        return self.base.has_closed_curvature
-
-    @property
-    def rho_min(self):
-        return self.base.rho_min
-
-    @property
-    def rho_max(self):
-        return self.base.rho_max
-
-    @property
-    def open_right(self):
-        return self.base.open_right
-
-    def _margin(self, fb):
-        e = self.r ** 2 - self.kappa ** 2 * fb ** 2
-        if np.any(e <= 0):
-            raise NotInRangeError(
-                "warp reaches the asymptote r/kappa; inverse undefined")
-        return e
-
-    def f(self, rho):
-        fb = self.base.f(np.asarray(rho, dtype=float))
-        e = self._margin(fb)
-        return (self.r * fb / np.sqrt(e))[()]
-
-    def df(self, rho):
-        fb, dfb, _ = _chain_d(self.base, rho)
-        e = self._margin(fb)
-        return (self.r ** 3 * dfb * e ** -1.5)[()]
-
-    def d2f(self, rho):
-        fb, dfb, d2fb = _chain_d(self.base, rho)
-        e = self._margin(fb)
-        return (self.r ** 3 * e ** -2.5
-                * (d2fb * e + 3.0 * self.kappa ** 2 * fb * dfb ** 2))[()]
-
-    def curvature(self, rho):
-        if not self.base.has_closed_curvature:
-            return super().curvature(rho)
-        fb, dfb, _ = _chain_d(self.base, rho)
-        kb = self.base.curvature(rho)
-        e = self._margin(fb)
-        return (self.r ** 2 * (kb * e - 3.0 * self.kappa ** 2 * dfb ** 2)
-                / e ** 2)[()]
+        d = self._denominator(fb)
+        return (self.r ** 2 * (kb * d + 3.0 * self.sign * self.kappa ** 2
+                               * dfb ** 2) / d ** 2)[()]
 
 
 _FAMILIES = {
@@ -595,7 +555,7 @@ def inverse_transformed_warp(warp: WarpCurve, r: float,
         return SinhWarp(warp.a)
     if isinstance(warp, SinWarp) and kappa == warp.a * r:
         return TanWarp(warp.a)
-    return InverseTransformedWarp(warp, r, kappa)
+    return TransformedWarp(warp, r, kappa, sign=-1)
 
 
 _RANGE_SCAN = 257  # grid used to certify f < r/kappa on the interval

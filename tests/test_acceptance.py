@@ -227,7 +227,7 @@ def test_criterion_11_hopf_submersion_radius():
                                          samples=200, seed=0)
     assert dist_bad >= 0.05
     # the doubled-fiber prediction would be 2B = 2; the measured best
-    # radius sits at B/2 instead (see the project notes)
+    # radius sits at sqrt(B)/2 instead (0.5, 1.0, 1.5 for B = C = 1, 4, 9)
     report(11, f"submersion radius found at R* = {r_star:.6f} "
                f"(distortion {dist:.2e}; doubled-fiber prediction 2B = 2.0; "
                f"negative control {dist_bad:.3f}), {elapsed:.2f} s")

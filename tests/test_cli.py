@@ -126,6 +126,16 @@ def test_berger_scan_round_metric(tmp_path, capsys):
     assert "best radius" in err
 
 
+def test_berger_best_radius_outside_scanned_range(tmp_path, capsys):
+    """The best radius sqrt(B)/2 = 3.5 lies beyond the default scan table."""
+    cfg = {"A": 0.2, "B": 49, "C": 49}
+    code, out, err = run_cli(tmp_path, capsys, "berger", cfg)
+    assert code == 0
+    _, data = parse_csv(out)
+    assert data.shape == (121, 2) and data[-1, 0] == 3.0
+    assert "best radius 3.5 " in err
+
+
 TINY_COLLAPSE = {
     "surface": {"family": "sinh", "a": 1.0},
     "rho_max": 1.2,

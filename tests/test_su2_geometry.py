@@ -2,6 +2,8 @@
 norms, the fibration to the 2-sphere, and slope quotients."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +211,40 @@ def test_hopf_pushforward_directions():
         assert abs(hopf_pushforward(q, f2) @ hopf_map(q)) <= 1e-8
 
 
+def _central_difference_pushforward(q, v, step=1e-5):
+    """Central difference of hopf_map along v, with the curve points
+    renormalized onto the sphere, so the truncation error is O(step^2)."""
+    plus = q + step * v
+    minus = q - step * v
+    plus = plus / np.linalg.norm(plus)
+    minus = minus / np.linalg.norm(minus)
+    return (hopf_map(plus) - hopf_map(minus)) / (2.0 * step)
+
+
+def test_hopf_pushforward_matches_central_difference():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        q = np.asarray(UnitQuaternion.random(rng))
+        tangent = rng.normal(size=3) @ frame_at(q)
+        # a raw draw has a component along q, which both versions drop
+        for v in (tangent, rng.normal(size=4)):
+            np.testing.assert_allclose(hopf_pushforward(q, v),
+                                       _central_difference_pushforward(q, v),
+                                       rtol=0, atol=1e-8)
+
+
+def test_hopf_pushforward_is_linear_in_v():
+    rng = np.random.default_rng(42)
+    for _ in range(25):
+        q = np.asarray(UnitQuaternion.random(rng))
+        u, v = rng.normal(size=(2, 4))
+        a, b = rng.normal(size=2)
+        np.testing.assert_allclose(
+            hopf_pushforward(q, a * u + b * v),
+            a * hopf_pushforward(q, u) + b * hopf_pushforward(q, v),
+            rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # submersion distortion scans
 # ---------------------------------------------------------------------------
@@ -220,13 +256,24 @@ def test_submersion_radius_found_for_equal_bc():
         radius, dist = find_submersion_radius(metric, samples=200, seed=0)
         assert radius == pytest.approx(0.5, abs=1e-6)
         assert dist <= 1e-5
+    # the best radius is sqrt(B)/2, wherever that lies
+    for b, expected in ((1.0, 0.5), (4.0, 1.0), (9.0, 1.5), (49.0, 3.5)):
+        radius, dist = find_submersion_radius(BergerMetric(0.2, b, b),
+                                              samples=200, seed=0)
+        assert radius == pytest.approx(expected, abs=1e-12)
+        assert dist <= 1e-12
 
 
 def test_submersion_negative_control():
     """B != C is never a submersion onto a round sphere."""
     metric = BergerMetric(1.0, 1.0, 2.0)
-    _, best = find_submersion_radius(metric, samples=200, seed=0)
+    r_star, best = find_submersion_radius(metric, samples=200, seed=0)
     assert best >= 0.05
+    # the closed form is the minimiser: moving off it never helps
+    assert submersion_distortion(metric, r_star, samples=200, seed=0) == best
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        assert submersion_distortion(metric, r_star * factor, samples=200,
+                                     seed=0) >= best
     for radius in (0.25, 0.5, 1.0, 2.0):
         assert submersion_distortion(metric, radius, samples=200, seed=0) \
             >= 0.1
@@ -246,6 +293,17 @@ def test_submersion_scan_shape_and_determinism():
         submersion_radius_scan(metric, [0.5, -1.0])
     with pytest.raises(DomainError):
         submersion_distortion(metric, 0.0)
+    with pytest.raises(DomainError):
+        find_submersion_radius(metric, samples=0)
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    """The submersion radius is a closed form; no optimizer is imported."""
+    code = ("import sys, collapse_lab, collapse_lab.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
