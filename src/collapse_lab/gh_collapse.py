@@ -8,23 +8,30 @@ analytic), and the Z_p quotient distance minimizes over group translates.
 
 Distances to points between grid angles are served by adding a virtual
 vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
-which keeps every produced matrix an exact metric: it is the shortest-path
-metric of the subdivided graph.  The first-order cost of the rule is part of
-the discretization error that the refinement floor measures.
+which keeps every produced distance table an exact metric: it is the
+shortest-path metric of the subdivided graph.  The first-order cost of the
+rule is part of the discretization error that the refinement floor measures.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
 and reports, per p, the distortion, the implied GH upper bound
 (distortion / 2), and a grid-floor estimate obtained by recomputing the
-limit-surface distances on a 2x refined grid.
+limit-surface distances on refined grids.  Both spaces are invariant under
+the rotations of the sample grid, so every distance between two sample
+points depends only on an offset class (source rho slot, target rho slot,
+theta offset, s offset), keyed on integer grid-index offsets: theta offsets
+mod n_theta, s offsets signed, because theta - kappa s is not periodic in s
+for non-integer kappa.  The experiment works on these S x S x D_theta x D_s
+tables and never builds an n_pts x n_pts matrix; FiniteMetricSpace,
+natural_correspondence and distortion are the same computation on explicit
+matrices, for small spaces.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,8 +48,6 @@ from .warped_metric import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-THREADS_ENV = "COLLAPSE_LAB_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -105,49 +110,29 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     drho = np.diff(rho)
     mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
 
-    ring_rows = np.arange(1 if pole else 0, n_rho)
-    if np.any(f_nodes[ring_rows] <= 0) or np.any(mid_f <= 0):
+    first = int(pole)               # first ring row; also its first node
+    if np.any(f_nodes[first:] <= 0) or np.any(mid_f <= 0):
         raise DomainError("warp must be positive away from the capped pole; "
                           "truncate the interval before f vanishes")
 
-    def idx(i, j):
-        j = np.asarray(j) % n_theta
-        if pole:
-            return np.where(np.asarray(i) == 0, 0,
-                            1 + (np.asarray(i) - 1) * n_theta + j)
-        return np.asarray(i) * n_theta + j
-
-    js = np.arange(n_theta)
-    rows, cols, wts = [], [], []
-
-    def add(u, v, weight):
-        u = np.broadcast_to(u, np.broadcast(u, v, weight).shape).ravel()
-        v = np.broadcast_to(v, u.shape).ravel()
-        weight = np.broadcast_to(weight, u.shape).ravel()
-        rows.append(u)
-        cols.append(v)
-        wts.append(weight)
-
-    # ring edges
-    for i in ring_rows:
-        add(idx(i, js), idx(i, js + 1), f_nodes[i] * dtheta)
-
-    # radial and diagonal edges between consecutive ring rows
-    first_ring = 1 if pole else 0
-    for i in range(first_ring, n_rho - 1):
-        diag_w = math.hypot(drho[i], mid_f[i] * dtheta)
-        add(idx(i, js), idx(i + 1, js), drho[i])
-        add(idx(i, js), idx(i + 1, js + 1), diag_w)
-        add(idx(i, js), idx(i + 1, js - 1), diag_w)
-
+    # node ids of the ring rows, (n_rho - first, n_theta); the pole is node 0
+    ids = first + np.arange((n_rho - first) * n_theta).reshape(-1, n_theta)
+    nxt = np.roll(ids, -1, axis=1)  # neighbor at theta + dtheta
+    prv = np.roll(ids, 1, axis=1)   # neighbor at theta - dtheta
+    # math.hypot is correctly rounded where np.hypot can be off by one ulp
+    diag_w = np.array([math.hypot(a, b) for a, b in
+                       zip(drho[first:], mid_f[first:] * dtheta)])
+    inner = ids[:-1]
+    edges = [(ids, nxt, f_nodes[first:, None] * dtheta),    # ring
+             (inner, ids[1:], drho[first:, None]),          # radial
+             (inner, nxt[1:], diag_w[:, None]),             # diagonals
+             (inner, prv[1:], diag_w[:, None])]
     if pole:
-        add(np.zeros(n_theta, dtype=int), idx(np.ones(n_theta, dtype=int), js),
-            drho[0])
-
-    u = np.concatenate(rows)
-    v = np.concatenate(cols)
-    weight = np.concatenate(wts).astype(float)
-    n = int(1 + (n_rho - 1) * n_theta) if pole else int(n_rho * n_theta)
+        edges.append((np.zeros(n_theta, dtype=int), ids[0], drho[0]))
+    parts = [np.broadcast_arrays(*e) for e in edges]
+    u, v, weight = (np.concatenate([part[k].ravel() for part in parts])
+                    for k in range(3))
+    n = first + ids.size
     mat = csr_matrix((np.concatenate([weight, weight]),
                       (np.concatenate([u, v]), np.concatenate([v, u]))),
                      shape=(n, n))
@@ -220,6 +205,19 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
 # finite metric spaces, quotients, correspondences
 # ---------------------------------------------------------------------------
 
+def _check_metric(d, d_transposed, diagonal):
+    """Cheap metric axioms on distances d whose swapped pairs are
+    d_transposed: zero diagonal and symmetry to 1e-12 of the largest
+    distance, and nonnegativity."""
+    scale = max(1.0, float(d.max(initial=0.0)))
+    if np.max(np.abs(diagonal), initial=0.0) > 1e-12 * scale:
+        raise DomainError("diagonal must vanish")
+    if np.max(np.abs(d - d_transposed), initial=0.0) > 1e-12 * scale:
+        raise DomainError("distance matrix must be symmetric")
+    if np.any(d < 0):
+        raise DomainError("distances must be nonnegative")
+
+
 @dataclass
 class FiniteMetricSpace:
     """Point labels plus a distance matrix.
@@ -235,13 +233,7 @@ class FiniteMetricSpace:
         n = len(self.labels)
         if d.shape != (n, n):
             raise DomainError("distance matrix shape must match labels")
-        scale = max(1.0, float(d.max(initial=0.0)))
-        if np.max(np.abs(np.diag(d))) > 1e-12 * scale:
-            raise DomainError("diagonal must vanish")
-        if np.max(np.abs(d - d.T)) > 1e-12 * scale:
-            raise DomainError("distance matrix must be symmetric")
-        if np.any(d < 0):
-            raise DomainError("distances must be nonnegative")
+        _check_metric(d, d.T, np.diag(d))
         self.d = d
 
     @property
@@ -306,20 +298,34 @@ def product_distance(d_p, d_s1):
     return np.hypot(d_p, d_s1)[()]
 
 
+def _orbit_min(spec: QuotientSpec, dp_at, ds):
+    """min over the group angles tau of the product distance between the
+    surface distance dp_at(m1 tau) and the circle distance of ds + m2 tau.
+
+    ds is the circle offset s_b - s_a (scalar or array).  dp_at receives the
+    surface rotations m1 tau with the group on a new leading axis (length-1
+    axes after it, one per axis of ds) and must return distances that
+    broadcast against ds along that axis.
+    """
+    tau = spec.group_angles().reshape((-1,) + (1,) * np.ndim(ds))
+    d_s1 = circle_distance(0.0, ds + spec.m2 * tau, spec.r)
+    dp, d_s1 = np.broadcast_arrays(dp_at(spec.m1 * tau), d_s1)
+    # one group element at a time, so only one table of the output's size
+    # is alive besides the result
+    return reduce(np.minimum, map(product_distance, dp, d_s1))
+
+
 def quotient_distance(spec: QuotientSpec, a, b, dp_lookup) -> float:
     """Quotient pseudodistance between a = (p_a, s_a) and b = (p_b, s_b).
 
     dp_lookup(p_a, p_b, rot) must return the surface distance from p_a to
-    b's surface point rotated by the angle rot.  The group element tau acts
-    by (m1 tau) on the surface angle and (m2 tau) on the circle coordinate.
+    b's surface point rotated by the angle rot; it is called once, with
+    the array of all rotations.  The group element tau acts by (m1 tau) on
+    the surface angle and (m2 tau) on the circle coordinate.
     """
     (pa, sa), (pb, sb) = a, b
-    best = math.inf
-    for tau in spec.group_angles():
-        dp = float(dp_lookup(pa, pb, spec.m1 * tau))
-        ds = float(circle_distance(sa, sb + spec.m2 * tau, spec.r))
-        best = min(best, float(product_distance(dp, ds)))
-    return best
+    return float(_orbit_min(spec, lambda rot: dp_lookup(pa, pb, rot),
+                            sb - sa))
 
 
 @dataclass
@@ -481,7 +487,7 @@ def _ring_refinement(n_theta: int, denominators) -> int:
 
     Aligning all group rotations and slice angles with ring nodes makes the
     rotations exact isometries of the graph length space, which is what
-    keeps the produced distance matrices exactly metric.  Configs whose
+    keeps the produced distance tables exactly metric.  Configs whose
     common refinement would exceed the cap fall back to the plain grid plus
     ring interpolation; the triangle property then holds only to the
     interpolation tolerance.
@@ -494,16 +500,6 @@ def _ring_refinement(n_theta: int, denominators) -> int:
     return ring
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     """Distortion of the natural correspondence for each p in the config.
 
@@ -513,6 +509,14 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     and is shared by all rows.  Quotient distances are non-increasing along
     chains p | p' by construction (larger groups minimize over more
     translates).
+
+    Distances are computed once per offset class (source slot, target slot,
+    theta offset mod n_theta, signed s offset) rather than per point pair,
+    through the same SurfaceDistanceField.lookup rule, so a config whose
+    ring refinement hits _MAX_RING_NODES keeps its interpolation fallback.
+    The symmetrisation 0.5 (d + d^T) pairs each class with
+    (kb, ka, -dtheta, -ds), both tables get the FiniteMetricSpace checks,
+    and the distortion is the largest |d_X - d_Y| over the classes.
     """
     warp = config.surface
     if not isinstance(warp, WarpCurve):
@@ -540,50 +544,45 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
-    thetas = TWO_PI * th_idx / g.n_theta
-    svals = TWO_PI * s_idx / g.n_s
 
     fld_p = distance_field(graph_p, rho_rows)
     fld_y = distance_field(graph_y, rho_rows)
 
-    # product sample points, rho-major
-    slot_of_row = {int(row): k for k, row in enumerate(rho_rows)}
-    pts_slot, pts_row, pts_theta, pts_s = [], [], [], []
-    points = []
-    for k, row in enumerate(rho_rows):
-        for th in thetas:
-            for sv in svals:
-                pts_slot.append(k)
-                pts_row.append(int(row))
-                pts_theta.append(th)
-                pts_s.append(sv)
-                points.append((float(graph_p.rho_values[row]), float(th),
-                               float(sv)))
-    pts_slot = np.array(pts_slot)
-    pts_row = np.array(pts_row)
-    pts_theta = np.array(pts_theta)
-    pts_s = np.array(pts_s)
-    n_pts = len(points)
+    # Offset classes (source slot, target slot, theta offset, s offset) on
+    # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
+    # n_theta; s offsets stay signed, since theta - kappa s is not periodic
+    # in s for non-integer kappa.  Surface angles are exact integers in
+    # units of 2 pi / den until the lookup, so the diagonal classes sit at
+    # angle 0.0 and come out exactly 0.
+    dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
+    ds = np.unique(s_idx[None, :] - s_idx[:, None])
+    neg_th = np.searchsorted(dth, -dth % g.n_theta)
+    neg_s = ds.size - 1 - np.arange(ds.size)
+    slots = np.arange(rho_rows.size)
+    slot_a = slots[:, None, None, None]
+    row_b = rho_rows[None, :, None, None]
+    same_slot = slot_a == slots[None, :, None, None]
+    den = g.n_theta * config.m2 * g.n_s
+    th_units = dth[:, None] * (config.m2 * g.n_s)
+    # the correspondence (rho, theta, s) -> (rho, theta - kappa s) puts a
+    # class at the limit angle offset dtheta - kappa ds
+    phi_units = (th_units - config.m1 * g.n_theta * ds) % den
+    th_x = TWO_PI * th_units / den
+    phi_y = TWO_PI * phi_units / den
+    s_x = (TWO_PI * ds / g.n_s).reshape(1, 1, 1, -1)
+    diag_x = same_slot & (dth == 0)[:, None] & (ds == 0)
+    diag_y = same_slot & (phi_units == 0)
 
-    spec0 = QuotientSpec(r=config.r, m1=config.m1, m2=config.m2,
-                         group="zp", p=int(config.p_values[0]))
-    corr, limit_points = natural_correspondence(points, spec0)
+    def swapped(table):
+        """Entries of the partner classes (kb, ka, -dtheta, -ds)."""
+        return table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
 
-    # limit-side matrices over the deduplicated image points
-    lim_row = np.empty(len(limit_points), dtype=int)
-    lim_slot = np.empty(len(limit_points), dtype=int)
-    lim_phi = np.empty(len(limit_points))
-    row_by_rho = {round(float(graph_p.rho_values[int(r_)]), 12): int(r_)
-                  for r_ in rho_rows}
-    for j, (rho_v, phi) in enumerate(limit_points):
-        row = row_by_rho[round(rho_v, 12)]
-        lim_row[j] = row
-        lim_slot[j] = slot_of_row[row]
-        lim_phi[j] = phi
+    def symmetrised(table, diagonal):
+        sym = 0.5 * (table + swapped(table))
+        _check_metric(sym, swapped(sym), sym[diagonal])
+        return sym
 
-    dphi = lim_phi[None, :] - lim_phi[:, None]
-    d_y = fld_y.lookup(lim_slot[:, None], lim_row[None, :], dphi)
-    np.fill_diagonal(d_y, 0.0)
+    d_y = fld_y.lookup(slot_a, row_b, phi_y)
 
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
@@ -596,40 +595,18 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
                                (2 * g.n_rho - 1, 2 * ring_y, 2)):
         graph_ref = build_surface_graph(limit, n_r2, n_t2)
         fld_ref = distance_field(graph_ref, rscale * rho_rows)
-        d_ref = fld_ref.lookup(lim_slot[:, None], rscale * lim_row[None, :],
-                               dphi)
-        np.fill_diagonal(d_ref, 0.0)
+        d_ref = fld_ref.lookup(slot_a, rscale * row_b, phi_y)
         floor = max(floor, float(np.max(np.abs(d_y - d_ref))))
-    space_y = FiniteMetricSpace(labels=limit_points, d=0.5 * (d_y + d_y.T))
+    sym_y = symmetrised(d_y, diag_y)
 
-    dth_base = pts_theta[None, :] - pts_theta[:, None]
-    ds_base = pts_s[None, :] - pts_s[:, None]
-    slot_a = pts_slot[:, None]
-    row_b = pts_row[None, :]
-
-    def quotient_matrix(p: int) -> np.ndarray:
-        best = np.full((n_pts, n_pts), np.inf)
-        for q in range(p):
-            tau = TWO_PI * q / p
-            dp = fld_p.lookup(slot_a, row_b, dth_base + config.m1 * tau)
-            ds = circle_distance(0.0, ds_base + config.m2 * tau, config.r)
-            np.minimum(best, np.hypot(dp, ds), out=best)
-        np.fill_diagonal(best, 0.0)
-        return best
-
-    def row_for(p: int) -> tuple:
-        d_x = quotient_matrix(p)
-        space_x = FiniteMetricSpace(labels=points, d=0.5 * (d_x + d_x.T))
-        dist = distortion(space_x, space_y, corr)
-        return p, dist
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(row_for, config.p_values))
-    else:
-        results = [row_for(p) for p in config.p_values]
-
-    return [CollapseRow(p=p, distortion=d, gh_upper_bound=0.5 * d,
-                        grid_floor_estimate=floor)
-            for p, d in results]
+    rows = []
+    for p in config.p_values:
+        spec = QuotientSpec(r=config.r, m1=config.m1, m2=config.m2,
+                            group="zp", p=int(p))
+        d_x = _orbit_min(spec, lambda rot: fld_p.lookup(slot_a, row_b,
+                                                        th_x + rot), s_x)
+        dist = float(np.max(np.abs(symmetrised(d_x, diag_x) - sym_y)))
+        rows.append(CollapseRow(p=p, distortion=dist,
+                                gh_upper_bound=0.5 * dist,
+                                grid_floor_estimate=floor))
+    return rows

@@ -1,6 +1,7 @@
 """Tests for the graph discretization and the measured-collapse pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from collapse_lab import (
     collapse_experiment,
     distance_field,
     distortion,
+    make_warp,
     metric_from_warp,
     natural_correspondence,
     product_distance,
@@ -33,7 +35,7 @@ from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
     _MAX_RING_NODES,
     _ring_refinement,
-    THREADS_ENV,
+    _subgrid_indices,
     SurfaceGraph,
 )
 
@@ -121,6 +123,17 @@ def test_graph_edge_weights_match_formula():
                                                                 rel=1e-15)
     assert float(g.csr[a, g.node_index(3, 2)]) == pytest.approx(want,
                                                                 rel=1e-15)
+
+
+@pytest.mark.parametrize("warp", [ConstWarp(1.0), SinhWarp(1.0)])
+def test_graph_edge_count(warp):
+    # per ring row: n_theta ring edges; per pair of ring rows: one radial
+    # and two diagonal edges per node; the pole adds one spoke per node
+    g = build_surface_graph(metric_from_warp(warp, 1.0), 11, 12)
+    rings = 11 - int(g.pole)
+    want = 12 * rings + 3 * 12 * (rings - 1) + 12 * int(g.pole)
+    assert g.csr.nnz == 2 * want
+    assert np.array_equal(g.csr.toarray(), g.csr.toarray().T)
 
 
 def test_flat_cylinder_radial_distance():
@@ -559,18 +572,120 @@ def test_collapse_experiment_frozen_small_case():
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
-def test_collapse_experiment_thread_determinism(monkeypatch):
-    cfg = dict(SMALL_CONFIG, p_values=[2, 4],
+def _dense_reference(config):
+    """The dense algorithm as a reference: one n_pts x n_pts quotient
+    matrix per group element, natural_correspondence, and distortion over
+    FiniteMetricSpace.  Same discretization as collapse_experiment."""
+    base = metric_from_warp(make_warp(config.surface["family"],
+                                      config.surface["a"]), config.rho_max)
+    limit = quotient_transform(base, TransformParams.from_slope_pair(
+        config.m1, config.m2, config.r))
+    g, smp = config.grid, config.sample
+    m1, m2 = config.m1, config.m2
+    if m1 > 0:
+        dens_x = [p // math.gcd(m1, p) for p in config.p_values]
+        den_y = m2 * g.n_s // math.gcd(m1, m2 * g.n_s)
+    else:
+        dens_x, den_y = [], 1
+    ring_y = _ring_refinement(g.n_theta, [den_y])
+    graph_p = build_surface_graph(base, g.n_rho,
+                                  _ring_refinement(g.n_theta, dens_x))
+    rows = _subgrid_indices(int(graph_p.pole), g.n_rho - 1, smp.n_rho)
+    thetas = TWO_PI * ((np.arange(smp.n_theta) * g.n_theta)
+                       // smp.n_theta) / g.n_theta
+    svals = TWO_PI * ((np.arange(smp.n_s) * g.n_s) // smp.n_s) / g.n_s
+    fld_p = distance_field(graph_p, rows)
+
+    slot, theta, s = (a.ravel() for a in np.meshgrid(
+        np.arange(rows.size), thetas, svals, indexing="ij"))
+    points = [(float(graph_p.rho_values[rows[k]]), float(t), float(v))
+              for k, t, v in zip(slot, theta, s)]
+    spec0 = QuotientSpec(r=config.r, m1=m1, m2=m2, p=config.p_values[0])
+    corr, limit_points = natural_correspondence(points, spec0)
+    slot_of_rho = {p_[0]: k for p_, k in zip(points, slot)}
+    lim_slot = np.array([slot_of_rho[rho] for rho, _ in limit_points])
+    lim_phi = np.array([phi for _, phi in limit_points])
+    dphi = lim_phi[None, :] - lim_phi[:, None]
+
+    def limit_matrix(n_rho, n_theta, scale):
+        fld = distance_field(build_surface_graph(limit, n_rho, n_theta),
+                             scale * rows)
+        d = fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
+                       dphi)
+        np.fill_diagonal(d, 0.0)
+        return d
+
+    d_y = limit_matrix(g.n_rho, ring_y, 1)
+    floor = max(float(np.max(np.abs(d_y - limit_matrix(*ref))))
+                for ref in ((2 * g.n_rho - 1, ring_y, 2),
+                            (g.n_rho, 2 * ring_y, 1),
+                            (2 * g.n_rho - 1, 2 * ring_y, 2)))
+    space_y = FiniteMetricSpace(limit_points, 0.5 * (d_y + d_y.T))
+
+    dth = theta[None, :] - theta[:, None]
+    dsv = s[None, :] - s[:, None]
+    out = []
+    for p in config.p_values:
+        best = np.full(dth.shape, np.inf)
+        for q in range(p):
+            tau = TWO_PI * q / p
+            dp = fld_p.lookup(slot[:, None], rows[slot][None, :],
+                              dth + m1 * tau)
+            d_s1 = circle_distance(0.0, dsv + m2 * tau, config.r)
+            np.minimum(best, np.hypot(dp, d_s1), out=best)
+        np.fill_diagonal(best, 0.0)
+        space_x = FiniteMetricSpace(points, 0.5 * (best + best.T))
+        out.append((p, distortion(space_x, space_y, corr), floor))
+    return out
+
+
+REFERENCE_CASES = {
+    "m1=0": dict(m1=0),
+    "m1=1": dict(m1=1),
+    "m1=2": dict(m1=2),
+    "m2=2": dict(m1=1, m2=2),
+    # the common ring refinement of 24, 97 and 101 exceeds _MAX_RING_NODES,
+    # so the quotient side falls back to ring interpolation
+    "cap-fallback": dict(m1=3, m2=7, p_values=[97, 101],
+                         grid={"n_rho": 24, "n_theta": 24, "n_s": 12},
+                         sample={"n_rho": 5, "n_theta": 5, "n_s": 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_collapse_experiment_matches_dense_reference(case):
+    # signed s offsets matter whenever kappa = m1 / m2 is not an integer
+    cfg = dict(SMALL_CONFIG, p_values=[2, 4, 8],
                grid={"n_rho": 16, "n_theta": 16, "n_s": 8},
-               sample={"n_rho": 3, "n_theta": 3, "n_s": 2})
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    serial = collapse_experiment(CollapseConfig.from_json(cfg))
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = collapse_experiment(CollapseConfig.from_json(cfg))
-    assert [r.p for r in serial] == [r.p for r in threaded]
-    for a, b in zip(serial, threaded):
-        assert a.distortion == b.distortion
-        assert a.grid_floor_estimate == b.grid_floor_estimate
+               sample={"n_rho": 4, "n_theta": 5, "n_s": 3})
+    cfg.update(REFERENCE_CASES[case])
+    config = CollapseConfig.from_json(cfg)
+    if case == "cap-fallback":
+        assert _ring_refinement(24, [97, 101]) == 24
+    rows = collapse_experiment(config)
+    want = _dense_reference(config)
+    assert [r.p for r in rows] == [p for p, _, _ in want]
+    for row, (_, dist, floor) in zip(rows, want):
+        assert row.distortion == pytest.approx(dist, rel=1e-12, abs=1e-15)
+        assert row.grid_floor_estimate == pytest.approx(floor, rel=1e-12)
+
+
+def test_collapse_experiment_memory_below_one_dense_matrix():
+    # 16 x 16 x 8 = 2048 sample points: one n_pts x n_pts float64 matrix
+    # alone would take 32 MiB
+    cfg = dict(SMALL_CONFIG, p_values=[2, 4, 8],
+               grid={"n_rho": 32, "n_theta": 32, "n_s": 16},
+               sample={"n_rho": 16, "n_theta": 16, "n_s": 8})
+    config = CollapseConfig.from_json(cfg)
+    n_pts = 16 * 16 * 8
+    tracemalloc.start()
+    try:
+        rows = collapse_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3
+    assert peak < n_pts * n_pts * 8
 
 
 def test_collapse_config_validation():
