@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .gh_collapse import CollapseConfig, collapse_experiment
 from .killing_quotient import OrbitBasis, PointMetric, quotient_metric_form
+from .schema import read_int, read_number, read_str
 from .soliton import (
     CallablePotential,
     SolitonParams,
@@ -43,8 +44,6 @@ from .warped_metric import (
     transformed_warp,
 )
 
-_REQUIRED = object()
-
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
@@ -57,56 +56,23 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _num(cfg: dict, key: str, default=_REQUIRED) -> float:
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number")
-    return float(v)
-
-
-def _int(cfg: dict, key: str, default=_REQUIRED) -> int:
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return v
-
-
-def _str(cfg: dict, key: str, default=_REQUIRED) -> str:
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    v = cfg[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"config key {key!r} must be a string")
-    return v
-
-
 def _warp_of(cfg: dict):
-    return make_warp(_str(cfg, "family"), _num(cfg, "a", 1.0))
+    return make_warp(read_str(cfg, "family"), read_number(cfg, "a", 1.0))
 
 
 def _params_of(cfg: dict) -> TransformParams:
     """Accept either {"kappa": x} or the integer pair {"m1", "m2"}."""
-    r = _num(cfg, "r")
+    r = read_number(cfg, "r")
     if "m1" in cfg or "m2" in cfg:
-        return TransformParams.from_slope_pair(_int(cfg, "m1"),
-                                               _int(cfg, "m2"), r)
-    return TransformParams(r=r, kappa=_num(cfg, "kappa"))
+        return TransformParams.from_slope_pair(read_int(cfg, "m1"),
+                                               read_int(cfg, "m2"), r)
+    return TransformParams(r=r, kappa=read_number(cfg, "kappa"))
 
 
 def _rho_grid(cfg: dict, default_max: float = 2.0):
-    rho_min = _num(cfg, "rho_min", 0.0)
-    rho_max = _num(cfg, "rho_max", default_max)
-    n = _int(cfg, "n", 201)
+    rho_min = read_number(cfg, "rho_min", 0.0)
+    rho_max = read_number(cfg, "rho_max", default_max)
+    n = read_int(cfg, "n", 201)
     if n < 2:
         raise ConfigError("need n >= 2 grid points")
     if not rho_max > rho_min:
@@ -121,7 +87,7 @@ def _rho_grid(cfg: dict, default_max: float = 2.0):
 def _cmd_transform(cfg: dict):
     warp = _warp_of(cfg)
     params = _params_of(cfg)
-    direction = _str(cfg, "direction", "forward")
+    direction = read_str(cfg, "direction", "forward")
     if direction not in ("forward", "inverse"):
         raise ConfigError("direction must be 'forward' or 'inverse'")
     rho = _rho_grid(cfg)
@@ -146,9 +112,10 @@ def _cmd_curvature(cfg: dict):
 
 
 def _cmd_soliton(cfg: dict):
-    params = SolitonParams(A=_num(cfg, "A"), B=_num(cfg, "B", 1.0))
-    rho_max = _num(cfg, "rho_max", 4.0)
-    step = _num(cfg, "step", 0.01)
+    params = SolitonParams(A=read_number(cfg, "A"),
+                           B=read_number(cfg, "B", 1.0))
+    rho_max = read_number(cfg, "rho_max", 4.0)
+    step = read_number(cfg, "step", 0.01)
     warp = solve_warp_ode(params, rho_max, step)
     rho = warp.rho_nodes
     f = warp.f(rho)
@@ -197,17 +164,18 @@ def _cmd_quotient(cfg: dict):
 
 def _berger_metric_of(cfg: dict) -> BergerMetric:
     if "xi" in cfg:
-        return slope_quotient_metric(_num(cfg, "xi"))
-    return BergerMetric(_num(cfg, "A"), _num(cfg, "B"), _num(cfg, "C"))
+        return slope_quotient_metric(read_number(cfg, "xi"))
+    return BergerMetric(read_number(cfg, "A"), read_number(cfg, "B"),
+                        read_number(cfg, "C"))
 
 
 def _cmd_berger(cfg: dict):
     metric = _berger_metric_of(cfg)
-    r_min = _num(cfg, "radius_min", 0.05)
-    r_max = _num(cfg, "radius_max", 3.0)
-    num = _int(cfg, "num", 121)
-    samples = _int(cfg, "samples", 200)
-    seed = _int(cfg, "seed", 0)
+    r_min = read_number(cfg, "radius_min", 0.05)
+    r_max = read_number(cfg, "radius_max", 3.0)
+    num = read_int(cfg, "num", 121)
+    samples = read_int(cfg, "samples", 200)
+    seed = read_int(cfg, "seed", 0)
     if not (0 < r_min < r_max) or num < 2:
         raise ConfigError("need 0 < radius_min < radius_max and num >= 2")
     radii = np.linspace(r_min, r_max, num)
@@ -269,10 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds {name}, which is not a finite number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,6 +6,12 @@ on that graph stand in for geodesic distance.  Product distances split as
 sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
 analytic), and the Z_p quotient distance minimizes over group translates.
 
+Every distance field is a Dijkstra run from a source at theta = 0.  The
+reflection theta -> -theta fixes such a source and maps the graph onto
+itself with identical edge weights, so the field is solved on the half
+strip theta in [0, pi] (grid columns 0 .. n_theta // 2) and mirrored back;
+the fold is exact to the last bit (see distance_field).
+
 Distances to points between grid angles are served by adding a virtual
 vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
 which keeps every produced distance table an exact metric: it is the
@@ -32,12 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import ConfigError, ConnectivityError, DomainError
+from .schema import is_int, read_int, read_number
 from .warped_metric import (
     RotSymMetric,
     TransformParams,
@@ -46,6 +52,9 @@ from .warped_metric import (
     quotient_transform,
     warp_from_json,
 )
+
+if TYPE_CHECKING:  # scipy.sparse is imported only by the functions using it
+    from scipy.sparse import csr_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,6 +109,8 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     capped origin (where the row degenerates to the pole node); truncate
     before any other zero of f.
     """
+    from scipy.sparse import csr_matrix
+
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
@@ -143,8 +154,11 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
 def surface_distances(graph: SurfaceGraph, sources) -> np.ndarray:
     """Exact shortest-path distances from the given node indices to all
     nodes; raises ConnectivityError if anything is unreachable."""
+    from scipy.sparse.csgraph import dijkstra
+
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
-    d = _dijkstra(graph.csr, directed=False, indices=sources)
+    # the CSR stores both directions of every edge
+    d = dijkstra(graph.csr, directed=True, indices=sources)
     if np.any(np.isinf(d)):
         raise ConnectivityError("surface graph is disconnected")
     return d
@@ -181,22 +195,41 @@ class SurfaceDistanceField:
 
 
 def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
-    """Run Dijkstra from (row, theta=0) for each requested rho row."""
+    """Run Dijkstra from (row, theta=0) for each requested rho row.
+
+    The reflection theta -> -theta fixes every source and maps the graph
+    onto itself with identical edge weights, so each field satisfies
+    d(i, j) = d(i, n_theta - j).  Dijkstra therefore runs on the half strip,
+    the induced subgraph on columns 0 .. n_theta // 2 (with the pole node
+    and its spokes to those columns), and the result is mirrored back to
+    all n_theta columns.  The fold is exact: a shortest path from a
+    theta = 0 source reflects into the half strip at the same length, and
+    the only edges the half strip drops run between mirror columns
+    (for odd n_theta a folded diagonal, parallel to a shorter radial edge).
+    Dijkstra's output is the unique solution of d[v] = min_u fl(d[u] + w_uv),
+    which the full field's mirror-symmetric values satisfy on the half
+    strip, so the folded fields are bit-identical to full-graph ones.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
     rho_rows = np.asarray(rho_rows, dtype=int)
-    sources = [int(graph.node_index(int(i), 0)) for i in rho_rows]
-    dist = surface_distances(graph, sources)
-    s = len(sources)
-    n_r, n_t = graph.n_rho, graph.n_theta
-    rings = np.empty((s, n_r, n_t))
-    if graph.pole:
-        rings[:, 0, :] = dist[:, :1]
-        rings[:, 1:, :] = dist[:, 1:].reshape(s, n_r - 1, n_t)
-    else:
-        rings[:] = dist.reshape(s, n_r, n_t)
+    n_t = graph.n_theta
+    # (n_rho, n_theta // 2 + 1) node ids of the half strip, ascending in
+    # row-major order; a pole graph's row 0 repeats the pole id, kept once.
+    # keep is then sorted, so a node's half-strip id is its rank in keep.
+    ids = graph.node_index(np.arange(graph.n_rho)[:, None],
+                           np.arange(n_t // 2 + 1))
+    keep = ids.ravel()[graph.pole * (n_t // 2):]
+    sources = np.searchsorted(keep, graph.node_index(rho_rows, 0))
+    dist = dijkstra(graph.csr[keep][:, keep], directed=True, indices=sources)
+    if np.any(np.isinf(dist)):
+        raise ConnectivityError("surface graph is disconnected")
     arc = graph.ring_f * graph.delta_theta
     if graph.pole:
         arc = arc.copy()
         arc[0] = 0.0
+    mirror = np.minimum(np.arange(n_t), n_t - np.arange(n_t))
+    rings = dist[:, np.searchsorted(keep, ids)[:, mirror]]
     return SurfaceDistanceField(n_theta=n_t, source_rows=rho_rows,
                                 rings=rings, ring_arc=arc)
 
@@ -405,10 +438,10 @@ class GridSpec:
         if not isinstance(obj, dict):
             raise ConfigError(f"'{name}' must be an object")
         try:
-            return cls(int(obj["n_rho"]), int(obj["n_theta"]), int(obj["n_s"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"'{name}' needs integer n_rho, n_theta, n_s") \
-                from exc
+            return cls(read_int(obj, "n_rho"), read_int(obj, "n_theta"),
+                       read_int(obj, "n_s"))
+        except ConfigError as exc:
+            raise ConfigError(f"'{name}': {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -450,20 +483,20 @@ class CollapseConfig:
         missing = [k for k in required if k not in obj]
         if missing:
             raise ConfigError(f"collapse config missing keys: {missing}")
-        try:
-            p_values = tuple(int(p) for p in obj["p_values"])
-            return cls(surface=obj["surface"],
-                       rho_max=float(obj["rho_max"]),
-                       r=float(obj["r"]),
-                       m1=int(obj["m1"]),
-                       m2=int(obj["m2"]),
-                       p_values=p_values,
-                       grid=GridSpec.from_json(obj["grid"], "grid"),
-                       sample=GridSpec.from_json(obj["sample"], "sample"),
-                       seed=int(obj.get("seed", 0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"collapse config field has wrong type: {exc}") \
-                from exc
+        p_values = obj["p_values"]
+        if not (isinstance(p_values, (list, tuple))
+                and all(map(is_int, p_values))):
+            raise ConfigError("config key 'p_values' must be a list of "
+                              "integers")
+        return cls(surface=obj["surface"],
+                   rho_max=read_number(obj, "rho_max"),
+                   r=read_number(obj, "r"),
+                   m1=read_int(obj, "m1"),
+                   m2=read_int(obj, "m2"),
+                   p_values=tuple(p_values),
+                   grid=GridSpec.from_json(obj["grid"], "grid"),
+                   sample=GridSpec.from_json(obj["sample"], "sample"),
+                   seed=read_int(obj, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -537,16 +570,16 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         dens_x, den_y = [], 1
     ring_x = _ring_refinement(g.n_theta, dens_x)
     ring_y = _ring_refinement(g.n_theta, [den_y])
-    graph_p = build_surface_graph(base, g.n_rho, ring_x)
-    graph_y = build_surface_graph(limit, g.n_rho, ring_y)
-
-    lo = 1 if graph_p.pole else 0
+    lo = 1 if base.capped_at_origin else 0      # the pole row is one node
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
 
-    fld_p = distance_field(graph_p, rho_rows)
-    fld_y = distance_field(graph_y, rho_rows)
+    # each graph is dropped as soon as its field is solved
+    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x),
+                           rho_rows)
+    fld_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y),
+                           rho_rows)
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
@@ -593,8 +626,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     for n_r2, n_t2, rscale in ((2 * g.n_rho - 1, ring_y, 2),
                                (g.n_rho, 2 * ring_y, 1),
                                (2 * g.n_rho - 1, 2 * ring_y, 2)):
-        graph_ref = build_surface_graph(limit, n_r2, n_t2)
-        fld_ref = distance_field(graph_ref, rscale * rho_rows)
+        fld_ref = distance_field(build_surface_graph(limit, n_r2, n_t2),
+                                 rscale * rho_rows)
         d_ref = fld_ref.lookup(slot_a, rscale * row_b, phi_y)
         floor = max(floor, float(np.max(np.abs(d_y - d_ref))))
     sym_y = symmetrised(d_y, diag_y)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateBasisError,
@@ -44,6 +43,8 @@ class PointMetric:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import scipy.linalg     # loaded on first use, not with the package
+
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMetricError("metric must be a square matrix")
@@ -142,6 +143,8 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the SPD Gram system, failing loudly on degeneracy."""
+    import scipy.linalg
+
     cond = np.linalg.cond(gram)
     if cond > _COND_WARN:
         warnings.warn(f"orbit-basis Gram condition {cond:.3g} exceeds 1e12",

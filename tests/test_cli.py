@@ -231,6 +231,39 @@ def test_bad_direction_exits_2(tmp_path, capsys):
     assert "direction" in err
 
 
+@pytest.mark.parametrize("key, value", [("r", math.nan),
+                                        ("kappa", math.inf)])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg = dict({"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0},
+               **{key: value})
+    code, out, err = run_cli(tmp_path, capsys, "transform", cfg)
+    assert code == 2 and out == ""
+    assert "not a finite number" in err
+
+
+def test_overflowing_number_exits_2(tmp_path, capsys):
+    # 1e400 is valid JSON but parses to inf
+    path = tmp_path / "cfg.json"
+    path.write_text('{"family": "tanh", "a": 1e400, "n": 5}')
+    code = main(["curvature", "--config", str(path)])
+    assert code == 2
+    assert "'a' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m1", True),                                   # bool as an integer
+    ("grid", {"n_rho": 24.9, "n_theta": 16, "n_s": 8}),   # fractional
+    ("sample", {"n_rho": 3, "n_theta": "3", "n_s": 2}),   # string
+    ("p_values", [2, 4.0]),                         # float list element
+    ("seed", "0"),
+])
+def test_collapse_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    cfg = dict(TINY_COLLAPSE, **{field: value})
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 2 and out == ""
+    assert "must be" in err and "integer" in err
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     # rho_min below the warp's natural domain
     cfg = {"family": "sinh", "a": 1.0, "rho_min": -1.0, "rho_max": 1.0}

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from collapse_lab import (
     CollapseConfig,
@@ -215,6 +216,25 @@ def test_distance_field_matches_node_distances():
                 got = fld.lookup(slot, i, j * TWO_PI / 12)
                 assert abs(got - want) <= 1e-12
         assert abs(fld.lookup(slot, 0, 1.234) - d[slot, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
+                                           (ConstWarp(1.5), 1.0)],
+                         ids=["pole", "no-pole"])
+@pytest.mark.parametrize("n_theta", [12, 13])
+def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
+    """The half-strip solve mirrors to exactly the full-graph fields."""
+    g = build_surface_graph(metric_from_warp(warp, rho_max), 10, n_theta)
+    assert g.pole == (warp.kind == "sinh")
+    rows = np.array([0, 3, 9])
+    sources = g.node_index(rows, 0)
+    d = surface_distances(g, sources)
+    nodes = g.node_index(np.arange(10)[:, None], np.arange(n_theta)[None, :])
+    assert np.array_equal(distance_field(g, rows).rings, d[:, nodes])
+    # the CSR holds both directions of every edge, so the directed solve
+    # surface_distances runs equals the undirected one
+    assert np.array_equal(d, dijkstra(g.csr, directed=False,
+                                      indices=sources))
 
 
 def test_distance_field_interpolation_rule():

@@ -297,13 +297,25 @@ def test_submersion_scan_shape_and_determinism():
         find_submersion_radius(metric, samples=0)
 
 
-def test_package_import_leaves_out_scipy_optimize():
-    """The submersion radius is a closed form; no optimizer is imported."""
-    code = ("import sys, collapse_lab, collapse_lab.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+def test_package_import_leaves_out_scipy_optimize(tmp_path):
+    """The submersion radius is a closed form; no optimizer is imported.
+    The rest of scipy is loaded only by the functions that use it, so
+    neither the import nor a transform run loads scipy.sparse, or scipy at
+    all."""
+    cfg = tmp_path / "transform.json"
+    cfg.write_text('{"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0}')
+    code = ("import sys, collapse_lab, collapse_lab.cli\n"
+            "loaded = lambda: [m in sys.modules for m in "
+            "('scipy.optimize', 'scipy.sparse', 'scipy')]\n"
+            "print(*loaded())\n"
+            "collapse_lab.cli.main(['transform', '--config', sys.argv[1], "
+            "'--out', sys.argv[2], '--quiet'])\n"
+            "print(*loaded())")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg),
+                          str(tmp_path / "out.csv")], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False"] * 6
+    assert (tmp_path / "out.csv").read_text().startswith("rho,f,")
 
 
 # ---------------------------------------------------------------------------
