@@ -13,7 +13,6 @@ from collapse_lab import (
     TanWarp,
     TransformParams,
     gauss_curvature,
-    inverse_transformed_warp,
     metric_from_warp,
     quotient_circle_radius,
     transformed_warp,
@@ -63,6 +62,6 @@ print(f"closed-form circle radius: {quotient_circle_radius(1.0, 1.0, 1.0):.12f}"
 
 # the transform inverts cleanly below its range asymptote
 params = TransformParams.from_slope_pair(1, 1, 1.0)
-back = inverse_transformed_warp(cigar, params.r, params.kappa)
+back = transformed_warp(cigar, params.r, params.kappa, sign=-1)
 err = float(np.max(np.abs(back.f(rho) - sinh.f(rho))))
 print(f"\ninverse transform recovers sinh, max err {err:.2e}")

@@ -4,8 +4,8 @@ quotients, and numerical Gromov-Hausdorff collapse experiments.
 The library has five parts:
 
 * warped_metric  - warp families f(rho), the transform
-                   f -> r f / sqrt(kappa^2 f^2 + r^2) and its inverse,
-                   Gauss curvature.
+                   f -> r f / sqrt(kappa^2 f^2 + r^2) in both directions
+                   (sign = +1 forward, -1 inverse), Gauss curvature.
 * soliton        - the first-order warp ODE f' + A f^2 = B, soliton
                    potentials and residual checks.
 * killing_quotient - the pointwise quotient-metric formula for a Killing
@@ -104,8 +104,6 @@ from .warped_metric import (
     asymptote_radius,
     eval_warp,
     gauss_curvature,
-    inverse_transform,
-    inverse_transformed_warp,
     make_warp,
     metric_from_warp,
     quotient_circle_radius,

@@ -38,7 +38,6 @@ from .warped_metric import (
     DELTA_CAP,
     TransformParams,
     gauss_curvature,
-    inverse_transformed_warp,
     make_warp,
     metric_from_warp,
     transformed_warp,
@@ -92,10 +91,8 @@ def _cmd_transform(cfg: dict):
         raise ConfigError("direction must be 'forward' or 'inverse'")
     rho = _rho_grid(cfg)
     metric_from_warp(warp, float(rho[-1]), float(rho[0]))  # domain check
-    if direction == "forward":
-        out = transformed_warp(warp, params.r, params.kappa)
-    else:
-        out = inverse_transformed_warp(warp, params.r, params.kappa)
+    sign = 1 if direction == "forward" else -1
+    out = transformed_warp(warp, params.r, params.kappa, sign)
     rows = np.column_stack([rho, warp.f(rho), out.f(rho)])
     info = [f"transform: {warp.kind} -> {out.kind} "
             f"(r={params.r:g}, kappa={params.kappa:g}, {direction})"]

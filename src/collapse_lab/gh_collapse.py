@@ -446,12 +446,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CollapseConfig:
-    """Inputs of collapse_experiment; mirrors the JSON schema of the CLI.
-
-    seed is accepted for schema stability but the sampling is a
-    deterministic subgrid, so it is currently unused.
-    """
-    surface: object                 # WarpCurve or its JSON dict
+    """Inputs of collapse_experiment; mirrors the JSON schema of the CLI."""
+    surface: WarpCurve
     rho_max: float
     r: float
     m1: int
@@ -459,7 +455,6 @@ class CollapseConfig:
     p_values: tuple
     grid: GridSpec
     sample: GridSpec
-    seed: int = 0
 
     def __post_init__(self):
         if self.rho_max <= 0 or self.r <= 0:
@@ -488,15 +483,14 @@ class CollapseConfig:
                 and all(map(is_int, p_values))):
             raise ConfigError("config key 'p_values' must be a list of "
                               "integers")
-        return cls(surface=obj["surface"],
+        return cls(surface=warp_from_json(obj["surface"]),
                    rho_max=read_number(obj, "rho_max"),
                    r=read_number(obj, "r"),
                    m1=read_int(obj, "m1"),
                    m2=read_int(obj, "m2"),
                    p_values=tuple(p_values),
                    grid=GridSpec.from_json(obj["grid"], "grid"),
-                   sample=GridSpec.from_json(obj["sample"], "sample"),
-                   seed=read_int(obj, "seed", 0))
+                   sample=GridSpec.from_json(obj["sample"], "sample"))
 
 
 @dataclass(frozen=True)
@@ -551,10 +545,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     (kb, ka, -dtheta, -ds), both tables get the FiniteMetricSpace checks,
     and the distortion is the largest |d_X - d_Y| over the classes.
     """
-    warp = config.surface
-    if not isinstance(warp, WarpCurve):
-        warp = warp_from_json(warp)
-    base = metric_from_warp(warp, config.rho_max)
+    base = metric_from_warp(config.surface, config.rho_max)
     params = TransformParams.from_slope_pair(config.m1, config.m2, config.r)
     limit = quotient_transform(base, params)
 

@@ -37,24 +37,25 @@ _COND_WARN = 1e12
 class PointMetric:
     """Symmetric positive definite matrix: a metric at one point.
 
-    Construction validates symmetry (to 1e-12, relative) and positive
-    definiteness (Cholesky).
+    Construction validates finiteness, symmetry (to 1e-12, relative) and
+    positive definiteness (Cholesky).
     """
     matrix: np.ndarray
 
     def __post_init__(self):
-        import scipy.linalg     # loaded on first use, not with the package
-
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMetricError("metric must be a square matrix")
+        # np.linalg.cholesky passes inf through instead of failing
+        if not np.all(np.isfinite(m)):
+            raise InvalidMetricError("metric entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.T)) > _SYM_TOL * scale:
             raise InvalidMetricError("metric must be symmetric to 1e-12")
         m = 0.5 * (m + m.T)
         try:
-            scipy.linalg.cholesky(m, lower=True)
-        except scipy.linalg.LinAlgError:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
             raise InvalidMetricError("metric must be positive definite") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -143,18 +144,18 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the SPD Gram system, failing loudly on degeneracy."""
-    import scipy.linalg
-
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise DomainError("orbit basis and projected vector must be finite")
     cond = np.linalg.cond(gram)
     if cond > _COND_WARN:
         warnings.warn(f"orbit-basis Gram condition {cond:.3g} exceeds 1e12",
                       GramConditionWarning, stacklevel=3)
     try:
-        cf = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         raise DegenerateBasisError(
             "orbit basis is metric-degenerate (Gram not SPD)") from None
-    return scipy.linalg.cho_solve(cf, rhs)
+    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
 
 
 def project_onto_complement(g_prod, basis: OrbitBasis, x) -> np.ndarray:

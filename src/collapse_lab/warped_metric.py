@@ -6,7 +6,10 @@ circle-quotient transformation that sends the warp f to
 The transformed metric is the one induced on the quotient of (surface) x S^1(r)
 by the diagonal circle action of slope kappa = m1/m2.  The map is the identity
 for kappa = 0, contracts every warp below the asymptote r/kappa for kappa > 0,
-and has an explicit inverse on warps staying strictly below that asymptote.
+and has an explicit inverse on warps staying strictly below that asymptote:
+the same map with kappa^2 negated.  transformed_warp and quotient_transform
+therefore serve both directions through one argument, sign = +1 (forward)
+or -1 (inverse).
 
 Named warp families are normalized so that f(0) = 0 and f'(0) = 1 whenever the
 family can cap off smoothly:
@@ -36,6 +39,7 @@ from .errors import (
     NotInRangeError,
     PoleProximityError,
 )
+from .schema import read_number, read_str
 
 # Shared pole tolerance: below this value of f, curvature by -f''/f is not
 # trusted and only closed forms are served.  The soliton module imports this
@@ -386,10 +390,11 @@ def make_warp(family: str, a: float = 1.0) -> WarpCurve:
 
 
 def warp_from_json(obj) -> WarpCurve:
-    """Decode {"family": ..., "a": ...} into a warp curve."""
+    """Decode {"family": ..., "a": ...} into a warp curve; a family that is
+    not a string or an `a` that is not a finite number raises ConfigError."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise DomainError("warp spec must be an object with a 'family' key")
-    return make_warp(obj["family"], obj.get("a", 1.0))
+    return make_warp(read_str(obj, "family"), read_number(obj, "a", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +513,24 @@ def scalar_curvature(metric: RotSymMetric, rho):
     return 2.0 * gauss_curvature(metric, rho)
 
 
-def transformed_warp(warp: WarpCurve, r: float, kappa: float) -> WarpCurve:
-    """Warp-level transform r f / sqrt(kappa^2 f^2 + r^2).
+# (base, transform) pairs of named families when kappa = a r; sign = -1
+# reads each pair backwards
+_PROMOTIONS = ((SinhWarp, TanhWarp), (TanWarp, SinWarp))
 
-    kappa = 0 returns the warp unchanged (identity, exactly).  Known closed
-    forms are promoted to named families:
+
+def transformed_warp(warp: WarpCurve, r: float, kappa: float,
+                     sign: int = 1) -> WarpCurve:
+    """Warp-level transform r f / sqrt(D), D = r^2 + sign kappa^2 f^2.
+
+    sign = +1 is the forward transform r f / sqrt(kappa^2 f^2 + r^2);
+    sign = -1 is its inverse, which requires f < r/kappa wherever it is
+    evaluated.  kappa = 0 returns the warp unchanged (identity, exactly).
+    Known closed forms are promoted to named families, read right to left
+    for sign = -1:
 
         sinh(a)  ->  tanh(a)   when kappa = a r
         tan(a)   ->  sin(a)    when kappa = a r
-        const c  ->  const r c / sqrt(kappa^2 c^2 + r^2)
+        const c  ->  const r c / sqrt(r^2 + sign kappa^2 c^2)
 
     everything else becomes a TransformedWarp with chain-rule derivatives.
     """
@@ -524,71 +538,43 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float) -> WarpCurve:
         raise DomainError("need r > 0")
     if kappa < 0:
         raise DomainError("need kappa >= 0")
+    if sign not in (1, -1):
+        raise DomainError("transform sign must be +1 or -1")
     if kappa == 0.0:
         return warp
     if isinstance(warp, ConstWarp):
         c = warp.c
-        return ConstWarp(r * c / math.sqrt(kappa ** 2 * c ** 2 + r ** 2))
-    if isinstance(warp, SinhWarp) and kappa == warp.a * r:
-        return TanhWarp(warp.a)
-    if isinstance(warp, TanWarp) and kappa == warp.a * r:
-        return SinWarp(warp.a)
-    return TransformedWarp(warp, r, kappa)
-
-
-def inverse_transformed_warp(warp: WarpCurve, r: float,
-                             kappa: float) -> WarpCurve:
-    """Inverse of transformed_warp; requires f < r/kappa wherever evaluated."""
-    if r <= 0:
-        raise DomainError("need r > 0")
-    if kappa < 0:
-        raise DomainError("need kappa >= 0")
-    if kappa == 0.0:
-        return warp
-    if isinstance(warp, ConstWarp):
-        c = warp.c
-        margin = r ** 2 - kappa ** 2 * c ** 2
-        if margin <= 0:
+        d = r ** 2 + sign * kappa ** 2 * c ** 2
+        if d <= 0:
             raise NotInRangeError("constant warp at or above r/kappa")
-        return ConstWarp(r * c / math.sqrt(margin))
-    if isinstance(warp, TanhWarp) and kappa == warp.a * r:
-        return SinhWarp(warp.a)
-    if isinstance(warp, SinWarp) and kappa == warp.a * r:
-        return TanWarp(warp.a)
-    return TransformedWarp(warp, r, kappa, sign=-1)
+        return ConstWarp(r * c / math.sqrt(d))
+    for family, image in (p if sign > 0 else p[::-1] for p in _PROMOTIONS):
+        if isinstance(warp, family) and kappa == warp.a * r:
+            return image(warp.a)
+    return TransformedWarp(warp, r, kappa, sign)
 
 
 _RANGE_SCAN = 257  # grid used to certify f < r/kappa on the interval
 
 
-def quotient_transform(metric: RotSymMetric,
-                       params: TransformParams) -> RotSymMetric:
-    """Transform the metric by the slope-kappa circle quotient.
+def quotient_transform(metric: RotSymMetric, params: TransformParams,
+                       sign: int = 1) -> RotSymMetric:
+    """Transform the metric by the slope-kappa circle quotient (sign = +1)
+    or invert that transform (sign = -1).
 
     The rho interval and the cap flag are preserved: the pole stays a smooth
     pole (f'(0) = r^3/r^3 = 1) and the transform is the identity for
-    kappa = 0.
+    kappa = 0.  The inverse raises NotInRangeError if the warp meets or
+    exceeds the asymptote r/kappa anywhere on the interval (checked on a
+    scan grid and again at every later evaluation).
     """
-    new_warp = transformed_warp(metric.warp, params.r, params.kappa)
-    return RotSymMetric(new_warp, metric.rho_min, metric.rho_max,
-                        metric.capped_at_origin)
-
-
-def inverse_transform(metric: RotSymMetric,
-                      params: TransformParams) -> RotSymMetric:
-    """Invert quotient_transform.
-
-    Raises NotInRangeError if the warp meets or exceeds the asymptote
-    r/kappa anywhere on the interval (checked on a scan grid and again at
-    every later evaluation).
-    """
-    if params.kappa > 0:
+    if sign == -1 and params.kappa > 0:
         grid = np.linspace(metric.rho_min, metric.rho_max, _RANGE_SCAN)
         fv = np.asarray(metric.warp.f(grid), dtype=float)
         if np.any(fv >= params.r / params.kappa):
             raise NotInRangeError(
                 "warp reaches r/kappa on the interval; no preimage")
-    new_warp = inverse_transformed_warp(metric.warp, params.r, params.kappa)
+    new_warp = transformed_warp(metric.warp, params.r, params.kappa, sign)
     return RotSymMetric(new_warp, metric.rho_min, metric.rho_max,
                         metric.capped_at_origin)
 

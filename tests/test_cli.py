@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,34 @@ def test_collapse_table(tmp_path, capsys):
     assert "p=2" in err and "p=4" in err
 
 
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+DOCUMENTED_HEADERS = {
+    "transform": ["rho", "f", "f_transformed"],
+    "curvature": ["rho", "K"],
+    "soliton": ["rho", "f", "fprime", "K", "phi", "res1", "res2"],
+    "quotient": ["c0", "c1"],
+    "berger": ["target_radius", "max_distortion"],
+    "collapse": ["p", "distortion", "gh_upper_bound", "grid_floor_estimate"],
+}
+
+
+def test_demo_configs_cover_every_subcommand():
+    assert sorted(p.stem for p in DEMO_CONFIGS) == sorted(DOCUMENTED_HEADERS)
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_runs(path, capsys):
+    """Each demos/configs/<subcommand>.json runs through its subcommand."""
+    code = main([path.stem, "--config", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    header, data = parse_csv(captured.out)
+    assert header == DOCUMENTED_HEADERS[path.stem]
+    assert data.shape[0] >= 1
+
+
 # ---------------------------------------------------------------------------
 # output modes
 # ---------------------------------------------------------------------------
@@ -255,13 +284,32 @@ def test_overflowing_number_exits_2(tmp_path, capsys):
     ("grid", {"n_rho": 24.9, "n_theta": 16, "n_s": 8}),   # fractional
     ("sample", {"n_rho": 3, "n_theta": "3", "n_s": 2}),   # string
     ("p_values", [2, 4.0]),                         # float list element
-    ("seed", "0"),
 ])
 def test_collapse_rejects_non_integer_fields(tmp_path, capsys, field, value):
     cfg = dict(TINY_COLLAPSE, **{field: value})
     code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
     assert code == 2 and out == ""
     assert "must be" in err and "integer" in err
+
+
+@pytest.mark.parametrize("a", ["wide", True])
+def test_collapse_rejects_non_number_surface_parameter(tmp_path, capsys, a):
+    cfg = dict(TINY_COLLAPSE, surface={"family": "sinh", "a": a})
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 2 and out == ""
+    assert "'a' must be a number" in err
+
+
+def test_quotient_rejects_overflowing_metric(tmp_path, capsys):
+    # 1e400 is valid JSON but parses to inf, which np.linalg.cholesky
+    # passes through without failing
+    path = tmp_path / "cfg.json"
+    path.write_text('{"metric": [[1e400, 0.0], [0.0, 1.0]], '
+                    '"h_vectors": [[0.0, 1.0]], "frame": [[1.0, 0.0]]}')
+    code = main(["quotient", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "metric entries must be finite" in captured.err
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

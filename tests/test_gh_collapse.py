@@ -24,7 +24,6 @@ from collapse_lab import (
     collapse_experiment,
     distance_field,
     distortion,
-    make_warp,
     metric_from_warp,
     natural_correspondence,
     product_distance,
@@ -596,8 +595,7 @@ def _dense_reference(config):
     """The dense algorithm as a reference: one n_pts x n_pts quotient
     matrix per group element, natural_correspondence, and distortion over
     FiniteMetricSpace.  Same discretization as collapse_experiment."""
-    base = metric_from_warp(make_warp(config.surface["family"],
-                                      config.surface["a"]), config.rho_max)
+    base = metric_from_warp(config.surface, config.rho_max)
     limit = quotient_transform(base, TransformParams.from_slope_pair(
         config.m1, config.m2, config.r))
     g, smp = config.grid, config.sample

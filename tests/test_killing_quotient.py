@@ -205,6 +205,17 @@ def test_projection_warns_on_bad_conditioning():
         project_onto_complement(np.eye(3), basis, [0.0, 0.0, 1.0])
 
 
+def test_non_finite_input_is_rejected():
+    # np.linalg.cholesky and solve pass inf through instead of failing
+    with pytest.raises(InvalidMetricError):
+        PointMetric(np.diag([np.inf, 1.0]))
+    g = [[2.0, 1.0], [1.0, 2.0]]
+    with pytest.raises(DomainError):
+        project_onto_complement(g, OrbitBasis([[np.inf, 1.0]]), [1.0, 1.0])
+    with pytest.raises(DomainError):
+        project_onto_complement(g, OrbitBasis([[1.0, 0.0]]), [np.inf, 1.0])
+
+
 def test_projection_dimension_mismatch():
     with pytest.raises(DomainError):
         project_onto_complement(np.eye(3), OrbitBasis([[1.0, 0.0]]),

@@ -300,22 +300,35 @@ def test_submersion_scan_shape_and_determinism():
 def test_package_import_leaves_out_scipy_optimize(tmp_path):
     """The submersion radius is a closed form; no optimizer is imported.
     The rest of scipy is loaded only by the functions that use it, so
-    neither the import nor a transform run loads scipy.sparse, or scipy at
-    all."""
-    cfg = tmp_path / "transform.json"
-    cfg.write_text('{"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0}')
+    neither the import nor a transform, quotient or berger (xi) run loads
+    scipy.sparse, or scipy at all."""
+    configs = {
+        "transform": '{"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0}',
+        "quotient": '{"metric": [[1.0, 0.0, 0.0], [0.0, 4.0, 0.0], '
+                    '[0.0, 0.0, 1.0]], "h_vectors": [[0.0, 1.0, 1.0]], '
+                    '"frame": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
+        "berger": '{"xi": 0.7, "num": 5, "samples": 20}',
+    }
+    argv = []
+    for command, text in configs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(text)
+        argv += [command, str(cfg), str(tmp_path / f"{command}.csv")]
     code = ("import sys, collapse_lab, collapse_lab.cli\n"
             "loaded = lambda: [m in sys.modules for m in "
             "('scipy.optimize', 'scipy.sparse', 'scipy')]\n"
             "print(*loaded())\n"
-            "collapse_lab.cli.main(['transform', '--config', sys.argv[1], "
-            "'--out', sys.argv[2], '--quiet'])\n"
-            "print(*loaded())")
-    out = subprocess.run([sys.executable, "-c", code, str(cfg),
-                          str(tmp_path / "out.csv")], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["False"] * 6
-    assert (tmp_path / "out.csv").read_text().startswith("rho,f,")
+            "args = sys.argv[1:]\n"
+            "for i in range(0, len(args), 3):\n"
+            "    assert collapse_lab.cli.main([args[i], '--config', "
+            "args[i + 1], '--out', args[i + 2], '--quiet']) == 0\n"
+            "    print(*loaded())")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"] * 12
+    assert (tmp_path / "transform.csv").read_text().startswith("rho,f,")
+    assert (tmp_path / "quotient.csv").read_text().startswith("c0,c1\n")
+    assert (tmp_path / "berger.csv").read_text().startswith("target_radius,")
 
 
 # ---------------------------------------------------------------------------

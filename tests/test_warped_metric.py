@@ -28,8 +28,6 @@ from collapse_lab import (
     asymptote_radius,
     eval_warp,
     gauss_curvature,
-    inverse_transform,
-    inverse_transformed_warp,
     make_warp,
     metric_from_warp,
     quotient_circle_radius,
@@ -299,7 +297,7 @@ def test_roundtrip_inverse_then_forward():
         r = float(rng.uniform(0.5, 2.0))
         base = SinhWarp(1.0)
         fwd = transformed_warp(base, r, kappa)
-        back = inverse_transformed_warp(fwd, r, kappa)
+        back = transformed_warp(fwd, r, kappa, sign=-1)
         np.testing.assert_allclose(back.f(pts), base.f(pts),
                                    rtol=0, atol=1e-10)
         np.testing.assert_allclose(back.df(pts), base.df(pts),
@@ -310,29 +308,84 @@ def test_roundtrip_at_metric_level():
     base = metric_from_warp(SinhWarp(1.0), 2.0)
     params = TransformParams(r=1.0, kappa=1.0)
     there = quotient_transform(base, params)
-    back = inverse_transform(there, params)
+    back = quotient_transform(there, params, sign=-1)
     rho = np.linspace(0.0, 2.0, 101)
     np.testing.assert_allclose(back.warp.f(rho), base.warp.f(rho), atol=1e-10)
     assert back.capped_at_origin
 
 
 def test_inverse_promotions_and_range_guard():
-    w = inverse_transformed_warp(TanhWarp(1.0), 1.0, 1.0)
+    w = transformed_warp(TanhWarp(1.0), 1.0, 1.0, sign=-1)
     assert isinstance(w, SinhWarp) and w.a == 1.0
-    w = inverse_transformed_warp(SinWarp(1.0), 1.0, 1.0)
+    w = transformed_warp(SinWarp(1.0), 1.0, 1.0, sign=-1)
     assert isinstance(w, TanWarp)
     base = SinhWarp(1.0)
-    assert inverse_transformed_warp(base, 1.0, 0.0) is base
+    assert transformed_warp(base, 1.0, 0.0, sign=-1) is base
     # sinh exceeds r/kappa = 1 at rho ~ 0.9: no preimage there
-    w = inverse_transformed_warp(SinhWarp(1.0), 1.0, 1.0)
+    w = transformed_warp(SinhWarp(1.0), 1.0, 1.0, sign=-1)
     assert isinstance(w, TransformedWarp) and w.kind == "inverse-transformed"
     with pytest.raises(NotInRangeError):
         w.f(2.0)
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
     with pytest.raises(NotInRangeError):
-        inverse_transform(metric, TransformParams(r=1.0, kappa=1.0))
+        quotient_transform(metric, TransformParams(r=1.0, kappa=1.0), sign=-1)
     with pytest.raises(NotInRangeError):
-        inverse_transformed_warp(ConstWarp(2.0), 1.0, 1.0)
+        transformed_warp(ConstWarp(2.0), 1.0, 1.0, sign=-1)
+
+
+_TAB_RHO = np.linspace(0.0, 1.0, 11)
+_ROUND_TRIP_BASES = {
+    "sinh": lambda: SinhWarp(0.7),
+    "tanh": lambda: TanhWarp(0.7),
+    "tan": lambda: TanWarp(0.7),
+    "sin": lambda: SinWarp(0.7),
+    "const": lambda: ConstWarp(0.7),
+    "linear": LinearWarp,
+    "tabulated": lambda: TabulatedWarp(_TAB_RHO, 0.5 + 0.5 * _TAB_RHO ** 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ROUND_TRIP_BASES))
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r, kappa", [(1.3, 0.4), (1.0, 0.7)])
+def test_transform_round_trip_both_signs(family, sign, r, kappa):
+    """sign then -sign is the identity; every base stays below r/kappa on
+    [0, 1], so the inverse is defined whichever direction runs first.
+    kappa = 0.7 = a r also runs the promotions."""
+    warp = _ROUND_TRIP_BASES[family]()
+    rho = np.linspace(0.0, 1.0, 41)
+    assert np.all(warp.f(rho) < r / kappa)
+    there = transformed_warp(warp, r, kappa, sign)
+    back = transformed_warp(there, r, kappa, -sign)
+    np.testing.assert_allclose(back.f(rho), warp.f(rho), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_transform_rejects_bad_sign(sign):
+    with pytest.raises(DomainError):
+        transformed_warp(SinhWarp(1.0), 1.0, 0.5, sign)
+    with pytest.raises(DomainError):
+        quotient_transform(metric_from_warp(SinhWarp(1.0), 1.0),
+                           TransformParams(r=1.0, kappa=0.5), sign)
+
+
+@pytest.mark.parametrize("base, image", [(SinhWarp(2.0), TanhWarp(2.0)),
+                                         (TanWarp(2.0), SinWarp(2.0))])
+def test_promotions_resolve_both_ways(base, image):
+    # kappa = a r
+    assert transformed_warp(base, 0.5, 1.0) == image
+    assert transformed_warp(image, 0.5, 1.0, sign=-1) == base
+
+
+def test_const_promotion_resolves_both_ways():
+    c = 1.5
+    there = transformed_warp(ConstWarp(c), 0.5, 1.0)
+    assert isinstance(there, ConstWarp)
+    assert there.c == pytest.approx(0.5 * c / math.sqrt(0.25 + c * c),
+                                    rel=1e-15)
+    back = transformed_warp(there, 0.5, 1.0, sign=-1)
+    assert isinstance(back, ConstWarp)
+    assert back.c == pytest.approx(c, rel=1e-14)
 
 
 def test_transformed_curvature_closed_form():
@@ -431,4 +484,4 @@ def test_transform_argument_validation():
     with pytest.raises(DomainError):
         transformed_warp(SinhWarp(1.0), 1.0, -1.0)
     with pytest.raises(DomainError):
-        inverse_transformed_warp(SinhWarp(1.0), -1.0, 1.0)
+        transformed_warp(SinhWarp(1.0), -1.0, 1.0, sign=-1)
