@@ -2,7 +2,8 @@
 
 For each cyclic group order p the script measures the distortion of the
 natural correspondence between the quotient of (cap x circle) and the
-transformed limit surface; halving it bounds the Gromov-Hausdorff distance.
+transformed limit surface; halving it bounds the Gromov-Hausdorff distance
+between the two sampled sets.
 
 Run:  python3 demos/collapse_run.py
 """

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .gh_collapse import CollapseConfig, collapse_experiment
 from .killing_quotient import OrbitBasis, PointMetric, quotient_metric_form
-from .schema import read_int, read_number, read_str
+from .schema import check_keys, read_int, read_number, read_str
 from .soliton import (
     CallablePotential,
     SolitonParams,
@@ -63,6 +63,9 @@ def _params_of(cfg: dict) -> TransformParams:
     """Accept either {"kappa": x} or the integer pair {"m1", "m2"}."""
     r = read_number(cfg, "r")
     if "m1" in cfg or "m2" in cfg:
+        if "kappa" in cfg:
+            raise ConfigError("give either 'kappa' or 'm1' and 'm2', "
+                              "not both")
         return TransformParams.from_slope_pair(read_int(cfg, "m1"),
                                                read_int(cfg, "m2"), r)
     return TransformParams(r=r, kappa=read_number(cfg, "kappa"))
@@ -84,6 +87,8 @@ def _rho_grid(cfg: dict, default_max: float = 2.0):
 # ---------------------------------------------------------------------------
 
 def _cmd_transform(cfg: dict):
+    check_keys(cfg, ("family", "a", "r", "kappa", "m1", "m2", "direction",
+                     "rho_min", "rho_max", "n"))
     warp = _warp_of(cfg)
     params = _params_of(cfg)
     direction = read_str(cfg, "direction", "forward")
@@ -100,6 +105,7 @@ def _cmd_transform(cfg: dict):
 
 
 def _cmd_curvature(cfg: dict):
+    check_keys(cfg, ("family", "a", "rho_min", "rho_max", "n"))
     warp = _warp_of(cfg)
     rho = _rho_grid(cfg)
     metric = metric_from_warp(warp, float(rho[-1]), float(rho[0]))
@@ -109,6 +115,7 @@ def _cmd_curvature(cfg: dict):
 
 
 def _cmd_soliton(cfg: dict):
+    check_keys(cfg, ("A", "B", "rho_max", "step"))
     params = SolitonParams(A=read_number(cfg, "A"),
                            B=read_number(cfg, "B", 1.0))
     rho_max = read_number(cfg, "rho_max", 4.0)
@@ -143,6 +150,7 @@ def _cmd_soliton(cfg: dict):
 
 
 def _cmd_quotient(cfg: dict):
+    check_keys(cfg, ("metric", "h_vectors", "frame"))
     for key in ("metric", "h_vectors", "frame"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
@@ -161,12 +169,16 @@ def _cmd_quotient(cfg: dict):
 
 def _berger_metric_of(cfg: dict) -> BergerMetric:
     if "xi" in cfg:
+        if any(k in cfg for k in ("A", "B", "C")):
+            raise ConfigError("give either 'xi' or 'A', 'B', 'C', not both")
         return slope_quotient_metric(read_number(cfg, "xi"))
     return BergerMetric(read_number(cfg, "A"), read_number(cfg, "B"),
                         read_number(cfg, "C"))
 
 
 def _cmd_berger(cfg: dict):
+    check_keys(cfg, ("xi", "A", "B", "C", "radius_min", "radius_max", "num",
+                     "samples", "seed"))
     metric = _berger_metric_of(cfg)
     r_min = read_number(cfg, "radius_min", 0.05)
     r_max = read_number(cfg, "radius_max", 3.0)

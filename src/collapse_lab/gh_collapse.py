@@ -10,7 +10,9 @@ Every distance field is a Dijkstra run from a source at theta = 0.  The
 reflection theta -> -theta fixes such a source and maps the graph onto
 itself with identical edge weights, so the field is solved on the half
 strip theta in [0, pi] (grid columns 0 .. n_theta // 2) and mirrored back;
-the fold is exact to the last bit (see distance_field).
+the fold is exact to the last bit (see distance_field).  The half strip is
+built directly (build_surface_graph(..., half=True)); the full graph is
+built only as the exactness reference for surface_distances.
 
 Distances to points between grid angles are served by adding a virtual
 vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
@@ -20,9 +22,11 @@ rule is part of the discretization error that the refinement floor measures.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
-and reports, per p, the distortion, the implied GH upper bound
-(distortion / 2), and a grid-floor estimate obtained by recomputing the
-limit-surface distances on refined grids.  Both spaces are invariant under
+and reports, per p, the distortion, the implied upper bound distortion / 2
+on the GH distance between the sampled sets (the quotient sample and its
+image in the limit surface, not the whole spaces), and a grid-floor
+estimate obtained by recomputing the limit-surface distances on refined
+grids.  Both spaces are invariant under
 the rotations of the sample grid, so every distance between two sample
 points depends only on an offset class (source rho slot, target rho slot,
 theta offset, s offset), keyed on integer grid-index offsets: theta offsets
@@ -43,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, DomainError
-from .schema import is_int, read_int, read_number
+from .schema import check_keys, is_int, read_int, read_number
 from .warped_metric import (
     RotSymMetric,
     TransformParams,
@@ -68,39 +72,50 @@ class SurfaceGraph:
     """8-neighbor grid graph over (rho, theta); theta wraps modulo 2 pi.
 
     When the metric caps at rho = 0 the whole first grid row is one pole
-    node, connected radially to every node of the first ring.
+    node, connected radially to every node of the first ring.  A half graph
+    holds only the columns 0 .. n_theta // 2 (theta in [0, pi]) and no wrap
+    edges; its node_index folds every angle into that strip.
     """
     rho_values: np.ndarray          # (n_rho,) including the pole row
     n_theta: int
     pole: bool
     ring_f: np.ndarray              # (n_rho,) f at the grid rho values
     csr: csr_matrix
+    half: bool = False
 
     @property
     def n_rho(self) -> int:
         return self.rho_values.size
 
     @property
+    def n_columns(self) -> int:
+        return self.n_theta // 2 + 1 if self.half else self.n_theta
+
+    @property
     def n_nodes(self) -> int:
         if self.pole:
-            return 1 + (self.n_rho - 1) * self.n_theta
-        return self.n_rho * self.n_theta
+            return 1 + (self.n_rho - 1) * self.n_columns
+        return self.n_rho * self.n_columns
 
     @property
     def delta_theta(self) -> float:
         return TWO_PI / self.n_theta
 
     def node_index(self, i_rho, j_theta):
-        """Flat node index; every (0, j) maps to the single pole node."""
+        """Flat node index; every (0, j) maps to the single pole node, and a
+        half graph maps column j to its mirror min(j, n_theta - j)."""
         i = np.asarray(i_rho)
         j = np.asarray(j_theta) % self.n_theta
+        if self.half:
+            j = np.minimum(j, self.n_theta - j)
+        width = self.n_columns
         if self.pole:
-            return np.where(i == 0, 0, 1 + (i - 1) * self.n_theta + j)[()]
-        return (i * self.n_theta + j)[()]
+            return np.where(i == 0, 0, 1 + (i - 1) * width + j)[()]
+        return (i * width + j)[()]
 
 
-def build_surface_graph(metric: RotSymMetric, n_rho: int,
-                        n_theta: int) -> SurfaceGraph:
+def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
+                        half: bool = False) -> SurfaceGraph:
     """Discretize the surface of revolution on an n_rho x n_theta grid.
 
     Edge weights are sqrt(drho^2 + f(rho_mid)^2 dtheta^2) with f evaluated
@@ -108,6 +123,10 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     ring edges.  All weights must be positive, so f may vanish only at a
     capped origin (where the row degenerates to the pole node); truncate
     before any other zero of f.
+
+    half=True builds only the columns 0 .. n_theta // 2: the induced
+    subgraph of the full graph on that strip, with its ring, radial and
+    diagonal edges and the pole spokes to those columns, but no wrap edges.
     """
     from scipy.sparse import csr_matrix
 
@@ -126,20 +145,22 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
         raise DomainError("warp must be positive away from the capped pole; "
                           "truncate the interval before f vanishes")
 
-    # node ids of the ring rows, (n_rho - first, n_theta); the pole is node 0
-    ids = first + np.arange((n_rho - first) * n_theta).reshape(-1, n_theta)
-    nxt = np.roll(ids, -1, axis=1)  # neighbor at theta + dtheta
-    prv = np.roll(ids, 1, axis=1)   # neighbor at theta - dtheta
+    # node ids of the ring rows, (n_rho - first, width); the pole is node 0.
+    # int32 ids keep the COO arrays and the CSR conversion free of int64.
+    width = n_theta // 2 + 1 if half else n_theta
+    ids = np.arange(first, first + (n_rho - first) * width,
+                    dtype=np.int32).reshape(-1, width)
+    # ring edges a -> b, from theta to theta + dtheta; the full ring wraps
+    a, b = (ids[:, :-1], ids[:, 1:]) if half else (ids, np.roll(ids, -1, 1))
     # math.hypot is correctly rounded where np.hypot can be off by one ulp
-    diag_w = np.array([math.hypot(a, b) for a, b in
+    diag_w = np.array([math.hypot(x, y) for x, y in
                        zip(drho[first:], mid_f[first:] * dtheta)])
-    inner = ids[:-1]
-    edges = [(ids, nxt, f_nodes[first:, None] * dtheta),    # ring
-             (inner, ids[1:], drho[first:, None]),          # radial
-             (inner, nxt[1:], diag_w[:, None]),             # diagonals
-             (inner, prv[1:], diag_w[:, None])]
+    edges = [(a, b, f_nodes[first:, None] * dtheta),        # ring
+             (ids[:-1], ids[1:], drho[first:, None]),       # radial
+             (a[:-1], b[1:], diag_w[:, None]),              # diagonals
+             (b[:-1], a[1:], diag_w[:, None])]
     if pole:
-        edges.append((np.zeros(n_theta, dtype=int), ids[0], drho[0]))
+        edges.append((np.zeros(width, dtype=np.int32), ids[0], drho[0]))
     parts = [np.broadcast_arrays(*e) for e in edges]
     u, v, weight = (np.concatenate([part[k].ravel() for part in parts])
                     for k in range(3))
@@ -148,7 +169,7 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
                       (np.concatenate([u, v]), np.concatenate([v, u]))),
                      shape=(n, n))
     return SurfaceGraph(rho_values=rho, n_theta=n_theta, pole=pole,
-                        ring_f=f_nodes, csr=mat)
+                        ring_f=f_nodes, csr=mat, half=half)
 
 
 def surface_distances(graph: SurfaceGraph, sources) -> np.ndarray:
@@ -197,39 +218,39 @@ class SurfaceDistanceField:
 def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     """Run Dijkstra from (row, theta=0) for each requested rho row.
 
-    The reflection theta -> -theta fixes every source and maps the graph
-    onto itself with identical edge weights, so each field satisfies
-    d(i, j) = d(i, n_theta - j).  Dijkstra therefore runs on the half strip,
-    the induced subgraph on columns 0 .. n_theta // 2 (with the pole node
-    and its spokes to those columns), and the result is mirrored back to
-    all n_theta columns.  The fold is exact: a shortest path from a
-    theta = 0 source reflects into the half strip at the same length, and
-    the only edges the half strip drops run between mirror columns
-    (for odd n_theta a folded diagonal, parallel to a shorter radial edge).
-    Dijkstra's output is the unique solution of d[v] = min_u fl(d[u] + w_uv),
-    which the full field's mirror-symmetric values satisfy on the half
-    strip, so the folded fields are bit-identical to full-graph ones.
+    The graph must be a half graph (build_surface_graph(..., half=True)):
+    the half strip is built directly, never cut out of a full graph.  The
+    reflection theta -> -theta fixes every source and maps the full graph
+    onto itself with identical edge weights, so each full field satisfies
+    d(i, j) = d(i, n_theta - j).  Dijkstra therefore runs on the half
+    strip, the induced subgraph on columns 0 .. n_theta // 2 (with the pole
+    node and its spokes to those columns), and node_index mirrors the
+    result back to all n_theta columns.  The fold is exact: a shortest path
+    from a theta = 0 source reflects into the half strip at the same
+    length, and the only edges the half strip drops run between mirror
+    columns (for odd n_theta a folded diagonal, parallel to a shorter
+    radial edge).  Dijkstra's output is the unique solution of
+    d[v] = min_u fl(d[u] + w_uv), which the full field's mirror-symmetric
+    values satisfy on the half strip, so the folded fields are
+    bit-identical to full-graph ones.
     """
     from scipy.sparse.csgraph import dijkstra
 
+    if not graph.half:
+        raise DomainError("distance_field needs a half graph; build it with "
+                          "build_surface_graph(..., half=True)")
     rho_rows = np.asarray(rho_rows, dtype=int)
     n_t = graph.n_theta
-    # (n_rho, n_theta // 2 + 1) node ids of the half strip, ascending in
-    # row-major order; a pole graph's row 0 repeats the pole id, kept once.
-    # keep is then sorted, so a node's half-strip id is its rank in keep.
-    ids = graph.node_index(np.arange(graph.n_rho)[:, None],
-                           np.arange(n_t // 2 + 1))
-    keep = ids.ravel()[graph.pole * (n_t // 2):]
-    sources = np.searchsorted(keep, graph.node_index(rho_rows, 0))
-    dist = dijkstra(graph.csr[keep][:, keep], directed=True, indices=sources)
+    dist = dijkstra(graph.csr, directed=True,
+                    indices=graph.node_index(rho_rows, 0))
     if np.any(np.isinf(dist)):
         raise ConnectivityError("surface graph is disconnected")
     arc = graph.ring_f * graph.delta_theta
     if graph.pole:
         arc = arc.copy()
         arc[0] = 0.0
-    mirror = np.minimum(np.arange(n_t), n_t - np.arange(n_t))
-    rings = dist[:, np.searchsorted(keep, ids)[:, mirror]]
+    rings = dist[:, graph.node_index(np.arange(graph.n_rho)[:, None],
+                                     np.arange(n_t))]
     return SurfaceDistanceField(n_theta=n_t, source_rows=rho_rows,
                                 rings=rings, ring_arc=arc)
 
@@ -416,7 +437,8 @@ def natural_correspondence(points, spec: QuotientSpec):
 def distortion(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
                corr: Correspondence) -> float:
     """max |d_X(a, a') - d_Y(b, b')| over pairs of correspondence entries.
-    Half of this bounds the Gromov-Hausdorff distance from above."""
+    Half of this bounds from above the Gromov-Hausdorff distance between
+    the two finite sets, not between spaces they were sampled from."""
     corr.validate(space_x.n, space_y.n)
     dx = space_x.d[np.ix_(corr.left, corr.left)]
     dy = space_y.d[np.ix_(corr.right, corr.right)]
@@ -438,6 +460,7 @@ class GridSpec:
         if not isinstance(obj, dict):
             raise ConfigError(f"'{name}' must be an object")
         try:
+            check_keys(obj, ("n_rho", "n_theta", "n_s"))
             return cls(read_int(obj, "n_rho"), read_int(obj, "n_theta"),
                        read_int(obj, "n_s"))
         except ConfigError as exc:
@@ -478,6 +501,7 @@ class CollapseConfig:
         missing = [k for k in required if k not in obj]
         if missing:
             raise ConfigError(f"collapse config missing keys: {missing}")
+        check_keys(obj, required)
         p_values = obj["p_values"]
         if not (isinstance(p_values, (list, tuple))
                 and all(map(is_int, p_values))):
@@ -567,10 +591,10 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
 
     # each graph is dropped as soon as its field is solved
-    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x),
-                           rho_rows)
-    fld_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y),
-                           rho_rows)
+    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x,
+                                               half=True), rho_rows)
+    fld_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y,
+                                               half=True), rho_rows)
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
@@ -617,7 +641,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     for n_r2, n_t2, rscale in ((2 * g.n_rho - 1, ring_y, 2),
                                (g.n_rho, 2 * ring_y, 1),
                                (2 * g.n_rho - 1, 2 * ring_y, 2)):
-        fld_ref = distance_field(build_surface_graph(limit, n_r2, n_t2),
+        fld_ref = distance_field(build_surface_graph(limit, n_r2, n_t2,
+                                                     half=True),
                                  rscale * rho_rows)
         d_ref = fld_ref.lookup(slot_a, rscale * row_b, phi_y)
         floor = max(floor, float(np.max(np.abs(d_y - d_ref))))

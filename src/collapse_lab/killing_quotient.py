@@ -191,6 +191,8 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
         raise TransversalityError(
             "orbit basis plus frame must have exactly ambient dimension")
     span = np.vstack([basis.vectors, frame])
+    if not np.all(np.isfinite(span)):
+        raise DomainError("orbit basis or frame has non-finite entries")
     if np.linalg.matrix_rank(span) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
     proj = np.array([project_onto_complement(gm, basis, x) for x in frame])

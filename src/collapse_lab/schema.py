@@ -3,7 +3,7 @@
 The CLI handlers and CollapseConfig.from_json read their fields through
 these, so one rule holds everywhere: a number is a finite int or float, an
 integer is an int, and a bool is neither.  A field of the wrong kind raises
-ConfigError naming the key.
+ConfigError naming the key, and so does a key the reader does not know.
 """
 
 from __future__ import annotations
@@ -23,6 +23,15 @@ def _default(key: str, default):
 
 def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_keys(cfg: dict, allowed) -> None:
+    """Reject keys outside the allowed set, naming them: a misspelled key
+    would otherwise be ignored and its default used silently."""
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ConfigError("unknown config key " +
+                          ", ".join(map(repr, unknown)))
 
 
 def read_number(cfg: dict, key: str, default=_REQUIRED) -> float:

@@ -37,6 +37,9 @@ from .warped_metric import (
 )
 
 BLOWUP_STEP_MARGIN = 10  # keep 10 steps clear of the tan blow-up
+# the RK4 loop runs in Python: the cap keeps a solve to seconds and its
+# tables to tens of MB
+MAX_ODE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,8 @@ def solve_warp_ode(params: SolitonParams, rho_max: float,
     requested step exactly doubles the node count; against the closed forms
     the node values converge at fourth order.  For A < 0 the integration
     refuses to run closer than BLOWUP_STEP_MARGIN steps to the blow-up at
-    pi/(2a).
+    pi/(2a), and a step that needs more than MAX_ODE_STEPS steps is refused
+    before anything is allocated.
 
     Returns a TabulatedWarp through the RK4 nodes (cubic-spline evaluators;
     second derivatives of the spline are only second-order accurate).
@@ -145,7 +149,12 @@ def solve_warp_ode(params: SolitonParams, rho_max: float,
                 f"rho_max = {rho_max} within {BLOWUP_STEP_MARGIN} steps of "
                 f"the blow-up at {blow_up:.6g}")
 
-    n = max(4, int(round(rho_max / step)))
+    ratio = rho_max / step          # inf if the quotient overflows
+    if not ratio < MAX_ODE_STEPS + 0.5:
+        raise DomainError(f"step {step:g} on [0, {rho_max:g}] needs "
+                          f"n = {ratio:.6g} steps, above the cap "
+                          f"MAX_ODE_STEPS = {MAX_ODE_STEPS}")
+    n = max(4, round(ratio))
     h = rho_max / n
     A, B = params.A, params.B
 

@@ -39,7 +39,7 @@ from .errors import (
     NotInRangeError,
     PoleProximityError,
 )
-from .schema import read_number, read_str
+from .schema import check_keys, read_number, read_str
 
 # Shared pole tolerance: below this value of f, curvature by -f''/f is not
 # trusted and only closed forms are served.  The soliton module imports this
@@ -391,9 +391,11 @@ def make_warp(family: str, a: float = 1.0) -> WarpCurve:
 
 def warp_from_json(obj) -> WarpCurve:
     """Decode {"family": ..., "a": ...} into a warp curve; a family that is
-    not a string or an `a` that is not a finite number raises ConfigError."""
+    not a string, an `a` that is not a finite number or any other key
+    raises ConfigError."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise DomainError("warp spec must be an object with a 'family' key")
+    check_keys(obj, ("family", "a"))
     return make_warp(read_str(obj, "family"), read_number(obj, "a", 1.0))
 
 

@@ -162,8 +162,8 @@ def test_collapse_table(tmp_path, capsys):
     assert "p=2" in err and "p=4" in err
 
 
-DEMO_CONFIGS = sorted(
-    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
+DEMO_CONFIGS = sorted(DEMO_DIR.glob("*.json"))
 
 DOCUMENTED_HEADERS = {
     "transform": ["rho", "f", "f_transformed"],
@@ -310,6 +310,56 @@ def test_quotient_rejects_overflowing_metric(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "metric entries must be finite" in captured.err
+
+
+@pytest.mark.parametrize("h_vectors, frame", [
+    ("[[1e400, 1.0, 1.0]]", "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]"),
+    ("[[0.0, 1.0, 1.0]]", "[[1e400, 0.0, 0.0], [0.0, 1.0, 0.0]]"),
+], ids=["h_vectors", "frame"])
+def test_quotient_rejects_non_finite_basis_or_frame(tmp_path, capsys,
+                                                    h_vectors, frame):
+    # 1e400 parses to inf, which the rank test would report as a failure
+    # to span
+    path = tmp_path / "cfg.json"
+    path.write_text('{"metric": [[1.0, 0.0, 0.0], [0.0, 4.0, 0.0], '
+                    '[0.0, 0.0, 1.0]], "h_vectors": %s, "frame": %s}'
+                    % (h_vectors, frame))
+    code = main(["quotient", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_soliton_step_beyond_cap_exits_1(tmp_path, capsys):
+    cfg = {"A": 1.0, "B": 1.0, "rho_max": 3.0, "step": 1e-9}
+    code, out, err = run_cli(tmp_path, capsys, "soliton", cfg)
+    assert code == 1 and out == ""
+    assert "collapse-lab: error" in err and "Traceback" not in err
+    assert "n = 3e+09" in err and "MAX_ODE_STEPS = 1000000" in err
+
+
+@pytest.mark.parametrize("command, where", [
+    ("transform", None), ("curvature", None), ("soliton", None),
+    ("quotient", None), ("berger", None), ("collapse", None),
+    ("collapse", "grid"), ("collapse", "sample"), ("collapse", "surface")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, where):
+    cfg = json.loads((DEMO_DIR / f"{command}.json").read_text())
+    (cfg[where] if where else cfg)["stepp"] = 5
+    code, out, err = run_cli(tmp_path, capsys, command, cfg)
+    assert code == 2 and out == ""
+    assert "unknown config key 'stepp'" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("transform", {"family": "sinh", "r": 1.0, "kappa": 1.0, "m1": 1,
+                   "m2": 1}),
+    ("berger", {"xi": 0.7, "A": 0.2, "num": 5, "samples": 20}),
+])
+def test_alternative_parameter_sets_are_exclusive(tmp_path, capsys, command,
+                                                  cfg):
+    code, out, err = run_cli(tmp_path, capsys, command, cfg)
+    assert code == 2 and out == ""
+    assert "not both" in err
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

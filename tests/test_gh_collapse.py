@@ -136,6 +136,68 @@ def test_graph_edge_count(warp):
     assert np.array_equal(g.csr.toarray(), g.csr.toarray().T)
 
 
+@pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
+                                           (ConstWarp(1.5), 1.0)],
+                         ids=["pole", "no-pole"])
+@pytest.mark.parametrize("n_theta", [8, 9, 12, 13, 25])
+def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
+    """The half strip built directly equals the full graph restricted to
+    columns 0 .. n_theta // 2, array for array."""
+    metric = metric_from_warp(warp, rho_max)
+    full = build_surface_graph(metric, 10, n_theta)
+    half = build_surface_graph(metric, 10, n_theta, half=True)
+    assert half.half and not full.half
+    # full-graph ids of the strip in row-major order; a pole graph's row 0
+    # repeats the pole id, kept once
+    ids = full.node_index(np.arange(10)[:, None], np.arange(n_theta // 2 + 1))
+    keep = ids.ravel()[full.pole * (n_theta // 2):]
+    want = full.csr[keep][:, keep]
+    assert half.n_nodes == keep.size == half.csr.shape[0]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(half.csr, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("warp", [ConstWarp(1.0), SinhWarp(1.0)])
+def test_half_graph_node_index_folds(warp):
+    metric = metric_from_warp(warp, 1.0)
+    full = build_surface_graph(metric, 9, 13)
+    half = build_surface_graph(metric, 9, 13, half=True)
+    assert half.n_columns == 7
+    assert half.n_nodes == (1 + 8 * 7 if half.pole else 9 * 7)
+    i = np.arange(9)[:, None]
+    j = np.arange(-13, 26)[None, :]
+    mirror = np.minimum(j % 13, 13 - j % 13)
+    # a half-graph id is the rank of the mirror node's full-graph id among
+    # the strip's full-graph ids
+    strip = np.unique(full.node_index(i, np.arange(7)))
+    assert np.array_equal(half.node_index(i, j),
+                          np.searchsorted(strip, full.node_index(i, mirror)))
+    assert half.node_index(2, -5) == half.node_index(2, 5)
+
+
+def test_distance_field_rejects_full_graph():
+    g = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0), 8, 12)
+    with pytest.raises(DomainError, match="half"):
+        distance_field(g, [0])
+
+
+def test_half_graph_build_peak_memory():
+    """Building the strip directly allocates less than half of what the
+    full graph needs: no full graph is built and sliced on the way."""
+    metric = metric_from_warp(SinhWarp(1.0), 2.0)
+    peaks = []
+    for half in (False, True):
+        tracemalloc.start()
+        try:
+            graph = build_surface_graph(metric, 191, 192, half=half)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del graph
+        peaks.append(peak)
+    assert peaks[1] < 0.5 * peaks[0]
+
+
 def test_flat_cylinder_radial_distance():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
@@ -206,7 +268,7 @@ def test_surface_distances_disconnected_graph():
 def test_distance_field_matches_node_distances():
     m = metric_from_warp(SinhWarp(1.0), 1.2)
     g = build_surface_graph(m, 9, 12)
-    fld = distance_field(g, [1, 5])
+    fld = distance_field(build_surface_graph(m, 9, 12, half=True), [1, 5])
     d = surface_distances(g, [g.node_index(1, 0), g.node_index(5, 0)])
     for slot in (0, 1):
         for i in range(1, 9):
@@ -223,13 +285,15 @@ def test_distance_field_matches_node_distances():
 @pytest.mark.parametrize("n_theta", [12, 13])
 def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     """The half-strip solve mirrors to exactly the full-graph fields."""
-    g = build_surface_graph(metric_from_warp(warp, rho_max), 10, n_theta)
+    metric = metric_from_warp(warp, rho_max)
+    g = build_surface_graph(metric, 10, n_theta)
     assert g.pole == (warp.kind == "sinh")
     rows = np.array([0, 3, 9])
     sources = g.node_index(rows, 0)
     d = surface_distances(g, sources)
     nodes = g.node_index(np.arange(10)[:, None], np.arange(n_theta)[None, :])
-    assert np.array_equal(distance_field(g, rows).rings, d[:, nodes])
+    half = build_surface_graph(metric, 10, n_theta, half=True)
+    assert np.array_equal(distance_field(half, rows).rings, d[:, nodes])
     # the CSR holds both directions of every edge, so the directed solve
     # surface_distances runs equals the undirected one
     assert np.array_equal(d, dijkstra(g.csr, directed=False,
@@ -239,7 +303,7 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
 def test_distance_field_interpolation_rule():
     m = metric_from_warp(ConstWarp(1.5), 1.0)
     g = build_surface_graph(m, 8, 12)
-    fld = distance_field(g, [0])
+    fld = distance_field(build_surface_graph(m, 8, 12, half=True), [0])
     d = surface_distances(g, g.node_index(0, 0))
     arc = 1.5 * TWO_PI / 12
     for row, j, t in ((3, 2, 0.25), (7, 5, 0.5), (0, 11, 0.75)):
@@ -252,7 +316,7 @@ def test_distance_field_interpolation_rule():
 
 def test_distance_field_wraps_angles():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16)
+    g = build_surface_graph(m, 8, 16, half=True)
     fld = distance_field(g, [0])
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -267,7 +331,7 @@ def test_distance_field_half_angle_on_ring():
     # along a single flat ring the interpolation reproduces the exact
     # circle distance, including past the antipode
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16)
+    g = build_surface_graph(m, 8, 16, half=True)
     fld = distance_field(g, [0])
     for th in (0.1, 1.0, math.pi - 0.05, math.pi + 0.05, 5.0):
         want = min(th % TWO_PI, TWO_PI - th % TWO_PI)
@@ -351,7 +415,7 @@ def test_product_distance_pythagorean():
 
 def _cylinder_lookup(n_theta=16):
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 9, n_theta)
+    g = build_surface_graph(m, 9, n_theta, half=True)
     fld = distance_field(g, [0, 4, 8])
     slot = {0: 0, 4: 1, 8: 2}
 
@@ -478,7 +542,7 @@ def test_quotient_matrix_triangle_defect_tiny():
     # matrix is an exact metric up to rounding
     m = metric_from_warp(LinearWarp(), 1.0)
     assert m.capped_at_origin
-    g = build_surface_graph(m, 12, 16)
+    g = build_surface_graph(m, 12, 16, half=True)
     rows = [1, 6, 11]
     fld = distance_field(g, rows)
     slot = {r: k for k, r in enumerate(rows)}
@@ -518,13 +582,13 @@ def test_limit_consistency_within_refinement_budget():
     th = TWO_PI / 3
 
     def d_limit(n_rho, ring):
-        g = build_surface_graph(limit, n_rho, ring)
+        g = build_surface_graph(limit, n_rho, ring, half=True)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
         return float(fld.lookup(0, n_rho - 1, th))
 
     def d_quot(n_rho, ring, spec):
-        g = build_surface_graph(base, n_rho, ring)
+        g = build_surface_graph(base, n_rho, ring, half=True)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
 
@@ -607,7 +671,8 @@ def _dense_reference(config):
         dens_x, den_y = [], 1
     ring_y = _ring_refinement(g.n_theta, [den_y])
     graph_p = build_surface_graph(base, g.n_rho,
-                                  _ring_refinement(g.n_theta, dens_x))
+                                  _ring_refinement(g.n_theta, dens_x),
+                                  half=True)
     rows = _subgrid_indices(int(graph_p.pole), g.n_rho - 1, smp.n_rho)
     thetas = TWO_PI * ((np.arange(smp.n_theta) * g.n_theta)
                        // smp.n_theta) / g.n_theta
@@ -626,8 +691,8 @@ def _dense_reference(config):
     dphi = lim_phi[None, :] - lim_phi[:, None]
 
     def limit_matrix(n_rho, n_theta, scale):
-        fld = distance_field(build_surface_graph(limit, n_rho, n_theta),
-                             scale * rows)
+        fld = distance_field(build_surface_graph(limit, n_rho, n_theta,
+                                                 half=True), scale * rows)
         d = fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
                        dphi)
         np.fill_diagonal(d, 0.0)
