@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .gh_collapse import CollapseConfig, collapse_experiment
 from .killing_quotient import OrbitBasis, PointMetric, quotient_metric_form
-from .schema import check_keys, read_int, read_number, read_str
+from .schema import check_keys, read_int, read_number, read_rows, read_str
 from .soliton import (
     CallablePotential,
     SolitonParams,
@@ -151,17 +151,9 @@ def _cmd_soliton(cfg: dict):
 
 def _cmd_quotient(cfg: dict):
     check_keys(cfg, ("metric", "h_vectors", "frame"))
-    for key in ("metric", "h_vectors", "frame"):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
-    try:
-        g = np.asarray(cfg["metric"], dtype=float)
-        basis = OrbitBasis(np.asarray(cfg["h_vectors"], dtype=float))
-        frame = np.asarray(cfg["frame"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"quotient config must hold numeric arrays: {exc}") \
-            from exc
-    h = quotient_metric_form(PointMetric(g), basis, frame)
+    g, vectors, frame = (np.array(read_rows(cfg, key))
+                         for key in ("metric", "h_vectors", "frame"))
+    h = quotient_metric_form(PointMetric(g), OrbitBasis(vectors), frame)
     n = h.dim
     header = [f"c{j}" for j in range(n)]
     return _csv(header, h.matrix), [f"quotient: {n} x {n} matrix"]

@@ -9,10 +9,13 @@ analytic), and the Z_p quotient distance minimizes over group translates.
 Every distance field is a Dijkstra run from a source at theta = 0.  The
 reflection theta -> -theta fixes such a source and maps the graph onto
 itself with identical edge weights, so the field is solved on the half
-strip theta in [0, pi] (grid columns 0 .. n_theta // 2) and mirrored back;
+strip theta in [0, pi] (grid columns 0 .. n_theta // 2), and the field is
+that half-strip table: its lookup folds every angle into the strip, and
 the fold is exact to the last bit (see distance_field).  The half strip is
 built directly (build_surface_graph(..., half=True)); the full graph is
-built only as the exactness reference for surface_distances.
+built only as the exactness reference for surface_distances.  Either
+graph's CSR is written directly from an 8-neighbour stencil, with no edge
+list and no format conversion.
 
 Distances to points between grid angles are served by adding a virtual
 vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
@@ -114,6 +117,25 @@ class SurfaceGraph:
         return (i * width + j)[()]
 
 
+# Largest surface graph a solve may build.  Its CSR takes about 100 bytes a
+# node (eight neighbours), so the cap bounds one graph near 400 MiB and keeps
+# nnz far below the int32 range of indptr.
+MAX_GRAPH_NODES = 2 ** 22
+
+
+def _check_graph_size(n_nodes: int) -> None:
+    if n_nodes > MAX_GRAPH_NODES:
+        raise DomainError(f"surface graph of {n_nodes} nodes exceeds the cap "
+                          f"MAX_GRAPH_NODES = {MAX_GRAPH_NODES}; use a "
+                          f"coarser grid")
+
+
+# the 8-slot stencil in neighbour-id order: the row above (j-1, j, j+1), the
+# node's own row (j-1, j+1), the row below (j-1, j, j+1)
+_STENCIL_ROW = np.array([-1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int32)
+_STENCIL_COL = np.array([-1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int32)
+
+
 def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
                         half: bool = False) -> SurfaceGraph:
     """Discretize the surface of revolution on an n_rho x n_theta grid.
@@ -127,47 +149,72 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
     half=True builds only the columns 0 .. n_theta // 2: the induced
     subgraph of the full graph on that strip, with its ring, radial and
     diagonal edges and the pole spokes to those columns, but no wrap edges.
+
+    The CSR is written directly, both directions of every edge, from an
+    8-slot stencil per ring node (see _STENCIL_ROW, _STENCIL_COL) with one
+    weight table per ring row; a validity mask drops the slots beyond the
+    grid rows and, on a half graph, outside the strip.  The first ring row
+    of a pole graph reaches the pole only by its spoke.  A graph above
+    MAX_GRAPH_NODES nodes raises DomainError before anything is allocated.
     """
     from scipy.sparse import csr_matrix
 
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
+    pole = bool(metric.capped_at_origin)
+    first = int(pole)               # first ring row; also its first node
+    width = n_theta // 2 + 1 if half else n_theta
+    n_ring = n_rho - first
+    n = first + n_ring * width
+    _check_graph_size(n)
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     w = metric.warp
     f_nodes = np.asarray(w.f(rho), dtype=float)
-    pole = bool(metric.capped_at_origin)
     dtheta = TWO_PI / n_theta
     drho = np.diff(rho)
     mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
-
-    first = int(pole)               # first ring row; also its first node
     if np.any(f_nodes[first:] <= 0) or np.any(mid_f <= 0):
         raise DomainError("warp must be positive away from the capped pole; "
                           "truncate the interval before f vanishes")
 
-    # node ids of the ring rows, (n_rho - first, width); the pole is node 0.
-    # int32 ids keep the COO arrays and the CSR conversion free of int64.
-    width = n_theta // 2 + 1 if half else n_theta
-    ids = np.arange(first, first + (n_rho - first) * width,
-                    dtype=np.int32).reshape(-1, width)
-    # ring edges a -> b, from theta to theta + dtheta; the full ring wraps
-    a, b = (ids[:, :-1], ids[:, 1:]) if half else (ids, np.roll(ids, -1, 1))
+    # stencil row and column of every slot; int32 keeps the id table small
+    row = np.arange(n_ring, dtype=np.int32)[:, None] + _STENCIL_ROW
+    col = np.arange(width, dtype=np.int32)[:, None] + _STENCIL_COL
+    row_ok = (row >= 0) & (row < n_ring)
+    row_ok[0, 1] = pole                         # the spoke to the pole
+    if not half:
+        col %= width                            # the full ring wraps
+    valid = row_ok[:, None, :] & ((col >= 0) & (col < width))
+
+    # weights per ring row and slot; entry r of rad and diag is the edge
+    # between ring rows r - 1 and r (nan where there is none, masked)
+    nan = [math.nan]
     # math.hypot is correctly rounded where np.hypot can be off by one ulp
-    diag_w = np.array([math.hypot(x, y) for x, y in
-                       zip(drho[first:], mid_f[first:] * dtheta)])
-    edges = [(a, b, f_nodes[first:, None] * dtheta),        # ring
-             (ids[:-1], ids[1:], drho[first:, None]),       # radial
-             (a[:-1], b[1:], diag_w[:, None]),              # diagonals
-             (b[:-1], a[1:], diag_w[:, None])]
+    diag = np.array(nan + [math.hypot(x, y) for x, y in
+                           zip(drho[first:], mid_f[first:] * dtheta)] + nan)
+    rad = np.concatenate([drho[:1] if pole else nan, drho[first:], nan])
+    ring = f_nodes[first:] * dtheta
+    weights = np.column_stack([diag[:-1], rad[:-1], diag[:-1], ring, ring,
+                               diag[1:], rad[1:], diag[1:]])
+
+    n_pole = first * width          # the pole row goes first
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[0] = 0
+    indptr[first] = n_pole
+    np.cumsum(valid.sum(axis=2, dtype=np.int32), out=indptr[first + 1:])
+    indptr[first + 1:] += n_pole
+    data = np.empty(indptr[-1])
+    data[:n_pole] = drho[0]
+    data[n_pole:] = np.broadcast_to(weights[:, None, :], valid.shape)[valid]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[:n_pole] = np.arange(first, first + n_pole, dtype=np.int32)
+    ids = first + row[:, None, :] * width + col
     if pole:
-        edges.append((np.zeros(width, dtype=np.int32), ids[0], drho[0]))
-    parts = [np.broadcast_arrays(*e) for e in edges]
-    u, v, weight = (np.concatenate([part[k].ravel() for part in parts])
-                    for k in range(3))
-    n = first + ids.size
-    mat = csr_matrix((np.concatenate([weight, weight]),
-                      (np.concatenate([u, v]), np.concatenate([v, u]))),
-                     shape=(n, n))
+        ids[0, :, 1] = 0
+    indices[n_pole:] = ids[valid]
+    mat = csr_matrix((data, indices, indptr), shape=(n, n))
+    if not half:
+        mat.sort_indices()          # the wrap columns come out of order
     return SurfaceGraph(rho_values=rho, n_theta=n_theta, pole=pole,
                         ring_f=f_nodes, csr=mat, half=half)
 
@@ -191,11 +238,15 @@ class SurfaceDistanceField:
     ring angles through the subdivided-graph rule.
 
     Rotational symmetry of the graph turns one field per source rho row into
-    distances between any pair of angular positions.
+    distances between any pair of angular positions.  The field is its
+    half-strip table: dist is the (S, n_nodes) Dijkstra output on the half
+    graph, and nodes maps (rho row, column 0 .. n_theta // 2) to its node;
+    lookup folds every angle into the strip by the reflection symmetry.
     """
     n_theta: int
     source_rows: np.ndarray         # (S,)
-    rings: np.ndarray               # (S, n_rho, n_theta)
+    dist: np.ndarray                # (S, n_nodes) on the half strip
+    nodes: np.ndarray               # (n_rho, n_theta // 2 + 1) int32 ids
     ring_arc: np.ndarray            # (n_rho,) angular edge weight per row
 
     @property
@@ -205,13 +256,14 @@ class SurfaceDistanceField:
     def lookup(self, src_slot, rho_row, dtheta):
         """Distance from source src_slot to the point on ring rho_row at
         angle offset dtheta from the source's angular position."""
-        x = (np.asarray(dtheta, dtype=float) / self.delta_theta) % self.n_theta
-        j0 = np.floor(x).astype(int) % self.n_theta
+        n = self.n_theta
+        x = (np.asarray(dtheta, dtype=float) / self.delta_theta) % n
+        j0 = np.floor(x).astype(int) % n
         t = x - np.floor(x)
-        j1 = (j0 + 1) % self.n_theta
+        j1 = (j0 + 1) % n
         arc = self.ring_arc[rho_row]
-        d0 = self.rings[src_slot, rho_row, j0]
-        d1 = self.rings[src_slot, rho_row, j1]
+        d0 = self.dist[src_slot, self.nodes[rho_row, np.minimum(j0, n - j0)]]
+        d1 = self.dist[src_slot, self.nodes[rho_row, np.minimum(j1, n - j1)]]
         return np.minimum(d0 + t * arc, d1 + (1.0 - t) * arc)[()]
 
 
@@ -224,12 +276,12 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     onto itself with identical edge weights, so each full field satisfies
     d(i, j) = d(i, n_theta - j).  Dijkstra therefore runs on the half
     strip, the induced subgraph on columns 0 .. n_theta // 2 (with the pole
-    node and its spokes to those columns), and node_index mirrors the
-    result back to all n_theta columns.  The fold is exact: a shortest path
-    from a theta = 0 source reflects into the half strip at the same
-    length, and the only edges the half strip drops run between mirror
-    columns (for odd n_theta a folded diagonal, parallel to a shorter
-    radial edge).  Dijkstra's output is the unique solution of
+    node and its spokes to those columns), and the field keeps that output
+    as it is: its lookup folds column j to min(j, n_theta - j).  The fold is
+    exact: a shortest path from a theta = 0 source reflects into the half
+    strip at the same length, and the only edges the half strip drops run
+    between mirror columns (for odd n_theta a folded diagonal, parallel to
+    a shorter radial edge).  Dijkstra's output is the unique solution of
     d[v] = min_u fl(d[u] + w_uv), which the full field's mirror-symmetric
     values satisfy on the half strip, so the folded fields are
     bit-identical to full-graph ones.
@@ -240,19 +292,17 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
         raise DomainError("distance_field needs a half graph; build it with "
                           "build_surface_graph(..., half=True)")
     rho_rows = np.asarray(rho_rows, dtype=int)
-    n_t = graph.n_theta
     dist = dijkstra(graph.csr, directed=True,
                     indices=graph.node_index(rho_rows, 0))
     if np.any(np.isinf(dist)):
         raise ConnectivityError("surface graph is disconnected")
     arc = graph.ring_f * graph.delta_theta
     if graph.pole:
-        arc = arc.copy()
         arc[0] = 0.0
-    rings = dist[:, graph.node_index(np.arange(graph.n_rho)[:, None],
-                                     np.arange(n_t))]
-    return SurfaceDistanceField(n_theta=n_t, source_rows=rho_rows,
-                                rings=rings, ring_arc=arc)
+    nodes = graph.node_index(np.arange(graph.n_rho)[:, None],
+                             np.arange(graph.n_columns)).astype(np.int32)
+    return SurfaceDistanceField(n_theta=graph.n_theta, source_rows=rho_rows,
+                                dist=dist, nodes=nodes, ring_arc=arc)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +414,9 @@ def _orbit_min(spec: QuotientSpec, dp_at, ds):
     tau = spec.group_angles().reshape((-1,) + (1,) * np.ndim(ds))
     d_s1 = circle_distance(0.0, ds + spec.m2 * tau, spec.r)
     dp, d_s1 = np.broadcast_arrays(dp_at(spec.m1 * tau), d_s1)
-    # one group element at a time, so only one table of the output's size
-    # is alive besides the result
+    # dp_at evaluates every group element at once; the product distance and
+    # the running minimum then go one group element at a time, so dp is the
+    # only table that carries the group axis
     return reduce(np.minimum, map(product_distance, dp, d_s1))
 
 
@@ -589,12 +640,10 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
-
-    # each graph is dropped as soon as its field is solved
-    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x,
-                                               half=True), rho_rows)
-    fld_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y,
-                                               half=True), rho_rows)
+    # the largest graph is the doubly refined limit strip, or the quotient
+    # side's strip if ring_x is finer; refuse it before the first build
+    _check_graph_size(max((2 * g.n_rho - 1) * (ring_y + 1),
+                          g.n_rho * (ring_x // 2 + 1)))
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
@@ -630,23 +679,31 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(sym, swapped(sym), sym[diagonal])
         return sym
 
-    d_y = fld_y.lookup(slot_a, row_b, phi_y)
+    # Each graph is dropped as soon as its field is solved, and each
+    # limit-side field as soon as its lookup is taken.
+    d_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y,
+                                             half=True),
+                         rho_rows).lookup(slot_a, row_b, phi_y)
 
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
     # metrication error; the proportional refinement cancels it and sees
     # only the O(h) part.  The floor is the largest observed change.
-    floor = 0.0
-    for n_r2, n_t2, rscale in ((2 * g.n_rho - 1, ring_y, 2),
-                               (g.n_rho, 2 * ring_y, 1),
-                               (2 * g.n_rho - 1, 2 * ring_y, 2)):
-        fld_ref = distance_field(build_surface_graph(limit, n_r2, n_t2,
-                                                     half=True),
-                                 rscale * rho_rows)
-        d_ref = fld_ref.lookup(slot_a, rscale * row_b, phi_y)
-        floor = max(floor, float(np.max(np.abs(d_y - d_ref))))
+    def refined_change(n_r2, n_t2, rscale):
+        fld = distance_field(build_surface_graph(limit, n_r2, n_t2,
+                                                 half=True),
+                             rscale * rho_rows)
+        d_ref = fld.lookup(slot_a, rscale * row_b, phi_y)
+        return float(np.max(np.abs(d_y - d_ref)))
+
+    floor = max(refined_change(*ref)
+                for ref in ((2 * g.n_rho - 1, ring_y, 2),
+                            (g.n_rho, 2 * ring_y, 1),
+                            (2 * g.n_rho - 1, 2 * ring_y, 2)))
     sym_y = symmetrised(d_y, diag_y)
+    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x,
+                                               half=True), rho_rows)
 
     rows = []
     for p in config.p_values:

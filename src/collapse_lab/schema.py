@@ -4,6 +4,8 @@ The CLI handlers and CollapseConfig.from_json read their fields through
 these, so one rule holds everywhere: a number is a finite int or float, an
 integer is an int, and a bool is neither.  A field of the wrong kind raises
 ConfigError naming the key, and so does a key the reader does not know.
+read_rows, the reader of number tables, passes entries beyond the float
+range on as inf, for the geometry checks to reject.
 """
 
 from __future__ import annotations
@@ -34,16 +36,20 @@ def check_keys(cfg: dict, allowed) -> None:
                           ", ".join(map(repr, unknown)))
 
 
+def _to_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:           # an int beyond the float range
+        return math.inf
+
+
 def read_number(cfg: dict, key: str, default=_REQUIRED) -> float:
     if key not in cfg:
         return _default(key, default)
     v = cfg[key]
     if not (is_int(v) or isinstance(v, float)):
         raise ConfigError(f"config key {key!r} must be a number")
-    try:
-        x = float(v)
-    except OverflowError:           # an int beyond the float range
-        x = math.inf
+    x = _to_float(v)
     if not math.isfinite(x):
         raise ConfigError(f"config key {key!r} must be finite")
     return x
@@ -63,3 +69,20 @@ def read_str(cfg: dict, key: str, default=_REQUIRED) -> str:
     if not isinstance(cfg[key], str):
         raise ConfigError(f"config key {key!r} must be a string")
     return cfg[key]
+
+
+def read_rows(cfg: dict, key: str) -> list:
+    """A non-empty list of non-empty rows of numbers, all of one length, as
+    nested lists of floats.  An entry beyond the float range (1e400, or an
+    int too large) becomes inf and is left to the caller's checks."""
+    if key not in cfg:
+        return _default(key, _REQUIRED)
+    rows = cfg[key]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and row for row in rows)
+            and len({len(row) for row in rows}) == 1
+            and all(is_int(v) or isinstance(v, float)
+                    for row in rows for v in row)):
+        raise ConfigError(f"config key {key!r} must be a non-empty list of "
+                          f"equal-length rows of numbers")
+    return [[_to_float(v) for v in row] for row in rows]

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     InvalidMetricError,
     NoAsymptoteError,
@@ -390,11 +391,11 @@ def make_warp(family: str, a: float = 1.0) -> WarpCurve:
 
 
 def warp_from_json(obj) -> WarpCurve:
-    """Decode {"family": ..., "a": ...} into a warp curve; a family that is
-    not a string, an `a` that is not a finite number or any other key
-    raises ConfigError."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise DomainError("warp spec must be an object with a 'family' key")
+    """Decode {"family": ..., "a": ...} into a warp curve; a spec that is
+    not an object, a missing family or one that is not a string, an `a`
+    that is not a finite number or any other key raises ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError("warp spec must be an object with a 'family' key")
     check_keys(obj, ("family", "a"))
     return make_warp(read_str(obj, "family"), read_number(obj, "a", 1.0))
 

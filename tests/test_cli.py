@@ -330,6 +330,45 @@ def test_quotient_rejects_non_finite_basis_or_frame(tmp_path, capsys,
     assert "non-finite" in captured.err
 
 
+def test_quotient_rejects_bool_tables(tmp_path, capsys):
+    # a bool is not a number: the tables must not be read as 1.0 and 0.0
+    cfg = {"metric": [[True, False], [False, True]],
+           "h_vectors": [[False, True]], "frame": [[True, False]]}
+    code, out, err = run_cli(tmp_path, capsys, "quotient", cfg)
+    assert code == 2 and out == ""
+    assert "config error" in err and "'metric'" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("metric", True), ("metric", [[1.0, 0.0], [0.0]]),
+    ("h_vectors", [[0.0, "1"]]), ("frame", [])])
+def test_quotient_rejects_malformed_table(tmp_path, capsys, key, value):
+    cfg = {"metric": [[1.0, 0.0], [0.0, 1.0]], "h_vectors": [[0.0, 1.0]],
+           "frame": [[1.0, 0.0]]}
+    cfg[key] = value
+    code, out, err = run_cli(tmp_path, capsys, "quotient", cfg)
+    assert code == 2 and out == ""
+    assert f"config key {key!r} must be a non-empty list" in err
+
+
+@pytest.mark.parametrize("surface", ["sinh", {"a": 1.0}])
+def test_collapse_rejects_malformed_surface(tmp_path, capsys, surface):
+    cfg = dict(TINY_COLLAPSE, surface=surface)
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 2 and out == ""
+    assert "config error" in err
+
+
+def test_collapse_graph_beyond_cap_exits_1(tmp_path, capsys):
+    # the doubly refined limit graph would have about 2e12 nodes
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg["grid"].update(n_rho=1_000_000, n_theta=1_000_000)
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
+
+
 def test_soliton_step_beyond_cap_exits_1(tmp_path, capsys):
     cfg = {"A": 1.0, "B": 1.0, "rho_max": 3.0, "step": 1e-9}
     code, out, err = run_cli(tmp_path, capsys, "soliton", cfg)

@@ -33,6 +33,7 @@ from collapse_lab import (
 )
 from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
+    MAX_GRAPH_NODES,
     _MAX_RING_NODES,
     _ring_refinement,
     _subgrid_indices,
@@ -136,6 +137,68 @@ def test_graph_edge_count(warp):
     assert np.array_equal(g.csr.toarray(), g.csr.toarray().T)
 
 
+def _coo_reference_csr(metric, n_rho, n_theta, half):
+    """The edge-list construction of the surface graph, kept as a reference
+    for the directly written CSR: every edge once as COO arrays, both
+    directions concatenated, and scipy's COO to CSR conversion."""
+    rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
+    f_nodes = np.asarray(metric.warp.f(rho), dtype=float)
+    mid_f = np.asarray(metric.warp.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
+    pole = bool(metric.capped_at_origin)
+    first = int(pole)
+    dtheta = TWO_PI / n_theta
+    drho = np.diff(rho)
+    width = n_theta // 2 + 1 if half else n_theta
+    ids = np.arange(first, first + (n_rho - first) * width,
+                    dtype=np.int32).reshape(-1, width)
+    a, b = (ids[:, :-1], ids[:, 1:]) if half else (ids, np.roll(ids, -1, 1))
+    diag_w = np.array([math.hypot(x, y) for x, y in
+                       zip(drho[first:], mid_f[first:] * dtheta)])
+    edges = [(a, b, f_nodes[first:, None] * dtheta),
+             (ids[:-1], ids[1:], drho[first:, None]),
+             (a[:-1], b[1:], diag_w[:, None]),
+             (b[:-1], a[1:], diag_w[:, None])]
+    if pole:
+        edges.append((np.zeros(width, dtype=np.int32), ids[0], drho[0]))
+    parts = [np.broadcast_arrays(*e) for e in edges]
+    u, v, weight = (np.concatenate([part[k].ravel() for part in parts])
+                    for k in range(3))
+    n = first + ids.size
+    return csr_matrix((np.concatenate([weight, weight]),
+                       (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(n, n))
+
+
+@pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
+                                           (ConstWarp(1.5), 1.0)],
+                         ids=["pole", "no-pole"])
+@pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+@pytest.mark.parametrize("n_theta", [8, 9, 12, 13, 25])
+@pytest.mark.parametrize("n_rho", [8, 10, 17])
+def test_graph_csr_matches_coo_reference(warp, rho_max, half, n_theta,
+                                         n_rho):
+    """The stencil-written CSR equals the edge-list one, dtypes included."""
+    metric = metric_from_warp(warp, rho_max)
+    got = build_surface_graph(metric, n_rho, n_theta, half=half).csr
+    want = _coo_reference_csr(metric, n_rho, n_theta, half)
+    assert isinstance(got, csr_matrix) and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_graph_size_cap():
+    metric = metric_from_warp(ConstWarp(1.0), 1.0)
+    n_rho = MAX_GRAPH_NODES // 64 + 1
+    # refused before anything of the graph's size is allocated
+    with pytest.raises(DomainError, match="MAX_GRAPH_NODES"):
+        build_surface_graph(metric, n_rho, 64)
+    # the half strip of the same grid is under the cap by node count
+    assert n_rho * 33 <= MAX_GRAPH_NODES
+    with pytest.raises(DomainError, match=f"{n_rho * 126} nodes"):
+        build_surface_graph(metric, n_rho, 126)
+
+
 @pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
                                            (ConstWarp(1.5), 1.0)],
                          ids=["pole", "no-pole"])
@@ -182,20 +245,20 @@ def test_distance_field_rejects_full_graph():
 
 
 def test_half_graph_build_peak_memory():
-    """Building the strip directly allocates less than half of what the
-    full graph needs: no full graph is built and sliced on the way."""
+    """The half strip is written straight into its CSR: the build peaks
+    below 2.25x the CSR it returns.  An edge-list build (COO arrays for
+    both directions, then conversion) needs about 3x, and so does building
+    a full graph and slicing out the strip."""
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
-    peaks = []
-    for half in (False, True):
-        tracemalloc.start()
-        try:
-            graph = build_surface_graph(metric, 191, 192, half=half)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del graph
-        peaks.append(peak)
-    assert peaks[1] < 0.5 * peaks[0]
+    tracemalloc.start()
+    try:
+        graph = build_surface_graph(metric, 191, 192, half=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr = graph.csr
+    assert peak < 2.25 * (csr.data.nbytes + csr.indices.nbytes
+                          + csr.indptr.nbytes)
 
 
 def test_flat_cylinder_radial_distance():
@@ -293,7 +356,11 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     d = surface_distances(g, sources)
     nodes = g.node_index(np.arange(10)[:, None], np.arange(n_theta)[None, :])
     half = build_surface_graph(metric, 10, n_theta, half=True)
-    assert np.array_equal(distance_field(half, rows).rings, d[:, nodes])
+    fld = distance_field(half, rows)
+    # the stored table is the full field at the strip nodes, in half-graph
+    # id order (a pole graph's row 0 repeats the pole id, kept once)
+    strip = nodes[:, :n_theta // 2 + 1].ravel()[g.pole * (n_theta // 2):]
+    assert np.array_equal(fld.dist, d[:, strip])
     # the CSR holds both directions of every edge, so the directed solve
     # surface_distances runs equals the undirected one
     assert np.array_equal(d, dijkstra(g.csr, directed=False,
@@ -769,6 +836,32 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
         tracemalloc.stop()
     assert len(rows) == 3
     assert peak < n_pts * n_pts * 8
+
+
+def test_collapse_solve_peak_memory():
+    """A solve holds at most one graph and one field table of the largest
+    size at a time: each graph is dropped once its field is solved, each
+    field keeps the half-strip Dijkstra table as it is, and each refinement
+    field is dropped once its floor term is taken."""
+    cfg = dict(SMALL_CONFIG, p_values=[2, 4],
+               grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
+               sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
+    config = CollapseConfig.from_json(cfg)
+    collapse_experiment(config)                 # imports and caches
+    tracemalloc.start()
+    try:
+        collapse_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the largest graph is the doubly refined limit strip, 191 x 192
+    limit = quotient_transform(metric_from_warp(config.surface,
+                                                config.rho_max),
+                               TransformParams.from_slope_pair(1, 1, 1.0))
+    csr = build_surface_graph(limit, 191, 192, half=True).csr
+    largest = (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+               + 6 * csr.shape[0] * 8)
+    assert peak < 1.8 * largest
 
 
 def test_collapse_config_validation():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from collapse_lab import (
+    ConfigError,
     ConstWarp,
     DomainError,
     InvalidMetricError,
@@ -129,9 +130,9 @@ def test_make_warp_and_json_round():
     assert warp_from_json({"family": "sin"}).a == 1.0
     with pytest.raises(DomainError):
         make_warp("spiral")
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         warp_from_json(["sinh"])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         warp_from_json({"a": 1.0})
 
 
