@@ -18,30 +18,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .gh_collapse import CollapseConfig, collapse_experiment
-from .killing_quotient import OrbitBasis, PointMetric, quotient_metric_form
 from .schema import check_keys, read_int, read_number, read_rows, read_str
-from .soliton import (
-    CallablePotential,
-    SolitonParams,
-    soliton_potential,
-    soliton_residual,
-    solve_warp_ode,
-)
-from .su2_geometry import (
-    BergerMetric,
-    find_submersion_radius,
-    slope_quotient_metric,
-    submersion_radius_scan,
-)
-from .warped_metric import (
-    DELTA_CAP,
-    TransformParams,
-    gauss_curvature,
-    make_warp,
-    metric_from_warp,
-    transformed_warp,
-)
+
+# Each handler imports the modules it runs, so a call loads only those:
+# scipy, for one, is loaded by collapse alone.
 
 
 def _fmt(x) -> str:
@@ -56,11 +36,15 @@ def _csv(header, rows) -> str:
 
 
 def _warp_of(cfg: dict):
+    from .warped_metric import make_warp
+
     return make_warp(read_str(cfg, "family"), read_number(cfg, "a", 1.0))
 
 
-def _params_of(cfg: dict) -> TransformParams:
+def _params_of(cfg: dict):
     """Accept either {"kappa": x} or the integer pair {"m1", "m2"}."""
+    from .warped_metric import TransformParams
+
     r = read_number(cfg, "r")
     if "m1" in cfg or "m2" in cfg:
         if "kappa" in cfg:
@@ -87,6 +71,8 @@ def _rho_grid(cfg: dict, default_max: float = 2.0):
 # ---------------------------------------------------------------------------
 
 def _cmd_transform(cfg: dict):
+    from .warped_metric import metric_from_warp, transformed_warp
+
     check_keys(cfg, ("family", "a", "r", "kappa", "m1", "m2", "direction",
                      "rho_min", "rho_max", "n"))
     warp = _warp_of(cfg)
@@ -105,6 +91,8 @@ def _cmd_transform(cfg: dict):
 
 
 def _cmd_curvature(cfg: dict):
+    from .warped_metric import gauss_curvature, metric_from_warp
+
     check_keys(cfg, ("family", "a", "rho_min", "rho_max", "n"))
     warp = _warp_of(cfg)
     rho = _rho_grid(cfg)
@@ -115,6 +103,10 @@ def _cmd_curvature(cfg: dict):
 
 
 def _cmd_soliton(cfg: dict):
+    from .soliton import (CallablePotential, SolitonParams, soliton_potential,
+                          soliton_residual, solve_warp_ode)
+    from .warped_metric import DELTA_CAP
+
     check_keys(cfg, ("A", "B", "rho_max", "step"))
     params = SolitonParams(A=read_number(cfg, "A"),
                            B=read_number(cfg, "B", 1.0))
@@ -150,6 +142,8 @@ def _cmd_soliton(cfg: dict):
 
 
 def _cmd_quotient(cfg: dict):
+    from .killing_quotient import OrbitBasis, PointMetric, quotient_metric_form
+
     check_keys(cfg, ("metric", "h_vectors", "frame"))
     g, vectors, frame = (np.array(read_rows(cfg, key))
                          for key in ("metric", "h_vectors", "frame"))
@@ -159,7 +153,9 @@ def _cmd_quotient(cfg: dict):
     return _csv(header, h.matrix), [f"quotient: {n} x {n} matrix"]
 
 
-def _berger_metric_of(cfg: dict) -> BergerMetric:
+def _berger_metric_of(cfg: dict):
+    from .su2_geometry import BergerMetric, slope_quotient_metric
+
     if "xi" in cfg:
         if any(k in cfg for k in ("A", "B", "C")):
             raise ConfigError("give either 'xi' or 'A', 'B', 'C', not both")
@@ -169,6 +165,8 @@ def _berger_metric_of(cfg: dict) -> BergerMetric:
 
 
 def _cmd_berger(cfg: dict):
+    from .su2_geometry import find_submersion_radius, submersion_radius_scan
+
     check_keys(cfg, ("xi", "A", "B", "C", "radius_min", "radius_max", "num",
                      "samples", "seed"))
     metric = _berger_metric_of(cfg)
@@ -191,6 +189,8 @@ def _cmd_berger(cfg: dict):
 
 
 def _cmd_collapse(cfg: dict):
+    from .gh_collapse import CollapseConfig, collapse_experiment
+
     config = CollapseConfig.from_json(cfg)
     rows = collapse_experiment(config)
     table = [(row.p, row.distortion, row.gh_upper_bound,

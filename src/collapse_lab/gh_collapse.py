@@ -123,6 +123,13 @@ class SurfaceGraph:
 MAX_GRAPH_NODES = 2 ** 22
 
 
+# Largest group-axis table a collapse solve may hold: _orbit_min looks up
+# p x S x S x D_theta surface distances at once (S sample rho rows, D_theta
+# theta offsets), about 40 bytes an entry at its peak, so the cap bounds
+# that table near 160 MiB.
+MAX_CLASS_ENTRIES = 2 ** 22
+
+
 def _check_graph_size(n_nodes: int) -> None:
     if n_nodes > MAX_GRAPH_NODES:
         raise DomainError(f"surface graph of {n_nodes} nodes exceeds the cap "
@@ -653,6 +660,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # angle 0.0 and come out exactly 0.
     dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
     ds = np.unique(s_idx[None, :] - s_idx[:, None])
+    # the largest p's group-axis table, refused before any solve
+    n_entries = max(config.p_values) * rho_rows.size ** 2 * dth.size
+    if n_entries > MAX_CLASS_ENTRIES:
+        raise DomainError(f"class table of {n_entries} entries for p = "
+                          f"{max(config.p_values)} exceeds the cap "
+                          f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
+                          f"smaller p or sample")
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
     slots = np.arange(rho_rows.size)

@@ -134,8 +134,10 @@ def solve_warp_ode(params: SolitonParams, rho_max: float,
     pi/(2a), and a step that needs more than MAX_ODE_STEPS steps is refused
     before anything is allocated.
 
-    Returns a TabulatedWarp through the RK4 nodes (cubic-spline evaluators;
-    second derivatives of the spline are only second-order accurate).
+    Returns a TabulatedWarp through the RK4 nodes (not-a-knot cubic-spline
+    evaluators in numpy; second derivatives of the spline are only
+    second-order accurate).  Nodes or spline coefficients that overflow
+    raise DomainError instead of giving a table of NaN.
     """
     if rho_max <= 0:
         raise DomainError("need rho_max > 0")

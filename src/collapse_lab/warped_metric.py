@@ -247,44 +247,128 @@ class LinearWarp(WarpCurve):
         return np.zeros_like(np.asarray(rho, dtype=float))[()]
 
 
+def _not_a_knot_slopes(x: list, h: list, m: list) -> list:
+    """Node slopes of the not-a-knot cubic spline through nodes x with
+    interval widths h and secant slopes m (lists of floats, len(x) >= 4).
+
+    This is the tridiagonal system scipy.interpolate.CubicSpline solves:
+    interior rows
+
+        h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1}
+            = 3 (h_i m_{i-1} + h_{i-1} m_i)
+
+    and scipy's two not-a-knot end rows (third derivative continuous across
+    the second and the second-to-last node), with its order of operations.
+    A Thomas sweep solves it without pivoting: for increasing nodes every
+    pivot is positive in exact arithmetic (the first is h_1, the second
+    h_0 + h_1, each later interior one exceeds 2 h_{i-1} + h_i, which keeps
+    the last one positive), so only a spacing in the subnormal range can
+    round one to 0.  Where LAPACK's gtsv, which scipy calls, takes no row
+    interchange -- on uniform nodes it takes none -- the sweep does its
+    arithmetic in its order.  It runs on Python floats, several times
+    faster than numpy scalars in a loop.
+    """
+    e0, e1 = x[2] - x[0], x[-1] - x[-3]
+    # forward elimination; row 0 is h_1 s_0 + e0 s_1 = ...
+    pivot = [h[1]]
+    rhs = [((h[0] + 2.0 * e0) * h[1] * m[0] + h[0] * h[0] * m[1]) / e0]
+    upper = e0
+    for a, b, ma, mb in zip(h, h[1:], m, m[1:]):    # a = h_{i-1}, b = h_i
+        fact = b / pivot[-1]
+        pivot.append(2.0 * (a + b) - fact * upper)
+        rhs.append(3.0 * (b * ma + a * mb) - fact * rhs[-1])
+        upper = a
+    # the last row is e1 s_{n-2} + h_{n-2} s_{n-1} = ...
+    fact = e1 / pivot[-1]
+    pivot.append(h[-2] - fact * upper)
+    rhs.append((h[-1] * h[-1] * m[-2] + (2.0 * e1 + h[-1]) * h[-2] * m[-1])
+               / e1 - fact * rhs[-1])
+    # back substitution; the rows above the last have upper entries e0,
+    # then h_0 .. h_{n-3}
+    s = [rhs[-1] / pivot[-1]]
+    for u, p, r in zip(reversed([e0] + h[:-1]), reversed(pivot[:-1]),
+                       reversed(rhs[:-1])):
+        s.append((r - u * s[-1]) / p)
+    s.reverse()
+    return s
+
+
 class TabulatedWarp(WarpCurve):
-    """Warp interpolated from samples with a cubic spline.
+    """Warp interpolated from samples with a not-a-knot cubic spline.
+
+    The spline is the one scipy.interpolate.CubicSpline builds by default,
+    built here with numpy (see _not_a_knot_slopes); each interval holds a
+    cubic in rho - rho_i, and searchsorted finds the interval.  Points
+    outside the nodes use the end cubics, so the warp extrapolates as
+    CubicSpline does.  On uniform nodes every step repeats scipy's
+    arithmetic in scipy's order, so the values can be bit-equal to
+    CubicSpline's (they are with scipy 1.17 on x86-64).
 
     Derivatives come from the spline, so d2f is only second-order accurate
-    in the sample spacing; accuracy is the caller's responsibility.  Interior
-    sample values must be positive.
+    in the sample spacing; accuracy is the caller's responsibility.  Nodes
+    must be finite and increasing, interior sample values positive, and
+    the spline coefficients finite (node spacing so fine against the
+    values that a coefficient overflows raises DomainError).
     """
 
     kind = "tabulated"
     has_closed_curvature = False
 
     def __init__(self, rho_nodes, f_nodes):
-        from scipy.interpolate import CubicSpline
-
-        rho_nodes = np.asarray(rho_nodes, dtype=float)
-        f_nodes = np.asarray(f_nodes, dtype=float)
-        if rho_nodes.ndim != 1 or rho_nodes.size < 4:
+        x = np.asarray(rho_nodes, dtype=float)
+        y = np.asarray(f_nodes, dtype=float)
+        if x.ndim != 1 or x.size < 4:
             raise DomainError("tabulated warp needs at least 4 nodes")
-        if np.any(np.diff(rho_nodes) <= 0):
+        if y.shape != x.shape:
+            raise DomainError("tabulated warp needs one f value per node")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DomainError("tabulated warp nodes must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0):
             raise DomainError("tabulated warp nodes must increase")
-        if np.any(f_nodes[1:-1] <= 0):
+        if np.any(y[1:-1] <= 0):
             raise DomainError("tabulated warp must be positive on the interior")
-        self.rho_nodes = rho_nodes
-        self.f_nodes = f_nodes
-        self.rho_min = float(rho_nodes[0])
-        self.rho_max = float(rho_nodes[-1])
-        self._spline = CubicSpline(rho_nodes, f_nodes)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.diff(y) / h
+            try:
+                s = np.array(_not_a_knot_slopes(x.tolist(), h.tolist(),
+                                                m.tolist()))
+            except ZeroDivisionError:   # a pivot underflowed to 0
+                raise DomainError("tabulated warp node spacing is too fine "
+                                  "for the spline solve") from None
+            t = (s[:-1] + s[1:] - 2.0 * m) / h
+            # rows: the u^3, u^2, u and 1 coefficients of each interval
+            coef = np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]])
+        if not np.all(np.isfinite(coef)):
+            raise DomainError("tabulated warp spline coefficients overflow; "
+                              "the node spacing is too fine for the values")
+        self.rho_nodes = x
+        self.f_nodes = y
+        self.rho_min = float(x[0])
+        self.rho_max = float(x[-1])
+        self._coef = coef
 
+    def _local(self, rho):
+        """rho - rho_i and the coefficient rows of rho's interval i."""
+        rho = np.asarray(rho, dtype=float)
+        i = np.clip(np.searchsorted(self.rho_nodes, rho, side="right") - 1,
+                    0, self.rho_nodes.size - 2)
+        return rho - self.rho_nodes[i], self._coef[:, i]
+
+    # The cubics are summed in ascending powers, the order scipy's PPoly
+    # uses, so equal coefficients give bit-equal values.
     def f(self, rho):
-        return self._spline(rho)[()]
+        u, (c3, c2, c1, c0) = self._local(rho)
+        u2 = u * u
+        return (c0 + c1 * u + c2 * u2 + c3 * (u2 * u))[()]
 
     def df(self, rho):
-        return self._d1(rho)[()]
+        u, (c3, c2, c1, _) = self._local(rho)
+        return (c1 + (2.0 * c2) * u + (3.0 * c3) * (u * u))[()]
 
     def d2f(self, rho):
-        return self._d2(rho)[()]
+        u, (c3, c2, _, _) = self._local(rho)
+        return (2.0 * c2 + (6.0 * c3) * u)[()]
 
 
 def _chain_d(base, rho):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,28 @@ def test_collapse_graph_beyond_cap_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
+
+
+def test_collapse_class_table_beyond_cap_exits_1(tmp_path, capsys):
+    # p * S^2 * D_theta = 1e12 * 6^2 * 6 entries on the demo sample
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg["p_values"] = [2, 1_000_000_000_000]
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "216000000000000 entries" in err
+    assert "MAX_CLASS_ENTRIES = 4194304" in err
+
+
+def test_soliton_spline_overflow_exits_1(tmp_path, capsys):
+    # finite RK4 nodes (f up to 1e160) whose spline coefficients overflow
+    cfg = {"A": -1e-300, "B": 1e300, "rho_max": 1e-140, "step": 1e-143}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(tmp_path, capsys, "soliton", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "overflow" in err
 
 
 def test_soliton_step_beyond_cap_exits_1(tmp_path, capsys):

@@ -300,10 +300,14 @@ def test_submersion_scan_shape_and_determinism():
 def test_package_import_leaves_out_scipy_optimize(tmp_path):
     """The submersion radius is a closed form; no optimizer is imported.
     The rest of scipy is loaded only by the functions that use it, so
-    neither the import nor a transform, quotient or berger (xi) run loads
-    scipy.sparse, or scipy at all."""
+    neither the import nor a transform, curvature, soliton, quotient or
+    berger (xi) run loads scipy.sparse, or scipy at all; the soliton spline
+    is numpy.  The CLI imports each handler's modules inside the handler,
+    so none of these runs loads gh_collapse either."""
     configs = {
         "transform": '{"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0}',
+        "curvature": '{"family": "tanh", "a": 1.0, "rho_max": 4.0}',
+        "soliton": '{"A": 1.0, "rho_max": 3.0, "step": 0.01}',
         "quotient": '{"metric": [[1.0, 0.0, 0.0], [0.0, 4.0, 0.0], '
                     '[0.0, 0.0, 1.0]], "h_vectors": [[0.0, 1.0, 1.0]], '
                     '"frame": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
@@ -316,7 +320,8 @@ def test_package_import_leaves_out_scipy_optimize(tmp_path):
         argv += [command, str(cfg), str(tmp_path / f"{command}.csv")]
     code = ("import sys, collapse_lab, collapse_lab.cli\n"
             "loaded = lambda: [m in sys.modules for m in "
-            "('scipy.optimize', 'scipy.sparse', 'scipy')]\n"
+            "('scipy.optimize', 'scipy.sparse', 'scipy', "
+            "'collapse_lab.gh_collapse')]\n"
             "print(*loaded())\n"
             "args = sys.argv[1:]\n"
             "for i in range(0, len(args), 3):\n"
@@ -325,8 +330,10 @@ def test_package_import_leaves_out_scipy_optimize(tmp_path):
             "    print(*loaded())")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"] * 12
+    assert out.split() == ["False"] * 24
     assert (tmp_path / "transform.csv").read_text().startswith("rho,f,")
+    assert (tmp_path / "curvature.csv").read_text().startswith("rho,K\n")
+    assert (tmp_path / "soliton.csv").read_text().startswith("rho,f,")
     assert (tmp_path / "quotient.csv").read_text().startswith("c0,c1\n")
     assert (tmp_path / "berger.csv").read_text().startswith("target_radius,")
 

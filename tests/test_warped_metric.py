@@ -153,6 +153,50 @@ def test_tabulated_warp_validation():
         TabulatedWarp([0.0, 1.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         TabulatedWarp([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -1.0, 1.0])
+    with pytest.raises(DomainError, match="one f value per node"):
+        TabulatedWarp([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    for rho, f in (([0.0, 1.0, math.nan, 3.0], [1.0] * 4),
+                   ([0.0, 1.0, 2.0, math.inf], [1.0] * 4),
+                   ([0.0, 1.0, 2.0, 3.0], [1.0, math.inf, 1.0, 1.0])):
+        with pytest.raises(DomainError, match="finite"):
+            TabulatedWarp(rho, f)
+    # finite nodes whose spline coefficients overflow: t / h at h = 1e-300
+    with pytest.raises(DomainError, match="overflow"):
+        TabulatedWarp(np.arange(5) * 1e-300, [1.0, 1e10, 1.0, 1e10, 1.0])
+    # subnormal spacing rounds the last pivot of the slope solve to 0
+    with pytest.raises(DomainError, match="too fine"):
+        TabulatedWarp([0.0, 5e-324, 1e-323, 2e-323], [1.0] * 4)
+
+
+# (rho nodes, f values): uniform and non-uniform, 4 and 5 nodes
+_PARITY_CASES = [
+    (np.linspace(0.0, 3.0, 4), [0.0, 0.9, 1.7, 1.2]),
+    (np.linspace(-1.0, 1.0, 5), [2.0, 0.5, 1.0, 3.0, 0.25]),
+    (np.array([0.0, 0.1, 0.5, 2.0]), [0.3, 0.4, 1.1, 0.9]),
+    (np.array([0.0, 0.3, 0.4, 1.5, 4.0]), [0.0, 0.3, 0.35, 1.0, 4.5]),
+]
+
+
+@pytest.mark.parametrize("rho, f", _PARITY_CASES)
+def test_tabulated_warp_matches_scipy_cubic_spline(rho, f):
+    """The numpy spline is scipy's not-a-knot CubicSpline: f and df to
+    1e-13 and d2f to 1e-9 of each one's scale, at the nodes, between them
+    and beyond both ends."""
+    from scipy.interpolate import CubicSpline
+
+    warp, spline = TabulatedWarp(rho, f), CubicSpline(rho, f)
+    span = rho[-1] - rho[0]
+    mid = 0.5 * (rho[1:] + rho[:-1])
+    outside = [rho[0] - 0.5 * span, rho[0] - 1e-3, rho[-1] + 1e-3,
+               rho[-1] + 0.5 * span]
+    x = np.concatenate([rho, mid, outside])
+    for nu, (ours, tol) in enumerate(((warp.f, 1e-13), (warp.df, 1e-13),
+                                      (warp.d2f, 1e-9))):
+        want = spline(x, nu)
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(ours(x), want, rtol=0, atol=tol * scale)
+        assert ours(float(x[1])) == pytest.approx(want[1], rel=0,
+                                                  abs=tol * scale)
 
 
 # ---------------------------------------------------------------------------
