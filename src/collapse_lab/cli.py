@@ -20,8 +20,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .schema import check_keys, read_int, read_number, read_rows, read_str
 
-# Each handler imports the modules it runs, so a call loads only those:
-# scipy, for one, is loaded by collapse alone.
+# Each handler imports the modules it runs, so a call loads only those.
 
 
 def _fmt(x) -> str:

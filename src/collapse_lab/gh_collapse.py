@@ -6,16 +6,18 @@ on that graph stand in for geodesic distance.  Product distances split as
 sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
 analytic), and the Z_p quotient distance minimizes over group translates.
 
-Every distance field is a Dijkstra run from a source at theta = 0.  The
-reflection theta -> -theta fixes such a source and maps the graph onto
-itself with identical edge weights, so the field is solved on the half
-strip theta in [0, pi] (grid columns 0 .. n_theta // 2), and the field is
-that half-strip table: its lookup folds every angle into the strip, and
-the fold is exact to the last bit (see distance_field).  The half strip is
-built directly (build_surface_graph(..., half=True)); the full graph is
-built only as the exactness reference for surface_distances.  Either
-graph's CSR is written directly from an 8-neighbour stencil, with no edge
-list and no format conversion.
+Every weight of the graph depends only on the rho rows an edge joins, so the
+graph is a few per-row weight tables (build_surface_graph), and rotations
+theta -> theta + 2 pi k / n_theta and the reflection theta -> -theta are
+weight-preserving automorphisms of it.  Every distance field is solved from
+sources at theta = 0, which the reflection fixes, so only the half strip
+theta in [0, pi] (grid columns 0 .. n_theta // 2) is solved, and the field
+is that half-strip table: its lookup folds every angle into the strip.  The
+solver (distance_field) is a label-correcting one in numpy: Gauss-Seidel
+sweeps in the four grid directions, repeated until one relaxation of every
+edge lowers no label, whose fixed point is Dijkstra's output to the last
+bit.  surface_distances serves the full graph from the same fields, by the
+mirror and the rotations.
 
 Distances to points between grid angles are served by adding a virtual
 vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,9 +61,6 @@ from .warped_metric import (
     warp_from_json,
 )
 
-if TYPE_CHECKING:  # scipy.sparse is imported only by the functions using it
-    from scipy.sparse import csr_matrix
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -74,59 +72,70 @@ TWO_PI = 2.0 * math.pi
 class SurfaceGraph:
     """8-neighbor grid graph over (rho, theta); theta wraps modulo 2 pi.
 
+    Node (i, j) sits at rho_values[i] and theta = j * delta_theta.  Every
+    edge weight depends only on the rows it joins, so the graph is held as
+    per-row weight tables; an edge that does not exist weighs inf:
+      ring[i]  the ring edges (i, j) - (i, j + 1), f(rho_i) dtheta, which is
+               also the arc the field lookup interpolates along;
+      rad[i]   the radial edges (i - 1, j) - (i, j), drho (rad[0] = inf);
+      diag[i]  the diagonal edges (i - 1, j) - (i, j +- 1) (diag[0] = inf),
+               at least rad[i], which the fold of an odd ring relies on.
+
     When the metric caps at rho = 0 the whole first grid row is one pole
-    node, connected radially to every node of the first ring.  A half graph
-    holds only the columns 0 .. n_theta // 2 (theta in [0, pi]) and no wrap
-    edges; its node_index folds every angle into that strip.
+    node, connected to every node of the first ring by a spoke of weight
+    rad[1]; then ring[0] = 0 (the pole has no ring arc) and diag[1] = inf.
+    A distance field holds the pole in every column of row 0, and the zero
+    ring weight joins those copies, so they agree once the field is solved.
     """
     rho_values: np.ndarray          # (n_rho,) including the pole row
     n_theta: int
     pole: bool
-    ring_f: np.ndarray              # (n_rho,) f at the grid rho values
-    csr: csr_matrix
-    half: bool = False
+    ring: np.ndarray                # (n_rho,)
+    rad: np.ndarray                 # (n_rho,)
+    diag: np.ndarray                # (n_rho,)
 
     @property
     def n_rho(self) -> int:
         return self.rho_values.size
 
     @property
-    def n_columns(self) -> int:
-        return self.n_theta // 2 + 1 if self.half else self.n_theta
-
-    @property
     def n_nodes(self) -> int:
         if self.pole:
-            return 1 + (self.n_rho - 1) * self.n_columns
-        return self.n_rho * self.n_columns
+            return 1 + (self.n_rho - 1) * self.n_theta
+        return self.n_rho * self.n_theta
 
     @property
     def delta_theta(self) -> float:
         return TWO_PI / self.n_theta
 
     def node_index(self, i_rho, j_theta):
-        """Flat node index; every (0, j) maps to the single pole node, and a
-        half graph maps column j to its mirror min(j, n_theta - j)."""
+        """Flat node index; every (0, j) maps to the single pole node."""
         i = np.asarray(i_rho)
         j = np.asarray(j_theta) % self.n_theta
-        if self.half:
-            j = np.minimum(j, self.n_theta - j)
-        width = self.n_columns
         if self.pole:
-            return np.where(i == 0, 0, 1 + (i - 1) * width + j)[()]
-        return (i * width + j)[()]
+            return np.where(i == 0, 0, 1 + (i - 1) * self.n_theta + j)[()]
+        return (i * self.n_theta + j)[()]
 
 
-# Largest surface graph a solve may build.  Its CSR takes about 100 bytes a
-# node (eight neighbours), so the cap bounds one graph near 400 MiB and keeps
-# nnz far below the int32 range of indptr.
+# Largest surface graph, in nodes of the full ring, that build_surface_graph
+# accepts.  The graph itself is three weights a row; what grows with its
+# nodes is a solve: surface_distances returns 8 bytes a node per source, and
+# distance_field holds 16 bytes a half-strip node per source (see
+# MAX_FIELD_LABELS).
 MAX_GRAPH_NODES = 2 ** 22
 
 
-# Largest group-axis table a collapse solve may hold: _orbit_min looks up
-# p x S x S x D_theta surface distances at once (S sample rho rows, D_theta
-# theta offsets), about 40 bytes an entry at its peak, so the cap bounds
-# that table near 160 MiB.
+# Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
+# 1)), that one distance field may hold.  The solver keeps the float64
+# labels and a scratch table of the same size for its convergence check, 16
+# bytes a label, so the cap bounds a solve near 128 MiB.
+MAX_FIELD_LABELS = 2 ** 23
+
+
+# Largest group-axis table _orbit_min may hold: it looks up the surface
+# distances of every group element at once, p x S x S x D_theta of them in a
+# collapse solve (S sample rho rows, D_theta theta offsets), about 40 bytes
+# an entry at its peak, so the cap bounds that table near 160 MiB.
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
@@ -137,106 +146,165 @@ def _check_graph_size(n_nodes: int) -> None:
                           f"coarser grid")
 
 
-# the 8-slot stencil in neighbour-id order: the row above (j-1, j, j+1), the
-# node's own row (j-1, j+1), the row below (j-1, j, j+1)
-_STENCIL_ROW = np.array([-1, -1, -1, 0, 0, 1, 1, 1], dtype=np.int32)
-_STENCIL_COL = np.array([-1, 0, 1, -1, 1, -1, 0, 1], dtype=np.int32)
+def _check_field_size(n_labels: int) -> None:
+    if n_labels > MAX_FIELD_LABELS:
+        raise DomainError(f"distance field of {n_labels} labels (sources x "
+                          f"half-strip nodes) exceeds the cap "
+                          f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
+                          f"coarser grid or fewer sample rho rows")
 
 
-def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
-                        half: bool = False) -> SurfaceGraph:
+def build_surface_graph(metric: RotSymMetric, n_rho: int,
+                        n_theta: int) -> SurfaceGraph:
     """Discretize the surface of revolution on an n_rho x n_theta grid.
 
     Edge weights are sqrt(drho^2 + f(rho_mid)^2 dtheta^2) with f evaluated
     at segment midpoints for radial/diagonal edges and at the node row for
     ring edges.  All weights must be positive, so f may vanish only at a
     capped origin (where the row degenerates to the pole node); truncate
-    before any other zero of f.
-
-    half=True builds only the columns 0 .. n_theta // 2: the induced
-    subgraph of the full graph on that strip, with its ring, radial and
-    diagonal edges and the pole spokes to those columns, but no wrap edges.
-
-    The CSR is written directly, both directions of every edge, from an
-    8-slot stencil per ring node (see _STENCIL_ROW, _STENCIL_COL) with one
-    weight table per ring row; a validity mask drops the slots beyond the
-    grid rows and, on a half graph, outside the strip.  The first ring row
-    of a pole graph reaches the pole only by its spoke.  A graph above
-    MAX_GRAPH_NODES nodes raises DomainError before anything is allocated.
+    before any other zero of f.  A graph above MAX_GRAPH_NODES nodes raises
+    DomainError.
     """
-    from scipy.sparse import csr_matrix
-
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
     pole = bool(metric.capped_at_origin)
-    first = int(pole)               # first ring row; also its first node
-    width = n_theta // 2 + 1 if half else n_theta
-    n_ring = n_rho - first
-    n = first + n_ring * width
-    _check_graph_size(n)
+    _check_graph_size(int(pole) + (n_rho - int(pole)) * n_theta)
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     w = metric.warp
     f_nodes = np.asarray(w.f(rho), dtype=float)
     dtheta = TWO_PI / n_theta
     drho = np.diff(rho)
     mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
-    if np.any(f_nodes[first:] <= 0) or np.any(mid_f <= 0):
+    if np.any(f_nodes[int(pole):] <= 0) or np.any(mid_f <= 0):
         raise DomainError("warp must be positive away from the capped pole; "
                           "truncate the interval before f vanishes")
-
-    # stencil row and column of every slot; int32 keeps the id table small
-    row = np.arange(n_ring, dtype=np.int32)[:, None] + _STENCIL_ROW
-    col = np.arange(width, dtype=np.int32)[:, None] + _STENCIL_COL
-    row_ok = (row >= 0) & (row < n_ring)
-    row_ok[0, 1] = pole                         # the spoke to the pole
-    if not half:
-        col %= width                            # the full ring wraps
-    valid = row_ok[:, None, :] & ((col >= 0) & (col < width))
-
-    # weights per ring row and slot; entry r of rad and diag is the edge
-    # between ring rows r - 1 and r (nan where there is none, masked)
-    nan = [math.nan]
+    ring = f_nodes * dtheta
+    rad = np.concatenate([[math.inf], drho])
     # math.hypot is correctly rounded where np.hypot can be off by one ulp
-    diag = np.array(nan + [math.hypot(x, y) for x, y in
-                           zip(drho[first:], mid_f[first:] * dtheta)] + nan)
-    rad = np.concatenate([drho[:1] if pole else nan, drho[first:], nan])
-    ring = f_nodes[first:] * dtheta
-    weights = np.column_stack([diag[:-1], rad[:-1], diag[:-1], ring, ring,
-                               diag[1:], rad[1:], diag[1:]])
-
-    n_pole = first * width          # the pole row goes first
-    indptr = np.empty(n + 1, dtype=np.int32)
-    indptr[0] = 0
-    indptr[first] = n_pole
-    np.cumsum(valid.sum(axis=2, dtype=np.int32), out=indptr[first + 1:])
-    indptr[first + 1:] += n_pole
-    data = np.empty(indptr[-1])
-    data[:n_pole] = drho[0]
-    data[n_pole:] = np.broadcast_to(weights[:, None, :], valid.shape)[valid]
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[:n_pole] = np.arange(first, first + n_pole, dtype=np.int32)
-    ids = first + row[:, None, :] * width + col
+    diag = np.array([math.inf] + [math.hypot(x, y) for x, y in
+                                  zip(drho, mid_f * dtheta)])
     if pole:
-        ids[0, :, 1] = 0
-    indices[n_pole:] = ids[valid]
-    mat = csr_matrix((data, indices, indptr), shape=(n, n))
-    if not half:
-        mat.sort_indices()          # the wrap columns come out of order
+        ring[0] = 0.0
+        diag[1] = math.inf
     return SurfaceGraph(rho_values=rho, n_theta=n_theta, pole=pole,
-                        ring_f=f_nodes, csr=mat, half=half)
+                        ring=ring, rad=rad, diag=diag)
+
+
+def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
+    """One Gauss-Seidel pass in each direction over the padded labels d:
+    rho descending, theta ascending, rho ascending, theta descending.
+
+    A rho pass relaxes each row from the row before it in the pass (the
+    radial and both diagonal in-edges), vectorised over sources x columns;
+    a theta pass relaxes each column from the column before it (the ring
+    and both diagonal in-edges), vectorised over rows x sources.  So
+    either pass follows any mix of its straight steps with diagonal ones:
+    on a flat stretch many such mixes have the same length, rounding
+    decides which is shortest, and a pass that left the diagonals out
+    would take several more sweeps to find it.  A node's two diagonal
+    in-edges from one row share their weight, so they are relaxed at once
+    as fl(min(a, b) + w), which equals min(fl(a + w), fl(b + w)) because
+    rounding is monotone.
+    """
+    n_rho, width = d.shape[0], d.shape[2] - 2
+    rad, diag = graph.rad, graph.diag
+    ring_c, diag_c = graph.ring[:, None], diag[1:, None]
+    row = np.empty_like(d[0, :, 1:-1])
+    col = np.empty_like(d[:, :, 0])
+    step = np.empty_like(col[1:])
+
+    def from_row(i, k):
+        """Relax row i from its neighbour row k."""
+        w = max(i, k)               # the edges between rows i and k
+        inner = d[i, :, 1:-1]
+        np.add(d[k, :, 1:-1], rad[w], out=row)
+        np.minimum(inner, row, out=inner)
+        np.minimum(d[k, :, :-2], d[k, :, 2:], out=row)
+        np.add(row, diag[w], out=row)
+        np.minimum(inner, row, out=inner)
+
+    def from_column(j, c):
+        """Relax column j from its neighbour column c."""
+        src = d[:, :, c]
+        np.add(src, ring_c, out=col)
+        np.add(src[:-1], diag_c, out=step)      # from row i - 1
+        np.minimum(col[1:], step, out=col[1:])
+        np.add(src[1:], diag_c, out=step)       # from row i + 1
+        np.minimum(col[:-1], step, out=col[:-1])
+        np.minimum(d[:, :, j], col, out=d[:, :, j])
+
+    for i in range(n_rho - 2, -1, -1):
+        from_row(i, i + 1)
+    for j in range(2, width + 1):
+        from_column(j, j - 1)
+    for i in range(1, n_rho):
+        from_row(i, i - 1)
+    for j in range(width - 1, 0, -1):
+        from_column(j, j + 1)
+
+
+def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
+                       cand: np.ndarray) -> bool:
+    """Whether relaxing every in-edge of every node at once (the eight grid
+    directions and the pole spokes) would lower any label of d.
+
+    The edges go in five groups of one weight per target row; each group's
+    candidates are written into cand, the size of the label table, and
+    compared there, so the check allocates nothing of that size.  The pole,
+    held in every column of row 0, is checked column by column against its
+    spokes, which finds a lower label exactly when its best spoke does.
+    """
+    inner = d[:, :, 1:-1]
+    ring, rad, diag = (w[:, None, None] for w in
+                       (graph.ring, graph.rad, graph.diag))
+    every, upper, lower = slice(None), slice(None, -1), slice(1, None)
+    # (target rows, the rows their in-edges come from, the weights, whether
+    # the in-edges come from the two neighbouring columns)
+    for rows, src, w, sideways in ((every, every, ring, True),
+                                   (lower, upper, rad[1:], False),
+                                   (lower, upper, diag[1:], True),
+                                   (upper, lower, rad[1:], False),
+                                   (upper, lower, diag[1:], True)):
+        c = cand[rows]
+        if sideways:
+            np.minimum(d[src, :, :-2], d[src, :, 2:], out=c)
+            np.add(c, w, out=c)
+        else:
+            np.add(inner[src], w, out=c)
+        # label - candidate > 0 exactly where the candidate is lower; an
+        # unreached node with an unreached candidate gives nan, ignored
+        with np.errstate(invalid="ignore"):
+            np.subtract(inner[rows], c, out=c)
+        if np.fmax.reduce(c, axis=None) > 0:
+            return True
+    return False
 
 
 def surface_distances(graph: SurfaceGraph, sources) -> np.ndarray:
     """Exact shortest-path distances from the given node indices to all
-    nodes; raises ConnectivityError if anything is unreachable."""
-    from scipy.sparse.csgraph import dijkstra
+    nodes, (len(sources), n_nodes); raises ConnectivityError if anything is
+    unreachable.
 
+    One half-strip field is solved per distinct source row; the field of a
+    source in column c is that row's field unfolded by the mirror and
+    rotated by c columns, exact because both maps are weight-preserving
+    automorphisms of the graph.
+    """
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
-    # the CSR stores both directions of every edge
-    d = dijkstra(graph.csr, directed=True, indices=sources)
-    if np.any(np.isinf(d)):
-        raise ConnectivityError("surface graph is disconnected")
-    return d
+    if np.any((sources < 0) | (sources >= graph.n_nodes)):
+        raise DomainError(f"source nodes must lie in [0, {graph.n_nodes})")
+    n, first = graph.n_theta, int(graph.pole)
+    rows, cols = np.divmod(sources - first, n)
+    rows += first
+    cols[sources < first] = 0       # the pole, a pole graph's node 0
+    source_rows, slot = np.unique(rows, return_inverse=True)
+    fld = distance_field(graph, source_rows)
+    i = np.arange(graph.n_rho)[:, None]
+    j = (np.arange(n) - cols[:, None, None]) % n
+    out = np.empty((sources.size, graph.n_nodes))
+    out[:, graph.node_index(i, np.arange(n))] = fld.dist[
+        i, slot.reshape(-1, 1, 1), np.minimum(j, n - j)]
+    return out
 
 
 @dataclass
@@ -246,14 +314,14 @@ class SurfaceDistanceField:
 
     Rotational symmetry of the graph turns one field per source rho row into
     distances between any pair of angular positions.  The field is its
-    half-strip table: dist is the (S, n_nodes) Dijkstra output on the half
-    graph, and nodes maps (rho row, column 0 .. n_theta // 2) to its node;
-    lookup folds every angle into the strip by the reflection symmetry.
+    half-strip table: dist[i, k, j] is the distance from source k to node
+    (i, j) for the columns j = 0 .. n_theta // 2 (a pole row holds the pole
+    in every column); lookup folds every angle into the strip by the
+    reflection symmetry.
     """
     n_theta: int
     source_rows: np.ndarray         # (S,)
-    dist: np.ndarray                # (S, n_nodes) on the half strip
-    nodes: np.ndarray               # (n_rho, n_theta // 2 + 1) int32 ids
+    dist: np.ndarray                # (n_rho, S, n_theta // 2 + 1)
     ring_arc: np.ndarray            # (n_rho,) angular edge weight per row
 
     @property
@@ -269,47 +337,55 @@ class SurfaceDistanceField:
         t = x - np.floor(x)
         j1 = (j0 + 1) % n
         arc = self.ring_arc[rho_row]
-        d0 = self.dist[src_slot, self.nodes[rho_row, np.minimum(j0, n - j0)]]
-        d1 = self.dist[src_slot, self.nodes[rho_row, np.minimum(j1, n - j1)]]
+        d0 = self.dist[rho_row, src_slot, np.minimum(j0, n - j0)]
+        d1 = self.dist[rho_row, src_slot, np.minimum(j1, n - j1)]
         return np.minimum(d0 + t * arc, d1 + (1.0 - t) * arc)[()]
 
 
 def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
-    """Run Dijkstra from (row, theta=0) for each requested rho row.
+    """Exact graph distances from (row, theta = 0) for each requested row.
 
-    The graph must be a half graph (build_surface_graph(..., half=True)):
-    the half strip is built directly, never cut out of a full graph.  The
-    reflection theta -> -theta fixes every source and maps the full graph
-    onto itself with identical edge weights, so each full field satisfies
-    d(i, j) = d(i, n_theta - j).  Dijkstra therefore runs on the half
-    strip, the induced subgraph on columns 0 .. n_theta // 2 (with the pole
-    node and its spokes to those columns), and the field keeps that output
-    as it is: its lookup folds column j to min(j, n_theta - j).  The fold is
-    exact: a shortest path from a theta = 0 source reflects into the half
-    strip at the same length, and the only edges the half strip drops run
-    between mirror columns (for odd n_theta a folded diagonal, parallel to
-    a shorter radial edge).  Dijkstra's output is the unique solution of
-    d[v] = min_u fl(d[u] + w_uv), which the full field's mirror-symmetric
-    values satisfy on the half strip, so the folded fields are
-    bit-identical to full-graph ones.
+    The reflection theta -> -theta fixes every source and maps the graph
+    onto itself with identical edge weights, so each field satisfies
+    d(i, j) = d(i, n_theta - j), and only the half strip is solved: the
+    induced subgraph on columns 0 .. n_theta // 2, with the pole and its
+    spokes to those columns.  The fold is exact: a shortest path from a
+    theta = 0 source reflects into the half strip at the same length, and
+    the only edges the half strip drops run between mirror columns (for odd
+    n_theta a folded diagonal, parallel to a shorter radial edge).
+
+    The labels start at inf, 0 at the sources, and every change lowers a
+    label to some fl(d[u] + w_uv), so each label is the rounded length of
+    a path and, rounding being monotone, never below Dijkstra's.  The
+    solver repeats one sweep in each of the four grid directions (_sweep)
+    until one relaxation of every in-edge of every node (the eight grid
+    directions and the pole spokes) lowers no label (_relaxation_lowers).
+    Then d[v] <= fl(d[u] + w_uv) on every edge, and by induction along
+    Dijkstra's shortest-path tree no label is above Dijkstra's either: the
+    fields are Dijkstra's output bit for bit, whatever the sweep order, and
+    the half-strip values are the full graph's.  The label table is
+    (n_rho, S, n_theta // 2 + 3), a column of inf on either side of the
+    strip standing in for the edges the strip does not have; the solve
+    refuses more than MAX_FIELD_LABELS labels before allocating.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    if not graph.half:
-        raise DomainError("distance_field needs a half graph; build it with "
-                          "build_surface_graph(..., half=True)")
-    rho_rows = np.asarray(rho_rows, dtype=int)
-    dist = dijkstra(graph.csr, directed=True,
-                    indices=graph.node_index(rho_rows, 0))
-    if np.any(np.isinf(dist)):
-        raise ConnectivityError("surface graph is disconnected")
-    arc = graph.ring_f * graph.delta_theta
+    rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
+    n_rho, width = graph.n_rho, graph.n_theta // 2 + 1
+    if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
+        raise DomainError(f"source rows must lie in [0, {n_rho})")
+    _check_field_size(rho_rows.size * n_rho * width)
+    d = np.full((n_rho, rho_rows.size, width + 2), math.inf)
+    d[rho_rows, np.arange(rho_rows.size), 1] = 0.0
     if graph.pole:
-        arc[0] = 0.0
-    nodes = graph.node_index(np.arange(graph.n_rho)[:, None],
-                             np.arange(graph.n_columns)).astype(np.int32)
+        d[0, rho_rows == 0, 1:-1] = 0.0
+    cand = np.empty_like(d[:, :, 1:-1])
+    _sweep(graph, d)
+    while _relaxation_lowers(graph, d, cand):
+        _sweep(graph, d)
+    dist = d[:, :, 1:-1]
+    if dist.max() == math.inf:
+        raise ConnectivityError("surface graph is disconnected")
     return SurfaceDistanceField(n_theta=graph.n_theta, source_rows=rho_rows,
-                                dist=dist, nodes=nodes, ring_arc=arc)
+                                dist=dist, ring_arc=graph.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +468,13 @@ class QuotientSpec:
     def kappa(self) -> float:
         return self.m1 / self.m2
 
+    @property
+    def order(self) -> int:
+        """Number of group elements: p, or the t_steps samples of S^1."""
+        return self.p if self.group == "zp" else self.t_steps
+
     def group_angles(self) -> np.ndarray:
-        n = self.p if self.group == "zp" else self.t_steps
-        return TWO_PI * np.arange(n) / n
+        return TWO_PI * np.arange(self.order) / self.order
 
 
 def circle_distance(s_a, s_b, r: float):
@@ -409,15 +489,26 @@ def product_distance(d_p, d_s1):
     return np.hypot(d_p, d_s1)[()]
 
 
-def _orbit_min(spec: QuotientSpec, dp_at, ds):
+def _check_class_table(order: int, entries: int) -> None:
+    if order * entries > MAX_CLASS_ENTRIES:
+        raise DomainError(f"class table of {order * entries} entries for a "
+                          f"group of order {order} exceeds the cap "
+                          f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
+                          f"smaller group or sample")
+
+
+def _orbit_min(spec: QuotientSpec, dp_at, ds, entries: int = 1):
     """min over the group angles tau of the product distance between the
     surface distance dp_at(m1 tau) and the circle distance of ds + m2 tau.
 
     ds is the circle offset s_b - s_a (scalar or array).  dp_at receives the
     surface rotations m1 tau with the group on a new leading axis (length-1
     axes after it, one per axis of ds) and must return distances that
-    broadcast against ds along that axis.
+    broadcast against ds along that axis, entries of them per group element.
+    A group whose table of spec.order x entries distances exceeds
+    MAX_CLASS_ENTRIES raises DomainError before its angles are made.
     """
+    _check_class_table(spec.order, entries)
     tau = spec.group_angles().reshape((-1,) + (1,) * np.ndim(ds))
     d_s1 = circle_distance(0.0, ds + spec.m2 * tau, spec.r)
     dp, d_s1 = np.broadcast_arrays(dp_at(spec.m1 * tau), d_s1)
@@ -647,10 +738,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
-    # the largest graph is the doubly refined limit strip, or the quotient
-    # side's strip if ring_x is finer; refuse it before the first build
-    _check_graph_size(max((2 * g.n_rho - 1) * (ring_y + 1),
-                          g.n_rho * (ring_x // 2 + 1)))
+    # the largest graph is the doubly refined limit surface, or the
+    # quotient side's if ring_x is finer; it and its largest field are
+    # refused here, and the largest p's class table below, before any build
+    _check_graph_size(max((2 * g.n_rho - 1) * 2 * ring_y, g.n_rho * ring_x))
+    _check_field_size(rho_rows.size * max((2 * g.n_rho - 1) * (ring_y + 1),
+                                          g.n_rho * (ring_x // 2 + 1)))
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
@@ -660,13 +753,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # angle 0.0 and come out exactly 0.
     dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
     ds = np.unique(s_idx[None, :] - s_idx[:, None])
-    # the largest p's group-axis table, refused before any solve
-    n_entries = max(config.p_values) * rho_rows.size ** 2 * dth.size
-    if n_entries > MAX_CLASS_ENTRIES:
-        raise DomainError(f"class table of {n_entries} entries for p = "
-                          f"{max(config.p_values)} exceeds the cap "
-                          f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
-                          f"smaller p or sample")
+    entries = rho_rows.size ** 2 * dth.size     # per group element
+    _check_class_table(max(config.p_values), entries)
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
     slots = np.arange(rho_rows.size)
@@ -693,10 +781,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(sym, swapped(sym), sym[diagonal])
         return sym
 
-    # Each graph is dropped as soon as its field is solved, and each
-    # limit-side field as soon as its lookup is taken.
-    d_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y,
-                                             half=True),
+    # Each limit-side field is dropped as soon as its lookup is taken.
+    d_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y),
                          rho_rows).lookup(slot_a, row_b, phi_y)
 
     # Grid floor: refinement study of the limit-surface distances.  The
@@ -705,8 +791,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # metrication error; the proportional refinement cancels it and sees
     # only the O(h) part.  The floor is the largest observed change.
     def refined_change(n_r2, n_t2, rscale):
-        fld = distance_field(build_surface_graph(limit, n_r2, n_t2,
-                                                 half=True),
+        fld = distance_field(build_surface_graph(limit, n_r2, n_t2),
                              rscale * rho_rows)
         d_ref = fld.lookup(slot_a, rscale * row_b, phi_y)
         return float(np.max(np.abs(d_y - d_ref)))
@@ -716,15 +801,16 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
                             (g.n_rho, 2 * ring_y, 1),
                             (2 * g.n_rho - 1, 2 * ring_y, 2)))
     sym_y = symmetrised(d_y, diag_y)
-    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x,
-                                               half=True), rho_rows)
+    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x),
+                           rho_rows)
 
     rows = []
     for p in config.p_values:
         spec = QuotientSpec(r=config.r, m1=config.m1, m2=config.m2,
                             group="zp", p=int(p))
         d_x = _orbit_min(spec, lambda rot: fld_p.lookup(slot_a, row_b,
-                                                        th_x + rot), s_x)
+                                                        th_x + rot),
+                         s_x, entries)
         dist = float(np.max(np.abs(symmetrised(d_x, diag_x) - sym_y)))
         rows.append(CollapseRow(p=p, distortion=dist,
                                 gh_upper_bound=0.5 * dist,

@@ -381,6 +381,20 @@ def test_collapse_class_table_beyond_cap_exits_1(tmp_path, capsys):
     assert "MAX_CLASS_ENTRIES = 4194304" in err
 
 
+def test_collapse_label_table_beyond_cap_exits_1(tmp_path, capsys):
+    # every graph and the class table are under their caps, but the 1023
+    # sample rows off the pole, as sources on the 2047 x 1025 refined limit
+    # strip, need 2.1e9 labels
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg.update(grid={"n_rho": 1024, "n_theta": 1024, "n_s": 4},
+               sample={"n_rho": 1024, "n_theta": 1, "n_s": 1}, p_values=[2])
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "2146433025 labels" in err
+    assert "MAX_FIELD_LABELS = 8388608" in err
+
+
 def test_soliton_spline_overflow_exits_1(tmp_path, capsys):
     # finite RK4 nodes (f up to 1e160) whose spline coefficients overflow
     cfg = {"A": -1e-300, "B": 1e300, "rho_max": 1e-140, "step": 1e-143}

@@ -31,8 +31,11 @@ from collapse_lab import (
     quotient_transform,
     surface_distances,
 )
+from collapse_lab import gh_collapse
 from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
+    MAX_CLASS_ENTRIES,
+    MAX_FIELD_LABELS,
     MAX_GRAPH_NODES,
     _MAX_RING_NODES,
     _ring_refinement,
@@ -114,52 +117,69 @@ def test_graph_edge_weights_match_formula():
     g = build_surface_graph(m, 9, 8)
     dtheta = TWO_PI / 8
     drho = 1.0 / 8
-    a = g.node_index(2, 3)
-    assert float(g.csr[a, g.node_index(2, 4)]) == pytest.approx(2.0 * dtheta,
-                                                                rel=1e-15)
-    assert float(g.csr[a, g.node_index(3, 3)]) == pytest.approx(drho,
-                                                                rel=1e-15)
-    want = math.hypot(drho, 2.0 * dtheta)
-    assert float(g.csr[a, g.node_index(3, 4)]) == pytest.approx(want,
-                                                                rel=1e-15)
-    assert float(g.csr[a, g.node_index(3, 2)]) == pytest.approx(want,
-                                                                rel=1e-15)
+    # the edges (2, j) - (2, j + 1), (2, j) - (3, j) and (2, j) - (3, j +- 1)
+    assert g.ring[2] == pytest.approx(2.0 * dtheta, rel=1e-15)
+    assert g.rad[3] == pytest.approx(drho, rel=1e-15)
+    assert g.diag[3] == pytest.approx(math.hypot(drho, 2.0 * dtheta),
+                                      rel=1e-15)
+    # nothing lies above the first row
+    assert g.rad[0] == g.diag[0] == math.inf
+    # a pole has no ring arc and reaches the first ring by its spokes alone
+    p = build_surface_graph(metric_from_warp(SinhWarp(1.0), 1.0), 9, 8)
+    assert p.pole and p.ring[0] == 0.0 and p.diag[1] == math.inf
+    assert p.rad[1] == pytest.approx(drho, rel=1e-15)
 
 
 @pytest.mark.parametrize("warp", [ConstWarp(1.0), SinhWarp(1.0)])
 def test_graph_edge_count(warp):
     # per ring row: n_theta ring edges; per pair of ring rows: one radial
     # and two diagonal edges per node; the pole adds one spoke per node
-    g = build_surface_graph(metric_from_warp(warp, 1.0), 11, 12)
+    metric = metric_from_warp(warp, 1.0)
+    g = build_surface_graph(metric, 11, 12)
     rings = 11 - int(g.pole)
     want = 12 * rings + 3 * 12 * (rings - 1) + 12 * int(g.pole)
-    assert g.csr.nnz == 2 * want
-    assert np.array_equal(g.csr.toarray(), g.csr.toarray().T)
+    # one edge per column for each finite weight: the ring rows' ring
+    # edges, the radial edges and spokes, and two diagonals
+    finite = [np.isfinite(w).sum() for w in (g.ring[int(g.pole):], g.rad,
+                                              g.diag)]
+    assert 12 * (finite[0] + finite[1] + 2 * finite[2]) == want
+    assert _coo_reference_csr(metric, 11, 12, half=False).nnz == 2 * want
 
 
 def _coo_reference_csr(metric, n_rho, n_theta, half):
-    """The edge-list construction of the surface graph, kept as a reference
-    for the directly written CSR: every edge once as COO arrays, both
-    directions concatenated, and scipy's COO to CSR conversion."""
+    """The edge-list construction of the surface graph, kept as the
+    independent reference for the sweep solver: weights from the metric,
+    every edge once as COO arrays, both directions concatenated, and
+    scipy's COO to CSR conversion.  half=True builds only the columns
+    0 .. n_theta // 2, with no wrap edges."""
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     f_nodes = np.asarray(metric.warp.f(rho), dtype=float)
     mid_f = np.asarray(metric.warp.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
-    pole = bool(metric.capped_at_origin)
-    first = int(pole)
+    first = int(metric.capped_at_origin)
     dtheta = TWO_PI / n_theta
     drho = np.diff(rho)
-    width = n_theta // 2 + 1 if half else n_theta
-    ids = np.arange(first, first + (n_rho - first) * width,
-                    dtype=np.int32).reshape(-1, width)
-    a, b = (ids[:, :-1], ids[:, 1:]) if half else (ids, np.roll(ids, -1, 1))
     diag_w = np.array([math.hypot(x, y) for x, y in
                        zip(drho[first:], mid_f[first:] * dtheta)])
-    edges = [(a, b, f_nodes[first:, None] * dtheta),
-             (ids[:-1], ids[1:], drho[first:, None]),
-             (a[:-1], b[1:], diag_w[:, None]),
-             (b[:-1], a[1:], diag_w[:, None])]
-    if pole:
-        edges.append((np.zeros(width, dtype=np.int32), ids[0], drho[0]))
+    return _edge_list_csr(f_nodes[first:] * dtheta, drho[first:], diag_w,
+                          drho[0] if first else None, n_theta, half)
+
+
+def _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, half):
+    """CSR of the grid graph with ring weight ring_w[r] on ring row r,
+    radial and diagonal weights rad_w[r], diag_w[r] between ring rows r and
+    r + 1, and, unless spoke is None, a pole node 0 joined to every node of
+    ring row 0 by an edge of weight spoke."""
+    first = int(spoke is not None)
+    width = n_theta // 2 + 1 if half else n_theta
+    ids = np.arange(first, first + len(ring_w) * width,
+                    dtype=np.int32).reshape(-1, width)
+    a, b = (ids[:, :-1], ids[:, 1:]) if half else (ids, np.roll(ids, -1, 1))
+    edges = [(a, b, np.asarray(ring_w)[:, None]),
+             (ids[:-1], ids[1:], np.asarray(rad_w)[:, None]),
+             (a[:-1], b[1:], np.asarray(diag_w)[:, None]),
+             (b[:-1], a[1:], np.asarray(diag_w)[:, None])]
+    if first:
+        edges.append((np.zeros(width, dtype=np.int32), ids[0], spoke))
     parts = [np.broadcast_arrays(*e) for e in edges]
     u, v, weight = (np.concatenate([part[k].ravel() for part in parts])
                     for k in range(3))
@@ -177,14 +197,33 @@ def _coo_reference_csr(metric, n_rho, n_theta, half):
 @pytest.mark.parametrize("n_rho", [8, 10, 17])
 def test_graph_csr_matches_coo_reference(warp, rho_max, half, n_theta,
                                          n_rho):
-    """The stencil-written CSR equals the edge-list one, dtypes included."""
+    """The weight tables describe the edge-list reference graph: the sweep
+    solver's distances equal scipy's Dijkstra on the reference CSR bit for
+    bit, from every node of the full graph (surface_distances) and from
+    every row of the half strip (distance_field)."""
     metric = metric_from_warp(warp, rho_max)
-    got = build_surface_graph(metric, n_rho, n_theta, half=half).csr
-    want = _coo_reference_csr(metric, n_rho, n_theta, half)
-    assert isinstance(got, csr_matrix) and got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    g = build_surface_graph(metric, n_rho, n_theta)
+    ref = _coo_reference_csr(metric, n_rho, n_theta, half)
+    if half:
+        ids = _strip_ids(g)
+        want = dijkstra(ref, indices=ids[:, 0])[:, ids]
+        got = distance_field(g, np.arange(n_rho)).dist.transpose(1, 0, 2)
+    else:
+        want = dijkstra(ref, indices=np.arange(g.n_nodes))
+        got = surface_distances(g, np.arange(g.n_nodes))
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _strip_ids(g):
+    """Node ids of the half-strip reference graph by (row, column 0 ..
+    n_theta // 2); a pole row repeats the pole's id."""
+    width = g.n_theta // 2 + 1
+    first = int(g.pole)
+    ids = first + (np.arange(g.n_rho)[:, None] - first) * width + np.arange(
+        width)
+    if g.pole:
+        ids[0] = 0
+    return ids
 
 
 def test_graph_size_cap():
@@ -193,8 +232,7 @@ def test_graph_size_cap():
     # refused before anything of the graph's size is allocated
     with pytest.raises(DomainError, match="MAX_GRAPH_NODES"):
         build_surface_graph(metric, n_rho, 64)
-    # the half strip of the same grid is under the cap by node count
-    assert n_rho * 33 <= MAX_GRAPH_NODES
+    # the cap counts the nodes of the full ring
     with pytest.raises(DomainError, match=f"{n_rho * 126} nodes"):
         build_surface_graph(metric, n_rho, 126)
 
@@ -204,61 +242,145 @@ def test_graph_size_cap():
                          ids=["pole", "no-pole"])
 @pytest.mark.parametrize("n_theta", [8, 9, 12, 13, 25])
 def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
-    """The half strip built directly equals the full graph restricted to
-    columns 0 .. n_theta // 2, array for array."""
+    """The half strip the solver relaxes is the full reference graph
+    restricted to columns 0 .. n_theta // 2: distance_field equals Dijkstra
+    on that induced subgraph, sliced out of the full CSR."""
     metric = metric_from_warp(warp, rho_max)
-    full = build_surface_graph(metric, 10, n_theta)
-    half = build_surface_graph(metric, 10, n_theta, half=True)
-    assert half.half and not full.half
+    g = build_surface_graph(metric, 10, n_theta)
     # full-graph ids of the strip in row-major order; a pole graph's row 0
     # repeats the pole id, kept once
-    ids = full.node_index(np.arange(10)[:, None], np.arange(n_theta // 2 + 1))
-    keep = ids.ravel()[full.pole * (n_theta // 2):]
-    want = full.csr[keep][:, keep]
-    assert half.n_nodes == keep.size == half.csr.shape[0]
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(half.csr, name), getattr(want, name))
+    ids = g.node_index(np.arange(10)[:, None], np.arange(n_theta // 2 + 1))
+    keep = ids.ravel()[g.pole * (n_theta // 2):]
+    full = _coo_reference_csr(metric, 10, n_theta, half=False)
+    strip = _strip_ids(g)
+    want = dijkstra(full[keep][:, keep], indices=strip[:, 0])[:, strip]
+    got = distance_field(g, np.arange(10)).dist
+    assert np.array_equal(got.transpose(1, 0, 2), want)
 
 
 @pytest.mark.parametrize("warp", [ConstWarp(1.0), SinhWarp(1.0)])
 def test_half_graph_node_index_folds(warp):
+    """The field's half-strip table serves every column of the full graph
+    through the mirror column min(j, n_theta - j), at any integer j."""
     metric = metric_from_warp(warp, 1.0)
-    full = build_surface_graph(metric, 9, 13)
-    half = build_surface_graph(metric, 9, 13, half=True)
-    assert half.n_columns == 7
-    assert half.n_nodes == (1 + 8 * 7 if half.pole else 9 * 7)
+    g = build_surface_graph(metric, 9, 13)
+    fld = distance_field(g, [0, 4, 8])
+    assert fld.dist.shape == (9, 3, 7)
+    full = dijkstra(_coo_reference_csr(metric, 9, 13, half=False),
+                    indices=g.node_index([0, 4, 8], 0))
     i = np.arange(9)[:, None]
     j = np.arange(-13, 26)[None, :]
     mirror = np.minimum(j % 13, 13 - j % 13)
-    # a half-graph id is the rank of the mirror node's full-graph id among
-    # the strip's full-graph ids
-    strip = np.unique(full.node_index(i, np.arange(7)))
-    assert np.array_equal(half.node_index(i, j),
-                          np.searchsorted(strip, full.node_index(i, mirror)))
-    assert half.node_index(2, -5) == half.node_index(2, 5)
+    for k in range(3):
+        assert np.array_equal(fld.dist[i, k, mirror],
+                              full[k, g.node_index(i, j)])
+        # at grid angles the lookup's interpolation weight is 0 to rounding
+        assert np.allclose(fld.lookup(k, i, j * TWO_PI / 13),
+                           full[k, g.node_index(i, j)], rtol=0, atol=1e-12)
 
 
-def test_distance_field_rejects_full_graph():
+def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
+    """On a sphere band the geodesics bend, so one sweep in each direction
+    is not enough: the check rejects the labels at least once, and the
+    fields still equal scipy's Dijkstra on the reference bit for bit."""
+    checks = []
+
+    def spy(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    check = gh_collapse._relaxation_lowers
+    monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
+    metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
+    for n_rho, n_theta in ((17, 12), (24, 25)):
+        checks.clear()
+        g = build_surface_graph(metric, n_rho, n_theta)
+        got = distance_field(g, np.arange(n_rho)).dist
+        assert checks[0] and not checks[-1]
+        ids = _strip_ids(g)
+        ref = _coo_reference_csr(metric, n_rho, n_theta, half=True)
+        want = dijkstra(ref, indices=ids[:, 0])[:, ids]
+        assert np.array_equal(got.transpose(1, 0, 2), want)
+
+
+@pytest.mark.parametrize("kind, row", [("ring", 4), ("rad", 0), ("rad", 8),
+                                       ("diag", 0), ("diag", 8),
+                                       ("spoke", 1)])
+def test_relaxation_check_sees_every_edge_group(kind, row):
+    """The convergence check relaxes every group of edges: on a graph whose
+    only edges are of one kind, the labels of a lone source (0 there, inf
+    elsewhere) are refused, whichever way the source's row reaches the
+    rest."""
+    weights = {name: np.full(9, math.inf) for name in ("ring", "rad", "diag")}
+    weights["rad" if kind == "spoke" else kind][1:] = 1.0
+    g = SurfaceGraph(rho_values=np.arange(9.0), n_theta=8,
+                     pole=kind == "spoke", **weights)
+    d = np.full((9, 1, 7), math.inf)
+    d[row, 0, 1] = 0.0
+    assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 1, 5)))
+
+
+@pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])
+@pytest.mark.parametrize("n_theta", [9, 12])
+def test_distance_field_random_row_weights(pole, n_theta):
+    """Any positive per-row weights with diag >= rad (the condition the
+    fold of an odd ring needs): the fields equal scipy's Dijkstra on the
+    edge-list graph of the same weights, bit for bit."""
+    rng = np.random.default_rng(5 + n_theta + pole)
+    n_ring = 11
+    ring_w = rng.uniform(0.05, 2.0, n_ring)
+    rad_w = rng.uniform(0.05, 2.0, n_ring - 1)
+    diag_w = rad_w + rng.uniform(0.0, 2.0, n_ring - 1)
+    spoke = float(rng.uniform(0.05, 2.0)) if pole else None
+    inf = [math.inf]
+    g = SurfaceGraph(
+        rho_values=np.arange(n_ring + pole, dtype=float), n_theta=n_theta,
+        pole=pole, ring=np.r_[[0.0] * pole, ring_w],
+        rad=np.r_[inf, [spoke] * pole, rad_w],
+        diag=np.r_[inf, inf * pole, diag_w])
+    rows = np.arange(g.n_rho)
+    ids = _strip_ids(g)
+    half = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, True)
+    want = dijkstra(half, indices=ids[:, 0])[:, ids]
+    assert np.array_equal(distance_field(g, rows).dist.transpose(1, 0, 2),
+                          want)
+    full = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, False)
+    assert np.array_equal(surface_distances(g, np.arange(g.n_nodes)),
+                          dijkstra(full, indices=np.arange(g.n_nodes)))
+
+
+def test_distance_field_checks_sources_and_size():
     g = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0), 8, 12)
-    with pytest.raises(DomainError, match="half"):
-        distance_field(g, [0])
+    for rows in ([8], [-1]):
+        with pytest.raises(DomainError, match="source rows"):
+            distance_field(g, rows)
+    with pytest.raises(DomainError, match="source nodes"):
+        surface_distances(g, g.n_nodes)
+    # a graph at the node cap: four sources on its half strip are refused
+    # before the label table is allocated
+    big = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0),
+                              2048, 2048)
+    assert big.n_nodes == MAX_GRAPH_NODES
+    assert 4 * 2048 * 1025 > MAX_FIELD_LABELS
+    with pytest.raises(DomainError, match="MAX_FIELD_LABELS"):
+        distance_field(big, [0, 1, 2, 3])
 
 
 def test_half_graph_build_peak_memory():
-    """The half strip is written straight into its CSR: the build peaks
-    below 2.25x the CSR it returns.  An edge-list build (COO arrays for
-    both directions, then conversion) needs about 3x, and so does building
-    a full graph and slicing out the strip."""
+    """The graph is three weights a row: building it allocates below 16
+    floats a grid row, however fine the angular grid."""
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
-    tracemalloc.start()
-    try:
-        graph = build_surface_graph(metric, 191, 192, half=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    csr = graph.csr
-    assert peak < 2.25 * (csr.data.nbytes + csr.indices.nbytes
-                          + csr.indptr.nbytes)
+    build_surface_graph(metric, 191, 192)       # imports and caches
+    peaks = []
+    for n_theta in (192, 19200):
+        tracemalloc.start()
+        try:
+            build_surface_graph(metric, 191, n_theta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16 * 8 * 191
+    assert abs(peaks[1] - peaks[0]) < 1024
 
 
 def test_flat_cylinder_radial_distance():
@@ -316,12 +438,15 @@ def test_surface_distances_symmetry():
 
 
 def test_surface_distances_disconnected_graph():
-    # hand-built graph with no edges at all
-    g = SurfaceGraph(rho_values=np.linspace(0.0, 1.0, 2), n_theta=8,
-                     pole=False, ring_f=np.ones(2),
-                     csr=csr_matrix((16, 16)))
+    # hand-built graph whose rows 0-3 and 4-8 share no edge
+    cut = np.full(9, 0.1)
+    cut[[0, 4]] = math.inf
+    g = SurfaceGraph(rho_values=np.linspace(0.0, 1.0, 9), n_theta=8,
+                     pole=False, ring=np.ones(9), rad=cut, diag=cut.copy())
     with pytest.raises(ConnectivityError):
         surface_distances(g, 0)
+    with pytest.raises(ConnectivityError):
+        distance_field(g, [0, 8])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +456,7 @@ def test_surface_distances_disconnected_graph():
 def test_distance_field_matches_node_distances():
     m = metric_from_warp(SinhWarp(1.0), 1.2)
     g = build_surface_graph(m, 9, 12)
-    fld = distance_field(build_surface_graph(m, 9, 12, half=True), [1, 5])
+    fld = distance_field(g, [1, 5])
     d = surface_distances(g, [g.node_index(1, 0), g.node_index(5, 0)])
     for slot in (0, 1):
         for i in range(1, 9):
@@ -355,22 +480,20 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     sources = g.node_index(rows, 0)
     d = surface_distances(g, sources)
     nodes = g.node_index(np.arange(10)[:, None], np.arange(n_theta)[None, :])
-    half = build_surface_graph(metric, 10, n_theta, half=True)
-    fld = distance_field(half, rows)
-    # the stored table is the full field at the strip nodes, in half-graph
-    # id order (a pole graph's row 0 repeats the pole id, kept once)
-    strip = nodes[:, :n_theta // 2 + 1].ravel()[g.pole * (n_theta // 2):]
-    assert np.array_equal(fld.dist, d[:, strip])
-    # the CSR holds both directions of every edge, so the directed solve
-    # surface_distances runs equals the undirected one
-    assert np.array_equal(d, dijkstra(g.csr, directed=False,
-                                      indices=sources))
+    fld = distance_field(g, rows)
+    # the stored table is the full field at the strip nodes (a pole graph's
+    # row 0 repeats the pole in every column)
+    strip = nodes[:, :n_theta // 2 + 1]
+    assert np.array_equal(fld.dist, d[:, strip].transpose(1, 0, 2))
+    # both equal scipy's undirected Dijkstra on the edge-list reference
+    ref = _coo_reference_csr(metric, 10, n_theta, half=False)
+    assert np.array_equal(d, dijkstra(ref, directed=False, indices=sources))
 
 
 def test_distance_field_interpolation_rule():
     m = metric_from_warp(ConstWarp(1.5), 1.0)
     g = build_surface_graph(m, 8, 12)
-    fld = distance_field(build_surface_graph(m, 8, 12, half=True), [0])
+    fld = distance_field(g, [0])
     d = surface_distances(g, g.node_index(0, 0))
     arc = 1.5 * TWO_PI / 12
     for row, j, t in ((3, 2, 0.25), (7, 5, 0.5), (0, 11, 0.75)):
@@ -383,7 +506,7 @@ def test_distance_field_interpolation_rule():
 
 def test_distance_field_wraps_angles():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16, half=True)
+    g = build_surface_graph(m, 8, 16)
     fld = distance_field(g, [0])
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -398,7 +521,7 @@ def test_distance_field_half_angle_on_ring():
     # along a single flat ring the interpolation reproduces the exact
     # circle distance, including past the antipode
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16, half=True)
+    g = build_surface_graph(m, 8, 16)
     fld = distance_field(g, [0])
     for th in (0.1, 1.0, math.pi - 0.05, math.pi + 0.05, 5.0):
         want = min(th % TWO_PI, TWO_PI - th % TWO_PI)
@@ -482,7 +605,7 @@ def test_product_distance_pythagorean():
 
 def _cylinder_lookup(n_theta=16):
     m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 9, n_theta, half=True)
+    g = build_surface_graph(m, 9, n_theta)
     fld = distance_field(g, [0, 4, 8])
     slot = {0: 0, 4: 1, 8: 2}
 
@@ -542,6 +665,20 @@ def test_torus_quotient_matches_circle_radius():
                                 dp_lookup)
         want = min(dth, TWO_PI - dth) / math.sqrt(2.0)
         assert abs(got - want) <= 1e-12
+
+
+def test_quotient_distance_group_size_cap():
+    """A group whose table of surface distances would pass
+    MAX_CLASS_ENTRIES is refused before its angles are made, for Z_p and
+    for the sampled circle alike."""
+    dp_lookup = _cylinder_lookup()
+    a, b = ((0, 0.0), 0.0), ((8, 1.0), 1.0)
+    for spec in (QuotientSpec(r=1.0, m1=1, m2=1, p=10 ** 12),
+                 QuotientSpec(r=1.0, m1=1, m2=1, p=MAX_CLASS_ENTRIES + 1),
+                 QuotientSpec(r=1.0, m1=1, m2=1, group="s1",
+                              t_steps=10 ** 12)):
+        with pytest.raises(DomainError, match="MAX_CLASS_ENTRIES"):
+            quotient_distance(spec, a, b, dp_lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +746,7 @@ def test_quotient_matrix_triangle_defect_tiny():
     # matrix is an exact metric up to rounding
     m = metric_from_warp(LinearWarp(), 1.0)
     assert m.capped_at_origin
-    g = build_surface_graph(m, 12, 16, half=True)
+    g = build_surface_graph(m, 12, 16)
     rows = [1, 6, 11]
     fld = distance_field(g, rows)
     slot = {r: k for k, r in enumerate(rows)}
@@ -649,13 +786,13 @@ def test_limit_consistency_within_refinement_budget():
     th = TWO_PI / 3
 
     def d_limit(n_rho, ring):
-        g = build_surface_graph(limit, n_rho, ring, half=True)
+        g = build_surface_graph(limit, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
         return float(fld.lookup(0, n_rho - 1, th))
 
     def d_quot(n_rho, ring, spec):
-        g = build_surface_graph(base, n_rho, ring, half=True)
+        g = build_surface_graph(base, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
 
@@ -738,8 +875,7 @@ def _dense_reference(config):
         dens_x, den_y = [], 1
     ring_y = _ring_refinement(g.n_theta, [den_y])
     graph_p = build_surface_graph(base, g.n_rho,
-                                  _ring_refinement(g.n_theta, dens_x),
-                                  half=True)
+                                  _ring_refinement(g.n_theta, dens_x))
     rows = _subgrid_indices(int(graph_p.pole), g.n_rho - 1, smp.n_rho)
     thetas = TWO_PI * ((np.arange(smp.n_theta) * g.n_theta)
                        // smp.n_theta) / g.n_theta
@@ -759,7 +895,7 @@ def _dense_reference(config):
 
     def limit_matrix(n_rho, n_theta, scale):
         fld = distance_field(build_surface_graph(limit, n_rho, n_theta,
-                                                 half=True), scale * rows)
+                                                 ), scale * rows)
         d = fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
                        dphi)
         np.fill_diagonal(d, 0.0)
@@ -839,10 +975,12 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
 
 
 def test_collapse_solve_peak_memory():
-    """A solve holds at most one graph and one field table of the largest
-    size at a time: each graph is dropped once its field is solved, each
-    field keeps the half-strip Dijkstra table as it is, and each refinement
-    field is dropped once its floor term is taken."""
+    """A solve holds at most one field's label table and the check's
+    scratch table of the largest size at a time: each refinement field is
+    dropped once its floor term is taken, and the sweeps and the check
+    allocate nothing else of the table's size.  The bound is the one the
+    CSR solver met: 1.8x the largest half strip's CSR plus its six float64
+    labels a node, with the CSR sized from the stencil counts."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],
                grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
                sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
@@ -854,13 +992,20 @@ def test_collapse_solve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the largest graph is the doubly refined limit strip, 191 x 192
+    # the largest graph is the doubly refined limit surface, 191 x 192 with
+    # a pole; its half strip has 97 columns and no wrap edges
+    n_rho, width = 191, 97
+    nodes = 1 + (n_rho - 1) * width
+    edges = ((n_rho - 1) * (width - 1)              # ring
+             + (n_rho - 2) * (3 * width - 2)        # radial and diagonal
+             + width)                               # spokes
     limit = quotient_transform(metric_from_warp(config.surface,
                                                 config.rho_max),
                                TransformParams.from_slope_pair(1, 1, 1.0))
-    csr = build_surface_graph(limit, 191, 192, half=True).csr
-    largest = (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-               + 6 * csr.shape[0] * 8)
+    assert _coo_reference_csr(limit, 191, 192, half=True).nnz == 2 * edges
+    # 8-byte weights and 4-byte column ids for both directions of every
+    # edge, 4-byte row offsets, six 8-byte labels a node
+    largest = 2 * edges * (8 + 4) + 4 * (nodes + 1) + 6 * nodes * 8
     assert peak < 1.8 * largest
 
 

@@ -4,6 +4,7 @@ norms, the fibration to the 2-sphere, and slope quotients."""
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,11 +300,12 @@ def test_submersion_scan_shape_and_determinism():
 
 def test_package_import_leaves_out_scipy_optimize(tmp_path):
     """The submersion radius is a closed form; no optimizer is imported.
-    The rest of scipy is loaded only by the functions that use it, so
-    neither the import nor a transform, curvature, soliton, quotient or
-    berger (xi) run loads scipy.sparse, or scipy at all; the soliton spline
-    is numpy.  The CLI imports each handler's modules inside the handler,
-    so none of these runs loads gh_collapse either."""
+    No subcommand loads scipy at all: neither the import nor a transform,
+    curvature, soliton, quotient or berger (xi) run loads scipy.sparse, or
+    scipy, and neither does a collapse run on the demo config, whose graph
+    distances come from the numpy sweep solver.  The soliton spline is
+    numpy.  The CLI imports each handler's modules inside the handler, so
+    only the collapse run loads gh_collapse."""
     configs = {
         "transform": '{"family": "sinh", "a": 1.0, "r": 1.0, "kappa": 1.0}',
         "curvature": '{"family": "tanh", "a": 1.0, "rho_max": 4.0}',
@@ -318,6 +320,9 @@ def test_package_import_leaves_out_scipy_optimize(tmp_path):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(text)
         argv += [command, str(cfg), str(tmp_path / f"{command}.csv")]
+    demo = Path(__file__).resolve().parents[1] / "demos" / "configs"
+    argv += ["collapse", str(demo / "collapse.json"),
+             str(tmp_path / "collapse.csv")]
     code = ("import sys, collapse_lab, collapse_lab.cli\n"
             "loaded = lambda: [m in sys.modules for m in "
             "('scipy.optimize', 'scipy.sparse', 'scipy', "
@@ -327,15 +332,19 @@ def test_package_import_leaves_out_scipy_optimize(tmp_path):
             "for i in range(0, len(args), 3):\n"
             "    assert collapse_lab.cli.main([args[i], '--config', "
             "args[i + 1], '--out', args[i + 2], '--quiet']) == 0\n"
-            "    print(*loaded())")
+            "    print(*loaded())\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"] * 24
+    assert out.split() == (["False"] * 24 + ["False"] * 3 + ["True"]
+                           + ["[]"])
     assert (tmp_path / "transform.csv").read_text().startswith("rho,f,")
     assert (tmp_path / "curvature.csv").read_text().startswith("rho,K\n")
     assert (tmp_path / "soliton.csv").read_text().startswith("rho,f,")
     assert (tmp_path / "quotient.csv").read_text().startswith("c0,c1\n")
     assert (tmp_path / "berger.csv").read_text().startswith("target_radius,")
+    assert (tmp_path / "collapse.csv").read_text().startswith("p,distortion,")
 
 
 # ---------------------------------------------------------------------------
