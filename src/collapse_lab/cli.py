@@ -17,10 +17,14 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError
 from .schema import check_keys, read_int, read_number, read_rows, read_str
 
 # Each handler imports the modules it runs, so a call loads only those.
+
+# Largest transform or curvature n and berger num or samples; berger draws
+# its samples one at a time in Python, about 65 us each, twice a call.
+MAX_TABLE_SIZE = 1_000_000
 
 
 def _fmt(x) -> str:
@@ -54,10 +58,18 @@ def _params_of(cfg: dict):
     return TransformParams(r=r, kappa=read_number(cfg, "kappa"))
 
 
+def _table_size(cfg: dict, key: str, default: int) -> int:
+    n = read_int(cfg, key, default)
+    if n > MAX_TABLE_SIZE:
+        raise DomainError(f"'{key}' = {n} exceeds the cap "
+                          f"MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
+    return n
+
+
 def _rho_grid(cfg: dict, default_max: float = 2.0):
     rho_min = read_number(cfg, "rho_min", 0.0)
     rho_max = read_number(cfg, "rho_max", default_max)
-    n = read_int(cfg, "n", 201)
+    n = _table_size(cfg, "n", 201)
     if n < 2:
         raise ConfigError("need n >= 2 grid points")
     if not rho_max > rho_min:
@@ -171,8 +183,8 @@ def _cmd_berger(cfg: dict):
     metric = _berger_metric_of(cfg)
     r_min = read_number(cfg, "radius_min", 0.05)
     r_max = read_number(cfg, "radius_max", 3.0)
-    num = read_int(cfg, "num", 121)
-    samples = read_int(cfg, "samples", 200)
+    num = _table_size(cfg, "num", 121)
+    samples = _table_size(cfg, "samples", 200)
     seed = read_int(cfg, "seed", 0)
     if not (0 < r_min < r_max) or num < 2:
         raise ConfigError("need 0 < radius_min < radius_max and num >= 2")

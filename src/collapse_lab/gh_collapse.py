@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -132,10 +131,10 @@ MAX_GRAPH_NODES = 2 ** 22
 MAX_FIELD_LABELS = 2 ** 23
 
 
-# Largest group-axis table _orbit_min may hold: it looks up the surface
-# distances of every group element at once, p x S x S x D_theta of them in a
-# collapse solve (S sample rho rows, D_theta theta offsets), about 40 bytes
-# an entry at its peak, so the cap bounds that table near 160 MiB.
+# Largest work of one group Z_p: p lookups of S x S x D_theta surface
+# distances in a collapse solve (S sample rho rows, D_theta theta offsets),
+# one group element at a time, so the cap bounds the lookups of a solve
+# rather than a table held in memory.
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
@@ -439,42 +438,28 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Diagonal circle action on (surface) x S^1(r): theta advances by
-    m1 tau, the circle coordinate s by m2 tau.
-
-    group = "zp" restricts tau to the cyclic subgroup of order p;
-    group = "s1" samples the full circle on a T-point grid (default 512).
-    """
+    """Diagonal action of Z_p on (surface) x S^1(r): the group element
+    tau = 2 pi k / p advances theta by m1 tau and the circle coordinate s by
+    m2 tau."""
     r: float
     m1: int
     m2: int
-    group: str = "zp"
     p: int = 2
-    t_steps: int = 512
 
     def __post_init__(self):
         if self.r <= 0:
             raise DomainError("need r > 0")
         if self.m1 < 0 or self.m2 < 1:
             raise DomainError("need m1 >= 0 and m2 >= 1")
-        if self.group not in ("zp", "s1"):
-            raise DomainError("group must be 'zp' or 's1'")
-        if self.group == "zp" and self.p < 1:
+        if self.p < 1:
             raise DomainError("need p >= 1")
-        if self.group == "s1" and self.t_steps < 8:
-            raise DomainError("need t_steps >= 8")
 
     @property
     def kappa(self) -> float:
         return self.m1 / self.m2
 
-    @property
-    def order(self) -> int:
-        """Number of group elements: p, or the t_steps samples of S^1."""
-        return self.p if self.group == "zp" else self.t_steps
-
     def group_angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.order) / self.order
+        return TWO_PI * np.arange(self.p) / self.p
 
 
 def circle_distance(s_a, s_b, r: float):
@@ -489,46 +474,31 @@ def product_distance(d_p, d_s1):
     return np.hypot(d_p, d_s1)[()]
 
 
-def _check_class_table(order: int, entries: int) -> None:
-    if order * entries > MAX_CLASS_ENTRIES:
-        raise DomainError(f"class table of {order * entries} entries for a "
-                          f"group of order {order} exceeds the cap "
+def _check_class_table(p: int, entries: int) -> None:
+    if p * entries > MAX_CLASS_ENTRIES:
+        raise DomainError(f"class table of {p * entries} entries for a "
+                          f"group of order {p} exceeds the cap "
                           f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
                           f"smaller group or sample")
 
 
-def _orbit_min(spec: QuotientSpec, dp_at, ds, entries: int = 1):
-    """min over the group angles tau of the product distance between the
-    surface distance dp_at(m1 tau) and the circle distance of ds + m2 tau.
-
-    ds is the circle offset s_b - s_a (scalar or array).  dp_at receives the
-    surface rotations m1 tau with the group on a new leading axis (length-1
-    axes after it, one per axis of ds) and must return distances that
-    broadcast against ds along that axis, entries of them per group element.
-    A group whose table of spec.order x entries distances exceeds
-    MAX_CLASS_ENTRIES raises DomainError before its angles are made.
-    """
-    _check_class_table(spec.order, entries)
-    tau = spec.group_angles().reshape((-1,) + (1,) * np.ndim(ds))
-    d_s1 = circle_distance(0.0, ds + spec.m2 * tau, spec.r)
-    dp, d_s1 = np.broadcast_arrays(dp_at(spec.m1 * tau), d_s1)
-    # dp_at evaluates every group element at once; the product distance and
-    # the running minimum then go one group element at a time, so dp is the
-    # only table that carries the group axis
-    return reduce(np.minimum, map(product_distance, dp, d_s1))
-
-
 def quotient_distance(spec: QuotientSpec, a, b, dp_lookup) -> float:
-    """Quotient pseudodistance between a = (p_a, s_a) and b = (p_b, s_b).
+    """Quotient pseudodistance between a = (p_a, s_a) and b = (p_b, s_b):
+    the least product distance from a to a group translate of b.
 
     dp_lookup(p_a, p_b, rot) must return the surface distance from p_a to
     b's surface point rotated by the angle rot; it is called once, with
     the array of all rotations.  The group element tau acts by (m1 tau) on
-    the surface angle and (m2 tau) on the circle coordinate.
+    the surface angle and (m2 tau) on the circle coordinate.  A group of
+    more than MAX_CLASS_ENTRIES elements raises DomainError before its
+    angles are made.
     """
     (pa, sa), (pb, sb) = a, b
-    return float(_orbit_min(spec, lambda rot: dp_lookup(pa, pb, rot),
-                            sb - sa))
+    _check_class_table(spec.p, 1)
+    tau = spec.group_angles()
+    return float(np.min(product_distance(
+        dp_lookup(pa, pb, spec.m1 * tau),
+        circle_distance(0.0, sb - sa + spec.m2 * tau, spec.r))))
 
 
 @dataclass
@@ -690,7 +660,7 @@ def _ring_refinement(n_theta: int, denominators) -> int:
     keeps the produced distance tables exactly metric.  Configs whose
     common refinement would exceed the cap fall back to the plain grid plus
     ring interpolation; the triangle property then holds only to the
-    interpolation tolerance.
+    interpolation tolerance, and symmetry only after averaging.
     """
     ring = n_theta
     for d in denominators:
@@ -708,15 +678,19 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     distances across three refinements of that grid (radial, angular, both)
     and is shared by all rows.  Quotient distances are non-increasing along
     chains p | p' by construction (larger groups minimize over more
-    translates).
+    translates); the quotient table is one running minimum: when the
+    previous p divides p it folds in only the new group elements, so a chain
+    visits each element once, and otherwise it restarts from inf.
 
     Distances are computed once per offset class (source slot, target slot,
     theta offset mod n_theta, signed s offset) rather than per point pair,
     through the same SurfaceDistanceField.lookup rule, so a config whose
     ring refinement hits _MAX_RING_NODES keeps its interpolation fallback.
     The symmetrisation 0.5 (d + d^T) pairs each class with
-    (kb, ka, -dtheta, -ds), both tables get the FiniteMetricSpace checks,
-    and the distortion is the largest |d_X - d_Y| over the classes.
+    (kb, ka, -dtheta, -ds); a table gets the FiniteMetricSpace checks
+    before it is averaged if its ring refinement is exact, and none on the
+    fallback, which interpolation leaves asymmetric.  The distortion is the
+    largest |d_X - d_Y| over the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
     params = TransformParams.from_slope_pair(config.m1, config.m2, config.r)
@@ -734,6 +708,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         dens_x, den_y = [], 1
     ring_x = _ring_refinement(g.n_theta, dens_x)
     ring_y = _ring_refinement(g.n_theta, [den_y])
+    exact_x = all(ring_x % d == 0 for d in dens_x)
+    exact_y = ring_y % den_y == 0
     lo = 1 if base.capped_at_origin else 0      # the pole row is one node
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
@@ -776,10 +752,11 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         """Entries of the partner classes (kb, ka, -dtheta, -ds)."""
         return table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
 
-    def symmetrised(table, diagonal):
-        sym = 0.5 * (table + swapped(table))
-        _check_metric(sym, swapped(sym), sym[diagonal])
-        return sym
+    def symmetrised(table, diagonal, exact):
+        twin = swapped(table)
+        if exact:
+            _check_metric(table, twin, table[diagonal])
+        return 0.5 * (table + twin)
 
     # Each limit-side field is dropped as soon as its lookup is taken.
     d_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y),
@@ -800,18 +777,27 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
                 for ref in ((2 * g.n_rho - 1, ring_y, 2),
                             (g.n_rho, 2 * ring_y, 1),
                             (2 * g.n_rho - 1, 2 * ring_y, 2)))
-    sym_y = symmetrised(d_y, diag_y)
+    sym_y = symmetrised(d_y, diag_y, exact_y)
     fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x),
                            rho_rows)
 
     rows = []
+    d_x, prev = math.inf, 0
     for p in config.p_values:
-        spec = QuotientSpec(r=config.r, m1=config.m1, m2=config.m2,
-                            group="zp", p=int(p))
-        d_x = _orbit_min(spec, lambda rot: fld_p.lookup(slot_a, row_b,
-                                                        th_x + rot),
-                         s_x, entries)
-        dist = float(np.max(np.abs(symmetrised(d_x, diag_x) - sym_y)))
+        # elements k with k % seen == 0 are already in d_x
+        seen = p // prev if prev and p % prev == 0 else 0
+        if not seen:
+            d_x = math.inf
+        for k in range(p):
+            if seen and k % seen == 0:
+                continue
+            tau = TWO_PI * k / p
+            d_x = np.minimum(d_x, product_distance(
+                fld_p.lookup(slot_a, row_b, th_x + config.m1 * tau),
+                circle_distance(0.0, s_x + config.m2 * tau, config.r)))
+        prev = p
+        dist = float(np.max(np.abs(symmetrised(d_x, diag_x, exact_x)
+                                   - sym_y)))
         rows.append(CollapseRow(p=p, distortion=dist,
                                 gh_upper_bound=0.5 * dist,
                                 grid_floor_estimate=floor))

@@ -230,8 +230,10 @@ def _pushforward_norms(metric: BergerMetric, count: int,
 
 
 def _max_distortion(radii, norms):
-    """max_i |R a_i - 1| for each radius R (a scalar radius gives a scalar)."""
-    return np.max(np.abs(np.multiply.outer(radii, norms) - 1.0), axis=-1)
+    """max_i |R a_i - 1| for each radius R > 0 (a scalar radius gives a
+    scalar), bit for bit from a_min and a_max: fl(R a) - 1 is monotone."""
+    return np.maximum(np.abs(np.multiply(radii, np.min(norms)) - 1.0),
+                      np.abs(np.multiply(radii, np.max(norms)) - 1.0))
 
 
 def submersion_distortion(metric: BergerMetric, target_radius: float,

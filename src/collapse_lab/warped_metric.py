@@ -536,29 +536,22 @@ def metric_from_warp(warp: WarpCurve, rho_max: float,
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Circle radius r > 0 and slope kappa >= 0, optionally as a rational
-    pair kappa = m1/m2 used by quotient experiments."""
+    """Circle radius r > 0 and slope kappa >= 0."""
     r: float
     kappa: float
-    m1: int | None = None
-    m2: int | None = None
 
     def __post_init__(self):
         if self.r <= 0:
             raise DomainError("need r > 0")
         if self.kappa < 0:
             raise DomainError("need kappa >= 0")
-        if (self.m1 is None) != (self.m2 is None):
-            raise DomainError("give both of m1, m2 or neither")
-        if self.m1 is not None:
-            if self.m1 < 0 or self.m2 <= 0:
-                raise DomainError("need m1 >= 0 and m2 >= 1")
-            if self.kappa != self.m1 / self.m2:
-                raise DomainError("kappa must equal m1/m2 exactly")
 
     @classmethod
     def from_slope_pair(cls, m1: int, m2: int, r: float) -> "TransformParams":
-        return cls(r=r, kappa=m1 / m2, m1=m1, m2=m2)
+        """The slope kappa = m1 / m2 of the circle action (m1, m2)."""
+        if m1 < 0 or m2 < 1:
+            raise DomainError("need m1 >= 0 and m2 >= 1")
+        return cls(r, m1 / m2)
 
 
 # ---------------------------------------------------------------------------

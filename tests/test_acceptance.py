@@ -259,9 +259,9 @@ def test_criterion_12_collapse_convergence():
 
 
 def test_criterion_13_torus_quotient_circle():
-    # flat torus S^1(1) x S^1(1), diagonal circle quotient sampled on a
-    # T = 512 grid, against the exact circle of radius 1/sqrt(2)
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="s1", t_steps=512)
+    # flat torus S^1(1) x S^1(1), diagonal circle quotient approximated by
+    # Z_512, against the exact circle of radius 1/sqrt(2)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=512)
 
     def dp_lookup(pa, pb, rot):
         return circle_distance(pa[1], pb[1] + rot, 1.0)

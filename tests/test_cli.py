@@ -414,6 +414,27 @@ def test_soliton_step_beyond_cap_exits_1(tmp_path, capsys):
     assert "n = 3e+09" in err and "MAX_ODE_STEPS = 1000000" in err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("transform", "n"), ("curvature", "n"), ("berger", "num"),
+    ("berger", "samples")])
+def test_table_size_beyond_cap_exits_1(tmp_path, capsys, command, key):
+    # 1e10 rows or draws would allocate about 75 GiB or loop for days
+    cfg = json.loads((DEMO_DIR / f"{command}.json").read_text())
+    cfg[key] = 10_000_000_000
+    code, out, err = run_cli(tmp_path, capsys, command, cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"'{key}' = 10000000000" in err
+    assert "MAX_TABLE_SIZE = 1000000" in err
+
+
+def test_transform_zero_m2_exits_1(tmp_path, capsys):
+    cfg = {"family": "sinh", "r": 1.0, "m1": 1, "m2": 0}
+    code, out, err = run_cli(tmp_path, capsys, "transform", cfg)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and "need m1 >= 0 and m2 >= 1" in err
+
+
 @pytest.mark.parametrize("command, where", [
     ("transform", None), ("curvature", None), ("soliton", None),
     ("quotient", None), ("berger", None), ("collapse", None),

@@ -576,17 +576,11 @@ def test_quotient_spec_validation():
     with pytest.raises(DomainError):
         QuotientSpec(r=1.0, m1=1, m2=0)
     with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=1, m2=1, group="nope")
-    with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=0)
-    with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=1, m2=1, group="s1", t_steps=4)
-    spec = QuotientSpec(r=2.0, m1=3, m2=2, group="zp", p=4)
+        QuotientSpec(r=1.0, m1=1, m2=1, p=0)
+    spec = QuotientSpec(r=2.0, m1=3, m2=2, p=4)
     assert spec.kappa == pytest.approx(1.5)
     angles = spec.group_angles()
     assert np.allclose(angles, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    s1 = QuotientSpec(r=1.0, m1=1, m2=1, group="s1", t_steps=8)
-    assert s1.group_angles().size == 8
 
 
 def test_circle_distance_wraparound():
@@ -617,7 +611,7 @@ def _cylinder_lookup(n_theta=16):
 
 def test_quotient_distance_trivial_group_is_product():
     dp_lookup = _cylinder_lookup()
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=1)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=1)
     a = ((0, 0.0), 0.0)
     b = ((8, math.pi / 4), 1.0)
     want = product_distance(dp_lookup((0, 0.0), (8, math.pi / 4), 0.0),
@@ -628,7 +622,7 @@ def test_quotient_distance_trivial_group_is_product():
 
 def test_quotient_distance_same_orbit_vanishes():
     dp_lookup = _cylinder_lookup()
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=4)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     a = ((4, 0.0), 0.0)
     # a translated by the group element tau = pi/2
     b = ((4, math.pi / 2), math.pi / 2)
@@ -645,10 +639,10 @@ def test_quotient_distance_monotone_in_group_size():
              float(rng.uniform(0, TWO_PI)))
         for p in (1, 2, 4, 8):
             d_p = quotient_distance(
-                QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=p),
+                QuotientSpec(r=1.0, m1=1, m2=1, p=p),
                 a, b, dp_lookup)
             d_2p = quotient_distance(
-                QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=2 * p),
+                QuotientSpec(r=1.0, m1=1, m2=1, p=2 * p),
                 a, b, dp_lookup)
             assert d_2p <= d_p + 1e-14
 
@@ -656,9 +650,9 @@ def test_quotient_distance_monotone_in_group_size():
 def test_torus_quotient_matches_circle_radius():
     # full-circle quotient of S^1(1) x S^1(1) along the diagonal is a circle
     # of radius 1/sqrt(2); on one flat boundary ring the graph distance is
-    # exact, so grid-aligned pairs must match to rounding
+    # exact, so pairs aligned with Z_512 must match to rounding
     dp_lookup = _cylinder_lookup(n_theta=16)
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="s1", t_steps=512)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=512)
     for k in (8, 32, 100, 256):
         dth = TWO_PI * k / 512
         got = quotient_distance(spec, ((0, 0.0), 0.0), ((0, dth), 0.0),
@@ -668,15 +662,12 @@ def test_torus_quotient_matches_circle_radius():
 
 
 def test_quotient_distance_group_size_cap():
-    """A group whose table of surface distances would pass
-    MAX_CLASS_ENTRIES is refused before its angles are made, for Z_p and
-    for the sampled circle alike."""
+    """A group of more than MAX_CLASS_ENTRIES elements is refused before
+    its angles are made."""
     dp_lookup = _cylinder_lookup()
     a, b = ((0, 0.0), 0.0), ((8, 1.0), 1.0)
     for spec in (QuotientSpec(r=1.0, m1=1, m2=1, p=10 ** 12),
-                 QuotientSpec(r=1.0, m1=1, m2=1, p=MAX_CLASS_ENTRIES + 1),
-                 QuotientSpec(r=1.0, m1=1, m2=1, group="s1",
-                              t_steps=10 ** 12)):
+                 QuotientSpec(r=1.0, m1=1, m2=1, p=MAX_CLASS_ENTRIES + 1)):
         with pytest.raises(DomainError, match="MAX_CLASS_ENTRIES"):
             quotient_distance(spec, a, b, dp_lookup)
 
@@ -686,7 +677,7 @@ def test_quotient_distance_group_size_cap():
 # ---------------------------------------------------------------------------
 
 def test_natural_correspondence_zero_slice_is_identity():
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=4)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     pts = [(0.5, 0.0, 0.0), (0.5, 1.0, 0.0), (1.0, 2.0, 0.0)]
     corr, limit_points = natural_correspondence(pts, spec)
     assert limit_points == [(0.5, 0.0), (0.5, 1.0), (1.0, 2.0)]
@@ -698,7 +689,7 @@ def test_natural_correspondence_collapses_orbits():
     # with kappa = 1 the points (rho, theta, s) and (rho, theta + tau,
     # s + tau) project to the same limit point; exact binary angles keep
     # the dedup keys identical
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=4)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     tau = math.pi / 2
     pts = [(0.5, 0.25, 0.125), (0.5, 0.25 + tau, 0.125 + tau)]
     corr, limit_points = natural_correspondence(pts, spec)
@@ -708,7 +699,7 @@ def test_natural_correspondence_collapses_orbits():
 
 
 def test_natural_correspondence_wraps_to_zero():
-    spec = QuotientSpec(r=1.0, m1=2, m2=1, group="zp", p=2)
+    spec = QuotientSpec(r=1.0, m1=2, m2=1, p=2)
     # theta - kappa s = 2 pi exactly, which must land on 0, not 2 pi
     pts = [(0.5, 0.0, 0.0), (0.5, math.pi, math.pi / 2 * 3)]
     corr, limit_points = natural_correspondence(pts, spec)
@@ -754,7 +745,7 @@ def test_quotient_matrix_triangle_defect_tiny():
     def dp_lookup(pa, pb, rot):
         return fld.lookup(slot[pa[0]], pb[0], (pb[1] + rot) - pa[1])
 
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=4)
+    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     pts = [((row, TWO_PI * j / 4), TWO_PI * k / 2)
            for row in rows for j in range(4) for k in range(2)]
     n = len(pts)
@@ -802,14 +793,15 @@ def test_limit_consistency_within_refinement_budget():
         return quotient_distance(spec, ((src, 0.0), 0.0),
                                  ((n_rho - 1, th), 0.0), dp_lookup)
 
-    spec_s1 = QuotientSpec(r=1.0, m1=1, m2=1, group="s1", t_steps=480)
+    # Z_480 puts a group rotation on every node of the 480 ring
+    spec_fine = QuotientSpec(r=1.0, m1=1, m2=1, p=480)
     refinements = ((31, 480), (16, 960), (31, 960))
 
     dy = d_limit(16, 480)
     budget_y = max(abs(d_limit(nr, nt) - dy) for nr, nt in refinements)
 
-    dq = d_quot(16, 480, spec_s1)
-    budget_x = max(abs(d_quot(nr, nt, spec_s1) - dq) for nr, nt in
+    dq = d_quot(16, 480, spec_fine)
+    budget_x = max(abs(d_quot(nr, nt, spec_fine) - dq) for nr, nt in
                    refinements)
 
     # regression anchor for the deterministic pipeline
@@ -820,9 +812,8 @@ def test_limit_consistency_within_refinement_budget():
     assert 0.0 < budget_x < 0.1
     assert abs(dq - dy) <= budget_x + budget_y
 
-    # a dense cyclic group is indistinguishable from the full circle once
-    # its rotations exhaust the ring nodes
-    spec_zp = QuotientSpec(r=1.0, m1=1, m2=1, group="zp", p=120)
+    # a coarser cyclic group is nearly indistinguishable from it
+    spec_zp = QuotientSpec(r=1.0, m1=1, m2=1, p=120)
     dz = d_quot(16, 480, spec_zp)
     assert abs(dz - dq) <= 1e-3
 
@@ -930,6 +921,8 @@ REFERENCE_CASES = {
     "m1=1": dict(m1=1),
     "m1=2": dict(m1=2),
     "m2=2": dict(m1=1, m2=2),
+    # p = 9 folds in only the six elements that p = 3 did not visit
+    "chain-3-9": dict(p_values=[3, 9]),
     # the common ring refinement of 24, 97 and 101 exceeds _MAX_RING_NODES,
     # so the quotient side falls back to ring interpolation
     "cap-fallback": dict(m1=3, m2=7, p_values=[97, 101],
@@ -954,6 +947,47 @@ def test_collapse_experiment_matches_dense_reference(case):
     for row, (_, dist, floor) in zip(rows, want):
         assert row.distortion == pytest.approx(dist, rel=1e-12, abs=1e-15)
         assert row.grid_floor_estimate == pytest.approx(floor, rel=1e-12)
+
+
+@pytest.mark.parametrize("p_values, x_lookups", [
+    ([2, 4, 8], 8), ([3, 4], 7), ([4, 4], 4), ([8, 4], 12)])
+def test_collapse_chain_visits_each_group_element_once(monkeypatch, p_values,
+                                                       x_lookups):
+    """Along a chain p | p' the quotient table folds in only the new group
+    elements; a p that the previous one does not divide starts over.  The
+    limit side takes one lookup per field, four in all."""
+    calls = []
+    lookup = gh_collapse.SurfaceDistanceField.lookup
+
+    def counted(self, *args):
+        calls.append(None)
+        return lookup(self, *args)
+
+    monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", counted)
+    cfg = dict(SMALL_CONFIG, p_values=p_values,
+               grid={"n_rho": 16, "n_theta": 16, "n_s": 8},
+               sample={"n_rho": 3, "n_theta": 3, "n_s": 2})
+    collapse_experiment(CollapseConfig.from_json(cfg))
+    assert len(calls) == x_lookups + 4
+
+
+def test_collapse_experiment_checks_raw_table_symmetry(monkeypatch):
+    """The metric check sees the tables before they are averaged: a lookup
+    skewed by 1e-6 sin(dtheta) keeps the diagonal at 0 but differs between
+    the angles dtheta and -dtheta of partner classes, an asymmetry that the
+    average would hide."""
+    lookup = gh_collapse.SurfaceDistanceField.lookup
+
+    def skewed(self, src_slot, rho_row, dtheta):
+        return (lookup(self, src_slot, rho_row, dtheta)
+                + 1e-6 * np.sin(dtheta))
+
+    monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", skewed)
+    cfg = dict(SMALL_CONFIG, p_values=[2],
+               grid={"n_rho": 16, "n_theta": 16, "n_s": 8},
+               sample={"n_rho": 3, "n_theta": 3, "n_s": 2})
+    with pytest.raises(DomainError, match="symmetric"):
+        collapse_experiment(CollapseConfig.from_json(cfg))
 
 
 def test_collapse_experiment_memory_below_one_dense_matrix():

@@ -280,6 +280,21 @@ def test_submersion_negative_control():
             >= 0.1
 
 
+def test_max_distortion_matches_full_table():
+    """The extremes a_min and a_max give every radius's distortion bit for
+    bit, as the radii x samples table they replace did."""
+    from collapse_lab.su2_geometry import _max_distortion
+
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        norms = rng.uniform(0.1, 3.0, size=int(rng.integers(1, 300)))
+        radii = rng.uniform(1e-3, 5.0, size=57)
+        table = np.max(np.abs(np.multiply.outer(radii, norms) - 1.0),
+                       axis=-1)
+        np.testing.assert_array_equal(_max_distortion(radii, norms), table)
+        assert _max_distortion(radii[0], norms) == table[0]
+
+
 def test_submersion_scan_shape_and_determinism():
     metric = BergerMetric(0.2, 1.0, 1.0)
     radii = np.linspace(0.1, 1.5, 29)

@@ -490,11 +490,7 @@ def test_transform_params_validation():
     with pytest.raises(DomainError):
         TransformParams(r=1.0, kappa=-0.5)
     with pytest.raises(DomainError):
-        TransformParams(r=1.0, kappa=1.0, m1=1)
-    with pytest.raises(DomainError):
-        TransformParams(r=1.0, kappa=0.5, m1=1, m2=3)
-    with pytest.raises(DomainError):
-        TransformParams(r=1.0, kappa=1.0, m1=-1, m2=-1)
+        TransformParams.from_slope_pair(1, 0, 1.0)
     p = TransformParams.from_slope_pair(3, 2, 1.0)
     assert p.kappa == 1.5
 
