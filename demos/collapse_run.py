@@ -31,7 +31,8 @@ print(f"{'p':>4s}  {'distortion':>12s}  {'GH bound':>12s}")
 for row in rows:
     print(f"{row.p:4d}  {row.distortion:12.6f}  {row.gh_upper_bound:12.6f}")
 print(f"\ngrid floor estimate: {rows[0].grid_floor_estimate:.6f}  "
-      f"(discretization error measured by refining the limit grid)")
+      "(how much the limit distances move when the grid is refined; "
+      "not a bound on the discretization error)")
 print(f"elapsed: {elapsed:.1f} s")
 print("\nthe distortion decays toward the floor: the spaces converge to "
       "the same limit surface")

@@ -60,7 +60,7 @@ _EXPORTS = {
         "BergerMetric", "SlopeAngle", "UnitQuaternion", "berger_norm",
         "bracket_check", "find_submersion_radius", "frame_at", "hopf_map",
         "hopf_pushforward", "quat_mul", "slope_quotient_metric",
-        "submersion_distortion", "submersion_radius_scan",
+        "submersion_distortion", "submersion_fit", "submersion_radius_scan",
     ),
     "warped_metric": (
         "ConstWarp", "LinearWarp", "RotSymMetric", "SinWarp", "SinhWarp",

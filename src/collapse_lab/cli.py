@@ -176,7 +176,7 @@ def _berger_metric_of(cfg: dict):
 
 
 def _cmd_berger(cfg: dict):
-    from .su2_geometry import find_submersion_radius, submersion_radius_scan
+    from .su2_geometry import submersion_fit
 
     check_keys(cfg, ("xi", "A", "B", "C", "radius_min", "radius_max", "num",
                      "samples", "seed"))
@@ -189,9 +189,8 @@ def _cmd_berger(cfg: dict):
     if not (0 < r_min < r_max) or num < 2:
         raise ConfigError("need 0 < radius_min < radius_max and num >= 2")
     radii = np.linspace(r_min, r_max, num)
-    scan = submersion_radius_scan(metric, radii, samples=samples, seed=seed)
-    best_r, best_d = find_submersion_radius(metric, samples=samples,
-                                            seed=seed)
+    scan, best_r, best_d = submersion_fit(metric, radii, samples=samples,
+                                          seed=seed)
     rows = np.column_stack([radii, scan])
     info = [f"berger: A={metric.A:g} B={metric.B:g} C={metric.C:g}",
             f"berger: best radius {best_r:.12g} "

@@ -12,34 +12,33 @@ theta -> theta + 2 pi k / n_theta and the reflection theta -> -theta are
 weight-preserving automorphisms of it.  Every distance field is solved from
 sources at theta = 0, which the reflection fixes, so only the half strip
 theta in [0, pi] (grid columns 0 .. n_theta // 2) is solved, and the field
-is that half-strip table: its lookup folds every angle into the strip.  The
-solver (distance_field) is a label-correcting one in numpy: Gauss-Seidel
-sweeps in the four grid directions, repeated until one relaxation of every
-edge lowers no label, whose fixed point is Dijkstra's output to the last
-bit.  surface_distances serves the full graph from the same fields, by the
-mirror and the rotations.
-
-Distances to points between grid angles are served by adding a virtual
-vertex on the ring edge (min-plus rule d = min(d0 + t*arc, d1 + (1-t)*arc)),
-which keeps every produced distance table an exact metric: it is the
-shortest-path metric of the subdivided graph.  The first-order cost of the
-rule is part of the discretization error that the refinement floor measures.
+is that half-strip table: its lookup takes integer columns of any sign and
+folds them into the strip.  The solver (distance_field) is a
+label-correcting one in numpy: Gauss-Seidel sweeps in the four grid
+directions, repeated until one relaxation of every edge lowers no label,
+whose fixed point is Dijkstra's output to the last bit.  surface_distances
+serves the full graph from the same fields, by the mirror and the
+rotations.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
 and reports, per p, the distortion, the implied upper bound distortion / 2
 on the GH distance between the sampled sets (the quotient sample and its
 image in the limit surface, not the whole spaces), and a grid-floor
-estimate obtained by recomputing the limit-surface distances on refined
-grids.  Both spaces are invariant under
-the rotations of the sample grid, so every distance between two sample
-points depends only on an offset class (source rho slot, target rho slot,
-theta offset, s offset), keyed on integer grid-index offsets: theta offsets
-mod n_theta, s offsets signed, because theta - kappa s is not periodic in s
-for non-integer kappa.  The experiment works on these S x S x D_theta x D_s
-tables and never builds an n_pts x n_pts matrix; FiniteMetricSpace,
-natural_correspondence and distortion are the same computation on explicit
-matrices, for small spaces.
+estimate: the largest change of the sampled limit-surface distances when
+the grid is refined.  The floor is the refinement sensitivity of the graph
+distances, not a bound on their discretization error: the 8-neighbor
+stencil's direction error does not shrink under refinement, and the floor
+does not see it.  Every ring is refined so that each group rotation and
+each slice angle is a node, so every distance is read off a field at a node.
+Both spaces are invariant under the rotations of the sample grid, so every
+distance between two sample points depends only on an offset class (source
+rho slot, target rho slot, theta offset, s offset), keyed on integer
+grid-index offsets: theta offsets mod n_theta, s offsets signed, because
+theta - kappa s is not periodic in s for non-integer kappa.  The experiment
+works on these S x S x D_theta x D_s tables and never builds an
+n_pts x n_pts matrix; FiniteMetricSpace, natural_correspondence and
+distortion are the same computation on explicit matrices, for small spaces.
 """
 
 from __future__ import annotations
@@ -71,11 +70,10 @@ TWO_PI = 2.0 * math.pi
 class SurfaceGraph:
     """8-neighbor grid graph over (rho, theta); theta wraps modulo 2 pi.
 
-    Node (i, j) sits at rho_values[i] and theta = j * delta_theta.  Every
+    Node (i, j) sits at rho_values[i] and theta = 2 pi j / n_theta.  Every
     edge weight depends only on the rows it joins, so the graph is held as
     per-row weight tables; an edge that does not exist weighs inf:
-      ring[i]  the ring edges (i, j) - (i, j + 1), f(rho_i) dtheta, which is
-               also the arc the field lookup interpolates along;
+      ring[i]  the ring edges (i, j) - (i, j + 1), f(rho_i) dtheta;
       rad[i]   the radial edges (i - 1, j) - (i, j), drho (rad[0] = inf);
       diag[i]  the diagonal edges (i - 1, j) - (i, j +- 1) (diag[0] = inf),
                at least rad[i], which the fold of an odd ring relies on.
@@ -102,10 +100,6 @@ class SurfaceGraph:
         if self.pole:
             return 1 + (self.n_rho - 1) * self.n_theta
         return self.n_rho * self.n_theta
-
-    @property
-    def delta_theta(self) -> float:
-        return TWO_PI / self.n_theta
 
     def node_index(self, i_rho, j_theta):
         """Flat node index; every (0, j) maps to the single pole node."""
@@ -299,46 +293,34 @@ def surface_distances(graph: SurfaceGraph, sources) -> np.ndarray:
     source_rows, slot = np.unique(rows, return_inverse=True)
     fld = distance_field(graph, source_rows)
     i = np.arange(graph.n_rho)[:, None]
-    j = (np.arange(n) - cols[:, None, None]) % n
     out = np.empty((sources.size, graph.n_nodes))
-    out[:, graph.node_index(i, np.arange(n))] = fld.dist[
-        i, slot.reshape(-1, 1, 1), np.minimum(j, n - j)]
+    out[:, graph.node_index(i, np.arange(n))] = fld.lookup(
+        slot.reshape(-1, 1, 1), i, np.arange(n) - cols[:, None, None])
     return out
 
 
 @dataclass
 class SurfaceDistanceField:
-    """Distances from sources at (rho_row, theta = 0), exposed at arbitrary
-    ring angles through the subdivided-graph rule.
+    """Distances from sources at (rho_row, theta = 0) to the nodes of a
+    graph of n_theta columns.
 
     Rotational symmetry of the graph turns one field per source rho row into
-    distances between any pair of angular positions.  The field is its
-    half-strip table: dist[i, k, j] is the distance from source k to node
-    (i, j) for the columns j = 0 .. n_theta // 2 (a pole row holds the pole
-    in every column); lookup folds every angle into the strip by the
-    reflection symmetry.
+    distances between any pair of nodes.  The field is its half-strip
+    table: dist[i, k, j] is the distance from source k to node (i, j) for
+    the columns j = 0 .. n_theta // 2 (a pole row holds the pole in every
+    column); lookup folds every column into the strip by the reflection
+    symmetry.
     """
     n_theta: int
-    source_rows: np.ndarray         # (S,)
     dist: np.ndarray                # (n_rho, S, n_theta // 2 + 1)
-    ring_arc: np.ndarray            # (n_rho,) angular edge weight per row
 
-    @property
-    def delta_theta(self) -> float:
-        return TWO_PI / self.n_theta
-
-    def lookup(self, src_slot, rho_row, dtheta):
-        """Distance from source src_slot to the point on ring rho_row at
-        angle offset dtheta from the source's angular position."""
+    def lookup(self, src_slot, rho_row, column):
+        """Distance from source src_slot to node (rho_row, column), the
+        integer column of any sign counted from the source's and taken mod
+        n_theta."""
         n = self.n_theta
-        x = (np.asarray(dtheta, dtype=float) / self.delta_theta) % n
-        j0 = np.floor(x).astype(int) % n
-        t = x - np.floor(x)
-        j1 = (j0 + 1) % n
-        arc = self.ring_arc[rho_row]
-        d0 = self.dist[rho_row, src_slot, np.minimum(j0, n - j0)]
-        d1 = self.dist[rho_row, src_slot, np.minimum(j1, n - j1)]
-        return np.minimum(d0 + t * arc, d1 + (1.0 - t) * arc)[()]
+        j = np.asarray(column) % n
+        return self.dist[rho_row, src_slot, np.minimum(j, n - j)][()]
 
 
 def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
@@ -383,8 +365,7 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     dist = d[:, :, 1:-1]
     if dist.max() == math.inf:
         raise ConnectivityError("surface graph is disconnected")
-    return SurfaceDistanceField(n_theta=graph.n_theta, source_rows=rho_rows,
-                                dist=dist, ring_arc=graph.ring)
+    return SurfaceDistanceField(n_theta=graph.n_theta, dist=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -648,157 +629,132 @@ def _subgrid_indices(lo: int, hi: int, count: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(lo, hi, count)).astype(int))
 
 
-_MAX_RING_NODES = 16384
-
-
-def _ring_refinement(n_theta: int, denominators) -> int:
-    """Smallest angular grid containing the n_theta grid and every angle
-    2 pi k / d for the given denominators, capped at _MAX_RING_NODES.
-
-    Aligning all group rotations and slice angles with ring nodes makes the
-    rotations exact isometries of the graph length space, which is what
-    keeps the produced distance tables exactly metric.  Configs whose
-    common refinement would exceed the cap fall back to the plain grid plus
-    ring interpolation; the triangle property then holds only to the
-    interpolation tolerance, and symmetry only after averaging.
-    """
-    ring = n_theta
-    for d in denominators:
-        ring = ring * d // math.gcd(ring, d)
-    if ring > _MAX_RING_NODES:
-        return n_theta
-    return ring
-
-
 def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     """Distortion of the natural correspondence for each p in the config.
 
-    The surface and its transform are discretized on the same grid; the
-    grid-floor estimate is the largest change of the sampled limit-surface
-    distances across three refinements of that grid (radial, angular, both)
-    and is shared by all rows.  Quotient distances are non-increasing along
-    chains p | p' by construction (larger groups minimize over more
-    translates); the quotient table is one running minimum: when the
-    previous p divides p it folds in only the new group elements, so a chain
-    visits each element once, and otherwise it restarts from inf.
+    The surface and its transform are discretized on the same grid, with
+    the rings refined so that every angle looked up is a node: the limit
+    side's ring_y = lcm(n_theta, m2 n_s / gcd(m1, m2 n_s)) holds every slice
+    angle theta - kappa s, and each divisibility chain (a maximal run of p
+    values each dividing the next) gets one quotient-side field, whose ring
+    lcm(n_theta, p / gcd(m1, p)) at the chain's last p holds every group
+    rotation of the chain.  So every lookup is an integer-column gather, a
+    row depends only on its own chain, and a ring too large for
+    MAX_GRAPH_NODES or MAX_FIELD_LABELS raises DomainError before any build.
+
+    The grid-floor estimate is the largest change of the sampled
+    limit-surface distances across three refinements of the limit grid
+    (radial, angular, both), shared by all rows: the refinement sensitivity
+    of the graph distances, not a bound on their discretization error.
+    Quotient distances are non-increasing along a chain by construction
+    (larger groups minimize over more translates); the quotient table is
+    one running minimum per chain that folds in only the group elements the
+    previous p did not visit, so a chain visits each element once.
 
     Distances are computed once per offset class (source slot, target slot,
-    theta offset mod n_theta, signed s offset) rather than per point pair,
-    through the same SurfaceDistanceField.lookup rule, so a config whose
-    ring refinement hits _MAX_RING_NODES keeps its interpolation fallback.
+    theta offset mod n_theta, signed s offset) rather than per point pair.
     The symmetrisation 0.5 (d + d^T) pairs each class with
-    (kb, ka, -dtheta, -ds); a table gets the FiniteMetricSpace checks
-    before it is averaged if its ring refinement is exact, and none on the
-    fallback, which interpolation leaves asymmetric.  The distortion is the
-    largest |d_X - d_Y| over the classes.
+    (kb, ka, -dtheta, -ds); every table gets the FiniteMetricSpace checks
+    before it is averaged.  The distortion is the largest |d_X - d_Y| over
+    the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
     params = TransformParams.from_slope_pair(config.m1, config.m2, config.r)
     limit = quotient_transform(base, params)
 
     g, smp = config.grid, config.sample
-    # Angular grids are refined to make every group rotation (X side) and
-    # every slice angle theta - kappa s (Y side) a node angle; see
-    # _ring_refinement.
-    if config.m1 > 0:
-        dens_x = [p // math.gcd(config.m1, p) for p in config.p_values]
-        den_y = config.m2 * g.n_s
-        den_y //= math.gcd(config.m1, den_y)
-    else:
-        dens_x, den_y = [], 1
-    ring_x = _ring_refinement(g.n_theta, dens_x)
-    ring_y = _ring_refinement(g.n_theta, [den_y])
-    exact_x = all(ring_x % d == 0 for d in dens_x)
-    exact_y = ring_y % den_y == 0
+    m1, m2 = config.m1, config.m2
     lo = 1 if base.capped_at_origin else 0      # the pole row is one node
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
     th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
     s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
-    # the largest graph is the doubly refined limit surface, or the
-    # quotient side's if ring_x is finer; it and its largest field are
-    # refused here, and the largest p's class table below, before any build
-    _check_graph_size(max((2 * g.n_rho - 1) * 2 * ring_y, g.n_rho * ring_x))
-    _check_field_size(rho_rows.size * max((2 * g.n_rho - 1) * (ring_y + 1),
-                                          g.n_rho * (ring_x // 2 + 1)))
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
     # n_theta; s offsets stay signed, since theta - kappa s is not periodic
-    # in s for non-integer kappa.  Surface angles are exact integers in
-    # units of 2 pi / den until the lookup, so the diagonal classes sit at
-    # angle 0.0 and come out exactly 0.
+    # in s for non-integer kappa.
     dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
     ds = np.unique(s_idx[None, :] - s_idx[:, None])
     entries = rho_rows.size ** 2 * dth.size     # per group element
     _check_class_table(max(config.p_values), entries)
+
+    chains = [[]]
+    for p in config.p_values:
+        if chains[-1] and p % chains[-1][-1]:
+            chains.append([])
+        chains[-1].append(p)
+    # gcd(0, n) = n, so m1 = 0 keeps the plain grid on both sides
+    ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
+    rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
+               for c in chains]
+    # the largest graph is the doubly refined limit surface, or a quotient
+    # side's if a chain's ring is finer; it and its largest field are
+    # refused here, before any build
+    finest_x = max(rings_x)
+    _check_graph_size(max((2 * g.n_rho - 1) * 2 * ring_y, g.n_rho * finest_x))
+    _check_field_size(rho_rows.size * max((2 * g.n_rho - 1) * (ring_y + 1),
+                                          g.n_rho * (finest_x // 2 + 1)))
+
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
     slots = np.arange(rho_rows.size)
     slot_a = slots[:, None, None, None]
     row_b = rho_rows[None, :, None, None]
     same_slot = slot_a == slots[None, :, None, None]
-    den = g.n_theta * config.m2 * g.n_s
-    th_units = dth[:, None] * (config.m2 * g.n_s)
     # the correspondence (rho, theta, s) -> (rho, theta - kappa s) puts a
-    # class at the limit angle offset dtheta - kappa ds
-    phi_units = (th_units - config.m1 * g.n_theta * ds) % den
-    th_x = TWO_PI * th_units / den
-    phi_y = TWO_PI * phi_units / den
+    # class at the limit column dtheta - kappa ds of ring_y; rotations are
+    # reduced in Python integers, which do not overflow
+    step_y = m1 * ring_y // (m2 * g.n_s) % ring_y
+    col_y = (dth[:, None] * (ring_y // g.n_theta) - step_y * ds) % ring_y
     s_x = (TWO_PI * ds / g.n_s).reshape(1, 1, 1, -1)
     diag_x = same_slot & (dth == 0)[:, None] & (ds == 0)
-    diag_y = same_slot & (phi_units == 0)
+    diag_y = same_slot & (col_y == 0)
 
-    def swapped(table):
-        """Entries of the partner classes (kb, ka, -dtheta, -ds)."""
-        return table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
-
-    def symmetrised(table, diagonal, exact):
-        twin = swapped(table)
-        if exact:
-            _check_metric(table, twin, table[diagonal])
+    def symmetrised(table, diagonal):
+        """Checks the raw table against its partner classes
+        (kb, ka, -dtheta, -ds), then averages the two."""
+        twin = table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
+        _check_metric(table, twin, table[diagonal])
         return 0.5 * (table + twin)
 
-    # Each limit-side field is dropped as soon as its lookup is taken.
-    d_y = distance_field(build_surface_graph(limit, g.n_rho, ring_y),
-                         rho_rows).lookup(slot_a, row_b, phi_y)
+    def limit_distances(n_rho, ring, rscale):
+        """The class table of the limit surface on an n_rho x ring grid
+        whose rows refine the base grid's by rscale; the field is dropped
+        as soon as its lookup is taken."""
+        fld = distance_field(build_surface_graph(limit, n_rho, ring),
+                             rscale * rho_rows)
+        return fld.lookup(slot_a, rscale * row_b, col_y * (ring // ring_y))
 
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
-    # metrication error; the proportional refinement cancels it and sees
-    # only the O(h) part.  The floor is the largest observed change.
-    def refined_change(n_r2, n_t2, rscale):
-        fld = distance_field(build_surface_graph(limit, n_r2, n_t2),
-                             rscale * rho_rows)
-        d_ref = fld.lookup(slot_a, rscale * row_b, phi_y)
-        return float(np.max(np.abs(d_y - d_ref)))
-
-    floor = max(refined_change(*ref)
+    # metrication error; the proportional refinement keeps the ratio.  The
+    # floor is the largest observed change.
+    d_y = limit_distances(g.n_rho, ring_y, 1)
+    floor = max(float(np.max(np.abs(d_y - limit_distances(*ref))))
                 for ref in ((2 * g.n_rho - 1, ring_y, 2),
                             (g.n_rho, 2 * ring_y, 1),
                             (2 * g.n_rho - 1, 2 * ring_y, 2)))
-    sym_y = symmetrised(d_y, diag_y, exact_y)
-    fld_p = distance_field(build_surface_graph(base, g.n_rho, ring_x),
-                           rho_rows)
+    sym_y = symmetrised(d_y, diag_y)
 
     rows = []
-    d_x, prev = math.inf, 0
-    for p in config.p_values:
-        # elements k with k % seen == 0 are already in d_x
-        seen = p // prev if prev and p % prev == 0 else 0
-        if not seen:
-            d_x = math.inf
-        for k in range(p):
-            if seen and k % seen == 0:
-                continue
-            tau = TWO_PI * k / p
-            d_x = np.minimum(d_x, product_distance(
-                fld_p.lookup(slot_a, row_b, th_x + config.m1 * tau),
-                circle_distance(0.0, s_x + config.m2 * tau, config.r)))
-        prev = p
-        dist = float(np.max(np.abs(symmetrised(d_x, diag_x, exact_x)
-                                   - sym_y)))
-        rows.append(CollapseRow(p=p, distortion=dist,
-                                gh_upper_bound=0.5 * dist,
-                                grid_floor_estimate=floor))
+    for chain, ring_x in zip(chains, rings_x):
+        fld_x = distance_field(build_surface_graph(base, g.n_rho, ring_x),
+                               rho_rows)
+        col_x = dth[:, None] * (ring_x // g.n_theta)
+        d_x, prev = math.inf, 0
+        for p in chain:
+            for k in range(p):
+                if prev and k % (p // prev) == 0:
+                    continue            # visited by the previous p
+                d_x = np.minimum(d_x, product_distance(
+                    fld_x.lookup(slot_a, row_b,
+                                 col_x + m1 * k * ring_x // p % ring_x),
+                    circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
+                                    config.r)))
+            prev = p
+            dist = float(np.max(np.abs(symmetrised(d_x, diag_x) - sym_y)))
+            rows.append(CollapseRow(p=p, distortion=dist,
+                                    gh_upper_bound=0.5 * dist,
+                                    grid_floor_estimate=floor))
     return rows

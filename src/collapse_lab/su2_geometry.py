@@ -18,7 +18,8 @@ B = C the map becomes a Riemannian submersion onto a round 2-sphere at
 exactly one target radius, sqrt(B)/2; submersion_distortion measures the
 failure max_i |R a_i - 1| at any candidate radius R, given the pushforward
 norms a_i of sampled horizontal unit vectors, and find_submersion_radius
-returns its exact minimiser R* = 2 / (a_min + a_max).
+returns its exact minimiser R* = 2 / (a_min + a_max); submersion_fit gives
+a radius scan and R* from one draw of the samples.
 """
 
 from __future__ import annotations
@@ -253,25 +254,33 @@ def submersion_distortion(metric: BergerMetric, target_radius: float,
 def submersion_radius_scan(metric: BergerMetric, radii, samples: int = 200,
                            seed: int = 0) -> np.ndarray:
     """submersion_distortion over a radius grid, reusing one sample set."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise DomainError("radii must be positive")
-    norms = _pushforward_norms(metric, samples, seed)
-    return _max_distortion(radii, norms)
+    return submersion_fit(metric, radii, samples, seed)[0]
 
 
 def find_submersion_radius(metric: BergerMetric, samples: int = 200,
                            seed: int = 0):
-    """Best-fit submersion radius and its distortion, in closed form.
+    """Best-fit submersion radius and its distortion, in closed form; see
+    submersion_fit.  Returns (radius, distortion)."""
+    return submersion_fit(metric, (), samples, seed)[1:]
 
-    Returns (radius, distortion).  For the sampled pushforward norms a_i the
-    distortion max_i |R a_i - 1| is convex piecewise linear in R, with the
-    two outer pieces 1 - R a_min and R a_max - 1; they cross at the exact
-    minimiser R* = 2 / (a_min + a_max), which may lie anywhere in (0, inf).
+
+def submersion_fit(metric: BergerMetric, radii, samples: int = 200,
+                   seed: int = 0):
+    """submersion_radius_scan and find_submersion_radius from one sample
+    set: (distortion at each radius, best radius, its distortion).
+
+    For the sampled pushforward norms a_i the distortion max_i |R a_i - 1|
+    is convex piecewise linear in R, with the two outer pieces 1 - R a_min
+    and R a_max - 1; they cross at the exact minimiser
+    R* = 2 / (a_min + a_max), which may lie anywhere in (0, inf).
     """
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0):
+        raise DomainError("radii must be positive")
     norms = _pushforward_norms(metric, samples, seed)
     best = 2.0 / (float(np.min(norms)) + float(np.max(norms)))
-    return best, float(_max_distortion(best, norms))
+    return (_max_distortion(radii, norms), best,
+            float(_max_distortion(best, norms)))
 
 
 @dataclass(frozen=True)

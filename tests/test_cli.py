@@ -128,6 +128,23 @@ def test_berger_scan_round_metric(tmp_path, capsys):
     assert "best radius" in err
 
 
+def test_berger_draws_its_samples_once(capsys, monkeypatch):
+    """The scan and the best radius share one draw of the samples."""
+    from collapse_lab import su2_geometry
+
+    calls = []
+    draw = su2_geometry._pushforward_norms
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(su2_geometry, "_pushforward_norms", counted)
+    path = DEMO_DIR / "berger.json"
+    assert main(["berger", "--config", str(path), "--quiet"]) == 0
+    assert len(calls) == 1
+
+
 def test_berger_best_radius_outside_scanned_range(tmp_path, capsys):
     """The best radius sqrt(B)/2 = 3.5 lies beyond the default scan table."""
     cfg = {"A": 0.2, "B": 49, "C": 49}
@@ -368,6 +385,56 @@ def test_collapse_graph_beyond_cap_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
+
+
+def test_collapse_chain_ring_beyond_cap_exits_1(tmp_path, capsys):
+    # Z_9797 puts its rotations on a ring of lcm(48, 9797) = 470256
+    # columns, 48 rows of which exceed the graph cap; nothing falls back
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg["p_values"] = [9797]
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
+    assert f"{48 * 470256} nodes" in err
+
+
+def test_collapse_fine_chain_rings_check_every_table(tmp_path, capsys,
+                                                      monkeypatch):
+    """Slopes 3 / 7 with the chains 97 and 101 on the demo grid: each chain
+    gets its own exact ring, and the raw limit table and both quotient
+    tables pass the metric check before they are averaged."""
+    from collapse_lab import gh_collapse
+
+    checked = []
+    check = gh_collapse._check_metric
+
+    def spy(d, d_transposed, diagonal):
+        checked.append(d.shape)
+        return check(d, d_transposed, diagonal)
+
+    monkeypatch.setattr(gh_collapse, "_check_metric", spy)
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg.update(m1=3, m2=7, p_values=[97, 101])
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 0
+    header, data = parse_csv(out)
+    assert data[:, 0].tolist() == [97.0, 101.0]
+    assert np.all(np.isfinite(data))
+    assert len(checked) == 3
+
+
+@pytest.mark.parametrize("m1", [3_000_000_000, 10 ** 20])
+def test_collapse_huge_slope_stays_exact(tmp_path, capsys, m1):
+    """Group rotations are reduced in Python integers: a slope far beyond
+    float precision, or beyond int64, still gives exact ring columns."""
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    cfg.update(m1=m1, p_values=[2, 4])
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 0, err
+    header, data = parse_csv(out)
+    assert data[:, 0].tolist() == [2.0, 4.0]
+    assert np.all(np.isfinite(data))
 
 
 def test_collapse_class_table_beyond_cap_exits_1(tmp_path, capsys):

@@ -37,13 +37,20 @@ from collapse_lab.gh_collapse import (
     MAX_CLASS_ENTRIES,
     MAX_FIELD_LABELS,
     MAX_GRAPH_NODES,
-    _MAX_RING_NODES,
-    _ring_refinement,
     _subgrid_indices,
     SurfaceGraph,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _column(angle, n_theta):
+    """Node columns of angles that lie on the nodes of an n_theta ring, to
+    within 1e-9 of a column."""
+    x = np.asarray(angle, dtype=float) * n_theta / TWO_PI
+    j = np.rint(x)
+    assert np.max(np.abs(x - j), initial=0.0) <= 1e-9
+    return j.astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +268,8 @@ def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
 @pytest.mark.parametrize("warp", [ConstWarp(1.0), SinhWarp(1.0)])
 def test_half_graph_node_index_folds(warp):
     """The field's half-strip table serves every column of the full graph
-    through the mirror column min(j, n_theta - j), at any integer j."""
+    through the mirror column min(j, n_theta - j), at any integer j, and
+    lookup is that gather."""
     metric = metric_from_warp(warp, 1.0)
     g = build_surface_graph(metric, 9, 13)
     fld = distance_field(g, [0, 4, 8])
@@ -274,9 +282,8 @@ def test_half_graph_node_index_folds(warp):
     for k in range(3):
         assert np.array_equal(fld.dist[i, k, mirror],
                               full[k, g.node_index(i, j)])
-        # at grid angles the lookup's interpolation weight is 0 to rounding
-        assert np.allclose(fld.lookup(k, i, j * TWO_PI / 13),
-                           full[k, g.node_index(i, j)], rtol=0, atol=1e-12)
+        assert np.array_equal(fld.lookup(k, i, j),
+                              full[k, g.node_index(i, j)])
 
 
 def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
@@ -450,7 +457,7 @@ def test_surface_distances_disconnected_graph():
 
 
 # ---------------------------------------------------------------------------
-# distance fields and ring interpolation
+# distance fields
 # ---------------------------------------------------------------------------
 
 def test_distance_field_matches_node_distances():
@@ -462,9 +469,9 @@ def test_distance_field_matches_node_distances():
         for i in range(1, 9):
             for j in range(12):
                 want = d[slot, g.node_index(i, j)]
-                got = fld.lookup(slot, i, j * TWO_PI / 12)
-                assert abs(got - want) <= 1e-12
-        assert abs(fld.lookup(slot, 0, 1.234) - d[slot, 0]) <= 1e-12
+                assert fld.lookup(slot, i, j) == want
+        # the pole row holds the pole in every column
+        assert fld.lookup(slot, 0, 5) == d[slot, 0]
 
 
 @pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
@@ -488,44 +495,6 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     # both equal scipy's undirected Dijkstra on the edge-list reference
     ref = _coo_reference_csr(metric, 10, n_theta, half=False)
     assert np.array_equal(d, dijkstra(ref, directed=False, indices=sources))
-
-
-def test_distance_field_interpolation_rule():
-    m = metric_from_warp(ConstWarp(1.5), 1.0)
-    g = build_surface_graph(m, 8, 12)
-    fld = distance_field(g, [0])
-    d = surface_distances(g, g.node_index(0, 0))
-    arc = 1.5 * TWO_PI / 12
-    for row, j, t in ((3, 2, 0.25), (7, 5, 0.5), (0, 11, 0.75)):
-        d0 = d[0, g.node_index(row, j)]
-        d1 = d[0, g.node_index(row, j + 1)]
-        want = min(d0 + t * arc, d1 + (1.0 - t) * arc)
-        got = fld.lookup(0, row, (j + t) * TWO_PI / 12)
-        assert abs(got - want) <= 1e-12
-
-
-def test_distance_field_wraps_angles():
-    m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16)
-    fld = distance_field(g, [0])
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        row = int(rng.integers(0, 8))
-        th = float(rng.uniform(0, TWO_PI))
-        base = fld.lookup(0, row, th)
-        assert abs(fld.lookup(0, row, th + TWO_PI) - base) <= 1e-12
-        assert abs(fld.lookup(0, row, th - TWO_PI) - base) <= 1e-12
-
-
-def test_distance_field_half_angle_on_ring():
-    # along a single flat ring the interpolation reproduces the exact
-    # circle distance, including past the antipode
-    m = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(m, 8, 16)
-    fld = distance_field(g, [0])
-    for th in (0.1, 1.0, math.pi - 0.05, math.pi + 0.05, 5.0):
-        want = min(th % TWO_PI, TWO_PI - th % TWO_PI)
-        assert abs(fld.lookup(0, 0, th) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +573,8 @@ def _cylinder_lookup(n_theta=16):
     slot = {0: 0, 4: 1, 8: 2}
 
     def dp_lookup(pa, pb, rot):
-        return fld.lookup(slot[pa[0]], pb[0], (pb[1] + rot) - pa[1])
+        return fld.lookup(slot[pa[0]], pb[0],
+                          _column((pb[1] + rot) - pa[1], n_theta))
 
     return dp_lookup
 
@@ -630,12 +600,13 @@ def test_quotient_distance_same_orbit_vanishes():
 
 
 def test_quotient_distance_monotone_in_group_size():
+    # grid angles of the 16 ring, on which every rotation of Z_16 lands
     dp_lookup = _cylinder_lookup()
     rng = np.random.default_rng(3)
     for _ in range(20):
-        a = ((int(rng.choice([0, 4, 8])), float(rng.uniform(0, TWO_PI))),
+        a = ((int(rng.choice([0, 4, 8])), TWO_PI * rng.integers(16) / 16),
              float(rng.uniform(0, TWO_PI)))
-        b = ((int(rng.choice([0, 4, 8])), float(rng.uniform(0, TWO_PI))),
+        b = ((int(rng.choice([0, 4, 8])), TWO_PI * rng.integers(16) / 16),
              float(rng.uniform(0, TWO_PI)))
         for p in (1, 2, 4, 8):
             d_p = quotient_distance(
@@ -650,8 +621,9 @@ def test_quotient_distance_monotone_in_group_size():
 def test_torus_quotient_matches_circle_radius():
     # full-circle quotient of S^1(1) x S^1(1) along the diagonal is a circle
     # of radius 1/sqrt(2); on one flat boundary ring the graph distance is
-    # exact, so pairs aligned with Z_512 must match to rounding
-    dp_lookup = _cylinder_lookup(n_theta=16)
+    # exact, so pairs on a 512-column ring, aligned with Z_512, must match
+    # to rounding
+    dp_lookup = _cylinder_lookup(n_theta=512)
     spec = QuotientSpec(r=1.0, m1=1, m2=1, p=512)
     for k in (8, 32, 100, 256):
         dth = TWO_PI * k / 512
@@ -743,7 +715,8 @@ def test_quotient_matrix_triangle_defect_tiny():
     slot = {r: k for k, r in enumerate(rows)}
 
     def dp_lookup(pa, pb, rot):
-        return fld.lookup(slot[pa[0]], pb[0], (pb[1] + rot) - pa[1])
+        return fld.lookup(slot[pa[0]], pb[0],
+                          _column((pb[1] + rot) - pa[1], 16))
 
     spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     pts = [((row, TWO_PI * j / 4), TWO_PI * k / 2)
@@ -780,7 +753,7 @@ def test_limit_consistency_within_refinement_budget():
         g = build_surface_graph(limit, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
-        return float(fld.lookup(0, n_rho - 1, th))
+        return float(fld.lookup(0, n_rho - 1, _column(th, ring)))
 
     def d_quot(n_rho, ring, spec):
         g = build_surface_graph(base, n_rho, ring)
@@ -788,7 +761,7 @@ def test_limit_consistency_within_refinement_budget():
         fld = distance_field(g, [src])
 
         def dp_lookup(pa, pb, rot):
-            return fld.lookup(0, pb[0], (pb[1] + rot) - pa[1])
+            return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
 
         return quotient_distance(spec, ((src, 0.0), 0.0),
                                  ((n_rho - 1, th), 0.0), dp_lookup)
@@ -853,31 +826,35 @@ def test_collapse_experiment_frozen_small_case():
 def _dense_reference(config):
     """The dense algorithm as a reference: one n_pts x n_pts quotient
     matrix per group element, natural_correspondence, and distortion over
-    FiniteMetricSpace.  Same discretization as collapse_experiment."""
+    FiniteMetricSpace.  Same discretization as collapse_experiment: the
+    limit surface on the ring that holds every slice angle, and one
+    quotient-side field per divisibility chain, on the ring that holds
+    every group rotation of the chain; the float angles of the points and
+    rotations are snapped to those rings' nodes."""
     base = metric_from_warp(config.surface, config.rho_max)
     limit = quotient_transform(base, TransformParams.from_slope_pair(
         config.m1, config.m2, config.r))
     g, smp = config.grid, config.sample
-    m1, m2 = config.m1, config.m2
-    if m1 > 0:
-        dens_x = [p // math.gcd(m1, p) for p in config.p_values]
-        den_y = m2 * g.n_s // math.gcd(m1, m2 * g.n_s)
-    else:
-        dens_x, den_y = [], 1
-    ring_y = _ring_refinement(g.n_theta, [den_y])
-    graph_p = build_surface_graph(base, g.n_rho,
-                                  _ring_refinement(g.n_theta, dens_x))
-    rows = _subgrid_indices(int(graph_p.pole), g.n_rho - 1, smp.n_rho)
+    m1, m2, p_values = config.m1, config.m2, config.p_values
+    ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
+    # the last p of each p's chain, a maximal run of p values each dividing
+    # the next
+    last = list(p_values)
+    for i in range(len(p_values) - 2, -1, -1):
+        if p_values[i + 1] % p_values[i] == 0:
+            last[i] = last[i + 1]
+    rows = _subgrid_indices(int(base.capped_at_origin), g.n_rho - 1,
+                            smp.n_rho)
     thetas = TWO_PI * ((np.arange(smp.n_theta) * g.n_theta)
                        // smp.n_theta) / g.n_theta
     svals = TWO_PI * ((np.arange(smp.n_s) * g.n_s) // smp.n_s) / g.n_s
-    fld_p = distance_field(graph_p, rows)
 
+    # the rho row index stands in for rho in the point labels
     slot, theta, s = (a.ravel() for a in np.meshgrid(
         np.arange(rows.size), thetas, svals, indexing="ij"))
-    points = [(float(graph_p.rho_values[rows[k]]), float(t), float(v))
+    points = [(float(rows[k]), float(t), float(v))
               for k, t, v in zip(slot, theta, s)]
-    spec0 = QuotientSpec(r=config.r, m1=m1, m2=m2, p=config.p_values[0])
+    spec0 = QuotientSpec(r=config.r, m1=m1, m2=m2, p=p_values[0])
     corr, limit_points = natural_correspondence(points, spec0)
     slot_of_rho = {p_[0]: k for p_, k in zip(points, slot)}
     lim_slot = np.array([slot_of_rho[rho] for rho, _ in limit_points])
@@ -885,12 +862,10 @@ def _dense_reference(config):
     dphi = lim_phi[None, :] - lim_phi[:, None]
 
     def limit_matrix(n_rho, n_theta, scale):
-        fld = distance_field(build_surface_graph(limit, n_rho, n_theta,
-                                                 ), scale * rows)
-        d = fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
-                       dphi)
-        np.fill_diagonal(d, 0.0)
-        return d
+        fld = distance_field(build_surface_graph(limit, n_rho, n_theta),
+                             scale * rows)
+        return fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
+                          _column(dphi, n_theta))
 
     d_y = limit_matrix(g.n_rho, ring_y, 1)
     floor = max(float(np.max(np.abs(d_y - limit_matrix(*ref))))
@@ -901,16 +876,20 @@ def _dense_reference(config):
 
     dth = theta[None, :] - theta[:, None]
     dsv = s[None, :] - s[:, None]
+    fields = {}
     out = []
-    for p in config.p_values:
+    for p, p_last in zip(p_values, last):
+        ring_x = math.lcm(g.n_theta, p_last // math.gcd(m1, p_last))
+        if ring_x not in fields:
+            fields[ring_x] = distance_field(
+                build_surface_graph(base, g.n_rho, ring_x), rows)
         best = np.full(dth.shape, np.inf)
         for q in range(p):
             tau = TWO_PI * q / p
-            dp = fld_p.lookup(slot[:, None], rows[slot][None, :],
-                              dth + m1 * tau)
+            dp = fields[ring_x].lookup(slot[:, None], rows[slot][None, :],
+                                       _column(dth + m1 * tau, ring_x))
             d_s1 = circle_distance(0.0, dsv + m2 * tau, config.r)
             np.minimum(best, np.hypot(dp, d_s1), out=best)
-        np.fill_diagonal(best, 0.0)
         space_x = FiniteMetricSpace(points, 0.5 * (best + best.T))
         out.append((p, distortion(space_x, space_y, corr), floor))
     return out
@@ -923,11 +902,11 @@ REFERENCE_CASES = {
     "m2=2": dict(m1=1, m2=2),
     # p = 9 folds in only the six elements that p = 3 did not visit
     "chain-3-9": dict(p_values=[3, 9]),
-    # the common ring refinement of 24, 97 and 101 exceeds _MAX_RING_NODES,
-    # so the quotient side falls back to ring interpolation
-    "cap-fallback": dict(m1=3, m2=7, p_values=[97, 101],
-                         grid={"n_rho": 24, "n_theta": 24, "n_s": 12},
-                         sample={"n_rho": 5, "n_theta": 5, "n_s": 4}),
+    # two chains, on the rings lcm(24, 97) and lcm(24, 101); the slopes
+    # 3 / 7 put the limit side on lcm(24, 7 * 12 / 3) = 168 columns
+    "chains-97-101": dict(m1=3, m2=7, p_values=[97, 101],
+                          grid={"n_rho": 24, "n_theta": 24, "n_s": 12},
+                          sample={"n_rho": 5, "n_theta": 5, "n_s": 4}),
 }
 
 
@@ -939,8 +918,6 @@ def test_collapse_experiment_matches_dense_reference(case):
                sample={"n_rho": 4, "n_theta": 5, "n_s": 3})
     cfg.update(REFERENCE_CASES[case])
     config = CollapseConfig.from_json(cfg)
-    if case == "cap-fallback":
-        assert _ring_refinement(24, [97, 101]) == 24
     rows = collapse_experiment(config)
     want = _dense_reference(config)
     assert [r.p for r in rows] == [p for p, _, _ in want]
@@ -971,16 +948,30 @@ def test_collapse_chain_visits_each_group_element_once(monkeypatch, p_values,
     assert len(calls) == x_lookups + 4
 
 
+def test_collapse_row_depends_only_on_its_chain():
+    """p = 3 starts a chain of its own, on its own ring, so it leaves the
+    rows of the chain 4 | 8 as they are without it."""
+    cfg = dict(SMALL_CONFIG, rho_max=2.0,
+               grid={"n_rho": 48, "n_theta": 32, "n_s": 32},
+               sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
+    alone = collapse_experiment(CollapseConfig.from_json(
+        dict(cfg, p_values=[4, 8])))
+    after_3 = collapse_experiment(CollapseConfig.from_json(
+        dict(cfg, p_values=[3, 4, 8])))
+    assert [r.p for r in after_3] == [3, 4, 8]
+    assert after_3[1:] == alone
+
+
 def test_collapse_experiment_checks_raw_table_symmetry(monkeypatch):
     """The metric check sees the tables before they are averaged: a lookup
-    skewed by 1e-6 sin(dtheta) keeps the diagonal at 0 but differs between
-    the angles dtheta and -dtheta of partner classes, an asymmetry that the
-    average would hide."""
+    skewed by 1e-6 sin(2 pi j / n_theta) keeps the diagonal at 0 but
+    differs between the columns j and -j of partner classes, an asymmetry
+    that the average would hide."""
     lookup = gh_collapse.SurfaceDistanceField.lookup
 
-    def skewed(self, src_slot, rho_row, dtheta):
-        return (lookup(self, src_slot, rho_row, dtheta)
-                + 1e-6 * np.sin(dtheta))
+    def skewed(self, src_slot, rho_row, column):
+        return (lookup(self, src_slot, rho_row, column)
+                + 1e-6 * np.sin(TWO_PI * column / self.n_theta))
 
     monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", skewed)
     cfg = dict(SMALL_CONFIG, p_values=[2],
@@ -1060,15 +1051,3 @@ def test_collapse_config_validation():
     bad = dict(SMALL_CONFIG, p_values=[])
     with pytest.raises(DomainError):
         CollapseConfig.from_json(bad)
-
-
-def test_ring_refinement_alignment():
-    assert _ring_refinement(16, []) == 16
-    assert _ring_refinement(16, [12]) == 48
-    assert _ring_refinement(16, [2, 3, 5]) == 240
-    # already aligned
-    assert _ring_refinement(480, [120]) == 480
-    # refusing to blow past the cap falls back to the plain grid
-    assert _ring_refinement(16, [16383]) == 16
-    assert _ring_refinement(16, [1000]) == 2000
-    assert _MAX_RING_NODES >= 2000
