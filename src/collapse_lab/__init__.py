@@ -58,9 +58,8 @@ _EXPORTS = {
     ),
     "su2_geometry": (
         "BergerMetric", "SlopeAngle", "UnitQuaternion", "berger_norm",
-        "bracket_check", "find_submersion_radius", "frame_at", "hopf_map",
-        "hopf_pushforward", "quat_mul", "slope_quotient_metric",
-        "submersion_distortion", "submersion_fit", "submersion_radius_scan",
+        "bracket_check", "frame_at", "hopf_map", "hopf_pushforward",
+        "quat_mul", "slope_quotient_metric", "submersion_fit",
     ),
     "warped_metric": (
         "ConstWarp", "LinearWarp", "RotSymMetric", "SinWarp", "SinhWarp",

@@ -23,7 +23,7 @@ from .schema import check_keys, read_int, read_number, read_rows, read_str
 # Each handler imports the modules it runs, so a call loads only those.
 
 # Largest transform or curvature n and berger num or samples; berger draws
-# its samples one at a time in Python, about 65 us each, twice a call.
+# 7 normals a sample, about 56 MB at the cap.
 MAX_TABLE_SIZE = 1_000_000
 
 
@@ -132,20 +132,16 @@ def _cmd_soliton(cfg: dict):
         pot = CallablePotential(lambda x: np.zeros_like(np.asarray(x, float)),
                                 lambda x: np.zeros_like(np.asarray(x, float)),
                                 lambda x: np.zeros_like(np.asarray(x, float)))
-    elif params.B == 1.0:
-        pot = soliton_potential(params)
     else:
-        pot = None
-    phi = np.full_like(f, np.nan)
+        pot = soliton_potential(params)
+    phi = np.asarray(pot.phi(rho), dtype=float)
     res1 = np.full_like(f, np.nan)
     res2 = np.full_like(f, np.nan)
-    if pot is not None:
-        phi = np.asarray(pot.phi(rho), dtype=float)
-        ok = f > DELTA_CAP
-        if np.any(ok):
-            r1, r2 = soliton_residual(warp, pot, rho[ok])
-            res1[ok] = r1
-            res2[ok] = r2
+    ok = f > DELTA_CAP
+    if np.any(ok):
+        r1, r2 = soliton_residual(warp, pot, rho[ok])
+        res1[ok] = r1
+        res2[ok] = r2
     rows = np.column_stack([rho, f, fp, k, phi, res1, res2])
     info = [f"soliton: A={params.A:g} B={params.B:g} "
             f"step={step:g} rows={len(rho)}"]
@@ -188,6 +184,8 @@ def _cmd_berger(cfg: dict):
     seed = read_int(cfg, "seed", 0)
     if not (0 < r_min < r_max) or num < 2:
         raise ConfigError("need 0 < radius_min < radius_max and num >= 2")
+    if seed < 0:
+        raise ConfigError("need seed >= 0")
     radii = np.linspace(r_min, r_max, num)
     scan, best_r, best_d = submersion_fit(metric, radii, samples=samples,
                                           seed=seed)

@@ -9,6 +9,9 @@ forms by sign of A (with a = sqrt(|A|)):
     A < 0:  f = tan(a rho)/a,    potential  phi = 2 log cos(a rho)
     A = 0:  f = rho,             flat; the potential is constant
 
+For other B > 0 the solution is sqrt(B/|A|) tanh(k rho) (tan for A < 0)
+with k = sqrt(|A| B), and the potential is the same with k in place of a.
+
 The pair (f, phi) satisfies the pointwise identities
 
     -f''/f = phi''          (res1)
@@ -190,14 +193,14 @@ def closed_form_warp(params: SolitonParams) -> WarpCurve:
 
 
 def soliton_potential(params: SolitonParams) -> Potential:
-    """Potential paired with the closed-form warp; A = 0 has no
-    nonconstant potential and raises TrivialSolitonError."""
-    if params.B != 1.0:
-        raise DomainError("potentials are tabulated for B = 1")
+    """Potential paired with the exact warp sqrt(B/|A|) tanh(k rho) (tan for
+    A < 0), k = sqrt(|A| B), for every B > 0; A = 0 has no nonconstant
+    potential and raises TrivialSolitonError."""
+    k = math.sqrt(abs(params.A) * params.B)     # params.a when B = 1
     if params.A > 0:
-        return CigarPotential(params.a)
+        return CigarPotential(k)
     if params.A < 0:
-        return ExplodingPotential(params.a)
+        return ExplodingPotential(k)
     raise TrivialSolitonError("A = 0 is the flat plane; potential constant")
 
 

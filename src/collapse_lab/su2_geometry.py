@@ -13,13 +13,15 @@ hence equivariant under left translations).  Note the invariance under the
 F_1 flow forces the product z w here: under (z, w) -> (z e^{it}, w e^{-it})
 the combination conj(z) w picks up e^{-2it} and is not constant on fibers.
 
-The map is quadratic, so hopf_pushforward is its exact differential.  For
-B = C the map becomes a Riemannian submersion onto a round 2-sphere at
-exactly one target radius, sqrt(B)/2; submersion_distortion measures the
-failure max_i |R a_i - 1| at any candidate radius R, given the pushforward
-norms a_i of sampled horizontal unit vectors, and find_submersion_radius
-returns its exact minimiser R* = 2 / (a_min + a_max); submersion_fit gives
-a radius scan and R* from one draw of the samples.
+The map is quadratic, so hopf_pushforward is its exact differential.  It
+kills F_1 and maps F_2 and F_3 to orthogonal vectors of length 2, so a
+horizontal Berger-unit vector (c2 F_2 + c3 F_3) / sqrt(B c2^2 + C c3^2) has
+pushforward norm 2 hypot(c2, c3) / sqrt(B c2^2 + C c3^2) at every base
+point.  For B = C the map becomes a Riemannian submersion onto a round
+2-sphere at exactly one target radius, sqrt(B)/2; submersion_fit measures
+the failure max_i |R a_i - 1| over a radius scan, given the pushforward
+norms a_i of seeded horizontal unit vectors, and returns its exact
+minimiser R* = 2 / (a_min + a_max) from the same draw.
 """
 
 from __future__ import annotations
@@ -196,38 +198,22 @@ def hopf_pushforward(q, v) -> np.ndarray:
                      2.0 * (x1 * v1 + x2 * v2 - x3 * v3 - x4 * v4)])
 
 
-def _horizontal_unit_samples(metric: BergerMetric, count: int, seed: int):
-    """Seeded base points and Berger-unit horizontal tangent vectors.
-
-    Horizontal means metric-orthogonal to F_1; the raw draw is Gram-Schmidt
-    projected against F_1 under the Berger metric and then normalized.
-    """
-    rng = np.random.default_rng(seed)
-    points = []
-    vectors = []
-    for _ in range(count):
-        qv = rng.normal(size=4)
-        qv = qv / np.linalg.norm(qv)
-        fr = frame_at(qv)
-        c = rng.normal(size=3)
-        c[0] = 0.0  # Berger-orthogonality to F_1 is c1 = 0 in this frame
-        while abs(c[1]) + abs(c[2]) < 1e-12:
-            c = rng.normal(size=3)
-            c[0] = 0.0
-        v = c @ fr
-        v = v / berger_norm(metric, qv, v)
-        points.append(qv)
-        vectors.append(v)
-    return points, vectors
-
-
 def _pushforward_norms(metric: BergerMetric, count: int,
                        seed: int) -> np.ndarray:
+    """Pushforward norms |dH(v)| of count seeded horizontal Berger-unit
+    vectors v, in closed form from their frame coefficients (c2, c3).
+
+    Each row of the draw is a base point (4 normals) and then (c1, c2, c3);
+    c1 = 0 is Berger-orthogonality to F_1, and the norm does not depend on
+    the base point.  All seven columns are drawn so that a seed gives the
+    samples it always gave.
+    """
     if count < 1:
         raise DomainError("need at least one sample")
-    points, vectors = _horizontal_unit_samples(metric, count, seed)
-    return np.array([np.linalg.norm(hopf_pushforward(q, v))
-                     for q, v in zip(points, vectors)])
+    draw = np.random.default_rng(seed).normal(size=(count, 7))
+    c2, c3 = draw[:, 5], draw[:, 6]
+    return 2.0 * np.hypot(c2, c3) / np.sqrt(metric.B * c2 ** 2
+                                             + metric.C * c3 ** 2)
 
 
 def _max_distortion(radii, norms):
@@ -237,37 +223,10 @@ def _max_distortion(radii, norms):
                       np.abs(np.multiply(radii, np.max(norms)) - 1.0))
 
 
-def submersion_distortion(metric: BergerMetric, target_radius: float,
-                          samples: int = 200, seed: int = 0) -> float:
-    """Worst violation of the submersion property onto S^2(target_radius).
-
-    For each seeded random horizontal Berger-unit vector v the image under
-    the Hopf differential should again be unit on the target sphere; the
-    return value is max |target_radius * |dH(v)| - 1|.
-    """
-    if target_radius <= 0:
-        raise DomainError("need target_radius > 0")
-    norms = _pushforward_norms(metric, samples, seed)
-    return float(_max_distortion(target_radius, norms))
-
-
-def submersion_radius_scan(metric: BergerMetric, radii, samples: int = 200,
-                           seed: int = 0) -> np.ndarray:
-    """submersion_distortion over a radius grid, reusing one sample set."""
-    return submersion_fit(metric, radii, samples, seed)[0]
-
-
-def find_submersion_radius(metric: BergerMetric, samples: int = 200,
-                           seed: int = 0):
-    """Best-fit submersion radius and its distortion, in closed form; see
-    submersion_fit.  Returns (radius, distortion)."""
-    return submersion_fit(metric, (), samples, seed)[1:]
-
-
 def submersion_fit(metric: BergerMetric, radii, samples: int = 200,
                    seed: int = 0):
-    """submersion_radius_scan and find_submersion_radius from one sample
-    set: (distortion at each radius, best radius, its distortion).
+    """Submersion distortion max_i |R a_i - 1| at each radius R, the best
+    radius and its distortion, from one draw of the samples.
 
     For the sampled pushforward norms a_i the distortion max_i |R a_i - 1|
     is convex piecewise linear in R, with the two outer pieces 1 - R a_min

@@ -24,7 +24,6 @@ from collapse_lab import (
     TanhWarp,
     TransformParams,
     circle_distance,
-    find_submersion_radius,
     gauss_curvature,
     metric_from_warp,
     quotient_circle_radius,
@@ -32,6 +31,7 @@ from collapse_lab import (
     quotient_metric_form,
     scalar_curvature,
     slope_quotient_metric,
+    submersion_fit,
     transform_killing,
     transformed_warp,
 )
@@ -218,13 +218,13 @@ def test_criterion_10_spd_property():
 
 def test_criterion_11_hopf_submersion_radius():
     start = time.perf_counter()
-    r_star, dist = find_submersion_radius(BergerMetric(0.2, 1.0, 1.0),
-                                          samples=200, seed=0)
+    _, r_star, dist = submersion_fit(BergerMetric(0.2, 1.0, 1.0), (),
+                                     samples=200, seed=0)
     elapsed = time.perf_counter() - start
     assert dist <= 1e-4
     assert elapsed < 10.0
-    _, dist_bad = find_submersion_radius(BergerMetric(1.0, 1.0, 2.0),
-                                         samples=200, seed=0)
+    _, _, dist_bad = submersion_fit(BergerMetric(1.0, 1.0, 2.0), (),
+                                    samples=200, seed=0)
     assert dist_bad >= 0.05
     # the doubled-fiber prediction would be 2B = 2; the measured best
     # radius sits at sqrt(B)/2 instead (0.5, 1.0, 1.5 for B = C = 1, 4, 9)

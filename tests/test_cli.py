@@ -90,15 +90,19 @@ def test_soliton_table_and_pole_rows(tmp_path, capsys):
     assert "rows=201" in err
 
 
-def test_soliton_unnormalized_b_blanks_potential(tmp_path, capsys):
-    cfg = {"A": 1.0, "B": 2.0, "rho_max": 1.0, "step": 0.01}
-    code, out, err = run_cli(tmp_path, capsys, "soliton", cfg)
-    assert code == 0
-    _, data = parse_csv(out)
-    # no closed-form potential is defined away from B = 1
-    assert np.all(np.isnan(data[:, 4:]))
-    # but the ODE columns are still live
-    assert np.all(np.isfinite(data[:, :4]))
+def test_soliton_unnormalized_b_matches_its_potential(tmp_path, capsys):
+    """For B != 1 the potential is taken at k = sqrt(|A| B), and the
+    residuals of the RK4 table against it are small off the pole row."""
+    for A, B in ((1.0, 2.0), (-1.0, 0.5)):
+        cfg = {"A": A, "B": B, "rho_max": 1.0, "step": 0.01}
+        code, out, err = run_cli(tmp_path, capsys, "soliton", cfg)
+        assert code == 0
+        _, data = parse_csv(out)
+        assert np.all(np.isfinite(data[:, :5]))
+        # the pole row has f = 0, where the residuals are undefined
+        assert np.all(np.isnan(data[0, 5:]))
+        assert np.all(np.isfinite(data[1:, 5:]))
+        assert np.max(data[1:, 5:]) <= 1e-3
 
 
 def test_quotient_matrix_euclidean(tmp_path, capsys):
@@ -143,6 +147,13 @@ def test_berger_draws_its_samples_once(capsys, monkeypatch):
     path = DEMO_DIR / "berger.json"
     assert main(["berger", "--config", str(path), "--quiet"]) == 0
     assert len(calls) == 1
+
+
+def test_berger_negative_seed_exits_2(tmp_path, capsys):
+    cfg = {"A": 0.2, "B": 1, "C": 1, "num": 5, "samples": 10, "seed": -1}
+    code, out, err = run_cli(tmp_path, capsys, "berger", cfg)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "need seed >= 0" in err
 
 
 def test_berger_best_radius_outside_scanned_range(tmp_path, capsys):

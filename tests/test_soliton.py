@@ -75,8 +75,12 @@ def test_potential_selection():
                       ExplodingPotential)
     with pytest.raises(TrivialSolitonError):
         soliton_potential(SolitonParams(A=0.0))
-    with pytest.raises(DomainError):
-        soliton_potential(SolitonParams(A=1.0, B=0.5))
+    # B != 1: the same families at k = sqrt(|A| B); B = 1 gives a exactly
+    assert soliton_potential(SolitonParams(A=1.0, B=0.5)) \
+        == CigarPotential(math.sqrt(0.5))
+    assert soliton_potential(SolitonParams(A=-2.0, B=3.0)) \
+        == ExplodingPotential(math.sqrt(6.0))
+    assert soliton_potential(SolitonParams(A=0.3)).a == SolitonParams(A=0.3).a
 
 
 def test_potential_values_at_origin():

@@ -18,14 +18,12 @@ from collapse_lab import (
     UnitQuaternion,
     berger_norm,
     bracket_check,
-    find_submersion_radius,
     frame_at,
     hopf_map,
     hopf_pushforward,
     quat_mul,
     slope_quotient_metric,
-    submersion_distortion,
-    submersion_radius_scan,
+    submersion_fit,
     transform_killing,
 )
 
@@ -254,13 +252,13 @@ def test_submersion_radius_found_for_equal_bc():
     """B = C admits a submersion; the best radius is 1/2 and independent
     of the collapsing weight A."""
     for metric in (BergerMetric(0.2, 1.0, 1.0), BergerMetric(1.0, 1.0, 1.0)):
-        radius, dist = find_submersion_radius(metric, samples=200, seed=0)
+        _, radius, dist = submersion_fit(metric, (), samples=200, seed=0)
         assert radius == pytest.approx(0.5, abs=1e-6)
         assert dist <= 1e-5
     # the best radius is sqrt(B)/2, wherever that lies
     for b, expected in ((1.0, 0.5), (4.0, 1.0), (9.0, 1.5), (49.0, 3.5)):
-        radius, dist = find_submersion_radius(BergerMetric(0.2, b, b),
-                                              samples=200, seed=0)
+        _, radius, dist = submersion_fit(BergerMetric(0.2, b, b), (),
+                                         samples=200, seed=0)
         assert radius == pytest.approx(expected, abs=1e-12)
         assert dist <= 1e-12
 
@@ -268,15 +266,15 @@ def test_submersion_radius_found_for_equal_bc():
 def test_submersion_negative_control():
     """B != C is never a submersion onto a round sphere."""
     metric = BergerMetric(1.0, 1.0, 2.0)
-    r_star, best = find_submersion_radius(metric, samples=200, seed=0)
+    _, r_star, best = submersion_fit(metric, (), samples=200, seed=0)
     assert best >= 0.05
     # the closed form is the minimiser: moving off it never helps
-    assert submersion_distortion(metric, r_star, samples=200, seed=0) == best
+    assert submersion_fit(metric, r_star, samples=200, seed=0)[0] == best
     for factor in (1.0 - 1e-6, 1.0 + 1e-6):
-        assert submersion_distortion(metric, r_star * factor, samples=200,
-                                     seed=0) >= best
+        assert submersion_fit(metric, r_star * factor, samples=200,
+                              seed=0)[0] >= best
     for radius in (0.25, 0.5, 1.0, 2.0):
-        assert submersion_distortion(metric, radius, samples=200, seed=0) \
+        assert submersion_fit(metric, radius, samples=200, seed=0)[0] \
             >= 0.1
 
 
@@ -298,19 +296,60 @@ def test_max_distortion_matches_full_table():
 def test_submersion_scan_shape_and_determinism():
     metric = BergerMetric(0.2, 1.0, 1.0)
     radii = np.linspace(0.1, 1.5, 29)
-    scan1 = submersion_radius_scan(metric, radii, samples=50, seed=3)
-    scan2 = submersion_radius_scan(metric, radii, samples=50, seed=3)
+    scan1 = submersion_fit(metric, radii, samples=50, seed=3)[0]
+    scan2 = submersion_fit(metric, radii, samples=50, seed=3)[0]
     np.testing.assert_array_equal(scan1, scan2)
     k = int(np.argmin(scan1))
     assert 0 < k < len(radii) - 1          # interior minimum
     assert np.all(np.diff(scan1[:k + 1]) <= 0)
     assert np.all(np.diff(scan1[k:]) >= 0)
     with pytest.raises(DomainError):
-        submersion_radius_scan(metric, [0.5, -1.0])
+        submersion_fit(metric, [0.5, -1.0])
     with pytest.raises(DomainError):
-        submersion_distortion(metric, 0.0)
+        submersion_fit(metric, 0.0)
     with pytest.raises(DomainError):
-        find_submersion_radius(metric, samples=0)
+        submersion_fit(metric, (), samples=0)
+
+
+BERGER_WEIGHTS = [(0.2, 1.0, 2.0), (0.5, 3.0, 0.7), (1.0, 1.0, 1.0),
+                  (2.0, 49.0, 49.0)]
+
+
+def _reference_norms(metric, count, seed):
+    """|dH(v)| sample by sample: each row of the (count, 7) draw is a base
+    point and the frame coefficients of v, with c1 = 0 for horizontality;
+    v is Berger-normalised and pushed forward by the exact differential."""
+    norms = []
+    for row in np.random.default_rng(seed).normal(size=(count, 7)):
+        q = row[:4] / np.linalg.norm(row[:4])
+        v = np.array([0.0, row[5], row[6]]) @ frame_at(q)
+        v = v / berger_norm(metric, q, v)
+        norms.append(np.linalg.norm(hopf_pushforward(q, v)))
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("abc", BERGER_WEIGHTS)
+def test_pushforward_norms_match_per_sample_reference(abc):
+    from collapse_lab.su2_geometry import _pushforward_norms
+
+    metric = BergerMetric(*abc)
+    for count, seed in ((1, 0), (200, 0), (500, 7)):
+        np.testing.assert_allclose(_pushforward_norms(metric, count, seed),
+                                   _reference_norms(metric, count, seed),
+                                   rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("abc", BERGER_WEIGHTS)
+def test_pushforward_norms_lie_in_closed_form_band(abc):
+    """Every a_i lies in [2 / sqrt(max(B, C)), 2 / sqrt(min(B, C))]."""
+    from collapse_lab.su2_geometry import _pushforward_norms
+
+    metric = BergerMetric(*abc)
+    lo = 2.0 / math.sqrt(max(metric.B, metric.C))
+    hi = 2.0 / math.sqrt(min(metric.B, metric.C))
+    norms = _pushforward_norms(metric, 20_000, 0)
+    assert np.all(norms >= lo * (1.0 - 1e-15))
+    assert np.all(norms <= hi * (1.0 + 1e-15))
 
 
 def test_package_import_leaves_out_scipy_optimize(tmp_path):
