@@ -66,6 +66,16 @@ def _table_size(cfg: dict, key: str, default: int) -> int:
     return n
 
 
+def _finite_table(header, rows, hint: str) -> str:
+    """The CSV of rows, refused with DomainError if any cell is inf or
+    nan."""
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"{header[j]} = {rows[i, j]} in row {i}; {hint}")
+    return _csv(header, rows)
+
+
 def _rho_grid(cfg: dict, default_max: float = 2.0):
     rho_min = read_number(cfg, "rho_min", 0.0)
     rho_max = read_number(cfg, "rho_max", default_max)
@@ -95,10 +105,13 @@ def _cmd_transform(cfg: dict):
     metric_from_warp(warp, float(rho[-1]), float(rho[0]))  # domain check
     sign = 1 if direction == "forward" else -1
     out = transformed_warp(warp, params.r, params.kappa, sign)
-    rows = np.column_stack([rho, warp.f(rho), out.f(rho)])
+    # an overflow is refused with the table, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.column_stack([rho, warp.f(rho), out.f(rho)])
     info = [f"transform: {warp.kind} -> {out.kind} "
             f"(r={params.r:g}, kappa={params.kappa:g}, {direction})"]
-    return _csv(["rho", "f", "f_transformed"], rows), info
+    return _finite_table(["rho", "f", "f_transformed"], rows,
+                         "the warp overflows; lower rho_max"), info
 
 
 def _cmd_curvature(cfg: dict):
@@ -187,13 +200,15 @@ def _cmd_berger(cfg: dict):
     if seed < 0:
         raise ConfigError("need seed >= 0")
     radii = np.linspace(r_min, r_max, num)
-    scan, best_r, best_d = submersion_fit(metric, radii, samples=samples,
-                                          seed=seed)
+    with np.errstate(over="ignore"):
+        scan, best_r, best_d = submersion_fit(metric, radii, samples=samples,
+                                              seed=seed)
     rows = np.column_stack([radii, scan])
     info = [f"berger: A={metric.A:g} B={metric.B:g} C={metric.C:g}",
             f"berger: best radius {best_r:.12g} "
             f"with distortion {best_d:.3e}"]
-    return _csv(["target_radius", "max_distortion"], rows), info
+    return _finite_table(["target_radius", "max_distortion"], rows,
+                         "the distortion overflows; lower radius_max"), info
 
 
 def _cmd_collapse(cfg: dict):

@@ -4,7 +4,10 @@ The surface piece is discretized as an 8-neighbor grid graph in (rho, theta)
 with edge weights sqrt(drho^2 + f(rho_mid)^2 dtheta^2); exact shortest paths
 on that graph stand in for geodesic distance.  Product distances split as
 sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
-analytic), and the Z_p quotient distance minimizes over group translates.
+analytic), and the Z_p quotient distance minimizes over group translates:
+collapse_experiment minimizes the squared sum d_P^2 + d_S1^2 and takes one
+square root at the end, since the square root is monotone, while
+quotient_distance minimizes np.hypot directly as the dense reference.
 
 Every weight of the graph depends only on the rho rows an edge joins, so the
 graph is a few per-row weight tables (build_surface_graph), and rotations
@@ -153,10 +156,10 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
 
     Edge weights are sqrt(drho^2 + f(rho_mid)^2 dtheta^2) with f evaluated
     at segment midpoints for radial/diagonal edges and at the node row for
-    ring edges.  All weights must be positive, so f may vanish only at a
-    capped origin (where the row degenerates to the pole node); truncate
-    before any other zero of f.  A graph above MAX_GRAPH_NODES nodes raises
-    DomainError.
+    ring edges.  All weights must be positive and finite, so f may vanish
+    only at a capped origin (where the row degenerates to the pole node);
+    truncate before any other zero of f, and before f overflows.  A graph
+    above MAX_GRAPH_NODES nodes raises DomainError.
     """
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
@@ -164,13 +167,17 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     _check_graph_size(int(pole) + (n_rho - int(pole)) * n_theta)
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     w = metric.warp
-    f_nodes = np.asarray(w.f(rho), dtype=float)
+    # an overflowing f is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_nodes = np.asarray(w.f(rho), dtype=float)
+        mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
     dtheta = TWO_PI / n_theta
     drho = np.diff(rho)
-    mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
-    if np.any(f_nodes[int(pole):] <= 0) or np.any(mid_f <= 0):
-        raise DomainError("warp must be positive away from the capped pole; "
-                          "truncate the interval before f vanishes")
+    for f in (f_nodes[int(pole):], mid_f):
+        if not np.all((f > 0) & (f < math.inf)):
+            raise DomainError("warp must be positive and finite away from "
+                              "the capped pole; truncate the interval "
+                              "before f vanishes or overflows")
     ring = f_nodes * dtheta
     rad = np.concatenate([[math.inf], drho])
     # math.hypot is correctly rounded where np.hypot can be off by one ulp
@@ -184,47 +191,54 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
 
 
 def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
-    """One Gauss-Seidel pass in each direction over the padded labels d:
-    rho descending, theta ascending, rho ascending, theta descending.
+    """One Gauss-Seidel pass in each direction over the padded labels d,
+    (n_rho, columns, sources): rho descending, theta ascending, rho
+    ascending, theta descending.
 
     A rho pass relaxes each row from the row before it in the pass (the
-    radial and both diagonal in-edges), vectorised over sources x columns;
+    radial and both diagonal in-edges), vectorised over columns x sources;
     a theta pass relaxes each column from the column before it (the ring
-    and both diagonal in-edges), vectorised over rows x sources.  So
-    either pass follows any mix of its straight steps with diagonal ones:
-    on a flat stretch many such mixes have the same length, rounding
-    decides which is shortest, and a pass that left the diagonals out
-    would take several more sweeps to find it.  A node's two diagonal
-    in-edges from one row share their weight, so they are relaxed at once
-    as fl(min(a, b) + w), which equals min(fl(a + w), fl(b + w)) because
-    rounding is monotone.
+    and both diagonal in-edges), vectorised over rows x sources.  The
+    sources are the last axis, so a row is one contiguous block and a
+    column is one contiguous run of sources per row.  Either pass follows
+    any mix of its straight steps with diagonal ones: on a flat stretch
+    many such mixes have the same length, rounding decides which is
+    shortest, and a pass that left the diagonals out would take several
+    more sweeps to find it.  A node's two diagonal in-edges from one row
+    share their weight, so they are relaxed at once as fl(min(a, b) + w),
+    which equals min(fl(a + w), fl(b + w)) because rounding is monotone.
+
+    The last pass relaxes column j from column j + 1 only after column
+    j + 1 is final, so on return every in-edge from the right neighbour
+    column (ring and both diagonals) satisfies d[v] <= fl(d[u] + w);
+    _relaxation_lowers relies on this.
     """
-    n_rho, width = d.shape[0], d.shape[2] - 2
-    rad, diag = graph.rad, graph.diag
-    ring_c, diag_c = graph.ring[:, None], diag[1:, None]
-    row = np.empty_like(d[0, :, 1:-1])
-    col = np.empty_like(d[:, :, 0])
+    n_rho, width = d.shape[0], d.shape[1] - 2
+    rad, diag = graph.rad.tolist(), graph.diag.tolist()
+    ring_c, diag_c = graph.ring[:, None], graph.diag[1:, None]
+    row = np.empty_like(d[0, 1:-1])
+    col = np.empty_like(d[:, 0])
     step = np.empty_like(col[1:])
 
     def from_row(i, k):
         """Relax row i from its neighbour row k."""
         w = max(i, k)               # the edges between rows i and k
-        inner = d[i, :, 1:-1]
-        np.add(d[k, :, 1:-1], rad[w], out=row)
+        inner = d[i, 1:-1]
+        np.add(d[k, 1:-1], rad[w], out=row)
         np.minimum(inner, row, out=inner)
-        np.minimum(d[k, :, :-2], d[k, :, 2:], out=row)
+        np.minimum(d[k, :-2], d[k, 2:], out=row)
         np.add(row, diag[w], out=row)
         np.minimum(inner, row, out=inner)
 
     def from_column(j, c):
         """Relax column j from its neighbour column c."""
-        src = d[:, :, c]
+        src = d[:, c]
         np.add(src, ring_c, out=col)
         np.add(src[:-1], diag_c, out=step)      # from row i - 1
         np.minimum(col[1:], step, out=col[1:])
         np.add(src[1:], diag_c, out=step)       # from row i + 1
         np.minimum(col[:-1], step, out=col[:-1])
-        np.minimum(d[:, :, j], col, out=d[:, :, j])
+        np.minimum(d[:, j], col, out=d[:, j])
 
     for i in range(n_rho - 2, -1, -1):
         from_row(i, i + 1)
@@ -239,31 +253,33 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
                        cand: np.ndarray) -> bool:
     """Whether relaxing every in-edge of every node at once (the eight grid
-    directions and the pole spokes) would lower any label of d.
+    directions and the pole spokes) would lower any label of d, given that
+    _sweep has just returned d.
 
-    The edges go in five groups of one weight per target row; each group's
-    candidates are written into cand, the size of the label table, and
-    compared there, so the check allocates nothing of that size.  The pole,
-    held in every column of row 0, is checked column by column against its
-    spokes, which finds a lower label exactly when its best spoke does.
+    _sweep's last pass leaves every in-edge from the right neighbour column
+    relaxed (ring and both diagonals: d[v] <= fl(d[u] + w) with the final
+    d[u]), so the three sideways groups are checked from the left column
+    only; the radial edges, the pole spokes among them, are checked both
+    ways.  The edges go in five groups of one weight per target row; each
+    group's candidates are written into cand, the size of the label table
+    without its padding columns, and compared there, so the check allocates
+    nothing of that size.  The pole, held in every column of row 0, is
+    checked column by column against its spokes, which finds a lower label
+    exactly when its best spoke does.
     """
-    inner = d[:, :, 1:-1]
+    inner = d[:, 1:-1]
     ring, rad, diag = (w[:, None, None] for w in
                        (graph.ring, graph.rad, graph.diag))
     every, upper, lower = slice(None), slice(None, -1), slice(1, None)
     # (target rows, the rows their in-edges come from, the weights, whether
-    # the in-edges come from the two neighbouring columns)
+    # the in-edges come from the left neighbour column)
     for rows, src, w, sideways in ((every, every, ring, True),
                                    (lower, upper, rad[1:], False),
                                    (lower, upper, diag[1:], True),
                                    (upper, lower, rad[1:], False),
                                    (upper, lower, diag[1:], True)):
         c = cand[rows]
-        if sideways:
-            np.minimum(d[src, :, :-2], d[src, :, 2:], out=c)
-            np.add(c, w, out=c)
-        else:
-            np.add(inner[src], w, out=c)
+        np.add(d[src, :-2] if sideways else inner[src], w, out=c)
         # label - candidate > 0 exactly where the candidate is lower; an
         # unreached node with an unreached candidate gives nan, ignored
         with np.errstate(invalid="ignore"):
@@ -345,24 +361,26 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     Dijkstra's shortest-path tree no label is above Dijkstra's either: the
     fields are Dijkstra's output bit for bit, whatever the sweep order, and
     the half-strip values are the full graph's.  The label table is
-    (n_rho, S, n_theta // 2 + 3), a column of inf on either side of the
-    strip standing in for the edges the strip does not have; the solve
-    refuses more than MAX_FIELD_LABELS labels before allocating.
+    (n_rho, n_theta // 2 + 3, S), sources last so that the sweeps read
+    contiguous runs, with a column of inf on either side of the strip
+    standing in for the edges the strip does not have; the field's dist
+    is its transposed view.  The solve refuses more than MAX_FIELD_LABELS
+    labels before allocating.
     """
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
     n_rho, width = graph.n_rho, graph.n_theta // 2 + 1
     if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
         raise DomainError(f"source rows must lie in [0, {n_rho})")
     _check_field_size(rho_rows.size * n_rho * width)
-    d = np.full((n_rho, rho_rows.size, width + 2), math.inf)
-    d[rho_rows, np.arange(rho_rows.size), 1] = 0.0
+    d = np.full((n_rho, width + 2, rho_rows.size), math.inf)
+    d[rho_rows, 1, np.arange(rho_rows.size)] = 0.0
     if graph.pole:
-        d[0, rho_rows == 0, 1:-1] = 0.0
-    cand = np.empty_like(d[:, :, 1:-1])
+        d[0, 1:-1, rho_rows == 0] = 0.0
+    cand = np.empty_like(d[:, 1:-1])
     _sweep(graph, d)
     while _relaxation_lowers(graph, d, cand):
         _sweep(graph, d)
-    dist = d[:, :, 1:-1]
+    dist = d[:, 1:-1].transpose(0, 2, 1)
     if dist.max() == math.inf:
         raise ConnectivityError("surface graph is disconnected")
     return SurfaceDistanceField(n_theta=graph.n_theta, dist=dist)
@@ -649,7 +667,11 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     Quotient distances are non-increasing along a chain by construction
     (larger groups minimize over more translates); the quotient table is
     one running minimum per chain that folds in only the group elements the
-    previous p did not visit, so a chain visits each element once.
+    previous p did not visit, so a chain visits each element once.  The
+    minimum is taken over the squared product distances dp * dp + dc * dc
+    (surface lookup dp, circle distance dc) and the square root once per p:
+    the square root is monotone, so it commutes with the minimum, and only
+    the rounding differs from minimizing np.hypot(dp, dc).
 
     Distances are computed once per offset class (source slot, target slot,
     theta offset mod n_theta, signed s offset) rather than per point pair.
@@ -742,18 +764,19 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         fld_x = distance_field(build_surface_graph(base, g.n_rho, ring_x),
                                rho_rows)
         col_x = dth[:, None] * (ring_x // g.n_theta)
-        d_x, prev = math.inf, 0
+        sq_x, prev = math.inf, 0
         for p in chain:
             for k in range(p):
                 if prev and k % (p // prev) == 0:
                     continue            # visited by the previous p
-                d_x = np.minimum(d_x, product_distance(
-                    fld_x.lookup(slot_a, row_b,
-                                 col_x + m1 * k * ring_x // p % ring_x),
-                    circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
-                                    config.r)))
+                dp = fld_x.lookup(slot_a, row_b,
+                                  col_x + m1 * k * ring_x // p % ring_x)
+                dc = circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
+                                     config.r)
+                sq_x = np.minimum(sq_x, dp * dp + dc * dc)
             prev = p
-            dist = float(np.max(np.abs(symmetrised(d_x, diag_x) - sym_y)))
+            dist = float(np.max(np.abs(symmetrised(np.sqrt(sq_x), diag_x)
+                                       - sym_y)))
             rows.append(CollapseRow(p=p, distortion=dist,
                                     gh_upper_bound=0.5 * dist,
                                     grid_floor_estimate=floor))

@@ -613,6 +613,7 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
         const c  ->  const r c / sqrt(r^2 + sign kappa^2 c^2)
 
     everything else becomes a TransformedWarp with chain-rule derivatives.
+    An r or kappa whose square overflows raises DomainError.
     """
     if r <= 0:
         raise DomainError("need r > 0")
@@ -622,6 +623,9 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
         raise DomainError("transform sign must be +1 or -1")
     if kappa == 0.0:
         return warp
+    if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
+        raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
+                          f"kappa = {kappa:g})")
     if isinstance(warp, ConstWarp):
         c = warp.c
         d = r ** 2 + sign * kappa ** 2 * c ** 2

@@ -506,6 +506,53 @@ def test_table_size_beyond_cap_exits_1(tmp_path, capsys, command, key):
     assert "MAX_TABLE_SIZE = 1000000" in err
 
 
+def _demo(command, **changes):
+    return dict(json.loads((DEMO_DIR / f"{command}.json").read_text()),
+                **changes)
+
+
+def _run_strict(tmp_path, capsys, command, cfg):
+    """run_cli with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("transform", _demo("transform", r=1e200)),
+    ("transform", {"family": "sinh", "r": 1.0, "kappa": 1e200}),
+    ("collapse", _demo("collapse", r=1e200)),
+], ids=["transform-r", "transform-kappa", "collapse-r"])
+def test_square_overflowing_transform_exits_1(tmp_path, capsys, command,
+                                              cfg):
+    code, out, err = _run_strict(tmp_path, capsys, command, cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("collapse-lab: error: r^2 or kappa^2 overflows")
+
+
+@pytest.mark.parametrize("command, cfg, column", [
+    ("transform", _demo("transform", rho_max=800.0), "f = inf"),
+    ("berger", _demo("berger", radius_max=1e308), "max_distortion = inf"),
+    ("collapse", _demo("collapse", rho_max=800.0), "positive and finite"),
+], ids=["transform", "berger", "collapse"])
+def test_non_finite_table_exits_1(tmp_path, capsys, command, cfg, column):
+    # the sinh warp overflows past rho = 710; R a_i overflows at 1e308
+    code, out, err = _run_strict(tmp_path, capsys, command, cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("collapse-lab: error: ") and column in err
+
+
+def test_curvature_past_warp_overflow_is_closed_form(tmp_path, capsys):
+    # K = -1 needs no value of the overflowing sinh warp
+    cfg = {"family": "sinh", "a": 1.0, "rho_max": 800.0, "n": 9}
+    code, out, err = _run_strict(tmp_path, capsys, "curvature", cfg)
+    assert code == 0
+    _, data = parse_csv(out)
+    assert np.array_equal(data[:, 1], np.full(9, -1.0))
+
+
 def test_transform_zero_m2_exits_1(tmp_path, capsys):
     cfg = {"family": "sinh", "r": 1.0, "m1": 1, "m2": 0}
     code, out, err = run_cli(tmp_path, capsys, "transform", cfg)

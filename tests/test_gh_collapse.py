@@ -322,9 +322,35 @@ def test_relaxation_check_sees_every_edge_group(kind, row):
     weights["rad" if kind == "spoke" else kind][1:] = 1.0
     g = SurfaceGraph(rho_values=np.arange(9.0), n_theta=8,
                      pole=kind == "spoke", **weights)
-    d = np.full((9, 1, 7), math.inf)
-    d[row, 0, 1] = 0.0
-    assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 1, 5)))
+    d = np.full((9, 7, 1), math.inf)
+    d[row, 1, 0] = 0.0
+    assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 5, 1)))
+
+
+@pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])
+@pytest.mark.parametrize("n_theta", [9, 12])
+def test_sweep_leaves_right_neighbour_edges_relaxed(pole, n_theta):
+    """The invariant the one-sided convergence check rests on: after one
+    sweep from any labels, every in-edge from the right neighbour column
+    (ring and both diagonals) satisfies d[v] <= fl(d[u] + w)."""
+    rng = np.random.default_rng(11 + n_theta + pole)
+    n_rho, width = 11 + pole, n_theta // 2 + 1
+    rad = np.r_[math.inf, rng.uniform(0.05, 2.0, n_rho - 1)]
+    diag = rad + np.r_[0.0, rng.uniform(0.0, 2.0, n_rho - 1)]
+    ring = rng.uniform(0.05, 2.0, n_rho)
+    if pole:
+        ring[0], diag[1] = 0.0, math.inf
+    g = SurfaceGraph(rho_values=np.arange(n_rho, dtype=float),
+                     n_theta=n_theta, pole=pole, ring=ring, rad=rad,
+                     diag=diag)
+    d = np.full((n_rho, width + 2, 3), math.inf)
+    d[:, 1:-1] = rng.uniform(0.0, 20.0, (n_rho, width, 3))
+    gh_collapse._sweep(g, d)
+    left, right = d[:, 1:-2], d[:, 2:-1]
+    assert np.all(left <= right + ring[:, None, None])
+    # from row i - 1 and from row i + 1 of the right column
+    assert np.all(left[1:] <= right[:-1] + diag[1:, None, None])
+    assert np.all(left[:-1] <= right[1:] + diag[1:, None, None])
 
 
 @pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])
