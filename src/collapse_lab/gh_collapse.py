@@ -17,11 +17,13 @@ sources at theta = 0, which the reflection fixes, so only the half strip
 theta in [0, pi] (grid columns 0 .. n_theta // 2) is solved, and the field
 is that half-strip table: its lookup takes integer columns of any sign and
 folds them into the strip.  The solver (distance_field) is a
-label-correcting one in numpy: Gauss-Seidel sweeps in the four grid
-directions, repeated until one relaxation of every edge lowers no label,
-whose fixed point is Dijkstra's output to the last bit.  surface_distances
-serves the full graph from the same fields, by the mirror and the
-rotations.
+label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
+theta up and rho up, each followed by a check that one relaxation of every
+edge lowers no label, and by a theta-down pass only when the check fails.
+The rho-up pass leaves every edge from the row below relaxed, so the check
+relaxes the other edges only.  The fixed point is Dijkstra's output to the
+last bit.  surface_distances serves the full graph from the same fields, by
+the mirror and the rotations.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
@@ -190,38 +192,22 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
                         ring=ring, rad=rad, diag=diag)
 
 
-def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
-    """One Gauss-Seidel pass in each direction over the padded labels d,
-    (n_rho, columns, sources): rho descending, theta ascending, rho
-    ascending, theta descending.
+def _rho_pass(graph: SurfaceGraph, d: np.ndarray, ascending: bool) -> None:
+    """One Gauss-Seidel pass over the rows of the padded labels d,
+    (n_rho, columns, sources), in rho order or against it: each row is
+    relaxed from the row before it in the pass (the radial and both
+    diagonal in-edges), vectorised over columns x sources.
 
-    A rho pass relaxes each row from the row before it in the pass (the
-    radial and both diagonal in-edges), vectorised over columns x sources;
-    a theta pass relaxes each column from the column before it (the ring
-    and both diagonal in-edges), vectorised over rows x sources.  The
-    sources are the last axis, so a row is one contiguous block and a
-    column is one contiguous run of sources per row.  Either pass follows
-    any mix of its straight steps with diagonal ones: on a flat stretch
-    many such mixes have the same length, rounding decides which is
-    shortest, and a pass that left the diagonals out would take several
-    more sweeps to find it.  A node's two diagonal in-edges from one row
-    share their weight, so they are relaxed at once as fl(min(a, b) + w),
-    which equals min(fl(a + w), fl(b + w)) because rounding is monotone.
-
-    The last pass relaxes column j from column j + 1 only after column
-    j + 1 is final, so on return every in-edge from the right neighbour
-    column (ring and both diagonals) satisfies d[v] <= fl(d[u] + w);
+    A rho-ascending pass relaxes row i from row i - 1 only after row i - 1
+    is final, so on return every in-edge from the row below (radial, both
+    diagonals, and the pole spokes) satisfies d[v] <= fl(d[u] + w);
     _relaxation_lowers relies on this.
     """
-    n_rho, width = d.shape[0], d.shape[1] - 2
+    n_rho = d.shape[0]
     rad, diag = graph.rad.tolist(), graph.diag.tolist()
-    ring_c, diag_c = graph.ring[:, None], graph.diag[1:, None]
     row = np.empty_like(d[0, 1:-1])
-    col = np.empty_like(d[:, 0])
-    step = np.empty_like(col[1:])
-
-    def from_row(i, k):
-        """Relax row i from its neighbour row k."""
+    for i in range(1, n_rho) if ascending else range(n_rho - 2, -1, -1):
+        k = i - 1 if ascending else i + 1
         w = max(i, k)               # the edges between rows i and k
         inner = d[i, 1:-1]
         np.add(d[k, 1:-1], rad[w], out=row)
@@ -230,9 +216,18 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
         np.add(row, diag[w], out=row)
         np.minimum(inner, row, out=inner)
 
-    def from_column(j, c):
-        """Relax column j from its neighbour column c."""
-        src = d[:, c]
+
+def _theta_pass(graph: SurfaceGraph, d: np.ndarray, ascending: bool) -> None:
+    """One Gauss-Seidel pass over the strip columns of the padded labels d,
+    in theta order or against it: each column is relaxed from the column
+    before it in the pass (the ring and both diagonal in-edges), vectorised
+    over rows x sources."""
+    width = d.shape[1] - 2
+    ring_c, diag_c = graph.ring[:, None], graph.diag[1:, None]
+    col = np.empty_like(d[:, 0])
+    step = np.empty_like(col[1:])
+    for j in range(2, width + 1) if ascending else range(width - 1, 0, -1):
+        src = d[:, j - 1 if ascending else j + 1]
         np.add(src, ring_c, out=col)
         np.add(src[:-1], diag_c, out=step)      # from row i - 1
         np.minimum(col[1:], step, out=col[1:])
@@ -240,46 +235,71 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
         np.minimum(col[:-1], step, out=col[:-1])
         np.minimum(d[:, j], col, out=d[:, j])
 
-    for i in range(n_rho - 2, -1, -1):
-        from_row(i, i + 1)
-    for j in range(2, width + 1):
-        from_column(j, j - 1)
-    for i in range(1, n_rho):
-        from_row(i, i - 1)
-    for j in range(width - 1, 0, -1):
-        from_column(j, j + 1)
+
+def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
+    """Sweep the padded labels d, (n_rho, columns, sources), to the fixed
+    point of relaxing every edge, with cand as the check's scratch table.
+
+    Each round is a pass rho descending, theta ascending and rho ascending,
+    then the check (_relaxation_lowers), and a pass theta descending only
+    when the check finds a lower label.  The sources are the last axis, so
+    a row is one contiguous block and a column is one contiguous run of
+    sources per row.  Either kind of pass follows any mix of its straight
+    steps with diagonal ones: on a flat stretch many such mixes have the
+    same length, rounding decides which is shortest, and a pass that left
+    the diagonals out would take several more sweeps to find it.  A node's
+    two diagonal in-edges from one row share their weight, so a rho pass
+    relaxes them at once as fl(min(a, b) + w), which equals
+    min(fl(a + w), fl(b + w)) because rounding is monotone.
+
+    The check runs right after the rho-ascending pass, which leaves every
+    in-edge from the row below relaxed, so it relaxes only the in-edges
+    from the side columns and from the row above.  A field whose labels
+    are final after the first three passes never runs the fourth.
+    """
+    while True:
+        _rho_pass(graph, d, ascending=False)
+        _theta_pass(graph, d, ascending=True)
+        _rho_pass(graph, d, ascending=True)
+        if not _relaxation_lowers(graph, d, cand):
+            return
+        _theta_pass(graph, d, ascending=False)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
                        cand: np.ndarray) -> bool:
     """Whether relaxing every in-edge of every node at once (the eight grid
     directions and the pole spokes) would lower any label of d, given that
-    _sweep has just returned d.
+    a rho-ascending pass (_rho_pass) has just returned d.
 
-    _sweep's last pass leaves every in-edge from the right neighbour column
-    relaxed (ring and both diagonals: d[v] <= fl(d[u] + w) with the final
-    d[u]), so the three sideways groups are checked from the left column
-    only; the radial edges, the pole spokes among them, are checked both
-    ways.  The edges go in five groups of one weight per target row; each
-    group's candidates are written into cand, the size of the label table
-    without its padding columns, and compared there, so the check allocates
-    nothing of that size.  The pole, held in every column of row 0, is
-    checked column by column against its spokes, which finds a lower label
-    exactly when its best spoke does.
+    That pass leaves every in-edge from the row below relaxed (radial, both
+    diagonals and the pole spokes: d[v] <= fl(d[u] + w) with the final
+    d[u]), so three groups of one weight per target row are left: the ring
+    edges from both side columns, the radial edges from the row above (the
+    spokes into the pole among them), and the diagonals from the row above,
+    from both side columns.  A sideways group's candidates are
+    fl(min(a, b) + w), the least of its two in-edges because rounding is
+    monotone.  Each group's candidates are written into cand, the size of
+    the label table without its padding columns, and compared there, so
+    the check allocates nothing of that size.  The pole, held in every
+    column of row 0, is checked column by column against its spokes, which
+    finds a lower label exactly when its best spoke does.
     """
     inner = d[:, 1:-1]
     ring, rad, diag = (w[:, None, None] for w in
                        (graph.ring, graph.rad, graph.diag))
     every, upper, lower = slice(None), slice(None, -1), slice(1, None)
     # (target rows, the rows their in-edges come from, the weights, whether
-    # the in-edges come from the left neighbour column)
+    # the in-edges come from both side columns)
     for rows, src, w, sideways in ((every, every, ring, True),
-                                   (lower, upper, rad[1:], False),
-                                   (lower, upper, diag[1:], True),
                                    (upper, lower, rad[1:], False),
                                    (upper, lower, diag[1:], True)):
         c = cand[rows]
-        np.add(d[src, :-2] if sideways else inner[src], w, out=c)
+        if sideways:
+            np.minimum(d[src, :-2], d[src, 2:], out=c)
+            np.add(c, w, out=c)
+        else:
+            np.add(inner[src], w, out=c)
         # label - candidate > 0 exactly where the candidate is lower; an
         # unreached node with an unreached candidate gives nan, ignored
         with np.errstate(invalid="ignore"):
@@ -354,13 +374,15 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     The labels start at inf, 0 at the sources, and every change lowers a
     label to some fl(d[u] + w_uv), so each label is the rounded length of
     a path and, rounding being monotone, never below Dijkstra's.  The
-    solver repeats one sweep in each of the four grid directions (_sweep)
-    until one relaxation of every in-edge of every node (the eight grid
-    directions and the pole spokes) lowers no label (_relaxation_lowers).
-    Then d[v] <= fl(d[u] + w_uv) on every edge, and by induction along
-    Dijkstra's shortest-path tree no label is above Dijkstra's either: the
-    fields are Dijkstra's output bit for bit, whatever the sweep order, and
-    the half-strip values are the full graph's.  The label table is
+    solver (_sweep) runs rounds of passes rho down, theta up and rho up,
+    with a pass theta down between rounds, until relaxing every in-edge of
+    every node (the eight grid directions and the pole spokes) lowers no
+    label: the rho-up pass leaves the in-edges from the row below relaxed,
+    and the check (_relaxation_lowers) relaxes the rest.  Then d[v] <=
+    fl(d[u] + w_uv) on every edge, and by induction along Dijkstra's
+    shortest-path tree no label is above Dijkstra's either: the fields are
+    Dijkstra's output bit for bit, whatever the sweep order, and the
+    half-strip values are the full graph's.  The label table is
     (n_rho, n_theta // 2 + 3, S), sources last so that the sweeps read
     contiguous runs, with a column of inf on either side of the strip
     standing in for the edges the strip does not have; the field's dist
@@ -376,10 +398,7 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     d[rho_rows, 1, np.arange(rho_rows.size)] = 0.0
     if graph.pole:
         d[0, 1:-1, rho_rows == 0] = 0.0
-    cand = np.empty_like(d[:, 1:-1])
-    _sweep(graph, d)
-    while _relaxation_lowers(graph, d, cand):
-        _sweep(graph, d)
+    _sweep(graph, d, np.empty_like(d[:, 1:-1]))
     dist = d[:, 1:-1].transpose(0, 2, 1)
     if dist.max() == math.inf:
         raise ConnectivityError("surface graph is disconnected")

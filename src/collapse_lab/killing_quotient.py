@@ -16,6 +16,7 @@ wherever both apply, and both stay positive definite with
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -125,7 +126,8 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
     c = kappa^2 / (kappa^2 g(K,K) + r^2).
 
     Identity for kappa = 0 as well as for K = 0.  The result is symmetric
-    positive definite whenever g is.
+    positive definite whenever g is.  An r^2, kappa^2 or denominator that
+    overflows raises DomainError.
     """
     gm = _as_metric(g)
     k = _as_vector(killing)
@@ -137,7 +139,17 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
         raise DomainError("need kappa >= 0")
     gk = gm.matrix @ k
     norm2 = float(k @ gk)
-    c = kappa ** 2 / (kappa ** 2 * norm2 + r ** 2)
+    try:
+        k2, r2 = kappa ** 2, r ** 2
+    except OverflowError:
+        raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
+                          f"kappa = {kappa:g})") from None
+    # an overflowing denominator would give c = 0 silently
+    denom = k2 * norm2 + r2
+    if not math.isfinite(denom):
+        raise DomainError(f"kappa^2 g(K,K) + r^2 overflows (r = {r:g}, "
+                          f"kappa = {kappa:g})")
+    c = k2 / denom
     h = gm.matrix - c * np.outer(gk, gk)
     return PointMetric(h)
 

@@ -613,7 +613,8 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
         const c  ->  const r c / sqrt(r^2 + sign kappa^2 c^2)
 
     everything else becomes a TransformedWarp with chain-rule derivatives.
-    An r or kappa whose square overflows raises DomainError.
+    An r or kappa whose square overflows raises DomainError, and so does a
+    constant warp whose r^2 + kappa^2 c^2 overflows.
     """
     if r <= 0:
         raise DomainError("need r > 0")
@@ -628,9 +629,17 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
                           f"kappa = {kappa:g})")
     if isinstance(warp, ConstWarp):
         c = warp.c
-        d = r ** 2 + sign * kappa ** 2 * c ** 2
+        try:
+            d = r ** 2 + sign * kappa ** 2 * c ** 2
+        except OverflowError:       # c ** 2 is past the float range
+            d = math.inf
+        # an overflowing kappa^2 c^2 gives d = -inf for sign = -1, c far
+        # above r/kappa
         if d <= 0:
             raise NotInRangeError("constant warp at or above r/kappa")
+        if d == math.inf:
+            raise DomainError(f"r^2 + kappa^2 c^2 overflows (r = {r:g}, "
+                              f"kappa = {kappa:g}, c = {c:g})")
         return ConstWarp(r * c / math.sqrt(d))
     for family, image in (p if sign > 0 else p[::-1] for p in _PROMOTIONS):
         if isinstance(warp, family) and kappa == warp.a * r:

@@ -518,17 +518,23 @@ def _run_strict(tmp_path, capsys, command, cfg):
         return run_cli(tmp_path, capsys, command, cfg)
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("transform", _demo("transform", r=1e200)),
-    ("transform", {"family": "sinh", "r": 1.0, "kappa": 1e200}),
-    ("collapse", _demo("collapse", r=1e200)),
-], ids=["transform-r", "transform-kappa", "collapse-r"])
+@pytest.mark.parametrize("command, cfg, message", [
+    ("transform", _demo("transform", r=1e200), "r^2 or kappa^2"),
+    ("transform", {"family": "sinh", "r": 1.0, "kappa": 1e200},
+     "r^2 or kappa^2"),
+    ("collapse", _demo("collapse", r=1e200), "r^2 or kappa^2"),
+    # kappa = |cot xi| = 1e300
+    ("berger", {"xi": 1e-300}, "r^2 or kappa^2"),
+    ("transform", {"family": "const", "a": 1e200, "r": 1.0, "kappa": 1.0},
+     "r^2 + kappa^2 c^2"),
+], ids=["transform-r", "transform-kappa", "collapse-r", "berger-xi",
+        "transform-const"])
 def test_square_overflowing_transform_exits_1(tmp_path, capsys, command,
-                                              cfg):
+                                              cfg, message):
     code, out, err = _run_strict(tmp_path, capsys, command, cfg)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("collapse-lab: error: r^2 or kappa^2 overflows")
+    assert err.startswith(f"collapse-lab: error: {message} overflows")
 
 
 @pytest.mark.parametrize("command, cfg, column", [

@@ -1,7 +1,9 @@
 """Tests for the graph discretization and the measured-collapse pipeline."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,47 +312,99 @@ def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
         assert np.array_equal(got.transpose(1, 0, 2), want)
 
 
-@pytest.mark.parametrize("kind, row", [("ring", 4), ("rad", 0), ("rad", 8),
-                                       ("diag", 0), ("diag", 8),
-                                       ("spoke", 1)])
-def test_relaxation_check_sees_every_edge_group(kind, row):
-    """The convergence check relaxes every group of edges: on a graph whose
-    only edges are of one kind, the labels of a lone source (0 there, inf
-    elsewhere) are refused, whichever way the source's row reaches the
-    rest."""
+@pytest.mark.parametrize("kind, row, column", [
+    ("ring", 4, 1), ("rad", 8, 1), ("diag", 8, 1), ("spoke", 1, 1),
+    ("ring", 4, 5), ("diag", 8, 5)],
+    ids=["ring-4", "rad-8", "diag-8", "spoke-1", "ring-4-last", "diag-8-last"])
+def test_relaxation_check_sees_every_edge_group(kind, row, column):
+    """The convergence check relaxes every group of edges that the
+    rho-ascending pass leaves unchecked: on a graph whose only edges are of
+    one kind, the labels of a lone source (0 there, inf elsewhere) are
+    refused when the source reaches the row above it (the spokes into the
+    pole among those edges), or sideways the strip column on its right or
+    on its left (padded column 1 or 5, the first or last strip column)."""
     weights = {name: np.full(9, math.inf) for name in ("ring", "rad", "diag")}
     weights["rad" if kind == "spoke" else kind][1:] = 1.0
     g = SurfaceGraph(rho_values=np.arange(9.0), n_theta=8,
                      pole=kind == "spoke", **weights)
     d = np.full((9, 7, 1), math.inf)
-    d[row, 1, 0] = 0.0
+    d[row, column, 0] = 0.0
     assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 5, 1)))
 
 
-@pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])
-@pytest.mark.parametrize("n_theta", [9, 12])
-def test_sweep_leaves_right_neighbour_edges_relaxed(pole, n_theta):
-    """The invariant the one-sided convergence check rests on: after one
-    sweep from any labels, every in-edge from the right neighbour column
-    (ring and both diagonals) satisfies d[v] <= fl(d[u] + w)."""
-    rng = np.random.default_rng(11 + n_theta + pole)
-    n_rho, width = 11 + pole, n_theta // 2 + 1
-    rad = np.r_[math.inf, rng.uniform(0.05, 2.0, n_rho - 1)]
-    diag = rad + np.r_[0.0, rng.uniform(0.0, 2.0, n_rho - 1)]
-    ring = rng.uniform(0.05, 2.0, n_rho)
-    if pole:
-        ring[0], diag[1] = 0.0, math.inf
-    g = SurfaceGraph(rho_values=np.arange(n_rho, dtype=float),
-                     n_theta=n_theta, pole=pole, ring=ring, rad=rad,
-                     diag=diag)
-    d = np.full((n_rho, width + 2, 3), math.inf)
-    d[:, 1:-1] = rng.uniform(0.0, 20.0, (n_rho, width, 3))
-    gh_collapse._sweep(g, d)
-    left, right = d[:, 1:-2], d[:, 2:-1]
-    assert np.all(left <= right + ring[:, None, None])
-    # from row i - 1 and from row i + 1 of the right column
-    assert np.all(left[1:] <= right[:-1] + diag[1:, None, None])
-    assert np.all(left[:-1] <= right[1:] + diag[1:, None, None])
+@pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
+                                  "12-pole", "sphere-band"])
+def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
+    """The certificate the convergence check rests on: whenever the check
+    runs, every in-edge from the row below (radial, both diagonals, and the
+    pole spokes) satisfies d[v] <= fl(d[u] + w), so the check need not
+    relax them.  Random per-row weights, and the sphere band, which takes
+    three rounds, so the certificate also holds after a theta-descending
+    pass."""
+    if case == "sphere-band":
+        metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
+        g = build_surface_graph(metric, 24, 25)
+    else:
+        n_theta, kind = case.split("-", 1)
+        n_theta, pole = int(n_theta), kind == "pole"
+        rng = np.random.default_rng(11 + n_theta + pole)
+        n_rho = 11 + pole
+        rad = np.r_[math.inf, rng.uniform(0.05, 2.0, n_rho - 1)]
+        diag = rad + np.r_[0.0, rng.uniform(0.0, 2.0, n_rho - 1)]
+        ring = rng.uniform(0.05, 2.0, n_rho)
+        if pole:
+            ring[0], diag[1] = 0.0, math.inf
+        g = SurfaceGraph(rho_values=np.arange(n_rho, dtype=float),
+                         n_theta=n_theta, pole=pole, ring=ring, rad=rad,
+                         diag=diag)
+    rad, diag = g.rad[1:, None, None], g.diag[1:, None, None]
+    checks = []
+
+    def spy(graph, d, cand):
+        below, inner = d[:-1], d[1:, 1:-1]
+        assert np.all(inner <= below[:, 1:-1] + rad)
+        assert np.all(inner <= below[:, :-2] + diag)
+        assert np.all(inner <= below[:, 2:] + diag)
+        checks.append(check(graph, d, cand))
+        return checks[-1]
+
+    check = gh_collapse._relaxation_lowers
+    monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
+    distance_field(g, np.arange(g.n_rho))
+    assert checks and not checks[-1]
+    if case == "sphere-band":
+        assert len(checks) == 3
+
+
+def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
+    """On the demo collapse config each of the five fields (the limit, its
+    three refinements, and the one chain's quotient side) is final after
+    its first three passes: one check, which finds nothing to lower, and
+    no theta-descending pass."""
+    fields = []
+
+    def field_spy(*args):
+        fields.append([])
+        return field(*args)
+
+    def check_spy(*args):
+        fields[-1].append(("check", check(*args)))
+        return fields[-1][-1][1]
+
+    def theta_spy(graph, d, ascending):
+        fields[-1].append(("theta", ascending))
+        theta(graph, d, ascending)
+
+    field, check, theta = (gh_collapse.distance_field,
+                           gh_collapse._relaxation_lowers,
+                           gh_collapse._theta_pass)
+    monkeypatch.setattr(gh_collapse, "distance_field", field_spy)
+    monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
+    monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+    collapse_experiment(CollapseConfig.from_json(cfg))
+    assert fields == [[("theta", True), ("check", False)]] * 5
 
 
 @pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])

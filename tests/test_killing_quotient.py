@@ -129,6 +129,15 @@ def test_transform_argument_validation():
         transform_killing(np.diag([1.0, -2.0]), [1.0, 0.0], 1.0, 1.0)
 
 
+def test_transform_overflow_is_domain_error():
+    """kappa^2 or r^2 past the float range, and a denominator kappa^2 g(K,K)
+    + r^2 that overflows (which would give c = 0 and h = g silently)."""
+    for r, kappa, k in ((1.0, 1e300, 1.0), (1e200, 1.0, 1.0),
+                        (1.0, 1e5, 1e150)):
+        with pytest.raises(DomainError, match="overflows"):
+            transform_killing(np.eye(2), [k, 0.0], r, kappa)
+
+
 def test_transform_agrees_with_warp_transform():
     """Surface data: the rank-one formula must reproduce the warp-level
     transform's squared angular entry."""

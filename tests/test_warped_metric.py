@@ -376,6 +376,15 @@ def test_inverse_promotions_and_range_guard():
         quotient_transform(metric, TransformParams(r=1.0, kappa=1.0), sign=-1)
     with pytest.raises(NotInRangeError):
         transformed_warp(ConstWarp(2.0), 1.0, 1.0, sign=-1)
+    # kappa^2 c^2 past the float range: far above r/kappa for the inverse,
+    # an overflow for the forward transform; c^2 past the float range is an
+    # overflow either way, even when kappa^2 underflows
+    with pytest.raises(NotInRangeError):
+        transformed_warp(ConstWarp(1e150), 1.0, 1e100, sign=-1)
+    for c, kappa, sign in ((1e150, 1e100, 1), (1e200, 1.0, 1),
+                           (1e200, 1.0, -1), (1e160, 1e-170, 1)):
+        with pytest.raises(DomainError, match="overflows"):
+            transformed_warp(ConstWarp(c), 1.0, kappa, sign)
 
 
 _TAB_RHO = np.linspace(0.0, 1.0, 11)
