@@ -20,10 +20,12 @@ folds them into the strip.  The solver (distance_field) is a
 label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
 theta up and rho up, each followed by a check that one relaxation of every
 edge lowers no label, and by a theta-down pass only when the check fails.
-The rho-up pass leaves every edge from the row below relaxed, so the check
-relaxes the other edges only.  The fixed point is Dijkstra's output to the
-last bit.  surface_distances serves the full graph from the same fields, by
-the mirror and the rotations.
+The label table is row-major, and a theta pass runs on a column-major copy
+of it held in the check's scratch table, so both kinds of pass work on
+contiguous blocks.  The rho-up pass leaves every edge from the row below
+relaxed, so the check relaxes the other edges only.  The fixed point is
+Dijkstra's output to the last bit.  surface_distances serves the full graph
+from the same fields, by the mirror and the rotations.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
@@ -125,8 +127,9 @@ MAX_GRAPH_NODES = 2 ** 22
 
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
 # 1)), that one distance field may hold.  The solver keeps the float64
-# labels and a scratch table of the same size for its convergence check, 16
-# bytes a label, so the cap bounds a solve near 128 MiB.
+# labels and a scratch table of the same size, which holds the convergence
+# check's candidates and, during a theta pass, the column-major copy of the
+# labels: 16 bytes a label, so the cap bounds a solve near 128 MiB.
 MAX_FIELD_LABELS = 2 ** 23
 
 
@@ -205,35 +208,58 @@ def _rho_pass(graph: SurfaceGraph, d: np.ndarray, ascending: bool) -> None:
     """
     n_rho = d.shape[0]
     rad, diag = graph.rad.tolist(), graph.diag.tolist()
-    row = np.empty_like(d[0, 1:-1])
+    inner, left, right = d[:, 1:-1], d[:, :-2], d[:, 2:]
+    row = np.empty_like(inner[0])
     for i in range(1, n_rho) if ascending else range(n_rho - 2, -1, -1):
         k = i - 1 if ascending else i + 1
         w = max(i, k)               # the edges between rows i and k
-        inner = d[i, 1:-1]
-        np.add(d[k, 1:-1], rad[w], out=row)
-        np.minimum(inner, row, out=inner)
-        np.minimum(d[k, :-2], d[k, 2:], out=row)
+        target = inner[i]
+        np.add(inner[k], rad[w], out=row)
+        np.minimum(target, row, out=target)
+        np.minimum(left[k], right[k], out=row)
         np.add(row, diag[w], out=row)
-        np.minimum(inner, row, out=inner)
+        np.minimum(target, row, out=target)
 
 
-def _theta_pass(graph: SurfaceGraph, d: np.ndarray, ascending: bool) -> None:
+def _theta_pass(d: np.ndarray, cand: np.ndarray, ring: np.ndarray,
+                diag: np.ndarray, ascending: bool) -> None:
     """One Gauss-Seidel pass over the strip columns of the padded labels d,
-    in theta order or against it: each column is relaxed from the column
-    before it in the pass (the ring and both diagonal in-edges), vectorised
-    over rows x sources."""
-    width = d.shape[1] - 2
-    ring_c, diag_c = graph.ring[:, None], graph.diag[1:, None]
-    col = np.empty_like(d[:, 0])
-    step = np.empty_like(col[1:])
-    for j in range(2, width + 1) if ascending else range(width - 1, 0, -1):
-        src = d[:, j - 1 if ascending else j + 1]
-        np.add(src, ring_c, out=col)
-        np.add(src[:-1], diag_c, out=step)      # from row i - 1
-        np.minimum(col[1:], step, out=col[1:])
-        np.add(src[1:], diag_c, out=step)       # from row i + 1
-        np.minimum(col[:-1], step, out=col[:-1])
-        np.minimum(d[:, j], col, out=d[:, j])
+    (n_rho, columns, sources), in theta order or against it: each column is
+    relaxed from the column before it in the pass (the ring and both
+    diagonal in-edges), vectorised over rows x sources.
+
+    The pass runs on a column-major copy of the strip, (strip columns,
+    n_rho, sources), held in cand, the check's scratch table, which has
+    exactly that many labels and is idle during the pass.  So each column
+    is one contiguous block, as are ring and diag, graph.ring and
+    graph.diag[1:] repeated across the sources.  Both copies move a node's
+    run of S sources as one item of 8 S bytes, which numpy copies faster
+    and with a lower peak RSS than a float copy of the transposed view, and
+    the strip is copied back before the pass returns.  Then every in-edge
+    from the column before (ring and both diagonals) satisfies
+    d[v] <= fl(d[u] + w).
+    """
+    n_rho, columns, n_src = d.shape
+    width = columns - 2
+    run = np.dtype((np.void, 8 * n_src))        # a node's S labels
+    strip = d.view(run)[:, 1:-1, 0]
+    cols = cand.reshape(width, n_rho, n_src)
+    runs = cols.view(run)[:, :, 0]
+    np.copyto(runs, strip.T)
+    src_lo, src_hi = cols[:, :-1], cols[:, 1:]  # rows 0 .. n - 2, 1 .. n - 1
+    col = np.empty_like(cols[0])
+    col_lo, col_hi = col[:-1], col[1:]
+    step = np.empty_like(col_hi)
+    for j in range(1, width) if ascending else range(width - 2, -1, -1):
+        k = j - 1 if ascending else j + 1
+        np.add(cols[k], ring, out=col)
+        np.add(src_lo[k], diag, out=step)       # from row i - 1
+        np.minimum(col_hi, step, out=col_hi)
+        np.add(src_hi[k], diag, out=step)       # from row i + 1
+        np.minimum(col_lo, step, out=col_lo)
+        target = cols[j]
+        np.minimum(target, col, out=target)
+    np.copyto(strip, runs.T)
 
 
 def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
@@ -243,27 +269,31 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
     Each round is a pass rho descending, theta ascending and rho ascending,
     then the check (_relaxation_lowers), and a pass theta descending only
     when the check finds a lower label.  The sources are the last axis, so
-    a row is one contiguous block and a column is one contiguous run of
-    sources per row.  Either kind of pass follows any mix of its straight
-    steps with diagonal ones: on a flat stretch many such mixes have the
-    same length, rounding decides which is shortest, and a pass that left
-    the diagonals out would take several more sweeps to find it.  A node's
-    two diagonal in-edges from one row share their weight, so a rho pass
-    relaxes them at once as fl(min(a, b) + w), which equals
-    min(fl(a + w), fl(b + w)) because rounding is monotone.
+    a row is one contiguous block; a theta pass copies the strip into cand
+    column-major and back, so a column is one contiguous block there.
+    Either kind of pass follows any mix of its straight steps with
+    diagonal ones: on a flat stretch many such mixes have the same length,
+    rounding decides which is shortest, and a pass that left the diagonals
+    out would take several more sweeps to find it.  A node's two diagonal
+    in-edges from one row share their weight, so a rho pass relaxes them
+    at once as fl(min(a, b) + w), which equals min(fl(a + w), fl(b + w))
+    because rounding is monotone.
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
     from the side columns and from the row above.  A field whose labels
     are final after the first three passes never runs the fourth.
     """
+    n_src = d.shape[2]
+    ring = np.repeat(graph.ring[:, None], n_src, axis=1)
+    diag = np.repeat(graph.diag[1:, None], n_src, axis=1)
     while True:
         _rho_pass(graph, d, ascending=False)
-        _theta_pass(graph, d, ascending=True)
+        _theta_pass(d, cand, ring, diag, ascending=True)
         _rho_pass(graph, d, ascending=True)
         if not _relaxation_lowers(graph, d, cand):
             return
-        _theta_pass(graph, d, ascending=False)
+        _theta_pass(d, cand, ring, diag, ascending=False)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
@@ -383,11 +413,13 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     shortest-path tree no label is above Dijkstra's either: the fields are
     Dijkstra's output bit for bit, whatever the sweep order, and the
     half-strip values are the full graph's.  The label table is
-    (n_rho, n_theta // 2 + 3, S), sources last so that the sweeps read
-    contiguous runs, with a column of inf on either side of the strip
-    standing in for the edges the strip does not have; the field's dist
-    is its transposed view.  The solve refuses more than MAX_FIELD_LABELS
-    labels before allocating.
+    (n_rho, n_theta // 2 + 3, S), sources last so that a rho pass reads
+    one contiguous block a row, with a column of inf on either side of the
+    strip standing in for the edges the strip does not have; the field's
+    dist is its transposed view.  A theta pass runs on a column-major copy
+    of the strip, (n_theta // 2 + 1, n_rho, S), held in the check's
+    scratch table, so it too reads one contiguous block a column.  The
+    solve refuses more than MAX_FIELD_LABELS labels before allocating.
     """
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
     n_rho, width = graph.n_rho, graph.n_theta // 2 + 1

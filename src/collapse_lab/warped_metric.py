@@ -613,8 +613,10 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
         const c  ->  const r c / sqrt(r^2 + sign kappa^2 c^2)
 
     everything else becomes a TransformedWarp with chain-rule derivatives.
-    An r or kappa whose square overflows raises DomainError, and so does a
-    constant warp whose r^2 + kappa^2 c^2 overflows.
+    An r or kappa whose square overflows raises DomainError, and so do an r
+    whose square underflows to 0, which drops r^2 from r^2 + kappa^2 f^2
+    (0 / 0 at f = 0), and a constant warp whose r^2 + kappa^2 c^2
+    overflows.
     """
     if r <= 0:
         raise DomainError("need r > 0")
@@ -627,6 +629,8 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
     if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
         raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
                           f"kappa = {kappa:g})")
+    if r * r == 0.0:
+        raise DomainError(f"r^2 underflows to 0 (r = {r:g})")
     if isinstance(warp, ConstWarp):
         c = warp.c
         try:

@@ -537,6 +537,20 @@ def test_square_overflowing_transform_exits_1(tmp_path, capsys, command,
     assert err.startswith(f"collapse-lab: error: {message} overflows")
 
 
+@pytest.mark.parametrize("cfg", [
+    {"family": "const", "a": 1e-200, "r": 1e-200, "kappa": 1.0},
+    {"family": "sinh", "a": 1.0, "r": 1e-200, "kappa": 1.0, "rho_max": 1.0,
+     "n": 3},
+], ids=["const", "sinh"])
+def test_square_underflowing_transform_exits_1(tmp_path, capsys, cfg):
+    # r^2 = 0 made the const branch's d = 0 (blamed on the inverse's range)
+    # and the sinh transform 0 / sqrt(0) = nan at f = 0 (blamed on overflow)
+    code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("collapse-lab: error: r^2 underflows")
+
+
 @pytest.mark.parametrize("command, cfg, column", [
     ("transform", _demo("transform", rho_max=800.0), "f = inf"),
     ("berger", _demo("berger", radius_max=1e308), "max_distortion = inf"),

@@ -332,6 +332,34 @@ def test_relaxation_check_sees_every_edge_group(kind, row, column):
     assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 5, 1)))
 
 
+def _certificate_graph(case):
+    """The sphere band at 24 x 25, or random per-row weights with diag >=
+    rad on n_theta 9 or 12 columns, with or without a pole ("12-pole")."""
+    if case == "sphere-band":
+        metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
+        return build_surface_graph(metric, 24, 25)
+    n_theta, kind = case.split("-", 1)
+    n_theta, pole = int(n_theta), kind == "pole"
+    rng = np.random.default_rng(11 + n_theta + pole)
+    n_rho = 11 + pole
+    rad = np.r_[math.inf, rng.uniform(0.05, 2.0, n_rho - 1)]
+    diag = rad + np.r_[0.0, rng.uniform(0.0, 2.0, n_rho - 1)]
+    ring = rng.uniform(0.05, 2.0, n_rho)
+    if pole:
+        ring[0], diag[1] = 0.0, math.inf
+    return SurfaceGraph(rho_values=np.arange(n_rho, dtype=float),
+                        n_theta=n_theta, pole=pole, ring=ring, rad=rad,
+                        diag=diag)
+
+
+def _half_csr(g):
+    """The edge-list CSR of the half strip of g, from g's own weights."""
+    first = int(g.pole)
+    return _edge_list_csr(g.ring[first:], g.rad[first + 1:],
+                          g.diag[first + 1:], g.rad[1] if g.pole else None,
+                          g.n_theta, True)
+
+
 @pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
                                   "12-pole", "sphere-band"])
 def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
@@ -341,22 +369,7 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
     relax them.  Random per-row weights, and the sphere band, which takes
     three rounds, so the certificate also holds after a theta-descending
     pass."""
-    if case == "sphere-band":
-        metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
-        g = build_surface_graph(metric, 24, 25)
-    else:
-        n_theta, kind = case.split("-", 1)
-        n_theta, pole = int(n_theta), kind == "pole"
-        rng = np.random.default_rng(11 + n_theta + pole)
-        n_rho = 11 + pole
-        rad = np.r_[math.inf, rng.uniform(0.05, 2.0, n_rho - 1)]
-        diag = rad + np.r_[0.0, rng.uniform(0.0, 2.0, n_rho - 1)]
-        ring = rng.uniform(0.05, 2.0, n_rho)
-        if pole:
-            ring[0], diag[1] = 0.0, math.inf
-        g = SurfaceGraph(rho_values=np.arange(n_rho, dtype=float),
-                         n_theta=n_theta, pole=pole, ring=ring, rad=rad,
-                         diag=diag)
+    g = _certificate_graph(case)
     rad, diag = g.rad[1:, None, None], g.diag[1:, None, None]
     checks = []
 
@@ -376,11 +389,11 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
         assert len(checks) == 3
 
 
-def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
-    """On the demo collapse config each of the five fields (the limit, its
-    three refinements, and the one chain's quotient side) is final after
-    its first three passes: one check, which finds nothing to lower, and
-    no theta-descending pass."""
+def _assert_fields_take_one_round(monkeypatch, cfg):
+    """Each of the five fields of a one-chain collapse solve (the limit,
+    its three refinements, and the chain's quotient side) is final after
+    its first three passes: one theta-ascending pass, one check, which
+    finds nothing to lower, and no theta-descending pass."""
     fields = []
 
     def field_spy(*args):
@@ -391,9 +404,9 @@ def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
         fields[-1].append(("check", check(*args)))
         return fields[-1][-1][1]
 
-    def theta_spy(graph, d, ascending):
+    def theta_spy(*args, ascending):
         fields[-1].append(("theta", ascending))
-        theta(graph, d, ascending)
+        theta(*args, ascending=ascending)
 
     field, check, theta = (gh_collapse.distance_field,
                            gh_collapse._relaxation_lowers,
@@ -401,10 +414,77 @@ def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
     monkeypatch.setattr(gh_collapse, "distance_field", field_spy)
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
-                      / "configs" / "collapse.json").read_text())
     collapse_experiment(CollapseConfig.from_json(cfg))
     assert fields == [[("theta", True), ("check", False)]] * 5
+
+
+def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
+    """The demo collapse config's fields take one round each."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+    _assert_fields_take_one_round(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("grid, sample, p_values", [
+    ((96, 96, 64), (10, 10, 6), [2, 4, 8, 16, 32, 64]),
+    ((192, 192, 16), (6, 6, 4), [2, 4]),
+], ids=["c12", "fine-grid"])
+def test_benchmark_fields_converge_without_theta_descending_pass(
+        monkeypatch, grid, sample, p_values):
+    """The fields of the two benchmark collapse shapes (sinh a = 1, r = 1,
+    m1 = m2 = 1) take one round each, as the solve's speed assumes."""
+    names = ("n_rho", "n_theta", "n_s")
+    cfg = {"surface": {"family": "sinh", "a": 1.0}, "rho_max": 2.0,
+           "r": 1.0, "m1": 1, "m2": 1, "p_values": p_values,
+           "grid": dict(zip(names, grid)),
+           "sample": dict(zip(names, sample))}
+    _assert_fields_take_one_round(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("n_src", [1, 7])
+@pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
+                                  "12-pole", "sphere-band"])
+def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
+                                                              case, n_src):
+    """The certificate of a theta pass on its column-major copy: on return,
+    every in-edge from the column the pass came from (the ring edge and
+    both diagonals, into strip columns 1 .. width - 1 after an ascending
+    pass and 0 .. width - 2 after a descending one) satisfies
+    d[v] <= fl(d[u] + w) in the padded labels.  Random per-row weights with
+    and without a pole, and the sphere band, which takes three rounds and
+    so runs descending passes; one source row, whose source run is one
+    8-byte item, and seven.  At one source row the fields also equal
+    scipy's Dijkstra bit for bit."""
+    g = _certificate_graph(case)
+    ring = g.ring[:, None, None]
+    diag = g.diag[1:, None, None]
+    passes = []
+
+    def spy(d, cand, ring_run, diag_run, ascending):
+        theta(d, cand, ring_run, diag_run, ascending=ascending)
+        strip = d[:, 1:-1]
+        src, dst = ((strip[:, :-1], strip[:, 1:]) if ascending
+                    else (strip[:, 1:], strip[:, :-1]))
+        assert np.all(dst <= src + ring)
+        assert np.all(dst[1:] <= src[:-1] + diag)
+        assert np.all(dst[:-1] <= src[1:] + diag)
+        passes.append(ascending)
+
+    theta = gh_collapse._theta_pass
+    monkeypatch.setattr(gh_collapse, "_theta_pass", spy)
+    # a lone source in the middle row; seven from edge to edge, the pole
+    # among them
+    rows = ([g.n_rho // 2] if n_src == 1
+            else np.linspace(0, g.n_rho - 1, n_src).round().astype(int))
+    got = distance_field(g, rows).dist
+    if case == "sphere-band":
+        assert passes == [True, False] * 2 + [True]
+    else:
+        assert passes and passes[0]
+    if n_src == 1:
+        ids = _strip_ids(g)
+        want = dijkstra(_half_csr(g), indices=ids[rows, 0])[:, ids]
+        assert np.array_equal(got.transpose(1, 0, 2), want)
 
 
 @pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])
@@ -1083,9 +1163,12 @@ def test_collapse_solve_peak_memory():
     """A solve holds at most one field's label table and the check's
     scratch table of the largest size at a time: each refinement field is
     dropped once its floor term is taken, and the sweeps and the check
-    allocate nothing else of the table's size.  The bound is the one the
-    CSR solver met: 1.8x the largest half strip's CSR plus its six float64
-    labels a node, with the CSR sized from the stencil counts."""
+    allocate nothing else of the table's size.  The bound is the sweep's
+    own: the two float64 tables of the largest field, the O(n_rho S) row
+    and column buffers of the passes, and a slack below half a table for
+    numpy's fixed-size ufunc buffers (the check's strided operands take
+    about 128 KiB) and the small class tables, so one more buffer of the
+    table's size fails it."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],
                grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
                sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
@@ -1097,21 +1180,17 @@ def test_collapse_solve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the largest graph is the doubly refined limit surface, 191 x 192 with
-    # a pole; its half strip has 97 columns and no wrap edges
-    n_rho, width = 191, 97
-    nodes = 1 + (n_rho - 1) * width
-    edges = ((n_rho - 1) * (width - 1)              # ring
-             + (n_rho - 2) * (3 * width - 2)        # radial and diagonal
-             + width)                               # spokes
-    limit = quotient_transform(metric_from_warp(config.surface,
-                                                config.rho_max),
-                               TransformParams.from_slope_pair(1, 1, 1.0))
-    assert _coo_reference_csr(limit, 191, 192, half=True).nnz == 2 * edges
-    # 8-byte weights and 4-byte column ids for both directions of every
-    # edge, 4-byte row offsets, six 8-byte labels a node
-    largest = 2 * edges * (8 + 4) + 4 * (nodes + 1) + 6 * nodes * 8
-    assert peak < 1.8 * largest
+    # the largest field is the doubly refined limit surface's, 191 x 192,
+    # from 6 source rows: a half strip of 97 columns, padded to 99 in the
+    # labels, and the check's scratch table of the strip's size
+    n_rho, width, n_src = 191, 97, 6
+    tables = 8 * n_rho * n_src * ((width + 2) + width)
+    # ring and diag repeated across the sources, a theta pass's column and
+    # step, a rho pass's row
+    buffers = 8 * n_src * (4 * n_rho + width)
+    slack = 256 * 1024
+    assert slack < 8 * n_rho * n_src * width // 2
+    assert peak < tables + buffers + slack
 
 
 def test_collapse_config_validation():

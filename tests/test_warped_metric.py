@@ -385,6 +385,13 @@ def test_inverse_promotions_and_range_guard():
                            (1e200, 1.0, -1), (1e160, 1e-170, 1)):
         with pytest.raises(DomainError, match="overflows"):
             transformed_warp(ConstWarp(c), 1.0, kappa, sign)
+    # an r whose square underflows to 0 is refused in either direction; a
+    # subnormal r^2 is still a number
+    for warp, sign in ((ConstWarp(1e-200), 1), (ConstWarp(1e-200), -1),
+                       (SinhWarp(1.0), 1), (SinhWarp(1.0), -1)):
+        with pytest.raises(DomainError, match="r\\^2 underflows"):
+            transformed_warp(warp, 1e-200, 1.0, sign)
+    assert transformed_warp(ConstWarp(1e-160), 1e-160, 1.0).c > 0
 
 
 _TAB_RHO = np.linspace(0.0, 1.0, 11)
