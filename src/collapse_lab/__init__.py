@@ -12,8 +12,8 @@ The library has five parts:
                    direction, Gram projections, pushforward forms.
 * su2_geometry   - unit quaternions, the left-invariant frame, Berger
                    metrics, the Hopf map and submersion distortion scans.
-* gh_collapse    - grid-graph geodesics, finite metric spaces,
-                   correspondence distortion, the collapse experiment.
+* gh_collapse    - grid-graph geodesics, Z_p quotient distances, the
+                   collapse experiment and its correspondence distortion.
 
 The `collapse-lab` console script (see cli) drives all of it from JSON
 configs and writes CSV.
@@ -38,12 +38,10 @@ _EXPORTS = {
         "TangencyError", "TransversalityError", "TrivialSolitonError",
     ),
     "gh_collapse": (
-        "CollapseConfig", "CollapseRow", "Correspondence",
-        "FiniteMetricSpace", "GridSpec", "QuotientSpec",
+        "CollapseConfig", "CollapseRow", "GridSpec", "QuotientSpec",
         "SurfaceDistanceField", "SurfaceGraph", "build_surface_graph",
         "circle_distance", "collapse_experiment", "distance_field",
-        "distortion", "natural_correspondence", "product_distance",
-        "quotient_distance", "surface_distances",
+        "quotient_distance",
     ),
     "killing_quotient": (
         "KillingVector", "OrbitBasis", "PointMetric",

@@ -7,7 +7,8 @@ sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
 analytic), and the Z_p quotient distance minimizes over group translates:
 collapse_experiment minimizes the squared sum d_P^2 + d_S1^2 and takes one
 square root at the end, since the square root is monotone, while
-quotient_distance minimizes np.hypot directly as the dense reference.
+quotient_distance, the pointwise Z_p pseudodistance, minimizes np.hypot
+directly.
 
 Every weight of the graph depends only on the rho rows an edge joins, so the
 graph is a few per-row weight tables (build_surface_graph), and rotations
@@ -24,8 +25,7 @@ The label table is row-major, and a theta pass runs on a column-major copy
 of it held in the check's scratch table, so both kinds of pass work on
 contiguous blocks.  The rho-up pass leaves every edge from the row below
 relaxed, so the check relaxes the other edges only.  The fixed point is
-Dijkstra's output to the last bit.  surface_distances serves the full graph
-from the same fields, by the mirror and the rotations.
+Dijkstra's output to the last bit.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
@@ -44,8 +44,7 @@ rho slot, target rho slot, theta offset, s offset), keyed on integer
 grid-index offsets: theta offsets mod n_theta, s offsets signed, because
 theta - kappa s is not periodic in s for non-integer kappa.  The experiment
 works on these S x S x D_theta x D_s tables and never builds an
-n_pts x n_pts matrix; FiniteMetricSpace, natural_correspondence and
-distortion are the same computation on explicit matrices, for small spaces.
+n_pts x n_pts matrix.
 """
 
 from __future__ import annotations
@@ -102,26 +101,11 @@ class SurfaceGraph:
     def n_rho(self) -> int:
         return self.rho_values.size
 
-    @property
-    def n_nodes(self) -> int:
-        if self.pole:
-            return 1 + (self.n_rho - 1) * self.n_theta
-        return self.n_rho * self.n_theta
-
-    def node_index(self, i_rho, j_theta):
-        """Flat node index; every (0, j) maps to the single pole node."""
-        i = np.asarray(i_rho)
-        j = np.asarray(j_theta) % self.n_theta
-        if self.pole:
-            return np.where(i == 0, 0, 1 + (i - 1) * self.n_theta + j)[()]
-        return (i * self.n_theta + j)[()]
-
 
 # Largest surface graph, in nodes of the full ring, that build_surface_graph
 # accepts.  The graph itself is three weights a row; what grows with its
-# nodes is a solve: surface_distances returns 8 bytes a node per source, and
-# distance_field holds 16 bytes a half-strip node per source (see
-# MAX_FIELD_LABELS).
+# nodes is a solve: distance_field holds 16 bytes a half-strip node per
+# source (see MAX_FIELD_LABELS).
 MAX_GRAPH_NODES = 2 ** 22
 
 
@@ -140,9 +124,9 @@ MAX_FIELD_LABELS = 2 ** 23
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
-def _check_graph_size(n_nodes: int) -> None:
-    if n_nodes > MAX_GRAPH_NODES:
-        raise DomainError(f"surface graph of {n_nodes} nodes exceeds the cap "
+def _check_graph_size(nodes: int) -> None:
+    if nodes > MAX_GRAPH_NODES:
+        raise DomainError(f"surface graph of {nodes} nodes exceeds the cap "
                           f"MAX_GRAPH_NODES = {MAX_GRAPH_NODES}; use a "
                           f"coarser grid")
 
@@ -339,32 +323,6 @@ def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
     return False
 
 
-def surface_distances(graph: SurfaceGraph, sources) -> np.ndarray:
-    """Exact shortest-path distances from the given node indices to all
-    nodes, (len(sources), n_nodes); raises ConnectivityError if anything is
-    unreachable.
-
-    One half-strip field is solved per distinct source row; the field of a
-    source in column c is that row's field unfolded by the mirror and
-    rotated by c columns, exact because both maps are weight-preserving
-    automorphisms of the graph.
-    """
-    sources = np.atleast_1d(np.asarray(sources, dtype=int))
-    if np.any((sources < 0) | (sources >= graph.n_nodes)):
-        raise DomainError(f"source nodes must lie in [0, {graph.n_nodes})")
-    n, first = graph.n_theta, int(graph.pole)
-    rows, cols = np.divmod(sources - first, n)
-    rows += first
-    cols[sources < first] = 0       # the pole, a pole graph's node 0
-    source_rows, slot = np.unique(rows, return_inverse=True)
-    fld = distance_field(graph, source_rows)
-    i = np.arange(graph.n_rho)[:, None]
-    out = np.empty((sources.size, graph.n_nodes))
-    out[:, graph.node_index(i, np.arange(n))] = fld.lookup(
-        slot.reshape(-1, 1, 1), i, np.arange(n) - cols[:, None, None])
-    return out
-
-
 @dataclass
 class SurfaceDistanceField:
     """Distances from sources at (rho_row, theta = 0) to the nodes of a
@@ -390,7 +348,8 @@ class SurfaceDistanceField:
 
 
 def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
-    """Exact graph distances from (row, theta = 0) for each requested row.
+    """Exact graph distances from (row, theta = 0) for each requested row;
+    an empty list of rows raises DomainError.
 
     The reflection theta -> -theta fixes every source and maps the graph
     onto itself with identical edge weights, so each field satisfies
@@ -423,6 +382,8 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     """
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
     n_rho, width = graph.n_rho, graph.n_theta // 2 + 1
+    if rho_rows.size == 0:
+        raise DomainError("need at least one source row")
     if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
         raise DomainError(f"source rows must lie in [0, {n_rho})")
     _check_field_size(rho_rows.size * n_rho * width)
@@ -438,7 +399,7 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
 
 
 # ---------------------------------------------------------------------------
-# finite metric spaces, quotients, correspondences
+# metric checks and quotients
 # ---------------------------------------------------------------------------
 
 def _check_metric(d, d_transposed, diagonal):
@@ -452,38 +413,6 @@ def _check_metric(d, d_transposed, diagonal):
         raise DomainError("distance matrix must be symmetric")
     if np.any(d < 0):
         raise DomainError("distances must be nonnegative")
-
-
-@dataclass
-class FiniteMetricSpace:
-    """Point labels plus a distance matrix.
-
-    Construction checks the cheap axioms (zero diagonal, symmetry to 1e-12);
-    triangle_defect() reports the worst triangle violation for tests.
-    """
-    labels: list
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        n = len(self.labels)
-        if d.shape != (n, n):
-            raise DomainError("distance matrix shape must match labels")
-        _check_metric(d, d.T, np.diag(d))
-        self.d = d
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def triangle_defect(self) -> float:
-        """max over (i,j,k) of d(i,k) - d(i,j) - d(j,k); <= 0 for a metric."""
-        d = self.d
-        worst = -math.inf
-        for j in range(self.n):
-            via = d[:, j][:, None] + d[j, :][None, :]
-            worst = max(worst, float(np.max(d - via)))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -518,12 +447,6 @@ def circle_distance(s_a, s_b, r: float):
     return (r * np.minimum(delta, TWO_PI - delta))[()]
 
 
-def product_distance(d_p, d_s1):
-    """Distance in a Riemannian product: the factor distances add in
-    quadrature."""
-    return np.hypot(d_p, d_s1)[()]
-
-
 def _check_class_table(p: int, entries: int) -> None:
     if p * entries > MAX_CLASS_ENTRIES:
         raise DomainError(f"class table of {p * entries} entries for a "
@@ -546,72 +469,9 @@ def quotient_distance(spec: QuotientSpec, a, b, dp_lookup) -> float:
     (pa, sa), (pb, sb) = a, b
     _check_class_table(spec.p, 1)
     tau = spec.group_angles()
-    return float(np.min(product_distance(
+    return float(np.min(np.hypot(
         dp_lookup(pa, pb, spec.m1 * tau),
         circle_distance(0.0, sb - sa + spec.m2 * tau, spec.r))))
-
-
-@dataclass
-class Correspondence:
-    """Index pairs relating two finite metric spaces; surjective onto both
-    index sets when validated."""
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=int)
-        self.right = np.asarray(self.right, dtype=int)
-        if self.left.shape != self.right.shape or self.left.ndim != 1:
-            raise DomainError("correspondence needs parallel index arrays")
-
-    def validate(self, n_left: int, n_right: int):
-        if set(self.left.tolist()) != set(range(n_left)):
-            raise DomainError("correspondence misses left indices")
-        if set(self.right.tolist()) != set(range(n_right)):
-            raise DomainError("correspondence misses right indices")
-
-
-def natural_correspondence(points, spec: QuotientSpec):
-    """Slice correspondence (rho, theta, s) -> (rho, theta - kappa s).
-
-    Returns (correspondence, limit_points) where limit_points deduplicates
-    coincident images (keys rounded to 1e-12).  Because the s = 0 slice is
-    expected among the samples, the correspondence covers the whole sampled
-    limit grid.  Group translates of a sample map to the same image point
-    whenever m2 = 1; for m2 > 1 residual identifications of the limit
-    surface are deliberately ignored and the distortion stays an upper
-    bound.
-    """
-    kappa = spec.kappa
-    limit_points = []
-    seen = {}
-    left, right = [], []
-    for i, (rho, theta, s) in enumerate(points):
-        phi = (theta - kappa * s) % TWO_PI
-        key_phi = round(phi, 12)
-        if key_phi >= round(TWO_PI, 12):
-            key_phi = 0.0
-            phi = 0.0
-        key = (round(float(rho), 12), key_phi)
-        j = seen.get(key)
-        if j is None:
-            j = len(limit_points)
-            seen[key] = j
-            limit_points.append((float(rho), float(phi)))
-        left.append(i)
-        right.append(j)
-    return Correspondence(np.array(left), np.array(right)), limit_points
-
-
-def distortion(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
-               corr: Correspondence) -> float:
-    """max |d_X(a, a') - d_Y(b, b')| over pairs of correspondence entries.
-    Half of this bounds from above the Gromov-Hausdorff distance between
-    the two finite sets, not between spaces they were sampled from."""
-    corr.validate(space_x.n, space_y.n)
-    dx = space_x.d[np.ix_(corr.left, corr.left)]
-    dy = space_y.d[np.ix_(corr.right, corr.right)]
-    return float(np.max(np.abs(dx - dy)))
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +587,9 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     Distances are computed once per offset class (source slot, target slot,
     theta offset mod n_theta, signed s offset) rather than per point pair.
     The symmetrisation 0.5 (d + d^T) pairs each class with
-    (kb, ka, -dtheta, -ds); every table gets the FiniteMetricSpace checks
-    before it is averaged.  The distortion is the largest |d_X - d_Y| over
-    the classes.
+    (kb, ka, -dtheta, -ds); every table gets the metric checks
+    (_check_metric) before it is averaged.  The distortion is the largest
+    |d_X - d_Y| over the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
     params = TransformParams.from_slope_pair(config.m1, config.m2, config.r)

@@ -12,8 +12,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from collapse_lab import (
     CollapseConfig,
-    Correspondence,
-    FiniteMetricSpace,
     QuotientSpec,
     SinWarp,
     SinhWarp,
@@ -25,13 +23,9 @@ from collapse_lab import (
     circle_distance,
     collapse_experiment,
     distance_field,
-    distortion,
     metric_from_warp,
-    natural_correspondence,
-    product_distance,
     quotient_distance,
     quotient_transform,
-    surface_distances,
 )
 from collapse_lab import gh_collapse
 from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
@@ -39,6 +33,7 @@ from collapse_lab.gh_collapse import (
     MAX_CLASS_ENTRIES,
     MAX_FIELD_LABELS,
     MAX_GRAPH_NODES,
+    _check_metric,
     _subgrid_indices,
     SurfaceGraph,
 )
@@ -94,18 +89,24 @@ def test_graph_rejects_vanishing_warp():
 
 
 def test_graph_node_layout_with_pole():
+    """A capped metric's first grid row is the single pole node: the
+    reference numbering gives it id 0 in every column, and a field holds
+    the same pole distance in every column of row 0."""
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     assert m.capped_at_origin
     g = build_surface_graph(m, 9, 12)
     assert g.pole
-    assert g.n_rho == 9
-    assert g.n_nodes == 1 + 8 * 12
-    # the whole first row is the single pole node
-    for j in (0, 3, 11, 12):
-        assert g.node_index(0, j) == 0
-    assert g.node_index(1, 0) == 1
-    assert g.node_index(1, 12) == 1          # theta wraps
-    assert g.node_index(2, 5) == 1 + 12 + 5
+    assert g.n_rho == 9 and g.rho_values[0] == 0.0
+    ids = _node_ids(g, half=False)
+    assert _coo_reference_csr(m, 9, 12, half=False).shape[0] == 1 + 8 * 12
+    assert ids.max() == 8 * 12
+    assert ids[0].tolist() == [0] * 12
+    assert ids[1, 0] == 1
+    assert ids[2, 5] == 1 + 12 + 5
+    fld = distance_field(g, [0, 4])
+    assert np.all(fld.lookup(0, 0, np.arange(12)) == 0.0)
+    pole = fld.lookup(1, 0, np.arange(12))
+    assert np.all(pole == pole[0]) and pole[0] > 0
 
 
 def test_graph_node_layout_without_pole():
@@ -113,12 +114,12 @@ def test_graph_node_layout_without_pole():
     assert not m.capped_at_origin
     g = build_surface_graph(m, 8, 10)
     assert not g.pole
-    assert g.n_nodes == 80
-    assert g.node_index(0, 0) == 0
-    assert g.node_index(3, 9) == 39
-    assert g.node_index(3, 10) == 30
-    idx = g.node_index(np.array([0, 1]), np.array([2, 3]))
-    assert idx.tolist() == [2, 13]
+    assert g.n_rho == 8 and g.ring[0] > 0
+    ids = _node_ids(g, half=False)
+    assert _coo_reference_csr(m, 8, 10, half=False).shape[0] == 80
+    assert ids[0, 0] == 0
+    assert ids[3, 9] == 39
+    assert ids[[0, 1], [2, 3]].tolist() == [2, 13]
 
 
 def test_graph_edge_weights_match_formula():
@@ -208,31 +209,48 @@ def test_graph_csr_matches_coo_reference(warp, rho_max, half, n_theta,
                                          n_rho):
     """The weight tables describe the edge-list reference graph: the sweep
     solver's distances equal scipy's Dijkstra on the reference CSR bit for
-    bit, from every node of the full graph (surface_distances) and from
-    every row of the half strip (distance_field)."""
+    bit, from every node of the full graph (the fields read at every
+    rotation, _all_pairs) and from every row of the half strip
+    (distance_field)."""
     metric = metric_from_warp(warp, rho_max)
     g = build_surface_graph(metric, n_rho, n_theta)
     ref = _coo_reference_csr(metric, n_rho, n_theta, half)
     if half:
-        ids = _strip_ids(g)
+        ids = _node_ids(g, half=True)
         want = dijkstra(ref, indices=ids[:, 0])[:, ids]
         got = distance_field(g, np.arange(n_rho)).dist.transpose(1, 0, 2)
     else:
-        want = dijkstra(ref, indices=np.arange(g.n_nodes))
-        got = surface_distances(g, np.arange(g.n_nodes))
+        want = dijkstra(ref, indices=np.arange(ref.shape[0]))
+        got = _all_pairs(g)
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def _strip_ids(g):
-    """Node ids of the half-strip reference graph by (row, column 0 ..
-    n_theta // 2); a pole row repeats the pole's id."""
-    width = g.n_theta // 2 + 1
+def _node_ids(g, half):
+    """Node ids of the edge-list reference graph of g (_edge_list_csr) by
+    (row, column): columns 0 .. n_theta - 1 of the full graph, or 0 ..
+    n_theta // 2 of the half strip; a pole row repeats the pole's id."""
+    width = g.n_theta // 2 + 1 if half else g.n_theta
     first = int(g.pole)
     ids = first + (np.arange(g.n_rho)[:, None] - first) * width + np.arange(
         width)
     if g.pole:
         ids[0] = 0
     return ids
+
+
+def _all_pairs(g):
+    """Distances between all nodes of g, indexed by the ids of the full
+    reference graph, read from one field per row: the source in column c
+    of row k is the field's source rotated by c columns, so its distance to
+    node (i, j) is lookup(k, i, j - c), exact because rotations are
+    weight-preserving automorphisms of the graph, as collapse_experiment
+    assumes."""
+    ids = _node_ids(g, half=False)
+    fld = distance_field(g, np.arange(g.n_rho))
+    k, c, i, j = np.ix_(*map(np.arange, ids.shape * 2))
+    d = np.empty((ids.max() + 1,) * 2)
+    d[ids[k, c], ids[i, j]] = fld.lookup(k, i, j - c)
+    return d
 
 
 def test_graph_size_cap():
@@ -258,10 +276,10 @@ def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
     g = build_surface_graph(metric, 10, n_theta)
     # full-graph ids of the strip in row-major order; a pole graph's row 0
     # repeats the pole id, kept once
-    ids = g.node_index(np.arange(10)[:, None], np.arange(n_theta // 2 + 1))
+    ids = _node_ids(g, half=False)[:, :n_theta // 2 + 1]
     keep = ids.ravel()[g.pole * (n_theta // 2):]
     full = _coo_reference_csr(metric, 10, n_theta, half=False)
-    strip = _strip_ids(g)
+    strip = _node_ids(g, half=True)
     want = dijkstra(full[keep][:, keep], indices=strip[:, 0])[:, strip]
     got = distance_field(g, np.arange(10)).dist
     assert np.array_equal(got.transpose(1, 0, 2), want)
@@ -276,16 +294,15 @@ def test_half_graph_node_index_folds(warp):
     g = build_surface_graph(metric, 9, 13)
     fld = distance_field(g, [0, 4, 8])
     assert fld.dist.shape == (9, 3, 7)
+    ids = _node_ids(g, half=False)
     full = dijkstra(_coo_reference_csr(metric, 9, 13, half=False),
-                    indices=g.node_index([0, 4, 8], 0))
+                    indices=ids[[0, 4, 8], 0])
     i = np.arange(9)[:, None]
     j = np.arange(-13, 26)[None, :]
     mirror = np.minimum(j % 13, 13 - j % 13)
     for k in range(3):
-        assert np.array_equal(fld.dist[i, k, mirror],
-                              full[k, g.node_index(i, j)])
-        assert np.array_equal(fld.lookup(k, i, j),
-                              full[k, g.node_index(i, j)])
+        assert np.array_equal(fld.dist[i, k, mirror], full[k, ids[i, j % 13]])
+        assert np.array_equal(fld.lookup(k, i, j), full[k, ids[i, j % 13]])
 
 
 def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
@@ -306,7 +323,7 @@ def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
         g = build_surface_graph(metric, n_rho, n_theta)
         got = distance_field(g, np.arange(n_rho)).dist
         assert checks[0] and not checks[-1]
-        ids = _strip_ids(g)
+        ids = _node_ids(g, half=True)
         ref = _coo_reference_csr(metric, n_rho, n_theta, half=True)
         want = dijkstra(ref, indices=ids[:, 0])[:, ids]
         assert np.array_equal(got.transpose(1, 0, 2), want)
@@ -482,7 +499,7 @@ def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
     else:
         assert passes and passes[0]
     if n_src == 1:
-        ids = _strip_ids(g)
+        ids = _node_ids(g, half=True)
         want = dijkstra(_half_csr(g), indices=ids[rows, 0])[:, ids]
         assert np.array_equal(got.transpose(1, 0, 2), want)
 
@@ -506,14 +523,14 @@ def test_distance_field_random_row_weights(pole, n_theta):
         rad=np.r_[inf, [spoke] * pole, rad_w],
         diag=np.r_[inf, inf * pole, diag_w])
     rows = np.arange(g.n_rho)
-    ids = _strip_ids(g)
+    ids = _node_ids(g, half=True)
     half = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, True)
     want = dijkstra(half, indices=ids[:, 0])[:, ids]
     assert np.array_equal(distance_field(g, rows).dist.transpose(1, 0, 2),
                           want)
     full = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, False)
-    assert np.array_equal(surface_distances(g, np.arange(g.n_nodes)),
-                          dijkstra(full, indices=np.arange(g.n_nodes)))
+    assert np.array_equal(_all_pairs(g),
+                          dijkstra(full, indices=np.arange(full.shape[0])))
 
 
 def test_distance_field_checks_sources_and_size():
@@ -521,13 +538,13 @@ def test_distance_field_checks_sources_and_size():
     for rows in ([8], [-1]):
         with pytest.raises(DomainError, match="source rows"):
             distance_field(g, rows)
-    with pytest.raises(DomainError, match="source nodes"):
-        surface_distances(g, g.n_nodes)
+    with pytest.raises(DomainError, match="at least one source row"):
+        distance_field(g, [])
     # a graph at the node cap: four sources on its half strip are refused
     # before the label table is allocated
     big = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0),
                               2048, 2048)
-    assert big.n_nodes == MAX_GRAPH_NODES
+    assert not big.pole and 2048 * 2048 == MAX_GRAPH_NODES
     assert 4 * 2048 * 1025 > MAX_FIELD_LABELS
     with pytest.raises(DomainError, match="MAX_FIELD_LABELS"):
         distance_field(big, [0, 1, 2, 3])
@@ -553,8 +570,8 @@ def test_half_graph_build_peak_memory():
 def test_flat_cylinder_radial_distance():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    d = surface_distances(g, g.node_index(0, 0))
-    assert abs(d[0, g.node_index(8, 0)] - 1.0) <= 1e-12
+    fld = distance_field(g, [0])
+    assert abs(fld.lookup(0, 8, 0) - 1.0) <= 1e-12
 
 
 def test_flat_cylinder_half_circumference():
@@ -562,25 +579,23 @@ def test_flat_cylinder_half_circumference():
     # the graph carries it without any 8-neighbor direction error
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    d = surface_distances(g, g.node_index(0, 0))
-    assert abs(d[0, g.node_index(0, 8)] - math.pi) <= 1e-12
+    fld = distance_field(g, [0])
+    assert abs(fld.lookup(0, 0, 8) - math.pi) <= 1e-12
 
 
 def test_sphere_meridian_distance():
     m = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
     g = build_surface_graph(m, 29, 16)
-    d = surface_distances(g, g.node_index(0, 0))
+    fld = distance_field(g, [0])
     want = math.pi - 0.6
-    assert abs(d[0, g.node_index(28, 0)] - want) <= 1e-12
+    assert abs(fld.lookup(0, 28, 0) - want) <= 1e-12
 
 
 def test_pole_to_rim_distance():
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     g = build_surface_graph(m, 17, 16)
-    d = surface_distances(g, 0)
-    rim = [g.node_index(16, j) for j in range(16)]
-    for node in rim:
-        assert abs(d[0, node] - 1.0) <= 1e-12
+    rim = distance_field(g, [0]).lookup(0, 16, np.arange(16))
+    assert np.max(np.abs(rim - 1.0)) <= 1e-12
 
 
 def test_diagonal_distance_overshoot_bounded():
@@ -589,31 +604,31 @@ def test_diagonal_distance_overshoot_bounded():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     n_rho, n_theta = 17, 101
     g = build_surface_graph(m, n_rho, n_theta)
-    d = surface_distances(g, g.node_index(0, 0))
-    val = d[0, g.node_index(16, 16)]
+    val = distance_field(g, [0]).lookup(0, 16, 16)
     true = math.hypot(1.0, 16 * TWO_PI / n_theta)
     assert val >= true - 1e-12
     assert val <= 1.09 * true
 
 
-def test_surface_distances_symmetry():
+def test_distance_field_lookup_symmetry():
+    """d(u, v) = d(v, u) to rounding between every pair of nodes, read from
+    the fields of their rows with the rotation by the source's column."""
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 8)
-    d = surface_distances(g, np.arange(g.n_nodes))
+    d = _all_pairs(g)
     assert np.max(np.abs(d - d.T)) <= 1e-12
     assert np.max(np.abs(np.diag(d))) == 0.0
 
 
-def test_surface_distances_disconnected_graph():
+def test_distance_field_disconnected_graph():
     # hand-built graph whose rows 0-3 and 4-8 share no edge
     cut = np.full(9, 0.1)
     cut[[0, 4]] = math.inf
     g = SurfaceGraph(rho_values=np.linspace(0.0, 1.0, 9), n_theta=8,
                      pole=False, ring=np.ones(9), rad=cut, diag=cut.copy())
-    with pytest.raises(ConnectivityError):
-        surface_distances(g, 0)
-    with pytest.raises(ConnectivityError):
-        distance_field(g, [0, 8])
+    for rows in ([0], [8], [0, 8]):
+        with pytest.raises(ConnectivityError):
+            distance_field(g, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +639,13 @@ def test_distance_field_matches_node_distances():
     m = metric_from_warp(SinhWarp(1.0), 1.2)
     g = build_surface_graph(m, 9, 12)
     fld = distance_field(g, [1, 5])
-    d = surface_distances(g, [g.node_index(1, 0), g.node_index(5, 0)])
+    ids = _node_ids(g, half=False)
+    d = dijkstra(_coo_reference_csr(m, 9, 12, half=False),
+                 indices=ids[[1, 5], 0])
     for slot in (0, 1):
         for i in range(1, 9):
             for j in range(12):
-                want = d[slot, g.node_index(i, j)]
+                want = d[slot, ids[i, j]]
                 assert fld.lookup(slot, i, j) == want
         # the pole row holds the pole in every column
         assert fld.lookup(slot, 0, 5) == d[slot, 0]
@@ -644,53 +661,76 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     g = build_surface_graph(metric, 10, n_theta)
     assert g.pole == (warp.kind == "sinh")
     rows = np.array([0, 3, 9])
-    sources = g.node_index(rows, 0)
-    d = surface_distances(g, sources)
-    nodes = g.node_index(np.arange(10)[:, None], np.arange(n_theta)[None, :])
+    nodes = _node_ids(g, half=False)
+    # scipy's undirected Dijkstra on the full edge-list reference
+    ref = _coo_reference_csr(metric, 10, n_theta, half=False)
+    d = dijkstra(ref, directed=False, indices=nodes[rows, 0])
     fld = distance_field(g, rows)
     # the stored table is the full field at the strip nodes (a pole graph's
-    # row 0 repeats the pole in every column)
+    # row 0 repeats the pole in every column), and lookup unfolds it to
+    # every column
     strip = nodes[:, :n_theta // 2 + 1]
     assert np.array_equal(fld.dist, d[:, strip].transpose(1, 0, 2))
-    # both equal scipy's undirected Dijkstra on the edge-list reference
-    ref = _coo_reference_csr(metric, 10, n_theta, half=False)
-    assert np.array_equal(d, dijkstra(ref, directed=False, indices=sources))
+    k, i, j = np.ix_(range(3), range(10), range(n_theta))
+    assert np.array_equal(fld.lookup(k, i, j), d[k, nodes[i, j]])
 
 
 # ---------------------------------------------------------------------------
-# finite metric spaces
+# metric checks on explicit matrices
 # ---------------------------------------------------------------------------
 
-def test_finite_metric_space_validation():
-    with pytest.raises(DomainError):
-        FiniteMetricSpace(labels=[0, 1], d=np.zeros((3, 3)))
-    with pytest.raises(DomainError):
-        FiniteMetricSpace(labels=[0, 1], d=np.array([[0.1, 1], [1, 0]]))
-    with pytest.raises(DomainError):
-        FiniteMetricSpace(labels=[0, 1], d=np.array([[0, 1], [2, 0]]))
-    with pytest.raises(DomainError):
-        FiniteMetricSpace(labels=[0, 1], d=np.array([[0, -1], [-1, 0]]))
+def _metric(d):
+    """An explicit distance matrix after the checks collapse_experiment runs
+    on every raw table (_check_metric), averaged with its transpose."""
+    d = np.asarray(d, dtype=float)
+    _check_metric(d, d.T, np.diag(d))
+    return 0.5 * (d + d.T)
+
+
+def _triangle_defect(d):
+    """max over (i, j, k) of d(i, k) - d(i, j) - d(j, k); <= 0 for a
+    metric."""
+    return max(float(np.max(d - (d[:, j][:, None] + d[j, :][None, :])))
+               for j in range(len(d)))
+
+
+@pytest.mark.parametrize("d, refusal", [
+    ([[0.0, 1.0], [1.0, 0.0]], None),
+    ([[1e-11, 1.0], [1.0, 0.0]], "diagonal"),
+    # the symmetry tolerance is 1e-12 of the largest distance, here 1000
+    ([[0.0, 1000.0], [1000.0 + 5e-10, 0.0]], None),
+    ([[0.0, 1000.0], [1000.0 + 2e-9, 0.0]], "symmetric"),
+    ([[0.0, 1.0], [2.0, 0.0]], "symmetric"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+], ids=["metric", "diagonal", "asymmetry-within-scale", "asymmetry-of-scale",
+        "asymmetry", "negative"])
+def test_check_metric_refusals(d, refusal):
+    """The three refusals of the check collapse_experiment runs on every
+    raw table: a nonzero diagonal, asymmetry beyond 1e-12 of the largest
+    distance (at least 1), and a negative distance."""
+    d = np.array(d)
+    if refusal is None:
+        _check_metric(d, d.T, np.diag(d))
+    else:
+        with pytest.raises(DomainError, match=refusal):
+            _check_metric(d, d.T, np.diag(d))
 
 
 def test_triangle_defect_reports_violation():
-    bad = FiniteMetricSpace(labels=list(range(3)),
-                            d=np.array([[0.0, 1.0, 3.0],
-                                        [1.0, 0.0, 1.0],
-                                        [3.0, 1.0, 0.0]]))
-    assert bad.triangle_defect() == pytest.approx(1.0, abs=1e-15)
-    good = FiniteMetricSpace(labels=list(range(3)),
-                             d=np.array([[0.0, 1.0, 2.0],
-                                         [1.0, 0.0, 1.0],
-                                         [2.0, 1.0, 0.0]]))
-    assert good.triangle_defect() <= 0.0
+    bad = _metric([[0.0, 1.0, 3.0],
+                   [1.0, 0.0, 1.0],
+                   [3.0, 1.0, 0.0]])
+    assert _triangle_defect(bad) == pytest.approx(1.0, abs=1e-15)
+    good = _metric([[0.0, 1.0, 2.0],
+                    [1.0, 0.0, 1.0],
+                    [2.0, 1.0, 0.0]])
+    assert _triangle_defect(good) <= 0.0
 
 
 def test_graph_distance_matrix_is_metric():
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 10)
-    d = surface_distances(g, np.arange(g.n_nodes))
-    space = FiniteMetricSpace(labels=list(range(g.n_nodes)), d=d)
-    assert space.triangle_defect() <= 1e-12
+    assert _triangle_defect(_metric(_all_pairs(g))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +761,6 @@ def test_circle_distance_wraparound():
     assert np.allclose(vals, [0.1, 0.1], atol=1e-14)
 
 
-def test_product_distance_pythagorean():
-    assert product_distance(3.0, 4.0) == pytest.approx(5.0, rel=1e-15)
-    assert product_distance(0.0, 2.0) == 2.0
-
-
 def _cylinder_lookup(n_theta=16):
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, n_theta)
@@ -744,8 +779,8 @@ def test_quotient_distance_trivial_group_is_product():
     spec = QuotientSpec(r=1.0, m1=1, m2=1, p=1)
     a = ((0, 0.0), 0.0)
     b = ((8, math.pi / 4), 1.0)
-    want = product_distance(dp_lookup((0, 0.0), (8, math.pi / 4), 0.0),
-                            circle_distance(0.0, 1.0, 1.0))
+    want = math.hypot(dp_lookup((0, 0.0), (8, math.pi / 4), 0.0),
+                      circle_distance(0.0, 1.0, 1.0))
     assert quotient_distance(spec, a, b, dp_lookup) == pytest.approx(
         want, rel=1e-15)
 
@@ -805,58 +840,86 @@ def test_quotient_distance_group_size_cap():
 
 
 # ---------------------------------------------------------------------------
-# correspondences and distortion
+# the dense reference's slice correspondence and distortion
 # ---------------------------------------------------------------------------
 
+def _slice_map(points, kappa):
+    """The slice correspondence (rho, theta, s) -> (rho, theta - kappa s) of
+    the sample points.
+
+    Returns (image, limit_points): limit_points are the distinct images,
+    deduplicated on keys rounded to 1e-12 with an angle of 2 pi taken as
+    0, and point i corresponds to limit_points[image[i]].  Group translates
+    of a point have coincident images only when m2 = 1: for m2 > 1 the
+    limit surface's residual Z_m2 identifications are not applied, so the
+    distortion stays an upper bound, and the orbifold quotient changes this
+    map."""
+    limit_points, seen, image = [], {}, []
+    for rho, theta, s in points:
+        phi = (theta - kappa * s) % TWO_PI
+        key_phi = round(phi, 12)
+        if key_phi >= round(TWO_PI, 12):
+            key_phi = phi = 0.0
+        key = (round(float(rho), 12), key_phi)
+        if key not in seen:
+            seen[key] = len(limit_points)
+            limit_points.append((float(rho), float(phi)))
+        image.append(seen[key])
+    return np.array(image), limit_points
+
+
+def _distortion(d_x, d_y, image):
+    """max |d_X(a, a') - d_Y(b, b')| over the pairs of the correspondence
+    that relates point a of X to point image[a] of Y; it must cover both
+    index sets."""
+    assert len(image) == len(d_x)
+    assert set(np.asarray(image).tolist()) == set(range(len(d_y)))
+    return float(np.max(np.abs(d_x - d_y[np.ix_(image, image)])))
+
+
 def test_natural_correspondence_zero_slice_is_identity():
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     pts = [(0.5, 0.0, 0.0), (0.5, 1.0, 0.0), (1.0, 2.0, 0.0)]
-    corr, limit_points = natural_correspondence(pts, spec)
+    image, limit_points = _slice_map(pts, 1.0)
     assert limit_points == [(0.5, 0.0), (0.5, 1.0), (1.0, 2.0)]
-    assert corr.left.tolist() == [0, 1, 2]
-    assert corr.right.tolist() == [0, 1, 2]
+    assert image.tolist() == [0, 1, 2]
 
 
 def test_natural_correspondence_collapses_orbits():
     # with kappa = 1 the points (rho, theta, s) and (rho, theta + tau,
     # s + tau) project to the same limit point; exact binary angles keep
     # the dedup keys identical
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     tau = math.pi / 2
     pts = [(0.5, 0.25, 0.125), (0.5, 0.25 + tau, 0.125 + tau)]
-    corr, limit_points = natural_correspondence(pts, spec)
+    image, limit_points = _slice_map(pts, 1.0)
     assert len(limit_points) == 1
-    assert corr.right.tolist() == [0, 0]
+    assert image.tolist() == [0, 0]
     assert limit_points[0][1] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_natural_correspondence_wraps_to_zero():
-    spec = QuotientSpec(r=1.0, m1=2, m2=1, p=2)
     # theta - kappa s = 2 pi exactly, which must land on 0, not 2 pi
     pts = [(0.5, 0.0, 0.0), (0.5, math.pi, math.pi / 2 * 3)]
-    corr, limit_points = natural_correspondence(pts, spec)
-    assert len(limit_points) == 1
+    image, limit_points = _slice_map(pts, 2.0)
+    assert len(limit_points) == 1 and limit_points[0][1] == 0.0
 
 
 def test_correspondence_validation():
-    with pytest.raises(DomainError):
-        Correspondence(np.array([0, 1]), np.array([0]))
-    corr = Correspondence(np.array([0, 1, 1]), np.array([0, 0, 1]))
-    corr.validate(2, 2)
-    with pytest.raises(DomainError):
-        corr.validate(3, 2)
-    with pytest.raises(DomainError):
-        corr.validate(2, 3)
+    """The reference distortion refuses a correspondence that misses a
+    point of either space."""
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert _distortion(np.zeros((3, 3)), d, [0, 0, 1]) == 1.0
+    with pytest.raises(AssertionError):
+        _distortion(d, d, [0, 0])               # misses Y's point 1
+    with pytest.raises(AssertionError):
+        _distortion(np.zeros((3, 3)), d, [0, 1])    # misses X's point 2
 
 
 def test_distortion_reference_values():
-    x = FiniteMetricSpace(labels=[0, 1], d=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    y = FiniteMetricSpace(labels=[0, 1], d=np.array([[0.0, 2.0], [2.0, 0.0]]))
-    ident = Correspondence(np.array([0, 1]), np.array([0, 1]))
-    assert distortion(x, x, ident) == 0.0
-    assert distortion(x, y, ident) == pytest.approx(1.0, rel=1e-15)
-    swapped = Correspondence(np.array([0, 1]), np.array([1, 0]))
-    assert distortion(x, y, swapped) == pytest.approx(1.0, rel=1e-15)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([[0.0, 2.0], [2.0, 0.0]])
+    assert _distortion(x, x, [0, 1]) == 0.0
+    assert _distortion(x, y, [0, 1]) == pytest.approx(1.0, rel=1e-15)
+    assert _distortion(x, y, [1, 0]) == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +950,7 @@ def test_quotient_matrix_triangle_defect_tiny():
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = quotient_distance(spec, pts[i], pts[j],
                                                   dp_lookup)
-    space = FiniteMetricSpace(labels=pts, d=d)
-    assert space.triangle_defect() <= 1e-12
+    assert _triangle_defect(_metric(d)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -985,12 +1047,13 @@ def test_collapse_experiment_frozen_small_case():
 
 def _dense_reference(config):
     """The dense algorithm as a reference: one n_pts x n_pts quotient
-    matrix per group element, natural_correspondence, and distortion over
-    FiniteMetricSpace.  Same discretization as collapse_experiment: the
-    limit surface on the ring that holds every slice angle, and one
-    quotient-side field per divisibility chain, on the ring that holds
-    every group rotation of the chain; the float angles of the points and
-    rotations are snapped to those rings' nodes."""
+    matrix per group element, the slice map (_slice_map), the metric checks
+    on the raw matrices, and their distortion (_distortion).  Same
+    discretization as collapse_experiment: the limit surface on the ring
+    that holds every slice angle, and one quotient-side field per
+    divisibility chain, on the ring that holds every group rotation of the
+    chain; the float angles of the points and rotations are snapped to
+    those rings' nodes."""
     base = metric_from_warp(config.surface, config.rho_max)
     limit = quotient_transform(base, TransformParams.from_slope_pair(
         config.m1, config.m2, config.r))
@@ -1014,8 +1077,7 @@ def _dense_reference(config):
         np.arange(rows.size), thetas, svals, indexing="ij"))
     points = [(float(rows[k]), float(t), float(v))
               for k, t, v in zip(slot, theta, s)]
-    spec0 = QuotientSpec(r=config.r, m1=m1, m2=m2, p=p_values[0])
-    corr, limit_points = natural_correspondence(points, spec0)
+    image, limit_points = _slice_map(points, m1 / m2)
     slot_of_rho = {p_[0]: k for p_, k in zip(points, slot)}
     lim_slot = np.array([slot_of_rho[rho] for rho, _ in limit_points])
     lim_phi = np.array([phi for _, phi in limit_points])
@@ -1032,7 +1094,7 @@ def _dense_reference(config):
                 for ref in ((2 * g.n_rho - 1, ring_y, 2),
                             (g.n_rho, 2 * ring_y, 1),
                             (2 * g.n_rho - 1, 2 * ring_y, 2)))
-    space_y = FiniteMetricSpace(limit_points, 0.5 * (d_y + d_y.T))
+    d_y = _metric(d_y)
 
     dth = theta[None, :] - theta[:, None]
     dsv = s[None, :] - s[:, None]
@@ -1050,8 +1112,7 @@ def _dense_reference(config):
                                        _column(dth + m1 * tau, ring_x))
             d_s1 = circle_distance(0.0, dsv + m2 * tau, config.r)
             np.minimum(best, np.hypot(dp, d_s1), out=best)
-        space_x = FiniteMetricSpace(points, 0.5 * (best + best.T))
-        out.append((p, distortion(space_x, space_y, corr), floor))
+        out.append((p, _distortion(_metric(best), d_y, image), floor))
     return out
 
 
