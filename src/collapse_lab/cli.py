@@ -6,7 +6,8 @@ Numbers are formatted with 17 significant digits so doubles round-trip and
 repeated runs are byte-identical.
 
 Exit codes: 0 on success, 1 on domain errors from the geometry modules,
-2 on config parse or schema errors.
+2 on config parse or schema errors and on a config or output path that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -271,6 +272,9 @@ def _load_config(path: str) -> dict:
             obj = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") \
+            from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}") \
@@ -284,8 +288,11 @@ def _write_output(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -293,16 +300,16 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         csv_text, info = _HANDLERS[args.command](cfg)
+        if not args.quiet:
+            for line in info:
+                print(line, file=sys.stderr)
+        _write_output(args.out, csv_text)
     except ConfigError as exc:
         print(f"collapse-lab: config error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"collapse-lab: error: {exc}", file=sys.stderr)
         return 1
-    if not args.quiet:
-        for line in info:
-            print(line, file=sys.stderr)
-    _write_output(args.out, csv_text)
     return 0
 
 

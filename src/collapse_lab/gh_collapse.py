@@ -102,18 +102,13 @@ class SurfaceGraph:
         return self.rho_values.size
 
 
-# Largest surface graph, in nodes of the full ring, that build_surface_graph
-# accepts.  The graph itself is three weights a row; what grows with its
-# nodes is a solve: distance_field holds 16 bytes a half-strip node per
-# source (see MAX_FIELD_LABELS).
-MAX_GRAPH_NODES = 2 ** 22
-
-
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
 # 1)), that one distance field may hold.  The solver keeps the float64
 # labels and a scratch table of the same size, which holds the convergence
 # check's candidates and, during a theta pass, the column-major copy of the
-# labels: 16 bytes a label, so the cap bounds a solve near 128 MiB.
+# labels: 16 bytes a label, so the cap bounds a solve near 128 MiB.  The
+# graph itself is three weights a row, so the cap sizes graphs too:
+# build_surface_graph refuses one whose field from one source exceeds it.
 MAX_FIELD_LABELS = 2 ** 23
 
 
@@ -124,11 +119,11 @@ MAX_FIELD_LABELS = 2 ** 23
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
-def _check_graph_size(nodes: int) -> None:
-    if nodes > MAX_GRAPH_NODES:
-        raise DomainError(f"surface graph of {nodes} nodes exceeds the cap "
-                          f"MAX_GRAPH_NODES = {MAX_GRAPH_NODES}; use a "
-                          f"coarser grid")
+def _field_labels(sources: int, n_rho: int, n_theta: int) -> int:
+    """Labels of a distance field with the given number of source rows on
+    an n_rho x n_theta grid: sources x half-strip nodes, the pole row held
+    in every column."""
+    return sources * n_rho * (n_theta // 2 + 1)
 
 
 def _check_field_size(n_labels: int) -> None:
@@ -148,12 +143,13 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     ring edges.  All weights must be positive and finite, so f may vanish
     only at a capped origin (where the row degenerates to the pole node);
     truncate before any other zero of f, and before f overflows.  A graph
-    above MAX_GRAPH_NODES nodes raises DomainError.
+    whose field from one source would exceed MAX_FIELD_LABELS raises
+    DomainError before its rows are allocated: no field could solve it.
     """
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
+    _check_field_size(_field_labels(1, n_rho, n_theta))
     pole = bool(metric.capped_at_origin)
-    _check_graph_size(int(pole) + (n_rho - int(pole)) * n_theta)
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     w = metric.warp
     # an overflowing f is refused below, so numpy need not warn of it
@@ -386,7 +382,7 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
         raise DomainError("need at least one source row")
     if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
         raise DomainError(f"source rows must lie in [0, {n_rho})")
-    _check_field_size(rho_rows.size * n_rho * width)
+    _check_field_size(_field_labels(rho_rows.size, n_rho, graph.n_theta))
     d = np.full((n_rho, width + 2, rho_rows.size), math.inf)
     d[rho_rows, 1, np.arange(rho_rows.size)] = 0.0
     if graph.pole:
@@ -514,7 +510,7 @@ class CollapseConfig:
         if self.m1 < 0 or self.m2 < 1:
             raise DomainError("need m1 >= 0 and m2 >= 1")
         if len(self.p_values) == 0 or any(p < 1 for p in self.p_values):
-            raise DomainError("p_values must be positive")
+            raise DomainError("p_values must be non-empty and positive")
         for want, have in (("rho", (self.sample.n_rho, self.grid.n_rho)),
                            ("theta", (self.sample.n_theta, self.grid.n_theta)),
                            ("s", (self.sample.n_s, self.grid.n_s))):
@@ -532,10 +528,10 @@ class CollapseConfig:
             raise ConfigError(f"collapse config missing keys: {missing}")
         check_keys(obj, required)
         p_values = obj["p_values"]
-        if not (isinstance(p_values, (list, tuple))
+        if not (isinstance(p_values, (list, tuple)) and p_values
                 and all(map(is_int, p_values))):
-            raise ConfigError("config key 'p_values' must be a list of "
-                              "integers")
+            raise ConfigError("config key 'p_values' must be a non-empty "
+                              "list of integers")
         return cls(surface=warp_from_json(obj["surface"]),
                    rho_max=read_number(obj, "rho_max"),
                    r=read_number(obj, "r"),
@@ -568,8 +564,9 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     values each dividing the next) gets one quotient-side field, whose ring
     lcm(n_theta, p / gcd(m1, p)) at the chain's last p holds every group
     rotation of the chain.  So every lookup is an integer-column gather, a
-    row depends only on its own chain, and a ring too large for
-    MAX_GRAPH_NODES or MAX_FIELD_LABELS raises DomainError before any build.
+    row depends only on its own chain, and a field above MAX_FIELD_LABELS,
+    on any limit grid or any chain's ring, raises DomainError before any
+    build.
 
     The grid-floor estimate is the largest change of the sampled
     limit-surface distances across three refinements of the limit grid
@@ -620,13 +617,14 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    # the largest graph is the doubly refined limit surface, or a quotient
-    # side's if a chain's ring is finer; it and its largest field are
-    # refused here, before any build
-    finest_x = max(rings_x)
-    _check_graph_size(max((2 * g.n_rho - 1) * 2 * ring_y, g.n_rho * finest_x))
-    _check_field_size(rho_rows.size * max((2 * g.n_rho - 1) * (ring_y + 1),
-                                          g.n_rho * (finest_x // 2 + 1)))
+    # (n_rho, ring, row scale) of the limit grid and of its three
+    # refinements for the grid floor; the largest field of these and of
+    # the chains' quotient sides is refused here, before any build
+    limit_grids = [(g.n_rho, ring_y, 1), (2 * g.n_rho - 1, ring_y, 2),
+                   (g.n_rho, 2 * ring_y, 1), (2 * g.n_rho - 1, 2 * ring_y, 2)]
+    _check_field_size(max(
+        [_field_labels(rho_rows.size, n, ring) for n, ring, _ in limit_grids]
+        + [_field_labels(rho_rows.size, g.n_rho, ring) for ring in rings_x]))
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
@@ -663,11 +661,9 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # and so expose the direction-dependent part of the 8-neighbor
     # metrication error; the proportional refinement keeps the ratio.  The
     # floor is the largest observed change.
-    d_y = limit_distances(g.n_rho, ring_y, 1)
+    d_y = limit_distances(*limit_grids[0])
     floor = max(float(np.max(np.abs(d_y - limit_distances(*ref))))
-                for ref in ((2 * g.n_rho - 1, ring_y, 2),
-                            (g.n_rho, 2 * ring_y, 1),
-                            (2 * g.n_rho - 1, 2 * ring_y, 2)))
+                for ref in limit_grids[1:])
     sym_y = symmetrised(d_y, diag_y)
 
     rows = []

@@ -235,6 +235,39 @@ def test_out_file_and_quiet(tmp_path, capsys):
     assert np.allclose(data[:, 1], 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/table.csv"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    """An --out that is a directory, or whose parent directory does not
+    exist, is refused in one line naming the path."""
+    (tmp_path / "dir").mkdir()
+    out_path = str(tmp_path / target)
+    cfg = {"family": "const", "a": 1.0, "rho_max": 1.0, "n": 11}
+    code, out, err = run_cli(tmp_path, capsys, "curvature", cfg,
+                             extra=["--out", out_path, "--quiet"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"cannot write output {out_path!r}" in err
+
+
+def test_demo_configs_run_without_scipy():
+    """The runtime needs numpy only (scipy is a test dependency): with
+    scipy made unimportable and warnings turned into errors, every demo
+    config runs through the CLI and no scipy module is loaded."""
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from pathlib import Path\n"
+            "from collapse_lab.cli import main\n"
+            "codes = [main([cfg.stem, '--config', str(cfg), '--out', "
+            "'/dev/null', '--quiet']) for cfg in sorted("
+            "Path(sys.argv[1]).glob('*.json'))]\n"
+            "print(codes, sorted(m for m, mod in sys.modules.items() "
+            "if m.partition('.')[0] == 'scipy' and mod is not None))")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code,
+                          str(DEMO_DIR)], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == f"{[0] * len(DEMO_CONFIGS)} []"
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(TINY_COLLAPSE))
@@ -258,6 +291,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
     assert "line" in err and "column" in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    # a UTF-16 byte order mark is not UTF-8
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"family": "sinh"}'.encode("utf-16-le"))
+    code = main(["curvature", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "config error" in captured.err and "not UTF-8" in captured.err
+    assert repr(str(path)) in captured.err
 
 
 def test_config_root_must_be_object(tmp_path, capsys):
@@ -313,6 +358,7 @@ def test_overflowing_number_exits_2(tmp_path, capsys):
     ("grid", {"n_rho": 24.9, "n_theta": 16, "n_s": 8}),   # fractional
     ("sample", {"n_rho": 3, "n_theta": "3", "n_s": 2}),   # string
     ("p_values", [2, 4.0]),                         # float list element
+    ("p_values", []),                               # no group at all
 ])
 def test_collapse_rejects_non_integer_fields(tmp_path, capsys, field, value):
     cfg = dict(TINY_COLLAPSE, **{field: value})
@@ -388,26 +434,48 @@ def test_collapse_rejects_malformed_surface(tmp_path, capsys, surface):
     assert "config error" in err
 
 
-def test_collapse_graph_beyond_cap_exits_1(tmp_path, capsys):
-    # the doubly refined limit graph would have about 2e12 nodes
+def _count_graph_builds(monkeypatch):
+    """The list of the grid sizes of every surface graph built from now."""
+    from collapse_lab import gh_collapse
+
+    built = []
+    build = gh_collapse.build_surface_graph
+
+    def spy(metric, n_rho, n_theta):
+        built.append((n_rho, n_theta))
+        return build(metric, n_rho, n_theta)
+
+    monkeypatch.setattr(gh_collapse, "build_surface_graph", spy)
+    return built
+
+
+def test_collapse_graph_beyond_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # the doubly refined limit field, 1999999 x 1000001 labels from each of
+    # 6 sample rows, is refused before any graph is built
+    built = _count_graph_builds(monkeypatch)
     cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
     cfg["grid"].update(n_rho=1_000_000, n_theta=1_000_000)
     code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
-    assert code == 1 and out == ""
+    assert code == 1 and out == "" and built == []
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
+    assert "collapse-lab: error" in err and "12000005999994 labels" in err
+    assert "MAX_FIELD_LABELS = 8388608" in err
 
 
-def test_collapse_chain_ring_beyond_cap_exits_1(tmp_path, capsys):
+def test_collapse_chain_ring_beyond_cap_exits_1(tmp_path, capsys,
+                                                monkeypatch):
     # Z_9797 puts its rotations on a ring of lcm(48, 9797) = 470256
-    # columns, 48 rows of which exceed the graph cap; nothing falls back
+    # columns, whose field from 6 sample rows over 48 rows exceeds the
+    # label cap; it is refused before even the limit graph, which fits, is
+    # built, and nothing falls back
+    built = _count_graph_builds(monkeypatch)
     cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
     cfg["p_values"] = [9797]
     code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
-    assert code == 1 and out == ""
+    assert code == 1 and out == "" and built == []
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert "collapse-lab: error" in err and "MAX_GRAPH_NODES" in err
-    assert f"{48 * 470256} nodes" in err
+    assert "collapse-lab: error" in err and "MAX_FIELD_LABELS" in err
+    assert f"{6 * 48 * 235129} labels" in err
 
 
 def test_collapse_fine_chain_rings_check_every_table(tmp_path, capsys,

@@ -32,7 +32,6 @@ from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
     MAX_CLASS_ENTRIES,
     MAX_FIELD_LABELS,
-    MAX_GRAPH_NODES,
     _check_metric,
     _subgrid_indices,
     SurfaceGraph,
@@ -254,14 +253,36 @@ def _all_pairs(g):
 
 
 def test_graph_size_cap():
+    """A graph is sized by the field it solves: one that a field from one
+    source row could not hold under MAX_FIELD_LABELS is refused before its
+    rows are allocated, and any other builds, however many nodes its full
+    ring has."""
     metric = metric_from_warp(ConstWarp(1.0), 1.0)
-    n_rho = MAX_GRAPH_NODES // 64 + 1
-    # refused before anything of the graph's size is allocated
-    with pytest.raises(DomainError, match="MAX_GRAPH_NODES"):
-        build_surface_graph(metric, n_rho, 64)
-    # the cap counts the nodes of the full ring
-    with pytest.raises(DomainError, match=f"{n_rho * 126} nodes"):
-        build_surface_graph(metric, n_rho, 126)
+    # a one-source field holds n_rho x (n_theta // 2 + 1) labels
+    n_rho = MAX_FIELD_LABELS // 32
+    for n_theta in (62, 63):
+        assert build_surface_graph(metric, n_rho, n_theta).n_rho == n_rho
+    build_surface_graph(metric, 8, 8)           # imports and caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"{(n_rho + 1) * 32} labels"
+                           ".*MAX_FIELD_LABELS"):
+            build_surface_graph(metric, n_rho + 1, 62)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_rho                     # not one float a row
+    # 1 + 2048 x 2048 nodes over the full ring, one more than 2^22, in a
+    # field of 2049 x 1025 labels from one source
+    g = build_surface_graph(metric_from_warp(SinhWarp(1.0), 2.0), 2049, 2048)
+    assert g.pole and 1 + (g.n_rho - 1) * g.n_theta > 2 ** 22
+    fld = distance_field(g, [1024])
+    assert fld.dist.shape == (2049, 1, 1025)
+    assert np.all(np.isfinite(fld.dist))
+    assert fld.lookup(0, 1025, 0) == g.rad[1025]
+    # the pole lies down the radial ray, in every column
+    assert np.all(fld.dist[0] == fld.dist[0, 0, 0])
+    assert fld.dist[0, 0, 0] == pytest.approx(g.rho_values[1024], rel=1e-12)
 
 
 @pytest.mark.parametrize("warp, rho_max", [(SinhWarp(1.0), 1.2),
@@ -540,13 +561,13 @@ def test_distance_field_checks_sources_and_size():
             distance_field(g, rows)
     with pytest.raises(DomainError, match="at least one source row"):
         distance_field(g, [])
-    # a graph at the node cap: four sources on its half strip are refused
+    # three sources on this half strip fit the label cap, four are refused
     # before the label table is allocated
     big = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0),
                               2048, 2048)
-    assert not big.pole and 2048 * 2048 == MAX_GRAPH_NODES
-    assert 4 * 2048 * 1025 > MAX_FIELD_LABELS
-    with pytest.raises(DomainError, match="MAX_FIELD_LABELS"):
+    assert 3 * 2048 * 1025 <= MAX_FIELD_LABELS < 4 * 2048 * 1025
+    with pytest.raises(DomainError, match=f"{4 * 2048 * 1025} labels"
+                       ".*MAX_FIELD_LABELS"):
         distance_field(big, [0, 1, 2, 3])
 
 
@@ -1269,5 +1290,8 @@ def test_collapse_config_validation():
     with pytest.raises(DomainError):
         CollapseConfig.from_json(bad)
     bad = dict(SMALL_CONFIG, p_values=[])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="non-empty list of integers"):
         CollapseConfig.from_json(bad)
+    config = CollapseConfig.from_json(SMALL_CONFIG)
+    with pytest.raises(DomainError, match="non-empty"):
+        CollapseConfig(**dict(vars(config), p_values=()))
