@@ -44,9 +44,9 @@ _EXPORTS = {
         "quotient_distance",
     ),
     "killing_quotient": (
-        "KillingVector", "OrbitBasis", "PointMetric",
-        "circle_quotient_pushforward", "project_onto_complement",
-        "quotient_metric_form", "transform_killing",
+        "OrbitBasis", "PointMetric", "circle_quotient_pushforward",
+        "project_onto_complement", "quotient_metric_form",
+        "transform_killing",
     ),
     "soliton": (
         "CigarPotential", "ExplodingPotential", "SolitonParams",
@@ -55,17 +55,16 @@ _EXPORTS = {
         "solve_warp_ode",
     ),
     "su2_geometry": (
-        "BergerMetric", "SlopeAngle", "UnitQuaternion", "berger_norm",
-        "bracket_check", "frame_at", "hopf_map", "hopf_pushforward",
-        "quat_mul", "slope_quotient_metric", "submersion_fit",
+        "BergerMetric", "berger_norm", "bracket_check", "frame_at",
+        "hopf_map", "hopf_pushforward", "quat_mul", "slope_quotient_metric",
+        "submersion_fit",
     ),
     "warped_metric": (
         "ConstWarp", "LinearWarp", "RotSymMetric", "SinWarp", "SinhWarp",
-        "TabulatedWarp", "TanWarp", "TanhWarp", "TransformParams",
-        "WarpCurve", "asymptote_radius", "eval_warp", "gauss_curvature",
-        "make_warp", "metric_from_warp", "quotient_circle_radius",
-        "quotient_transform", "scalar_curvature", "transformed_warp",
-        "warp_from_json",
+        "TabulatedWarp", "TanWarp", "TanhWarp", "WarpCurve",
+        "asymptote_radius", "eval_warp", "gauss_curvature", "make_warp",
+        "metric_from_warp", "quotient_circle_radius", "quotient_transform",
+        "scalar_curvature", "transformed_warp", "warp_from_json",
     ),
     "cli": (),
     "schema": (),

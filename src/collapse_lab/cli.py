@@ -46,17 +46,23 @@ def _warp_of(cfg: dict):
 
 
 def _params_of(cfg: dict):
-    """Accept either {"kappa": x} or the integer pair {"m1", "m2"}."""
-    from .warped_metric import TransformParams
+    """(r, kappa) from either {"kappa": x} or the integer pair {"m1", "m2"}
+    with kappa = m1 / m2."""
+    from .warped_metric import _check_transform
 
     r = read_number(cfg, "r")
     if "m1" in cfg or "m2" in cfg:
         if "kappa" in cfg:
             raise ConfigError("give either 'kappa' or 'm1' and 'm2', "
                               "not both")
-        return TransformParams.from_slope_pair(read_int(cfg, "m1"),
-                                               read_int(cfg, "m2"), r)
-    return TransformParams(r=r, kappa=read_number(cfg, "kappa"))
+        m1, m2 = read_int(cfg, "m1"), read_int(cfg, "m2")
+        if m1 < 0 or m2 < 1:
+            raise DomainError("need m1 >= 0 and m2 >= 1")
+        kappa = m1 / m2
+    else:
+        kappa = read_number(cfg, "kappa")
+    _check_transform(r, kappa)
+    return r, kappa
 
 
 def _table_size(cfg: dict, key: str, default: int) -> int:
@@ -98,19 +104,19 @@ def _cmd_transform(cfg: dict):
     check_keys(cfg, ("family", "a", "r", "kappa", "m1", "m2", "direction",
                      "rho_min", "rho_max", "n"))
     warp = _warp_of(cfg)
-    params = _params_of(cfg)
+    r, kappa = _params_of(cfg)
     direction = read_str(cfg, "direction", "forward")
     if direction not in ("forward", "inverse"):
         raise ConfigError("direction must be 'forward' or 'inverse'")
     rho = _rho_grid(cfg)
     metric_from_warp(warp, float(rho[-1]), float(rho[0]))  # domain check
     sign = 1 if direction == "forward" else -1
-    out = transformed_warp(warp, params.r, params.kappa, sign)
+    out = transformed_warp(warp, r, kappa, sign)
     # an overflow is refused with the table, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.column_stack([rho, warp.f(rho), out.f(rho)])
     info = [f"transform: {warp.kind} -> {out.kind} "
-            f"(r={params.r:g}, kappa={params.kappa:g}, {direction})"]
+            f"(r={r:g}, kappa={kappa:g}, {direction})"]
     return _finite_table(["rho", "f", "f_transformed"], rows,
                          "the warp overflows; lower rho_max"), info
 
@@ -279,18 +285,25 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}") \
             from exc
+    # json.load's other refusals: an integer literal past Python's digit
+    # limit (ValueError) and nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     return obj
 
 
 def _write_output(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-        return
+    # stdout is flushed here, so that a failed write is refused like a
+    # failed --out; the flush at interpreter exit then has nothing left
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

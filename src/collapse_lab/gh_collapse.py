@@ -58,7 +58,6 @@ from .errors import ConfigError, ConnectivityError, DomainError
 from .schema import check_keys, is_int, read_int, read_number
 from .warped_metric import (
     RotSymMetric,
-    TransformParams,
     WarpCurve,
     metric_from_warp,
     quotient_transform,
@@ -589,8 +588,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     |d_X - d_Y| over the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
-    params = TransformParams.from_slope_pair(config.m1, config.m2, config.r)
-    limit = quotient_transform(base, params)
+    limit = quotient_transform(base, config.r, config.m1 / config.m2)
 
     g, smp = config.grid, config.sample
     m1, m2 = config.m1, config.m2

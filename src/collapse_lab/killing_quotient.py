@@ -71,22 +71,6 @@ class PointMetric:
 
 
 @dataclass(frozen=True)
-class KillingVector:
-    """Components of a Killing field evaluated at one point."""
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.components, dtype=float)
-        if v.ndim != 1:
-            raise DomainError("Killing vector must be one-dimensional")
-        v.setflags(write=False)
-        object.__setattr__(self, "components", v)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.components, dtype=dtype)
-
-
-@dataclass(frozen=True)
 class OrbitBasis:
     """Rows span the orbit directions of the collapsing action at a point.
 
@@ -125,6 +109,9 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
     """Pointwise quotient metric h = g - c (gK)(gK)^T with
     c = kappa^2 / (kappa^2 g(K,K) + r^2).
 
+    g is the metric at the point (a PointMetric or a square array),
+    killing the components K of the Killing field there (a 1-D array of
+    g's dimension), r > 0 the circle radius and kappa >= 0 the slope.
     Identity for kappa = 0 as well as for K = 0.  The result is symmetric
     positive definite whenever g is.  An r^2, kappa^2 or denominator that
     overflows raises DomainError.

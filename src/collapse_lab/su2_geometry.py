@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DomainError, QuotientCollapseError, TangencyError
 from .killing_quotient import transform_killing
 
-_UNIT_TOL = 1e-12
 _TANGENT_TOL = 1e-8
 
 # quaternion components ordered (x1, x2, x3, x4) = x1 + x2 i + x3 j + x4 k
@@ -55,33 +54,6 @@ def quat_mul(p, q):
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
     ])
-
-
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Point of S^3, unit to 1e-12."""
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.components, dtype=float)
-        if v.shape != (4,):
-            raise DomainError("quaternion needs 4 components")
-        if abs(float(v @ v) - 1.0) > _UNIT_TOL:
-            raise DomainError("quaternion must be unit to 1e-12")
-        v.setflags(write=False)
-        object.__setattr__(self, "components", v)
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def random(cls, rng) -> "UnitQuaternion":
-        v = rng.normal(size=4)
-        return cls(v / np.linalg.norm(v))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.components, dtype=dtype)
 
 
 def _as_quat(q) -> np.ndarray:
@@ -242,26 +214,16 @@ def submersion_fit(metric: BergerMetric, radii, samples: int = 200,
             float(_max_distortion(best, norms)))
 
 
-@dataclass(frozen=True)
-class SlopeAngle:
-    """Slope angle of the collapsing circle direction, in [0, 2 pi)."""
-    angle: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.angle < 2.0 * math.pi:
-            raise DomainError("slope angle must lie in [0, 2 pi)")
-
-
-def slope_quotient_metric(slope) -> BergerMetric:
+def slope_quotient_metric(xi: float) -> BergerMetric:
     """Berger family (sin^2 xi, 1, 1) from collapsing the slope-xi direction.
 
+    xi is the slope angle in radians, any float: it is reduced mod 2 pi.
     Computed by applying transform_killing with g = I_3, K = e_1, r = 1 and
     effective kappa = |cot xi|, so the first weight is 1/(cot^2 xi + 1).
     Slope exactly 0 or pi collapses the quotient to two dimensions and
     raises QuotientCollapseError.
     """
-    angle = slope.angle if isinstance(slope, SlopeAngle) else float(slope)
-    angle = angle % (2.0 * math.pi)
+    angle = float(xi) % (2.0 * math.pi)
     if angle == 0.0 or angle == math.pi:
         raise QuotientCollapseError(
             "slope 0 or pi kills the F_1 direction entirely; the quotient "

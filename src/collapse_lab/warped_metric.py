@@ -397,8 +397,7 @@ class TransformedWarp(WarpCurve):
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError("transform sign must be +1 or -1")
+        _check_transform(self.r, self.kappa, self.sign)
 
     @property
     def kind(self):
@@ -485,7 +484,7 @@ def warp_from_json(obj) -> WarpCurve:
 
 
 # ---------------------------------------------------------------------------
-# metrics and transform parameters
+# metrics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -534,26 +533,6 @@ def metric_from_warp(warp: WarpCurve, rho_max: float,
     return RotSymMetric(warp, rho_min, rho_max, capped)
 
 
-@dataclass(frozen=True)
-class TransformParams:
-    """Circle radius r > 0 and slope kappa >= 0."""
-    r: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError("need r > 0")
-        if self.kappa < 0:
-            raise DomainError("need kappa >= 0")
-
-    @classmethod
-    def from_slope_pair(cls, m1: int, m2: int, r: float) -> "TransformParams":
-        """The slope kappa = m1 / m2 of the circle action (m1, m2)."""
-        if m1 < 0 or m2 < 1:
-            raise DomainError("need m1 >= 0 and m2 >= 1")
-        return cls(r, m1 / m2)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -593,6 +572,17 @@ def scalar_curvature(metric: RotSymMetric, rho):
     return 2.0 * gauss_curvature(metric, rho)
 
 
+def _check_transform(r: float, kappa: float, sign: int = 1) -> None:
+    """Refuse, with DomainError, a circle radius r <= 0, a slope
+    kappa < 0 or a sign outside {+1, -1}."""
+    if r <= 0:
+        raise DomainError("need r > 0")
+    if kappa < 0:
+        raise DomainError("need kappa >= 0")
+    if sign not in (1, -1):
+        raise DomainError("transform sign must be +1 or -1")
+
+
 # (base, transform) pairs of named families when kappa = a r; sign = -1
 # reads each pair backwards
 _PROMOTIONS = ((SinhWarp, TanhWarp), (TanWarp, SinWarp))
@@ -618,12 +608,7 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
     (0 / 0 at f = 0), and a constant warp whose r^2 + kappa^2 c^2
     overflows.
     """
-    if r <= 0:
-        raise DomainError("need r > 0")
-    if kappa < 0:
-        raise DomainError("need kappa >= 0")
-    if sign not in (1, -1):
-        raise DomainError("transform sign must be +1 or -1")
+    _check_transform(r, kappa, sign)
     if kappa == 0.0:
         return warp
     if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
@@ -654,24 +639,26 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
 _RANGE_SCAN = 257  # grid used to certify f < r/kappa on the interval
 
 
-def quotient_transform(metric: RotSymMetric, params: TransformParams,
+def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
                        sign: int = 1) -> RotSymMetric:
-    """Transform the metric by the slope-kappa circle quotient (sign = +1)
-    or invert that transform (sign = -1).
+    """Transform the metric by the quotient along the slope-kappa circle of
+    radius r (sign = +1), or invert that transform (sign = -1).
 
-    The rho interval and the cap flag are preserved: the pole stays a smooth
-    pole (f'(0) = r^3/r^3 = 1) and the transform is the identity for
-    kappa = 0.  The inverse raises NotInRangeError if the warp meets or
-    exceeds the asymptote r/kappa anywhere on the interval (checked on a
-    scan grid and again at every later evaluation).
+    r > 0, kappa >= 0 and the sign are checked first, as in
+    transformed_warp.  The rho interval and the cap flag are preserved: the
+    pole stays a smooth pole (f'(0) = r^3/r^3 = 1) and the transform is the
+    identity for kappa = 0.  The inverse raises NotInRangeError if the warp
+    meets or exceeds the asymptote r/kappa anywhere on the interval
+    (checked on a scan grid and again at every later evaluation).
     """
-    if sign == -1 and params.kappa > 0:
+    _check_transform(r, kappa, sign)
+    if sign == -1 and kappa > 0:
         grid = np.linspace(metric.rho_min, metric.rho_max, _RANGE_SCAN)
         fv = np.asarray(metric.warp.f(grid), dtype=float)
-        if np.any(fv >= params.r / params.kappa):
+        if np.any(fv >= r / kappa):
             raise NotInRangeError(
                 "warp reaches r/kappa on the interval; no preimage")
-    new_warp = transformed_warp(metric.warp, params.r, params.kappa, sign)
+    new_warp = transformed_warp(metric.warp, r, kappa, sign)
     return RotSymMetric(new_warp, metric.rho_min, metric.rho_max,
                         metric.capped_at_origin)
 
@@ -686,8 +673,10 @@ def quotient_circle_radius(r1: float, r2: float, kappa: float) -> float:
     return math.sqrt(r1 ** 2 * r2 ** 2 / (kappa ** 2 * r1 ** 2 + r2 ** 2))
 
 
-def asymptote_radius(params: TransformParams) -> float:
-    """Upper bound r/kappa of any transformed warp; kappa = 0 has none."""
-    if params.kappa == 0:
+def asymptote_radius(r: float, kappa: float) -> float:
+    """Upper bound r/kappa of any warp transformed with circle radius r > 0
+    and slope kappa >= 0; kappa = 0 has none (NoAsymptoteError)."""
+    _check_transform(r, kappa)
+    if kappa == 0:
         raise NoAsymptoteError("identity transform has no asymptote")
-    return params.r / params.kappa
+    return r / kappa

@@ -22,7 +22,6 @@ from collapse_lab import (
     SinhWarp,
     TanWarp,
     TanhWarp,
-    TransformParams,
     circle_distance,
     gauss_curvature,
     metric_from_warp,

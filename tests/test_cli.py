@@ -46,6 +46,12 @@ def test_transform_table_matches_closed_form(tmp_path, capsys):
     assert np.allclose(data[:, 1], np.sinh(rho), atol=1e-12)
     assert np.allclose(data[:, 2], np.tanh(rho), atol=1e-12)
     assert "sinh -> tanh" in err
+    # kappa = m1 / m2 = 1.5 = a r: sinh(1.5 rho) / 1.5 transforms to tanh
+    cfg.update(a=1.5, m1=3, m2=2)
+    code, out, err = run_cli(tmp_path, capsys, "transform", cfg)
+    assert code == 0 and "sinh -> tanh" in err
+    _, data = parse_csv(out)
+    assert np.allclose(data[:, 2], np.tanh(1.5 * rho) / 1.5, atol=1e-12)
 
 
 def test_transform_inverse_direction(tmp_path, capsys):
@@ -249,6 +255,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert f"cannot write output {out_path!r}" in err
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(),
+                    reason="needs the /dev/full device")
+def test_unwritable_stdout_exits_2():
+    """A stdout that cannot be written is refused in one line, like an
+    unwritable --out, and the interpreter prints nothing more at exit."""
+    cmd = [sys.executable, "-m", "collapse_lab", "curvature",
+           "--config", str(DEMO_DIR / "curvature.json"), "--quiet"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                              text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("collapse-lab: config error: cannot write output "
+                           "'-': [Errno 28] No space left on device\n")
+
+
 def test_demo_configs_run_without_scipy():
     """The runtime needs numpy only (scipy is a test dependency): with
     scipy made unimportable and warnings turned into errors, every demo
@@ -291,6 +312,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
     assert "line" in err and "column" in err
+    # json.load's refusals that are not a JSONDecodeError: an integer
+    # literal past Python's digit limit, and nesting past the recursion limit
+    for name, text in (("digits.json", '{"a": ' + "1" * 5000 + "}"),
+                       ("deep.json", "[" * 100000 + "]" * 100000)):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["curvature", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"config error: cannot parse config {str(path)!r}" \
+            in captured.err
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -332,6 +365,10 @@ def test_bad_direction_exits_2(tmp_path, capsys):
     code, out, err = run_cli(tmp_path, capsys, "transform", cfg)
     assert code == 2
     assert "direction" in err
+    # r and kappa are refused before the direction is read
+    cfg["r"] = 0.0
+    code, out, err = run_cli(tmp_path, capsys, "transform", cfg)
+    assert code == 1 and "need r > 0" in err
 
 
 @pytest.mark.parametrize("key, value", [("r", math.nan),

@@ -17,7 +17,6 @@ from collapse_lab import (
     SinhWarp,
     ConstWarp,
     LinearWarp,
-    TransformParams,
     WarpCurve,
     build_surface_graph,
     circle_distance,
@@ -988,8 +987,7 @@ def test_limit_consistency_within_refinement_budget():
     refinement, on each side.
     """
     base = metric_from_warp(SinhWarp(1.0), 1.2)
-    limit = quotient_transform(base,
-                               TransformParams.from_slope_pair(1, 1, 1.0))
+    limit = quotient_transform(base, 1.0, 1.0)
     th = TWO_PI / 3
 
     def d_limit(n_rho, ring):
@@ -1076,8 +1074,7 @@ def _dense_reference(config):
     chain; the float angles of the points and rotations are snapped to
     those rings' nodes."""
     base = metric_from_warp(config.surface, config.rho_max)
-    limit = quotient_transform(base, TransformParams.from_slope_pair(
-        config.m1, config.m2, config.r))
+    limit = quotient_transform(base, config.r, config.m1 / config.m2)
     g, smp = config.grid, config.sample
     m1, m2, p_values = config.m1, config.m2, config.p_values
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))

@@ -11,7 +11,6 @@ from collapse_lab import (
     DomainError,
     GramConditionWarning,
     InvalidMetricError,
-    KillingVector,
     OrbitBasis,
     PointMetric,
     SinhWarp,
@@ -49,10 +48,6 @@ def test_point_metric_validation():
 
 
 def test_killing_vector_and_basis_validation():
-    k = KillingVector(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(np.asarray(k), [1.0, 2.0])
-    with pytest.raises(DomainError):
-        KillingVector(np.eye(2))
     OrbitBasis(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(DomainError):
         OrbitBasis(np.array([1.0, 0.0]))
@@ -121,6 +116,8 @@ def test_transform_positive_definite_bound():
 def test_transform_argument_validation():
     with pytest.raises(DomainError):
         transform_killing(np.eye(2), [1.0, 0.0, 0.0], 1.0, 1.0)
+    with pytest.raises(DomainError):       # K must be one-dimensional
+        transform_killing(np.eye(2), np.eye(2), 1.0, 1.0)
     with pytest.raises(DomainError):
         transform_killing(np.eye(2), [1.0, 0.0], 0.0, 1.0)
     with pytest.raises(DomainError):

@@ -25,7 +25,6 @@ from collapse_lab import (
     TabulatedWarp,
     TanWarp,
     TanhWarp,
-    TransformParams,
     asymptote_radius,
     eval_warp,
     gauss_curvature,
@@ -302,7 +301,7 @@ def test_transform_kappa_zero_is_identity():
     base = SinhWarp(1.0)
     assert transformed_warp(base, 1.0, 0.0) is base
     metric = metric_from_warp(base, 2.0)
-    out = quotient_transform(metric, TransformParams(r=1.0, kappa=0.0))
+    out = quotient_transform(metric, 1.0, 0.0)
     assert out.warp is base
     assert out.rho_min == metric.rho_min and out.rho_max == metric.rho_max
 
@@ -326,7 +325,7 @@ def test_transform_preserves_cap():
     for base in (SinhWarp(1.0), LinearWarp(), TanWarp(0.7)):
         metric = metric_from_warp(base, 1.2)
         assert metric.capped_at_origin
-        out = quotient_transform(metric, TransformParams(r=1.5, kappa=0.8))
+        out = quotient_transform(metric, 1.5, 0.8)
         assert out.capped_at_origin
         assert out.warp.caps_at_origin()
         assert float(out.warp.f(0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -351,9 +350,8 @@ def test_roundtrip_inverse_then_forward():
 
 def test_roundtrip_at_metric_level():
     base = metric_from_warp(SinhWarp(1.0), 2.0)
-    params = TransformParams(r=1.0, kappa=1.0)
-    there = quotient_transform(base, params)
-    back = quotient_transform(there, params, sign=-1)
+    there = quotient_transform(base, 1.0, 1.0)
+    back = quotient_transform(there, 1.0, 1.0, sign=-1)
     rho = np.linspace(0.0, 2.0, 101)
     np.testing.assert_allclose(back.warp.f(rho), base.warp.f(rho), atol=1e-10)
     assert back.capped_at_origin
@@ -373,7 +371,7 @@ def test_inverse_promotions_and_range_guard():
         w.f(2.0)
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
     with pytest.raises(NotInRangeError):
-        quotient_transform(metric, TransformParams(r=1.0, kappa=1.0), sign=-1)
+        quotient_transform(metric, 1.0, 1.0, sign=-1)
     with pytest.raises(NotInRangeError):
         transformed_warp(ConstWarp(2.0), 1.0, 1.0, sign=-1)
     # kappa^2 c^2 past the float range: far above r/kappa for the inverse,
@@ -426,8 +424,8 @@ def test_transform_rejects_bad_sign(sign):
     with pytest.raises(DomainError):
         transformed_warp(SinhWarp(1.0), 1.0, 0.5, sign)
     with pytest.raises(DomainError):
-        quotient_transform(metric_from_warp(SinhWarp(1.0), 1.0),
-                           TransformParams(r=1.0, kappa=0.5), sign)
+        quotient_transform(metric_from_warp(SinhWarp(1.0), 1.0), 1.0, 0.5,
+                           sign)
 
 
 @pytest.mark.parametrize("base, image", [(SinhWarp(2.0), TanhWarp(2.0)),
@@ -498,19 +496,6 @@ def test_flat_cylinder_radius():
 # parameters and small helpers
 # ---------------------------------------------------------------------------
 
-def test_transform_params_validation():
-    TransformParams(r=1.0, kappa=0.0)
-    TransformParams.from_slope_pair(2, 3, 1.0)
-    with pytest.raises(DomainError):
-        TransformParams(r=0.0, kappa=1.0)
-    with pytest.raises(DomainError):
-        TransformParams(r=1.0, kappa=-0.5)
-    with pytest.raises(DomainError):
-        TransformParams.from_slope_pair(1, 0, 1.0)
-    p = TransformParams.from_slope_pair(3, 2, 1.0)
-    assert p.kappa == 1.5
-
-
 def test_quotient_circle_radius_formula():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -526,9 +511,7 @@ def test_quotient_circle_radius_formula():
 
 
 def test_asymptote_radius():
-    assert asymptote_radius(TransformParams(r=3.0, kappa=2.0)) == 1.5
-    with pytest.raises(NoAsymptoteError):
-        asymptote_radius(TransformParams(r=1.0, kappa=0.0))
+    assert asymptote_radius(3.0, 2.0) == 1.5
     # the transform approaches but never meets the asymptote
     warp = transformed_warp(SinhWarp(1.0), 3.0, 2.0)
     assert float(warp.f(8.0)) < 1.5
@@ -542,3 +525,14 @@ def test_transform_argument_validation():
         transformed_warp(SinhWarp(1.0), 1.0, -1.0)
     with pytest.raises(DomainError):
         transformed_warp(SinhWarp(1.0), -1.0, 1.0, sign=-1)
+    # quotient_transform refuses them before the inverse's range scan, which
+    # would otherwise report r/kappa <= 0 as NotInRangeError
+    metric = metric_from_warp(SinhWarp(1.0), 2.0)
+    for sign in (1, -1):
+        for r, kappa, message in ((0.0, 1.0, "need r > 0"),
+                                  (-1.0, 1.0, "need r > 0"),
+                                  (1.0, -0.5, "need kappa >= 0")):
+            with pytest.raises(DomainError, match=message):
+                quotient_transform(metric, r, kappa, sign)
+    with pytest.raises(NoAsymptoteError):
+        asymptote_radius(1.0, 0.0)
