@@ -38,10 +38,9 @@ _EXPORTS = {
         "TangencyError", "TransversalityError", "TrivialSolitonError",
     ),
     "gh_collapse": (
-        "CollapseConfig", "CollapseRow", "GridSpec", "QuotientSpec",
-        "SurfaceDistanceField", "SurfaceGraph", "build_surface_graph",
-        "circle_distance", "collapse_experiment", "distance_field",
-        "quotient_distance",
+        "CollapseConfig", "CollapseRow", "GridSpec", "SurfaceDistanceField",
+        "SurfaceGraph", "build_surface_graph", "circle_distance",
+        "collapse_experiment", "distance_field",
     ),
     "killing_quotient": (
         "OrbitBasis", "PointMetric", "circle_quotient_pushforward",

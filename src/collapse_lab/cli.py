@@ -48,7 +48,7 @@ def _warp_of(cfg: dict):
 def _params_of(cfg: dict):
     """(r, kappa) from either {"kappa": x} or the integer pair {"m1", "m2"}
     with kappa = m1 / m2."""
-    from .warped_metric import _check_transform
+    from .warped_metric import _check_transform, _slope
 
     r = read_number(cfg, "r")
     if "m1" in cfg or "m2" in cfg:
@@ -58,7 +58,7 @@ def _params_of(cfg: dict):
         m1, m2 = read_int(cfg, "m1"), read_int(cfg, "m2")
         if m1 < 0 or m2 < 1:
             raise DomainError("need m1 >= 0 and m2 >= 1")
-        kappa = m1 / m2
+        kappa = _slope(m1, m2)
     else:
         kappa = read_number(cfg, "kappa")
     _check_transform(r, kappa)

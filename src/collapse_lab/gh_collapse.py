@@ -6,9 +6,7 @@ on that graph stand in for geodesic distance.  Product distances split as
 sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
 analytic), and the Z_p quotient distance minimizes over group translates:
 collapse_experiment minimizes the squared sum d_P^2 + d_S1^2 and takes one
-square root at the end, since the square root is monotone, while
-quotient_distance, the pointwise Z_p pseudodistance, minimizes np.hypot
-directly.
+square root at the end, since the square root is monotone.
 
 Every weight of the graph depends only on the rho rows an edge joins, so the
 graph is a few per-row weight tables (build_surface_graph), and rotations
@@ -59,6 +57,7 @@ from .schema import check_keys, is_int, read_int, read_number
 from .warped_metric import (
     RotSymMetric,
     WarpCurve,
+    _slope,
     metric_from_warp,
     quotient_transform,
     warp_from_json,
@@ -410,63 +409,10 @@ def _check_metric(d, d_transposed, diagonal):
         raise DomainError("distances must be nonnegative")
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
-    """Diagonal action of Z_p on (surface) x S^1(r): the group element
-    tau = 2 pi k / p advances theta by m1 tau and the circle coordinate s by
-    m2 tau."""
-    r: float
-    m1: int
-    m2: int
-    p: int = 2
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise DomainError("need r > 0")
-        if self.m1 < 0 or self.m2 < 1:
-            raise DomainError("need m1 >= 0 and m2 >= 1")
-        if self.p < 1:
-            raise DomainError("need p >= 1")
-
-    @property
-    def kappa(self) -> float:
-        return self.m1 / self.m2
-
-    def group_angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.p) / self.p
-
-
 def circle_distance(s_a, s_b, r: float):
     """Arc distance on S^1(r) between angular coordinates."""
     delta = np.abs(np.asarray(s_b, dtype=float) - np.asarray(s_a, dtype=float)) % TWO_PI
     return (r * np.minimum(delta, TWO_PI - delta))[()]
-
-
-def _check_class_table(p: int, entries: int) -> None:
-    if p * entries > MAX_CLASS_ENTRIES:
-        raise DomainError(f"class table of {p * entries} entries for a "
-                          f"group of order {p} exceeds the cap "
-                          f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
-                          f"smaller group or sample")
-
-
-def quotient_distance(spec: QuotientSpec, a, b, dp_lookup) -> float:
-    """Quotient pseudodistance between a = (p_a, s_a) and b = (p_b, s_b):
-    the least product distance from a to a group translate of b.
-
-    dp_lookup(p_a, p_b, rot) must return the surface distance from p_a to
-    b's surface point rotated by the angle rot; it is called once, with
-    the array of all rotations.  The group element tau acts by (m1 tau) on
-    the surface angle and (m2 tau) on the circle coordinate.  A group of
-    more than MAX_CLASS_ENTRIES elements raises DomainError before its
-    angles are made.
-    """
-    (pa, sa), (pb, sb) = a, b
-    _check_class_table(spec.p, 1)
-    tau = spec.group_angles()
-    return float(np.min(np.hypot(
-        dp_lookup(pa, pb, spec.m1 * tau),
-        circle_distance(0.0, sb - sa + spec.m2 * tau, spec.r))))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +534,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     |d_X - d_Y| over the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
-    limit = quotient_transform(base, config.r, config.m1 / config.m2)
+    limit = quotient_transform(base, config.r, _slope(config.m1, config.m2))
 
     g, smp = config.grid, config.sample
     m1, m2 = config.m1, config.m2
@@ -603,8 +549,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # in s for non-integer kappa.
     dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
     ds = np.unique(s_idx[None, :] - s_idx[:, None])
-    entries = rho_rows.size ** 2 * dth.size     # per group element
-    _check_class_table(max(config.p_values), entries)
+    p_max = max(config.p_values)
+    entries = p_max * rho_rows.size ** 2 * dth.size
+    if entries > MAX_CLASS_ENTRIES:
+        raise DomainError(f"class table of {entries} entries for a group "
+                          f"of order {p_max} exceeds the cap "
+                          f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
+                          f"smaller group or sample")
 
     chains = [[]]
     for p in config.p_values:

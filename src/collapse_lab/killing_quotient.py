@@ -126,11 +126,10 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
         raise DomainError("need kappa >= 0")
     gk = gm.matrix @ k
     norm2 = float(k @ gk)
-    try:
-        k2, r2 = kappa ** 2, r ** 2
-    except OverflowError:
+    k2, r2 = kappa * kappa, r * r
+    if not (math.isfinite(k2) and math.isfinite(r2)):
         raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
-                          f"kappa = {kappa:g})") from None
+                          f"kappa = {kappa:g})")
     # an overflowing denominator would give c = 0 silently
     denom = k2 * norm2 + r2
     if not math.isfinite(denom):
@@ -211,12 +210,16 @@ def circle_quotient_pushforward(f_val: float, r: float):
 
         diag(1, r^2 f^2 / (f^2 + r^2))
 
-    assembled from the pushforwards, not from the closed form.
+    assembled from the pushforwards, not from the closed form.  An
+    f^2 + r^2 past the float range raises DomainError.
     """
     if f_val <= 0 or r <= 0:
         raise DomainError("need f > 0 and r > 0")
-    g = np.diag([1.0, f_val ** 2, r ** 2])
-    denom = f_val ** 2 + r ** 2
+    f2, r2 = f_val * f_val, r * r
+    denom = f2 + r2
+    if not denom < math.inf:
+        raise DomainError(f"f^2 + r^2 overflows (f = {f_val:g}, r = {r:g})")
+    g = np.diag([1.0, f2, r2])
     w = np.array([0.0, 1.0, 1.0]) / np.sqrt(denom)
 
     def push(v):

@@ -90,7 +90,7 @@ class CigarPotential(Potential):
 
     def d2phi(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return (2.0 * self.a ** 2 / np.cosh(x) ** 2)[()]
+        return (2.0 * self.a * self.a / np.cosh(x) ** 2)[()]
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class ExplodingPotential(Potential):
 
     def d2phi(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return (-2.0 * self.a ** 2 / np.cos(x) ** 2)[()]
+        return (-2.0 * self.a * self.a / np.cos(x) ** 2)[()]
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def bracket_check(q, i: int, j: int, step: float = 1e-4) -> float:
 
     # difference against q before summing to avoid losing the O(s^2) signal
     delta = (commutator(step) - qv) + (commutator(-step) - qv)
-    approx = delta / (2.0 * step ** 2)
+    approx = delta / (2.0 * (step * step))
     if i == j:
         expected = np.zeros(4)
     else:
@@ -139,8 +139,8 @@ def berger_norm(metric: BergerMetric, q, v) -> float:
     if abs(float(vv @ qv)) > _TANGENT_TOL:
         raise TangencyError("vector is not tangent to the sphere at q")
     c = frame_at(qv) @ vv
-    return math.sqrt(metric.A * c[0] ** 2 + metric.B * c[1] ** 2
-                     + metric.C * c[2] ** 2)
+    return math.sqrt(metric.A * (c[0] * c[0]) + metric.B * (c[1] * c[1])
+                     + metric.C * (c[2] * c[2]))
 
 
 def hopf_map(q) -> np.ndarray:

@@ -115,7 +115,7 @@ class SinhWarp(WarpCurve):
         return self.a * np.sinh(self.a * np.asarray(rho, dtype=float))
 
     def curvature(self, rho):
-        return np.full_like(np.asarray(rho, dtype=float), -self.a ** 2)[()]
+        return np.full_like(np.asarray(rho, dtype=float), -self.a * self.a)[()]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class TanhWarp(WarpCurve):
 
     def curvature(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return (2.0 * self.a ** 2 / np.cosh(x) ** 2)[()]
+        return (2.0 * self.a * self.a / np.cosh(x) ** 2)[()]
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class TanWarp(WarpCurve):
 
     def curvature(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return (-2.0 * self.a ** 2 / np.cos(x) ** 2)[()]
+        return (-2.0 * self.a * self.a / np.cos(x) ** 2)[()]
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class SinWarp(WarpCurve):
         return -self.a * np.sin(self.a * np.asarray(rho, dtype=float))
 
     def curvature(self, rho):
-        return np.full_like(np.asarray(rho, dtype=float), self.a ** 2)[()]
+        return np.full_like(np.asarray(rho, dtype=float), self.a * self.a)[()]
 
 
 @dataclass(frozen=True)
@@ -389,7 +389,8 @@ class TransformedWarp(WarpCurve):
 
         K_new = r^2 (K_base * D + 3 sign kappa^2 f'^2) / D^2
 
-    which stays finite at a capped pole.
+    which stays finite at a capped pole.  It refuses the r and kappa that
+    transformed_warp refuses (_check_transform, _check_squares).
     """
     base: WarpCurve
     r: float
@@ -398,6 +399,7 @@ class TransformedWarp(WarpCurve):
 
     def __post_init__(self):
         _check_transform(self.r, self.kappa, self.sign)
+        _check_squares(self.r, self.kappa)
 
     @property
     def kind(self):
@@ -420,7 +422,7 @@ class TransformedWarp(WarpCurve):
         return self.base.open_right
 
     def _denominator(self, fb):
-        d = self.r ** 2 + self.sign * self.kappa ** 2 * fb ** 2
+        d = self.r * self.r + self.sign * (self.kappa * self.kappa) * fb ** 2
         if self.sign < 0 and np.any(d <= 0):
             raise NotInRangeError(
                 "warp reaches the asymptote r/kappa; inverse undefined")
@@ -440,8 +442,8 @@ class TransformedWarp(WarpCurve):
         fb, dfb, d2fb = _chain_d(self.base, rho)
         d = self._denominator(fb)
         return (self.r ** 3 * d ** -2.5
-                * (d2fb * d - 3.0 * self.sign * self.kappa ** 2 * fb
-                   * dfb ** 2))[()]
+                * (d2fb * d - 3.0 * self.sign * (self.kappa * self.kappa)
+                   * fb * dfb ** 2))[()]
 
     def curvature(self, rho):
         if not self.base.has_closed_curvature:
@@ -449,8 +451,9 @@ class TransformedWarp(WarpCurve):
         fb, dfb, _ = _chain_d(self.base, rho)
         kb = self.base.curvature(rho)
         d = self._denominator(fb)
-        return (self.r ** 2 * (kb * d + 3.0 * self.sign * self.kappa ** 2
-                               * dfb ** 2) / d ** 2)[()]
+        return (self.r * self.r * (kb * d + 3.0 * self.sign
+                                   * (self.kappa * self.kappa) * dfb ** 2)
+                / d ** 2)[()]
 
 
 _FAMILIES = {
@@ -583,6 +586,28 @@ def _check_transform(r: float, kappa: float, sign: int = 1) -> None:
         raise DomainError("transform sign must be +1 or -1")
 
 
+def _check_squares(r: float, kappa: float) -> None:
+    """Refuse, with DomainError, an r or kappa whose square overflows,
+    and an r whose square underflows to 0, which drops r^2 from
+    r^2 + kappa^2 f^2 (0 / 0 at f = 0)."""
+    if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
+        raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
+                          f"kappa = {kappa:g})")
+    if r * r == 0.0:
+        raise DomainError(f"r^2 underflows to 0 (r = {r:g})")
+
+
+def _slope(m1: int, m2: int) -> float:
+    """kappa = m1 / m2 of the integer slope pair, refused with DomainError
+    when the quotient is past the float range."""
+    try:
+        return m1 / m2
+    except OverflowError:
+        size = math.log10(m1) - math.log10(m2)
+        raise DomainError(f"m1 / m2 overflows a float (it is about "
+                          f"10^{size:.0f})") from None
+
+
 # (base, transform) pairs of named families when kappa = a r; sign = -1
 # reads each pair backwards
 _PROMOTIONS = ((SinhWarp, TanhWarp), (TanWarp, SinWarp))
@@ -611,17 +636,12 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
     _check_transform(r, kappa, sign)
     if kappa == 0.0:
         return warp
-    if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
-        raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
-                          f"kappa = {kappa:g})")
-    if r * r == 0.0:
-        raise DomainError(f"r^2 underflows to 0 (r = {r:g})")
+    _check_squares(r, kappa)
     if isinstance(warp, ConstWarp):
         c = warp.c
-        try:
-            d = r ** 2 + sign * kappa ** 2 * c ** 2
-        except OverflowError:       # c ** 2 is past the float range
-            d = math.inf
+        c2 = c * c
+        # c^2 past the float range is an overflow whatever the sign
+        d = r * r + sign * (kappa * kappa) * c2 if c2 < math.inf else math.inf
         # an overflowing kappa^2 c^2 gives d = -inf for sign = -1, c far
         # above r/kappa
         if d <= 0:
@@ -665,12 +685,18 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
 
 def quotient_circle_radius(r1: float, r2: float, kappa: float) -> float:
     """Radius of the circle obtained by the slope-kappa quotient of the flat
-    torus S^1(r1) x S^1(r2):  sqrt(r1^2 r2^2 / (kappa^2 r1^2 + r2^2))."""
+    torus S^1(r1) x S^1(r2):  sqrt(r1^2 r2^2 / (kappa^2 r1^2 + r2^2)).
+    A numerator or denominator past the float range raises DomainError."""
     if r1 <= 0 or r2 <= 0:
         raise DomainError("need r1, r2 > 0")
     if kappa < 0:
         raise DomainError("need kappa >= 0")
-    return math.sqrt(r1 ** 2 * r2 ** 2 / (kappa ** 2 * r1 ** 2 + r2 ** 2))
+    r1s, r2s = r1 * r1, r2 * r2
+    num, den = r1s * r2s, kappa * kappa * r1s + r2s
+    if not (num < math.inf and den < math.inf):
+        raise DomainError(f"r1^2 r2^2 or kappa^2 r1^2 + r2^2 overflows "
+                          f"(r1 = {r1:g}, r2 = {r2:g}, kappa = {kappa:g})")
+    return math.sqrt(num / den)
 
 
 def asymptote_radius(r: float, kappa: float) -> float:

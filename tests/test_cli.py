@@ -632,8 +632,11 @@ def _run_strict(tmp_path, capsys, command, cfg):
     ("berger", {"xi": 1e-300}, "r^2 or kappa^2"),
     ("transform", {"family": "const", "a": 1e200, "r": 1.0, "kappa": 1.0},
      "r^2 + kappa^2 c^2"),
+    # kappa = m1 / m2 = 10^400 is past the float range
+    ("transform", _demo("transform", m1=10 ** 400, m2=1), "m1 / m2"),
+    ("collapse", _demo("collapse", m1=10 ** 400, m2=1), "m1 / m2"),
 ], ids=["transform-r", "transform-kappa", "collapse-r", "berger-xi",
-        "transform-const"])
+        "transform-const", "transform-m1", "collapse-m1"])
 def test_square_overflowing_transform_exits_1(tmp_path, capsys, command,
                                               cfg, message):
     code, out, err = _run_strict(tmp_path, capsys, command, cfg)

@@ -12,7 +12,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from collapse_lab import (
     CollapseConfig,
-    QuotientSpec,
     SinWarp,
     SinhWarp,
     ConstWarp,
@@ -23,13 +22,11 @@ from collapse_lab import (
     collapse_experiment,
     distance_field,
     metric_from_warp,
-    quotient_distance,
     quotient_transform,
 )
 from collapse_lab import gh_collapse
 from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
-    MAX_CLASS_ENTRIES,
     MAX_FIELD_LABELS,
     _check_metric,
     _subgrid_indices,
@@ -757,19 +754,20 @@ def test_graph_distance_matrix_is_metric():
 # quotient distances
 # ---------------------------------------------------------------------------
 
-def test_quotient_spec_validation():
-    with pytest.raises(DomainError):
-        QuotientSpec(r=0.0, m1=1, m2=1)
-    with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=-1, m2=1)
-    with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=1, m2=0)
-    with pytest.raises(DomainError):
-        QuotientSpec(r=1.0, m1=1, m2=1, p=0)
-    spec = QuotientSpec(r=2.0, m1=3, m2=2, p=4)
-    assert spec.kappa == pytest.approx(1.5)
-    angles = spec.group_angles()
-    assert np.allclose(angles, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+def _zp_distance(r, m1, m2, p, a, b, dp_lookup):
+    """The Z_p quotient pseudodistance of (surface) x S^1(r), pointwise:
+    the least np.hypot of the surface and circle distances from a =
+    (p_a, s_a) to the translates of b = (p_b, s_b).  The group element k
+    advances theta by 2 pi (m1 k mod p) / p and s by 2 pi (m2 k mod p) / p,
+    so only p / gcd(m1, m2, p) of the elements act differently.
+
+    dp_lookup(p_a, p_b, rot) returns the surface distance from p_a to p_b
+    rotated by the angles rot; it is called once, with all p of them."""
+    (pa, sa), (pb, sb) = a, b
+    k = np.arange(p)
+    return float(np.min(np.hypot(
+        dp_lookup(pa, pb, TWO_PI * (m1 * k % p) / p),
+        circle_distance(0.0, sb - sa + TWO_PI * (m2 * k % p) / p, r))))
 
 
 def test_circle_distance_wraparound():
@@ -796,22 +794,20 @@ def _cylinder_lookup(n_theta=16):
 
 def test_quotient_distance_trivial_group_is_product():
     dp_lookup = _cylinder_lookup()
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=1)
     a = ((0, 0.0), 0.0)
     b = ((8, math.pi / 4), 1.0)
     want = math.hypot(dp_lookup((0, 0.0), (8, math.pi / 4), 0.0),
                       circle_distance(0.0, 1.0, 1.0))
-    assert quotient_distance(spec, a, b, dp_lookup) == pytest.approx(
+    assert _zp_distance(1.0, 1, 1, 1, a, b, dp_lookup) == pytest.approx(
         want, rel=1e-15)
 
 
 def test_quotient_distance_same_orbit_vanishes():
     dp_lookup = _cylinder_lookup()
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     a = ((4, 0.0), 0.0)
     # a translated by the group element tau = pi/2
     b = ((4, math.pi / 2), math.pi / 2)
-    assert quotient_distance(spec, a, b, dp_lookup) <= 1e-12
+    assert _zp_distance(1.0, 1, 1, 4, a, b, dp_lookup) <= 1e-12
 
 
 def test_quotient_distance_monotone_in_group_size():
@@ -824,12 +820,8 @@ def test_quotient_distance_monotone_in_group_size():
         b = ((int(rng.choice([0, 4, 8])), TWO_PI * rng.integers(16) / 16),
              float(rng.uniform(0, TWO_PI)))
         for p in (1, 2, 4, 8):
-            d_p = quotient_distance(
-                QuotientSpec(r=1.0, m1=1, m2=1, p=p),
-                a, b, dp_lookup)
-            d_2p = quotient_distance(
-                QuotientSpec(r=1.0, m1=1, m2=1, p=2 * p),
-                a, b, dp_lookup)
+            d_p = _zp_distance(1.0, 1, 1, p, a, b, dp_lookup)
+            d_2p = _zp_distance(1.0, 1, 1, 2 * p, a, b, dp_lookup)
             assert d_2p <= d_p + 1e-14
 
 
@@ -839,24 +831,12 @@ def test_torus_quotient_matches_circle_radius():
     # exact, so pairs on a 512-column ring, aligned with Z_512, must match
     # to rounding
     dp_lookup = _cylinder_lookup(n_theta=512)
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=512)
     for k in (8, 32, 100, 256):
         dth = TWO_PI * k / 512
-        got = quotient_distance(spec, ((0, 0.0), 0.0), ((0, dth), 0.0),
-                                dp_lookup)
+        got = _zp_distance(1.0, 1, 1, 512, ((0, 0.0), 0.0), ((0, dth), 0.0),
+                           dp_lookup)
         want = min(dth, TWO_PI - dth) / math.sqrt(2.0)
         assert abs(got - want) <= 1e-12
-
-
-def test_quotient_distance_group_size_cap():
-    """A group of more than MAX_CLASS_ENTRIES elements is refused before
-    its angles are made."""
-    dp_lookup = _cylinder_lookup()
-    a, b = ((0, 0.0), 0.0), ((8, 1.0), 1.0)
-    for spec in (QuotientSpec(r=1.0, m1=1, m2=1, p=10 ** 12),
-                 QuotientSpec(r=1.0, m1=1, m2=1, p=MAX_CLASS_ENTRIES + 1)):
-        with pytest.raises(DomainError, match="MAX_CLASS_ENTRIES"):
-            quotient_distance(spec, a, b, dp_lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -961,15 +941,14 @@ def test_quotient_matrix_triangle_defect_tiny():
         return fld.lookup(slot[pa[0]], pb[0],
                           _column((pb[1] + rot) - pa[1], 16))
 
-    spec = QuotientSpec(r=1.0, m1=1, m2=1, p=4)
     pts = [((row, TWO_PI * j / 4), TWO_PI * k / 2)
            for row in rows for j in range(4) for k in range(2)]
     n = len(pts)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = quotient_distance(spec, pts[i], pts[j],
-                                                  dp_lookup)
+            d[i, j] = d[j, i] = _zp_distance(1.0, 1, 1, 4, pts[i], pts[j],
+                                             dp_lookup)
     assert _triangle_defect(_metric(d)) <= 1e-12
 
 
@@ -996,7 +975,7 @@ def test_limit_consistency_within_refinement_budget():
         fld = distance_field(g, [src])
         return float(fld.lookup(0, n_rho - 1, _column(th, ring)))
 
-    def d_quot(n_rho, ring, spec):
+    def d_quot(n_rho, ring, p):
         g = build_surface_graph(base, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
         fld = distance_field(g, [src])
@@ -1004,19 +983,17 @@ def test_limit_consistency_within_refinement_budget():
         def dp_lookup(pa, pb, rot):
             return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
 
-        return quotient_distance(spec, ((src, 0.0), 0.0),
-                                 ((n_rho - 1, th), 0.0), dp_lookup)
+        return _zp_distance(1.0, 1, 1, p, ((src, 0.0), 0.0),
+                            ((n_rho - 1, th), 0.0), dp_lookup)
 
-    # Z_480 puts a group rotation on every node of the 480 ring
-    spec_fine = QuotientSpec(r=1.0, m1=1, m2=1, p=480)
     refinements = ((31, 480), (16, 960), (31, 960))
 
     dy = d_limit(16, 480)
     budget_y = max(abs(d_limit(nr, nt) - dy) for nr, nt in refinements)
 
-    dq = d_quot(16, 480, spec_fine)
-    budget_x = max(abs(d_quot(nr, nt, spec_fine) - dq) for nr, nt in
-                   refinements)
+    # Z_480 puts a group rotation on every node of the 480 ring
+    dq = d_quot(16, 480, 480)
+    budget_x = max(abs(d_quot(nr, nt, 480) - dq) for nr, nt in refinements)
 
     # regression anchor for the deterministic pipeline
     assert dq == pytest.approx(1.4499769557326505, abs=1e-9)
@@ -1027,8 +1004,7 @@ def test_limit_consistency_within_refinement_budget():
     assert abs(dq - dy) <= budget_x + budget_y
 
     # a coarser cyclic group is nearly indistinguishable from it
-    spec_zp = QuotientSpec(r=1.0, m1=1, m2=1, p=120)
-    dz = d_quot(16, 480, spec_zp)
+    dz = d_quot(16, 480, 120)
     assert abs(dz - dq) <= 1e-3
 
 
@@ -1187,6 +1163,24 @@ def test_collapse_chain_visits_each_group_element_once(monkeypatch, p_values,
     assert len(calls) == x_lookups + 4
 
 
+def test_collapse_common_factor_of_slopes_reduces_group():
+    """On the demo config, slopes (2, 2) make Z_p act through Z_(p / 2)
+    with slopes (1, 1): the group element k advances theta and s by
+    2 pi (2 k mod p) / p.  So (2, 2) at p = 4, 16, 64 gives the rows of
+    (1, 1) at p = 2, 8, 32 to the last bit, floor included."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+
+    def rows(m1, m2, p_values):
+        config = CollapseConfig.from_json(dict(cfg, m1=m1, m2=m2,
+                                               p_values=p_values))
+        return [(r.distortion.hex(), r.gh_upper_bound.hex(),
+                 r.grid_floor_estimate.hex())
+                for r in collapse_experiment(config)]
+
+    assert rows(2, 2, [4, 16, 64]) == rows(1, 1, [2, 8, 32])
+
+
 def test_collapse_row_depends_only_on_its_chain():
     """p = 3 starts a chain of its own, on its own ring, so it leaves the
     rows of the chain 4 | 8 as they are without it."""
@@ -1292,3 +1286,8 @@ def test_collapse_config_validation():
     config = CollapseConfig.from_json(SMALL_CONFIG)
     with pytest.raises(DomainError, match="non-empty"):
         CollapseConfig(**dict(vars(config), p_values=()))
+    for change, message in ((dict(r=0.0), "r > 0"), (dict(r=-1.0), "r > 0"),
+                            (dict(m1=-1), "m1 >= 0"), (dict(m2=0), "m2 >= 1"),
+                            (dict(p_values=(2, 0)), "positive")):
+        with pytest.raises(DomainError, match=message):
+            CollapseConfig(**dict(vars(config), **change))

@@ -343,6 +343,9 @@ def test_pushforward_limits():
     # huge circle: quotient leaves the surface alone
     _, _, _, h = circle_quotient_pushforward(1.0, 1e6)
     assert h.matrix[1, 1] == pytest.approx(1.0, abs=2e-12)
+    # f^2 + r^2 past the float range would give w = 0 and an inf metric
+    with pytest.raises(DomainError, match="overflows"):
+        circle_quotient_pushforward(1e200, 1.0)
     with pytest.raises(DomainError):
         circle_quotient_pushforward(0.0, 1.0)
     with pytest.raises(DomainError):

@@ -30,7 +30,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_export_resolves():
-    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 69
+    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 67
     for name in collapse_lab.__all__:
         obj = getattr(collapse_lab, name)
         assert obj.__module__.startswith("collapse_lab.")

@@ -6,6 +6,7 @@ never checked against itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -508,6 +509,26 @@ def test_quotient_circle_radius_formula():
         quotient_circle_radius(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         quotient_circle_radius(1.0, 1.0, -1.0)
+    # r1^2 r2^2 or kappa^2 r1^2 past the float range would give nan or 0
+    for args in ((1e200, 1.0, 1.0), (1.0, 1.0, 1e200)):
+        with pytest.raises(DomainError, match="overflows"):
+            quotient_circle_radius(*args)
+
+
+# floats whose pow(x, 2) is off by one ulp; x * x is correctly rounded
+_POW_MISROUNDED = (0.5073711867288875, 0.5199819530763752, 3.8065733325547657)
+
+
+def test_squares_are_correctly_rounded():
+    def square(x):
+        return float(Fraction(x) ** 2)
+
+    for x in _POW_MISROUNDED:
+        assert x ** 2 != square(x)
+        assert SinWarp(x).curvature(0.0) == square(x)
+        assert SinhWarp(x).curvature(0.0) == -square(x)
+        want = 2.0 * x / math.sqrt(square(x) + square(0.5) * 4.0)
+        assert transformed_warp(ConstWarp(2.0), x, 0.5).c == want
 
 
 def test_asymptote_radius():
@@ -536,3 +557,10 @@ def test_transform_argument_validation():
                 quotient_transform(metric, r, kappa, sign)
     with pytest.raises(NoAsymptoteError):
         asymptote_radius(1.0, 0.0)
+    # a TransformedWarp built directly refuses what transformed_warp does;
+    # an unrefused kappa^2 = inf would give f = 0 and nan
+    for r, kappa, message in ((0.0, 1.0, "need r > 0"),
+                              (1.0, 1e200, "kappa\\^2 overflows"),
+                              (1e-200, 1.0, "r\\^2 underflows")):
+        with pytest.raises(DomainError, match=message):
+            TransformedWarp(SinhWarp(1.0), r, kappa)
