@@ -99,7 +99,7 @@ def _rho_grid(cfg: dict, default_max: float = 2.0):
 # ---------------------------------------------------------------------------
 
 def _cmd_transform(cfg: dict):
-    from .warped_metric import metric_from_warp, transformed_warp
+    from .warped_metric import metric_from_warp, quotient_transform
 
     check_keys(cfg, ("family", "a", "r", "kappa", "m1", "m2", "direction",
                      "rho_min", "rho_max", "n"))
@@ -109,9 +109,11 @@ def _cmd_transform(cfg: dict):
     if direction not in ("forward", "inverse"):
         raise ConfigError("direction must be 'forward' or 'inverse'")
     rho = _rho_grid(cfg)
-    metric_from_warp(warp, float(rho[-1]), float(rho[0]))  # domain check
-    sign = 1 if direction == "forward" else -1
-    out = transformed_warp(warp, r, kappa, sign)
+    metric = metric_from_warp(warp, float(rho[-1]), float(rho[0]))
+    # the transformed metric refuses an inverse with no preimage anywhere on
+    # the interval, not only at the grid points
+    out = quotient_transform(metric, r, kappa,
+                             1 if direction == "forward" else -1).warp
     # an overflow is refused with the table, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.column_stack([rho, warp.f(rho), out.f(rho)])
@@ -128,9 +130,13 @@ def _cmd_curvature(cfg: dict):
     warp = _warp_of(cfg)
     rho = _rho_grid(cfg)
     metric = metric_from_warp(warp, float(rho[-1]), float(rho[0]))
-    k = np.asarray(gauss_curvature(metric, rho), dtype=float)
+    # an overflow is refused with the table, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.asarray(gauss_curvature(metric, rho), dtype=float)
     rows = np.column_stack([rho, np.broadcast_to(k, rho.shape)])
-    return _csv(["rho", "K"], rows), [f"curvature: {warp.kind}"]
+    return _finite_table(["rho", "K"], rows,
+                         "the curvature overflows a float; lower a"), \
+        [f"curvature: {warp.kind}"]
 
 
 def _cmd_soliton(cfg: dict):

@@ -17,9 +17,11 @@ theta in [0, pi] (grid columns 0 .. n_theta // 2) is solved, and the field
 is that half-strip table: its lookup takes integer columns of any sign and
 folds them into the strip.  The solver (distance_field) is a
 label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
-theta up and rho up, each followed by a check that one relaxation of every
-edge lowers no label, and by a theta-down pass only when the check fails.
-The label table is row-major, and a theta pass runs on a column-major copy
+theta up and rho up, each round followed by a check that one relaxation of
+every edge lowers no label, and by a theta-down pass only when the check
+fails.  Every pass is one kernel (_pass), which relaxes each grid line from
+the line before it over the straight edge and both diagonals.  The label
+table is row-major, and a theta pass runs the kernel on a column-major copy
 of it held in the check's scratch table, so both kinds of pass work on
 contiguous blocks.  The rho-up pass leaves every edge from the row below
 relaxed, so the check relaxes the other edges only.  The fixed point is
@@ -173,71 +175,40 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
                         ring=ring, rad=rad, diag=diag)
 
 
-def _rho_pass(graph: SurfaceGraph, d: np.ndarray, ascending: bool) -> None:
-    """One Gauss-Seidel pass over the rows of the padded labels d,
-    (n_rho, columns, sources), in rho order or against it: each row is
-    relaxed from the row before it in the pass (the radial and both
-    diagonal in-edges), vectorised over columns x sources.
+def _pass(lines: np.ndarray, straight, lo, hi, ascending: bool) -> None:
+    """One Gauss-Seidel pass over lines, (n_lines, n_pos, sources), in line
+    order or against it: each line is relaxed from the line before it in the
+    pass, vectorised over positions x sources, over three in-edges into
+    each position i: the straight edge from position i, weight straight[w],
+    and the diagonals from positions i - 1 and i + 1, weights lo[w] and
+    hi[w], where w is the greater index of the two lines.  A weight
+    broadcasts against a line (straight) or against a line without its
+    first or last position (lo, hi); the weights are sequences over the
+    lines, sliced once a pass.
 
-    A rho-ascending pass relaxes row i from row i - 1 only after row i - 1
-    is final, so on return every in-edge from the row below (radial, both
-    diagonals, and the pole spokes) satisfies d[v] <= fl(d[u] + w);
-    _relaxation_lowers relies on this.
+    Each line is relaxed only after the line before it is final, so on
+    return every in-edge from the line before in the pass satisfies
+    d[v] <= fl(d[u] + w); _relaxation_lowers relies on this for the rows
+    after a rho-ascending pass.
     """
-    n_rho = d.shape[0]
-    rad, diag = graph.rad.tolist(), graph.diag.tolist()
-    inner, left, right = d[:, 1:-1], d[:, :-2], d[:, 2:]
-    row = np.empty_like(inner[0])
-    for i in range(1, n_rho) if ascending else range(n_rho - 2, -1, -1):
-        k = i - 1 if ascending else i + 1
-        w = max(i, k)               # the edges between rows i and k
-        target = inner[i]
-        np.add(inner[k], rad[w], out=row)
-        np.minimum(target, row, out=target)
-        np.minimum(left[k], right[k], out=row)
-        np.add(row, diag[w], out=row)
-        np.minimum(target, row, out=target)
-
-
-def _theta_pass(d: np.ndarray, cand: np.ndarray, ring: np.ndarray,
-                diag: np.ndarray, ascending: bool) -> None:
-    """One Gauss-Seidel pass over the strip columns of the padded labels d,
-    (n_rho, columns, sources), in theta order or against it: each column is
-    relaxed from the column before it in the pass (the ring and both
-    diagonal in-edges), vectorised over rows x sources.
-
-    The pass runs on a column-major copy of the strip, (strip columns,
-    n_rho, sources), held in cand, the check's scratch table, which has
-    exactly that many labels and is idle during the pass.  So each column
-    is one contiguous block, as are ring and diag, graph.ring and
-    graph.diag[1:] repeated across the sources.  Both copies move a node's
-    run of S sources as one item of 8 S bytes, which numpy copies faster
-    and with a lower peak RSS than a float copy of the transposed view, and
-    the strip is copied back before the pass returns.  Then every in-edge
-    from the column before (ring and both diagonals) satisfies
-    d[v] <= fl(d[u] + w).
-    """
-    n_rho, columns, n_src = d.shape
-    width = columns - 2
-    run = np.dtype((np.void, 8 * n_src))        # a node's S labels
-    strip = d.view(run)[:, 1:-1, 0]
-    cols = cand.reshape(width, n_rho, n_src)
-    runs = cols.view(run)[:, :, 0]
-    np.copyto(runs, strip.T)
-    src_lo, src_hi = cols[:, :-1], cols[:, 1:]  # rows 0 .. n - 2, 1 .. n - 1
-    col = np.empty_like(cols[0])
-    col_lo, col_hi = col[:-1], col[1:]
-    step = np.empty_like(col_hi)
-    for j in range(1, width) if ascending else range(width - 2, -1, -1):
-        k = j - 1 if ascending else j + 1
-        np.add(cols[k], ring, out=col)
-        np.add(src_lo[k], diag, out=step)       # from row i - 1
-        np.minimum(col_hi, step, out=col_hi)
-        np.add(src_hi[k], diag, out=step)       # from row i + 1
-        np.minimum(col_lo, step, out=col_lo)
-        target = cols[j]
-        np.minimum(target, col, out=target)
-    np.copyto(strip, runs.T)
+    line = np.empty_like(lines[0])
+    line_heads, line_tails = line[:-1], line[1:]
+    step = np.empty_like(line_tails)
+    # (line j, the line before it in the pass and that line without its
+    # last and without its first position, the weights between them)
+    if ascending:
+        order = zip(lines[1:], lines[:-1], lines[:-1, :-1], lines[:-1, 1:],
+                    straight[1:], lo[1:], hi[1:])
+    else:
+        order = zip(lines[-2::-1], lines[:0:-1], lines[:0:-1, :-1],
+                    lines[:0:-1, 1:], straight[:0:-1], lo[:0:-1], hi[:0:-1])
+    for target, src, heads, tails, w, w_lo, w_hi in order:
+        np.add(src, w, out=line)
+        np.add(heads, w_lo, out=step)               # from position i - 1
+        np.minimum(line_tails, step, out=line_tails)
+        np.add(tails, w_hi, out=step)               # from position i + 1
+        np.minimum(line_heads, step, out=line_heads)
+        np.minimum(target, line, out=target)
 
 
 def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
@@ -246,39 +217,57 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
 
     Each round is a pass rho descending, theta ascending and rho ascending,
     then the check (_relaxation_lowers), and a pass theta descending only
-    when the check finds a lower label.  The sources are the last axis, so
-    a row is one contiguous block; a theta pass copies the strip into cand
-    column-major and back, so a column is one contiguous block there.
-    Either kind of pass follows any mix of its straight steps with
-    diagonal ones: on a flat stretch many such mixes have the same length,
-    rounding decides which is shortest, and a pass that left the diagonals
-    out would take several more sweeps to find it.  A node's two diagonal
-    in-edges from one row share their weight, so a rho pass relaxes them
-    at once as fl(min(a, b) + w), which equals min(fl(a + w), fl(b + w))
-    because rounding is monotone.
+    when the check finds a lower label.  Every pass is the kernel _pass on
+    lines of one contiguous block each.  A rho pass runs on the rows of the
+    strip, d[:, 1:-1], weighed by rad (straight) and diag (diagonals).  A
+    theta pass runs on a column-major copy of the strip, (strip columns,
+    n_rho, sources), held in cand, which has exactly that many labels and
+    is idle during the pass; every column is weighed by the same blocks,
+    graph.ring (straight) and graph.diag[1:] (diagonals: row i's edge from
+    row i - 1 weighs diag[i], from row i + 1 diag[i + 1]), repeated across
+    the sources.  Both copies move a node's run of S sources as one item of
+    8 S bytes, which numpy copies faster and with a lower peak RSS than a
+    float copy of the transposed view.  Either kind of pass follows any mix
+    of its straight steps with diagonal ones: on a flat stretch many such
+    mixes have the same length, rounding decides which is shortest, and a
+    pass that left the diagonals out would take several more sweeps to
+    find it.
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
     from the side columns and from the row above.  A field whose labels
     are final after the first three passes never runs the fourth.
     """
-    n_src = d.shape[2]
-    ring = np.repeat(graph.ring[:, None], n_src, axis=1)
-    diag = np.repeat(graph.diag[1:, None], n_src, axis=1)
+    n_rho, columns, n_src = d.shape
+    width = columns - 2
+    rows = d[:, 1:-1]
+    rad, diag = graph.rad.tolist(), graph.diag.tolist()
+    run = np.dtype((np.void, 8 * n_src))        # a node's S labels
+    strip = d.view(run)[:, 1:-1, 0]
+    cols = cand.reshape(width, n_rho, n_src)
+    runs = cols.view(run)[:, :, 0]
+    ring_col = [np.repeat(graph.ring[:, None], n_src, axis=1)] * width
+    diag_col = [np.repeat(graph.diag[1:, None], n_src, axis=1)] * width
+
+    def theta_pass(ascending):
+        np.copyto(runs, strip.T)
+        _pass(cols, ring_col, diag_col, diag_col, ascending)
+        np.copyto(strip, runs.T)
+
     while True:
-        _rho_pass(graph, d, ascending=False)
-        _theta_pass(d, cand, ring, diag, ascending=True)
-        _rho_pass(graph, d, ascending=True)
+        _pass(rows, rad, diag, diag, ascending=False)
+        theta_pass(ascending=True)
+        _pass(rows, rad, diag, diag, ascending=True)
         if not _relaxation_lowers(graph, d, cand):
             return
-        _theta_pass(d, cand, ring, diag, ascending=False)
+        theta_pass(ascending=False)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
                        cand: np.ndarray) -> bool:
     """Whether relaxing every in-edge of every node at once (the eight grid
     directions and the pole spokes) would lower any label of d, given that
-    a rho-ascending pass (_rho_pass) has just returned d.
+    a rho-ascending pass (_pass on the rows) has just returned d.
 
     That pass leaves every in-edge from the row below relaxed (radial, both
     diagonals and the pole spokes: d[v] <= fl(d[u] + w) with the final
@@ -369,10 +358,11 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     (n_rho, n_theta // 2 + 3, S), sources last so that a rho pass reads
     one contiguous block a row, with a column of inf on either side of the
     strip standing in for the edges the strip does not have; the field's
-    dist is its transposed view.  A theta pass runs on a column-major copy
-    of the strip, (n_theta // 2 + 1, n_rho, S), held in the check's
-    scratch table, so it too reads one contiguous block a column.  The
-    solve refuses more than MAX_FIELD_LABELS labels before allocating.
+    dist is its transposed view.  A theta pass runs the same kernel
+    (_pass) on a column-major copy of the strip, (n_theta // 2 + 1, n_rho,
+    S), held in the check's scratch table, so it too reads one contiguous
+    block a column.  The solve refuses more than MAX_FIELD_LABELS labels
+    before allocating.
     """
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
     n_rho, width = graph.n_rho, graph.n_theta // 2 + 1

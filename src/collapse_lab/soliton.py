@@ -89,8 +89,8 @@ class CigarPotential(Potential):
         return (2.0 * self.a * np.tanh(self.a * np.asarray(rho, dtype=float)))[()]
 
     def d2phi(self, rho):
-        x = self.a * np.asarray(rho, dtype=float)
-        return (2.0 * self.a * self.a / np.cosh(x) ** 2)[()]
+        c = np.cosh(self.a * np.asarray(rho, dtype=float))
+        return (2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ class ExplodingPotential(Potential):
         return (-2.0 * self.a * np.tan(self.a * np.asarray(rho, dtype=float)))[()]
 
     def d2phi(self, rho):
-        x = self.a * np.asarray(rho, dtype=float)
-        return (-2.0 * self.a * self.a / np.cos(x) ** 2)[()]
+        c = np.cos(self.a * np.asarray(rho, dtype=float))
+        return (-2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,14 @@ def exploding_identity_residual(rho):
         raise DomainError("rho must stay delta_cap away from 0 and pi/2")
     warp = TanWarp(1.0)
     r_scalar = 2.0 * np.asarray(warp.curvature(rho), dtype=float)
+
+    def second(t):
+        c = np.cos(np.asarray(t, dtype=float))
+        return 2.0 / (c * c)
+
     u = CallablePotential(
         value=lambda t: np.log(4.0) - 2.0 * np.log(np.cos(np.asarray(t, dtype=float))),
         deriv=lambda t: 2.0 * np.tan(np.asarray(t, dtype=float)),
-        second=lambda t: 2.0 / np.cos(np.asarray(t, dtype=float)) ** 2,
+        second=second,
     )
     return np.abs(radial_laplacian(warp, u, rho) + r_scalar)[()]

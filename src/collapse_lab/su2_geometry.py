@@ -184,8 +184,8 @@ def _pushforward_norms(metric: BergerMetric, count: int,
         raise DomainError("need at least one sample")
     draw = np.random.default_rng(seed).normal(size=(count, 7))
     c2, c3 = draw[:, 5], draw[:, 6]
-    return 2.0 * np.hypot(c2, c3) / np.sqrt(metric.B * c2 ** 2
-                                             + metric.C * c3 ** 2)
+    return 2.0 * np.hypot(c2, c3) / np.sqrt(metric.B * (c2 * c2)
+                                             + metric.C * (c3 * c3))
 
 
 def _max_distortion(radii, norms):

@@ -133,15 +133,17 @@ class TanhWarp(WarpCurve):
         return np.tanh(self.a * np.asarray(rho, dtype=float)) / self.a
 
     def df(self, rho):
-        return 1.0 / np.cosh(self.a * np.asarray(rho, dtype=float)) ** 2
+        c = np.cosh(self.a * np.asarray(rho, dtype=float))
+        return 1.0 / (c * c)
 
     def d2f(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return -2.0 * self.a * np.tanh(x) / np.cosh(x) ** 2
+        c = np.cosh(x)
+        return -2.0 * self.a * np.tanh(x) / (c * c)
 
     def curvature(self, rho):
-        x = self.a * np.asarray(rho, dtype=float)
-        return (2.0 * self.a * self.a / np.cosh(x) ** 2)[()]
+        c = np.cosh(self.a * np.asarray(rho, dtype=float))
+        return (2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -164,15 +166,17 @@ class TanWarp(WarpCurve):
         return np.tan(self.a * np.asarray(rho, dtype=float)) / self.a
 
     def df(self, rho):
-        return 1.0 / np.cos(self.a * np.asarray(rho, dtype=float)) ** 2
+        c = np.cos(self.a * np.asarray(rho, dtype=float))
+        return 1.0 / (c * c)
 
     def d2f(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        return 2.0 * self.a * np.tan(x) / np.cos(x) ** 2
+        c = np.cos(x)
+        return 2.0 * self.a * np.tan(x) / (c * c)
 
     def curvature(self, rho):
-        x = self.a * np.asarray(rho, dtype=float)
-        return (-2.0 * self.a * self.a / np.cos(x) ** 2)[()]
+        c = np.cos(self.a * np.asarray(rho, dtype=float))
+        return (-2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -422,7 +426,7 @@ class TransformedWarp(WarpCurve):
         return self.base.open_right
 
     def _denominator(self, fb):
-        d = self.r * self.r + self.sign * (self.kappa * self.kappa) * fb ** 2
+        d = self.r * self.r + self.sign * (self.kappa * self.kappa) * (fb * fb)
         if self.sign < 0 and np.any(d <= 0):
             raise NotInRangeError(
                 "warp reaches the asymptote r/kappa; inverse undefined")
@@ -435,15 +439,20 @@ class TransformedWarp(WarpCurve):
 
     def df(self, rho):
         fb, dfb, _ = _chain_d(self.base, rho)
-        d = self._denominator(fb)
-        return (self.r ** 3 * dfb * d ** -1.5)[()]
+        self._denominator(fb)               # refuses f at or past r/kappa
+        # r^3 d^-1.5 is the cube of r / sqrt(d) = 1 / sqrt(1 + sign t^2),
+        # t = kappa f / r, which stays exact at f = 0 where r^3 underflows,
+        # d^-1.5 overflows or r^2 is subnormal
+        t = self.kappa * fb / self.r
+        s = 1.0 / np.sqrt(1.0 + self.sign * (t * t))
+        return (s * s * s * dfb)[()]
 
     def d2f(self, rho):
         fb, dfb, d2fb = _chain_d(self.base, rho)
         d = self._denominator(fb)
         return (self.r ** 3 * d ** -2.5
                 * (d2fb * d - 3.0 * self.sign * (self.kappa * self.kappa)
-                   * fb * dfb ** 2))[()]
+                   * fb * (dfb * dfb)))[()]
 
     def curvature(self, rho):
         if not self.base.has_closed_curvature:
@@ -452,8 +461,8 @@ class TransformedWarp(WarpCurve):
         kb = self.base.curvature(rho)
         d = self._denominator(fb)
         return (self.r * self.r * (kb * d + 3.0 * self.sign
-                                   * (self.kappa * self.kappa) * dfb ** 2)
-                / d ** 2)[()]
+                                   * (self.kappa * self.kappa) * (dfb * dfb))
+                / (d * d))[()]
 
 
 _FAMILIES = {

@@ -663,9 +663,14 @@ def test_square_underflowing_transform_exits_1(tmp_path, capsys, cfg):
     ("transform", _demo("transform", rho_max=800.0), "f = inf"),
     ("berger", _demo("berger", radius_max=1e308), "max_distortion = inf"),
     ("collapse", _demo("collapse", rho_max=800.0), "positive and finite"),
-], ids=["transform", "berger", "collapse"])
+    ("curvature", {"family": "sinh", "a": 1e300}, "K = -inf in row 0"),
+    ("curvature", {"family": "tanh", "a": 1e200}, "K = inf in row 0"),
+], ids=["transform", "berger", "collapse", "curvature-sinh",
+        "curvature-tanh"])
 def test_non_finite_table_exits_1(tmp_path, capsys, command, cfg, column):
-    # the sinh warp overflows past rho = 710; R a_i overflows at 1e308
+    # the sinh warp overflows past rho = 710; R a_i overflows at 1e308;
+    # the curvature's a^2 overflows at a = 1e300 and 1e200, and past the
+    # first row tanh's 2 a^2 / cosh^2 is inf / inf
     code, out, err = _run_strict(tmp_path, capsys, command, cfg)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -679,6 +684,36 @@ def test_curvature_past_warp_overflow_is_closed_form(tmp_path, capsys):
     assert code == 0
     _, data = parse_csv(out)
     assert np.array_equal(data[:, 1], np.full(9, -1.0))
+
+
+@pytest.mark.parametrize("kappa, message", [
+    (1.0, "rho_max must stay strictly below the warp's blow-up point"),
+    (1.001, "warp reaches r/kappa on the interval; no preimage"),
+], ids=["kappa-1", "kappa-1.001"])
+def test_transform_inverse_without_preimage_exits_1(tmp_path, capsys, kappa,
+                                                    message):
+    # sin reaches r / kappa between the grid points: at kappa = 1 the
+    # inverse is tan, which blows up at pi/2 inside [0, 3], and at
+    # kappa = 1.001 sin passes 1 / kappa near pi/2
+    cfg = {"family": "sin", "a": 1.0, "r": 1.0, "kappa": kappa,
+           "direction": "inverse", "rho_max": 3.0, "n": 9}
+    code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
+    assert code == 1 and out == ""
+    assert err == f"collapse-lab: error: {message}\n"
+
+
+@pytest.mark.parametrize("r", [1e-120, 1e-158])
+def test_transform_tiny_r_keeps_its_table(tmp_path, capsys, r):
+    # r^3 underflows at r = 1e-120, and r^2 is subnormal at r = 1e-158; the
+    # transform's cap check at rho = 0 still sees f'(0) = 1, and the table
+    # is r f / sqrt(f^2 + r^2), about r away from the pole
+    cfg = {"family": "sinh", "a": 1.0, "r": r, "kappa": 1.0,
+           "rho_max": 3.0, "n": 21}
+    code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
+    assert code == 0
+    _, data = parse_csv(out)
+    assert data[0, 2] == 0.0
+    assert np.allclose(data[1:, 2], r, rtol=1e-15, atol=0.0)
 
 
 def test_transform_zero_m2_exits_1(tmp_path, capsys):

@@ -423,6 +423,13 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
         assert len(checks) == 3
 
 
+def _is_theta_pass(straight):
+    """Whether a call of the kernel _pass is a theta pass, from its
+    arguments: a theta pass weighs its straight edges by one block of rows x
+    sources per column, a rho pass by one number per row."""
+    return np.ndim(straight[0]) > 0
+
+
 def _assert_fields_take_one_round(monkeypatch, cfg):
     """Each of the five fields of a one-chain collapse solve (the limit,
     its three refinements, and the chain's quotient side) is final after
@@ -438,16 +445,17 @@ def _assert_fields_take_one_round(monkeypatch, cfg):
         fields[-1].append(("check", check(*args)))
         return fields[-1][-1][1]
 
-    def theta_spy(*args, ascending):
-        fields[-1].append(("theta", ascending))
-        theta(*args, ascending=ascending)
+    def pass_spy(lines, straight, lo, hi, ascending):
+        if _is_theta_pass(straight):
+            fields[-1].append(("theta", ascending))
+        kernel(lines, straight, lo, hi, ascending)
 
-    field, check, theta = (gh_collapse.distance_field,
-                           gh_collapse._relaxation_lowers,
-                           gh_collapse._theta_pass)
+    field, check, kernel = (gh_collapse.distance_field,
+                            gh_collapse._relaxation_lowers,
+                            gh_collapse._pass)
     monkeypatch.setattr(gh_collapse, "distance_field", field_spy)
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
-    monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
+    monkeypatch.setattr(gh_collapse, "_pass", pass_spy)
     collapse_experiment(CollapseConfig.from_json(cfg))
     assert fields == [[("theta", True), ("check", False)]] * 5
 
@@ -475,50 +483,86 @@ def test_benchmark_fields_converge_without_theta_descending_pass(
     _assert_fields_take_one_round(monkeypatch, cfg)
 
 
+def _certified_passes(monkeypatch, g, rows):
+    """Solves the field of g from the source rows with a spy on the kernel
+    _pass that checks its certificate after every pass, rho or theta,
+    ascending or descending: every in-edge from the line before in the pass
+    (the straight edge and both diagonals) satisfies d[v] <= fl(d[u] + w)
+    with the graph's own weights.  A rho pass runs on the rows of the
+    strip, whose in-edges from the row before weigh rad and diag of the
+    later row; a theta pass on the strip's columns, whose in-edges from the
+    column before weigh ring of their row and diag of the later row.
+    Returns the passes, (orientation, ascending) in order, and the field."""
+    passes = []
+
+    def spy(lines, straight, lo, hi, ascending):
+        kernel(lines, straight, lo, hi, ascending)
+        src, dst = ((lines[:-1], lines[1:]) if ascending
+                    else (lines[1:], lines[:-1]))
+        if _is_theta_pass(straight):
+            passes.append(("theta", ascending))
+            w, w_diag = g.ring[None, :, None], g.diag[None, 1:, None]
+        else:
+            passes.append(("rho", ascending))
+            w, w_diag = g.rad[1:, None, None], g.diag[1:, None, None]
+        assert np.all(dst <= src + w)
+        assert np.all(dst[:, 1:] <= src[:, :-1] + w_diag)
+        assert np.all(dst[:, :-1] <= src[:, 1:] + w_diag)
+
+    kernel = gh_collapse._pass
+    monkeypatch.setattr(gh_collapse, "_pass", spy)
+    return passes, distance_field(g, rows).dist
+
+
+def _certificate_rows(g, n_src):
+    """A lone source in the middle row; seven from edge to edge, the pole
+    among them."""
+    if n_src == 1:
+        return [g.n_rho // 2]
+    return np.linspace(0, g.n_rho - 1, n_src).round().astype(int)
+
+
 @pytest.mark.parametrize("n_src", [1, 7])
 @pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
                                   "12-pole", "sphere-band"])
 def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
                                                               case, n_src):
-    """The certificate of a theta pass on its column-major copy: on return,
-    every in-edge from the column the pass came from (the ring edge and
-    both diagonals, into strip columns 1 .. width - 1 after an ascending
-    pass and 0 .. width - 2 after a descending one) satisfies
-    d[v] <= fl(d[u] + w) in the padded labels.  Random per-row weights with
-    and without a pole, and the sphere band, which takes three rounds and
-    so runs descending passes; one source row, whose source run is one
-    8-byte item, and seven.  At one source row the fields also equal
+    """The certificate of the kernel after each pass (_certified_passes),
+    with the theta passes, which run on the column-major copy, in the
+    order the sweep takes them.  Random per-row weights with and without a
+    pole, and the sphere band, which takes three rounds and so runs
+    descending passes; one source row, whose source run is one 8-byte item
+    of the copy, and seven.  At one source row the fields also equal
     scipy's Dijkstra bit for bit."""
     g = _certificate_graph(case)
-    ring = g.ring[:, None, None]
-    diag = g.diag[1:, None, None]
-    passes = []
-
-    def spy(d, cand, ring_run, diag_run, ascending):
-        theta(d, cand, ring_run, diag_run, ascending=ascending)
-        strip = d[:, 1:-1]
-        src, dst = ((strip[:, :-1], strip[:, 1:]) if ascending
-                    else (strip[:, 1:], strip[:, :-1]))
-        assert np.all(dst <= src + ring)
-        assert np.all(dst[1:] <= src[:-1] + diag)
-        assert np.all(dst[:-1] <= src[1:] + diag)
-        passes.append(ascending)
-
-    theta = gh_collapse._theta_pass
-    monkeypatch.setattr(gh_collapse, "_theta_pass", spy)
-    # a lone source in the middle row; seven from edge to edge, the pole
-    # among them
-    rows = ([g.n_rho // 2] if n_src == 1
-            else np.linspace(0, g.n_rho - 1, n_src).round().astype(int))
-    got = distance_field(g, rows).dist
+    rows = _certificate_rows(g, n_src)
+    passes, got = _certified_passes(monkeypatch, g, rows)
+    theta = [up for kind, up in passes if kind == "theta"]
     if case == "sphere-band":
-        assert passes == [True, False] * 2 + [True]
+        assert theta == [True, False] * 2 + [True]
     else:
-        assert passes and passes[0]
+        assert theta and theta[0]
     if n_src == 1:
         ids = _node_ids(g, half=True)
         want = dijkstra(_half_csr(g), indices=ids[rows, 0])[:, ids]
         assert np.array_equal(got.transpose(1, 0, 2), want)
+
+
+@pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
+                                  "12-pole", "sphere-band"])
+def test_rho_pass_leaves_edges_from_previous_row_relaxed(monkeypatch, case):
+    """The certificate of the kernel after each pass (_certified_passes),
+    with the rho passes, which run on the padded labels in place and whose
+    in-edges from row 0 include the pole spokes, in the sweep's order:
+    rounds of rho descending, theta ascending and rho ascending, joined by
+    a theta-descending pass.  Every case takes at least two rounds, so
+    every kind of pass is checked."""
+    g = _certificate_graph(case)
+    passes, _ = _certified_passes(monkeypatch, g, _certificate_rows(g, 7))
+    rounds = (len(passes) + 1) // 4
+    assert rounds >= 2
+    assert passes == ([("rho", False), ("theta", True), ("rho", True),
+                       ("theta", False)] * rounds)[:-1]
 
 
 @pytest.mark.parametrize("pole", [False, True], ids=["no-pole", "pole"])

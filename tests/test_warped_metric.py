@@ -333,6 +333,17 @@ def test_transform_preserves_cap():
         assert float(out.warp.df(0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("r", [1e-120, 1e-158])
+def test_transform_cap_survives_tiny_r(r):
+    """r^3 underflows to 0 and d^-1.5 overflows at r = 1e-120, and at
+    r = 1e-158 r^2 is subnormal, so r / sqrt(r^2) is off by about 1e-5; the
+    transform's f'(0) = 1 is still exact, and the cap holds."""
+    metric = metric_from_warp(SinhWarp(1.0), 2.0)
+    out = quotient_transform(metric, r, 1.0)
+    assert out.capped_at_origin
+    assert float(out.warp.df(0.0)) == 1.0
+
+
 def test_roundtrip_inverse_then_forward():
     """transform then inverse is the identity to 1e-10 at random points."""
     rng = np.random.default_rng(23)
@@ -529,6 +540,35 @@ def test_squares_are_correctly_rounded():
         assert SinhWarp(x).curvature(0.0) == -square(x)
         want = 2.0 * x / math.sqrt(square(x) + square(0.5) * 4.0)
         assert transformed_warp(ConstWarp(2.0), x, 0.5).c == want
+
+
+# (warp, methods, rho_max): the six named families with their closed-form
+# curvature, and the transform both ways, with rho drawn from [0, rho_max)
+_SCALAR_ARRAY_CASES = {
+    "sinh": (SinhWarp(0.7), 3.0), "tanh": (TanhWarp(0.7), 3.0),
+    "tan": (TanWarp(0.7), math.pi / 1.4), "sin": (SinWarp(0.7), math.pi / 0.7),
+    "const": (ConstWarp(1.3), 3.0), "linear": (LinearWarp(), 3.0),
+    "transformed": (TransformedWarp(SinhWarp(1.0), 1.3, 0.7), 3.0),
+    "inverse-transformed": (TransformedWarp(SinWarp(1.0), 1.0, 0.5, -1),
+                            math.pi),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_ARRAY_CASES))
+def test_scalar_and_array_evaluation_agree(name):
+    """A warp gives the same bits for a scalar rho as for that rho inside an
+    array.  numpy squares an array exactly but a numpy scalar with pow,
+    which is not correctly rounded, so every square is written x * x.  The
+    transform's d2f keeps d ** -2.5, which is no square, so only its f and
+    df are compared."""
+    warp, rho_max = _SCALAR_ARRAY_CASES[name]
+    methods = (("f", "df") if isinstance(warp, TransformedWarp)
+               else ("f", "df", "d2f", "curvature"))
+    rho = np.random.default_rng(31).uniform(0.0, rho_max, 4000)
+    for method in methods:
+        fn = getattr(warp, method)
+        scalars = np.array([fn(x) for x in rho.tolist()])
+        assert np.array_equal(scalars, fn(rho)), method
 
 
 def test_asymptote_radius():
