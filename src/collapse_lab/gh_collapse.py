@@ -19,12 +19,15 @@ folds them into the strip.  The solver (distance_field) is a
 label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
 theta up and rho up, each round followed by a check that one relaxation of
 every edge lowers no label, and by a theta-down pass only when the check
-fails.  Every pass is one kernel (_pass), which relaxes each grid line from
-the line before it over the straight edge and both diagonals.  The label
-table is row-major, and a theta pass runs the kernel on a column-major copy
-of it held in the check's scratch table, so both kinds of pass work on
-contiguous blocks.  The rho-up pass leaves every edge from the row below
-relaxed, so the check relaxes the other edges only.  The fixed point is
+fails.  Each pass relaxes every grid line from the line before it over the
+straight edge and both diagonals.  Graphs that share their rho rows are
+solved side by side in one row-major label table, their half strips
+between walls of inf: a rho pass (_rho_pass) relaxes whole rows of it, all
+strips at once, and a theta pass runs the line kernel _pass strip by strip
+on column-major copies of blocks of columns in a small scratch block, so
+both kinds of pass work on contiguous blocks.  The rho-up pass leaves every
+edge from the row below relaxed, so the check relaxes the other edges only,
+block after block of rows in the same scratch.  The fixed point is
 Dijkstra's output to the last bit.
 
 collapse_experiment compares the quotient against the transformed limit
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -103,13 +107,20 @@ class SurfaceGraph:
 
 
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
-# 1)), that one distance field may hold.  The solver keeps the float64
-# labels and a scratch table of the same size, which holds the convergence
-# check's candidates and, during a theta pass, the column-major copy of the
-# labels: 16 bytes a label, so the cap bounds a solve near 128 MiB.  The
-# graph itself is three weights a row, so the cap sizes graphs too:
-# build_surface_graph refuses one whose field from one source exceeds it.
+# 1)), that one distance field may hold.  The solver keeps 8 bytes a label,
+# the float64 labels, plus a scratch block of fixed size (_SCRATCH_LABELS),
+# so the cap bounds a one-field solve near 64 MiB, and the two-field
+# stacked solves of collapse_experiment near 128 MiB.  The graph itself is
+# three weights a row, so the cap sizes graphs too: build_surface_graph
+# refuses one whose field from one source exceeds it.
 MAX_FIELD_LABELS = 2 ** 23
+
+
+# Labels of the solver's scratch block (256 KiB of float64), or of two
+# label columns or one label row of a strip if either is larger: a theta
+# pass copies block after block of columns into it, and the convergence
+# check writes its candidates there block after block of rows.
+_SCRATCH_LABELS = 2 ** 15
 
 
 # Largest work of one group Z_p: p lookups of S x S x D_theta surface
@@ -184,12 +195,14 @@ def _pass(lines: np.ndarray, straight, lo, hi, ascending: bool) -> None:
     hi[w], where w is the greater index of the two lines.  A weight
     broadcasts against a line (straight) or against a line without its
     first or last position (lo, hi); the weights are sequences over the
-    lines, sliced once a pass.
+    lines, sliced once a pass.  The theta passes run it on blocks of strip
+    columns (_sweep): a position's two diagonals there weigh diag of two
+    different rows, so unlike the rho pass's (_rho_pass) they cannot share
+    one candidate.
 
     Each line is relaxed only after the line before it is final, so on
     return every in-edge from the line before in the pass satisfies
-    d[v] <= fl(d[u] + w); _relaxation_lowers relies on this for the rows
-    after a rho-ascending pass.
+    d[v] <= fl(d[u] + w).
     """
     line = np.empty_like(lines[0])
     line_heads, line_tails = line[:-1], line[1:]
@@ -211,22 +224,73 @@ def _pass(lines: np.ndarray, straight, lo, hi, ascending: bool) -> None:
         np.minimum(target, line, out=target)
 
 
-def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
-    """Sweep the padded labels d, (n_rho, columns, sources), to the fixed
-    point of relaxing every edge, with cand as the check's scratch table.
+def _rho_pass(d: np.ndarray, rad, strips, ascending: bool) -> None:
+    """One Gauss-Seidel pass over the rows of the stacked labels d,
+    (n_rho, columns, sources), in row order or against it: each row is
+    relaxed from the row before it in the pass over three in-edges into
+    each strip column, the radial edge, weight rad[w], and the diagonals
+    from both side columns of the same strip, weight diag[w] of that
+    strip's graph, where w is the greater index of the two rows.  strips
+    holds (columns, diag) for each strip: its column slice of d and its
+    graph's diag list; the wall columns around the strips hold inf.
+
+    A row takes 3 + 2 k ufunc calls for k strips.  The radial edge is one
+    add over the whole row, walls included, which stay inf.  A strip's
+    diagonals are one candidate fl(min(left, right) + diag[w]), the lesser
+    of its two diagonals because rounding is monotone, written into its
+    part of a step row whose wall entries stay inf.  Then one min merges
+    the step row into the line and one the line into the target row.
+
+    Each row is relaxed only after the row before it is final, so on
+    return every in-edge from the row before in the pass satisfies
+    d[v] <= fl(d[u] + w); _relaxation_lowers relies on this after a
+    rho-ascending pass.
+    """
+    line = np.empty_like(d[0])
+    step = np.full_like(d[0], math.inf)
+    # (the strip's part of the step row, the labels left and right of its
+    # columns, its diag) for each strip
+    sides = [(step[cols], d[:, cols.start - 1:cols.stop - 1],
+              d[:, cols.start + 1:cols.stop + 1], diag)
+             for cols, diag in strips]
+    # the rows relaxed, the rows before them in the pass, and the weights
+    # between them, in the order of the pass
+    if ascending:
+        dst, src, w = slice(1, None), slice(None, -1), slice(1, None)
+    else:
+        dst, src = slice(-2, None, -1), slice(None, 0, -1)
+        w = src
+    diagonals = zip(*(zip(repeat(part), left[src], right[src], diag[w])
+                      for part, left, right, diag in sides))
+    for target, before, w_rad, row_diagonals in zip(d[dst], d[src], rad[w],
+                                                    diagonals):
+        np.add(before, w_rad, out=line)
+        for part, left, right, w_diag in row_diagonals:
+            np.minimum(left, right, out=part)
+            np.add(part, w_diag, out=part)
+        np.minimum(line, step, out=line)
+        np.minimum(target, line, out=target)
+
+
+def _sweep(graphs, d: np.ndarray, strips) -> None:
+    """Sweep the stacked labels d, (n_rho, columns, sources), to the fixed
+    point of relaxing every edge of every graph, graph b's half strip in
+    the columns strips[b] of d, between wall columns of inf.
 
     Each round is a pass rho descending, theta ascending and rho ascending,
     then the check (_relaxation_lowers), and a pass theta descending only
-    when the check finds a lower label.  Every pass is the kernel _pass on
-    lines of one contiguous block each.  A rho pass runs on the rows of the
-    strip, d[:, 1:-1], weighed by rad (straight) and diag (diagonals).  A
-    theta pass runs on a column-major copy of the strip, (strip columns,
-    n_rho, sources), held in cand, which has exactly that many labels and
-    is idle during the pass; every column is weighed by the same blocks,
-    graph.ring (straight) and graph.diag[1:] (diagonals: row i's edge from
-    row i - 1 weighs diag[i], from row i + 1 diag[i + 1]), repeated across
-    the sources.  Both copies move a node's run of S sources as one item of
-    8 S bytes, which numpy copies faster and with a lower peak RSS than a
+    when the check finds a lower label in any strip.  A rho pass
+    (_rho_pass) relaxes whole rows of the table, all strips at once: the
+    graphs share rho_values, so they share rad.  A theta pass runs the
+    kernel _pass strip by strip on column-major copies of blocks of
+    columns, (block, n_rho, sources), in a scratch of about
+    _SCRATCH_LABELS labels: each block after the first starts with the
+    last column of the block before it, already final in the pass, so the
+    blocks continue one Gauss-Seidel pass.  Every column is weighed by the
+    same blocks of its graph, ring (straight) and diag[1:] (diagonals: row
+    i's edge from row i - 1 weighs diag[i], from row i + 1 diag[i + 1]),
+    repeated across the sources.  Both copies move a node's run of S
+    sources as one item of 8 S bytes, which numpy copies faster than a
     float copy of the transposed view.  Either kind of pass follows any mix
     of its straight steps with diagonal ones: on a flat stretch many such
     mixes have the same length, rounding decides which is shortest, and a
@@ -235,39 +299,59 @@ def _sweep(graph: SurfaceGraph, d: np.ndarray, cand: np.ndarray) -> None:
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
-    from the side columns and from the row above.  A field whose labels
-    are final after the first three passes never runs the fourth.
+    from the side columns and from the row above, strip by strip on the
+    strip and its two walls, with its candidates in the same scratch.  A
+    table whose labels are final after the first three passes never runs
+    the fourth.
     """
-    n_rho, columns, n_src = d.shape
-    width = columns - 2
-    rows = d[:, 1:-1]
-    rad, diag = graph.rad.tolist(), graph.diag.tolist()
+    n_rho, _, n_src = d.shape
+    column = n_rho * n_src
+    widest = max(cols.stop - cols.start for cols in strips)
+    scratch = np.empty(max(_SCRATCH_LABELS, 2 * column, widest * n_src))
+    block = scratch.size // column
+    lines = scratch[:block * column].reshape(block, n_rho, n_src)
     run = np.dtype((np.void, 8 * n_src))        # a node's S labels
-    strip = d.view(run)[:, 1:-1, 0]
-    cols = cand.reshape(width, n_rho, n_src)
-    runs = cols.view(run)[:, :, 0]
-    ring_col = [np.repeat(graph.ring[:, None], n_src, axis=1)] * width
-    diag_col = [np.repeat(graph.diag[1:, None], n_src, axis=1)] * width
+    runs = lines.view(run)[:, :, 0]
+    rad = graphs[0].rad.tolist()
+    rho_strips = [(cols, g.diag.tolist()) for g, cols in zip(graphs, strips)]
+    padded = [d[:, cols.start - 1:cols.stop + 1] for cols in strips]
+    theta_strips = [(d.view(run)[:, cols, 0],
+                     np.repeat(g.ring[:, None], n_src, axis=1),
+                     np.repeat(g.diag[1:, None], n_src, axis=1))
+                    for g, cols in zip(graphs, strips)]
 
     def theta_pass(ascending):
-        np.copyto(runs, strip.T)
-        _pass(cols, ring_col, diag_col, diag_col, ascending)
-        np.copyto(strip, runs.T)
+        for strip, ring, diag in theta_strips:
+            width = strip.shape[1]
+            if ascending:
+                spans = [(a, min(a + block, width))
+                         for a in range(0, width - 1, block - 1)]
+            else:
+                spans = [(max(b - block, 0), b)
+                         for b in range(width, 1, 1 - block)]
+            for a, b in spans:
+                n = b - a
+                np.copyto(runs[:n], strip[:, a:b].T)
+                _pass(lines[:n], [ring] * n, [diag] * n, [diag] * n,
+                      ascending)
+                np.copyto(strip[:, a:b], runs[:n].T)
 
     while True:
-        _pass(rows, rad, diag, diag, ascending=False)
+        _rho_pass(d, rad, rho_strips, ascending=False)
         theta_pass(ascending=True)
-        _pass(rows, rad, diag, diag, ascending=True)
-        if not _relaxation_lowers(graph, d, cand):
+        _rho_pass(d, rad, rho_strips, ascending=True)
+        if not any(_relaxation_lowers(g, p, scratch)
+                   for g, p in zip(graphs, padded)):
             return
         theta_pass(ascending=False)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
-                       cand: np.ndarray) -> bool:
+                       scratch: np.ndarray) -> bool:
     """Whether relaxing every in-edge of every node at once (the eight grid
-    directions and the pole spokes) would lower any label of d, given that
-    a rho-ascending pass (_pass on the rows) has just returned d.
+    directions and the pole spokes) would lower any label of d, the strip
+    of graph with its two wall columns, (n_rho, width + 2, sources), given
+    that a rho-ascending pass (_rho_pass) has just returned d.
 
     That pass leaves every in-edge from the row below relaxed (radial, both
     diagonals and the pole spokes: d[v] <= fl(d[u] + w) with the final
@@ -276,33 +360,34 @@ def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
     spokes into the pole among them), and the diagonals from the row above,
     from both side columns.  A sideways group's candidates are
     fl(min(a, b) + w), the least of its two in-edges because rounding is
-    monotone.  Each group's candidates are written into cand, the size of
-    the label table without its padding columns, and compared there, so
-    the check allocates nothing of that size.  The pole, held in every
-    column of row 0, is checked column by column against its spokes, which
-    finds a lower label exactly when its best spoke does.
+    monotone.  Each group's candidates are written into the flat scratch
+    block after block of rows, as many as it holds (at least one strip
+    row), and compared there, so the check allocates nothing of the
+    table's size.  The pole, held in every column of row 0, is checked
+    column by column against its spokes, which finds a lower label exactly
+    when its best spoke does.
     """
     inner = d[:, 1:-1]
-    ring, rad, diag = (w[:, None, None] for w in
-                       (graph.ring, graph.rad, graph.diag))
-    every, upper, lower = slice(None), slice(None, -1), slice(1, None)
-    # (target rows, the rows their in-edges come from, the weights, whether
-    # the in-edges come from both side columns)
-    for rows, src, w, sideways in ((every, every, ring, True),
-                                   (upper, lower, rad[1:], False),
-                                   (upper, lower, diag[1:], True)):
-        c = cand[rows]
-        if sideways:
-            np.minimum(d[src, :-2], d[src, 2:], out=c)
-            np.add(c, w, out=c)
-        else:
-            np.add(inner[src], w, out=c)
-        # label - candidate > 0 exactly where the candidate is lower; an
-        # unreached node with an unreached candidate gives nan, ignored
-        with np.errstate(invalid="ignore"):
-            np.subtract(inner[rows], c, out=c)
-        if np.fmax.reduce(c, axis=None) > 0:
-            return True
+    n_rho, width, n_src = inner.shape
+    block = scratch.size // (width * n_src)
+    # (the offset of the rows the in-edges come from, the weights by target
+    # row, whether the in-edges come from both side columns)
+    for offset, w, sideways in ((0, graph.ring, True),
+                                (1, graph.rad[1:], False),
+                                (1, graph.diag[1:], True)):
+        for a in range(0, n_rho - offset, block):
+            b = min(a + block, n_rho - offset)
+            c = scratch[:(b - a) * width * n_src].reshape(b - a, width, n_src)
+            src = d[a + offset:b + offset]
+            if sideways:
+                np.minimum(src[:, :-2], src[:, 2:], out=c)
+                np.add(c, w[a:b, None, None], out=c)
+            else:
+                np.add(src[:, 1:-1], w[a:b, None, None], out=c)
+            # an unreached node with an unreached candidate compares inf
+            # with inf, which lowers nothing
+            if np.less(c, inner[a:b]).any():
+                return True
     return False
 
 
@@ -354,32 +439,55 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     fl(d[u] + w_uv) on every edge, and by induction along Dijkstra's
     shortest-path tree no label is above Dijkstra's either: the fields are
     Dijkstra's output bit for bit, whatever the sweep order, and the
-    half-strip values are the full graph's.  The label table is
-    (n_rho, n_theta // 2 + 3, S), sources last so that a rho pass reads
-    one contiguous block a row, with a column of inf on either side of the
-    strip standing in for the edges the strip does not have; the field's
-    dist is its transposed view.  A theta pass runs the same kernel
-    (_pass) on a column-major copy of the strip, (n_theta // 2 + 1, n_rho,
-    S), held in the check's scratch table, so it too reads one contiguous
-    block a column.  The solve refuses more than MAX_FIELD_LABELS labels
-    before allocating.
+    half-strip values are the full graph's.
+
+    This is the one-graph case of _distance_fields, which solves graphs
+    that share a radial grid side by side in one label table, (n_rho,
+    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
+    one contiguous block a row: the half strips in turn, with a column of
+    inf before, between and after them standing in for the edges a strip
+    does not have.  A field's dist is the transposed view of its strip.
+    The solve refuses a field of more than MAX_FIELD_LABELS labels before
+    allocating.
     """
+    return _distance_fields([graph], rho_rows)[0]
+
+
+def _distance_fields(graphs, rho_rows) -> list[SurfaceDistanceField]:
+    """The fields of distance_field from the same source rows on each of
+    graphs, which must share rho_values, rad and pole (DomainError
+    otherwise), solved in one stacked label table (see distance_field)."""
+    first = graphs[0]
+    if any(g.pole != first.pole
+           or not np.array_equal(g.rho_values, first.rho_values)
+           or not np.array_equal(g.rad, first.rad) for g in graphs[1:]):
+        raise DomainError("the graphs of a stacked solve must share "
+                          "rho_values, rad and pole")
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
-    n_rho, width = graph.n_rho, graph.n_theta // 2 + 1
+    n_rho = first.n_rho
     if rho_rows.size == 0:
         raise DomainError("need at least one source row")
     if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
         raise DomainError(f"source rows must lie in [0, {n_rho})")
-    _check_field_size(_field_labels(rho_rows.size, n_rho, graph.n_theta))
-    d = np.full((n_rho, width + 2, rho_rows.size), math.inf)
-    d[rho_rows, 1, np.arange(rho_rows.size)] = 0.0
-    if graph.pole:
-        d[0, 1:-1, rho_rows == 0] = 0.0
-    _sweep(graph, d, np.empty_like(d[:, 1:-1]))
-    dist = d[:, 1:-1].transpose(0, 2, 1)
-    if dist.max() == math.inf:
-        raise ConnectivityError("surface graph is disconnected")
-    return SurfaceDistanceField(n_theta=graph.n_theta, dist=dist)
+    for g in graphs:
+        _check_field_size(_field_labels(rho_rows.size, n_rho, g.n_theta))
+    strips, start = [], 1
+    for g in graphs:
+        strips.append(slice(start, start + g.n_theta // 2 + 1))
+        start = strips[-1].stop + 1
+    d = np.full((n_rho, start, rho_rows.size), math.inf)
+    for cols in strips:
+        d[rho_rows, cols.start, np.arange(rho_rows.size)] = 0.0
+        if first.pole:
+            d[0, cols, rho_rows == 0] = 0.0
+    _sweep(graphs, d, strips)
+    fields = []
+    for g, cols in zip(graphs, strips):
+        dist = d[:, cols].transpose(0, 2, 1)
+        if dist.max() == math.inf:
+            raise ConnectivityError("surface graph is disconnected")
+        fields.append(SurfaceDistanceField(n_theta=g.n_theta, dist=dist))
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +615,9 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     limit-surface distances across three refinements of the limit grid
     (radial, angular, both), shared by all rows: the refinement sensitivity
     of the graph distances, not a bound on their discretization error.
+    The limit field and its angular refinement share their rho rows, and
+    so do the radial and the proportional refinement, so each pair is one
+    stacked solve (_distance_fields).
     Quotient distances are non-increasing along a chain by construction
     (larger groups minimize over more translates); the quotient table is
     one running minimum per chain that folds in only the group elements the
@@ -556,13 +667,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    # (n_rho, ring, row scale) of the limit grid and of its three
-    # refinements for the grid floor; the largest field of these and of
-    # the chains' quotient sides is refused here, before any build
-    limit_grids = [(g.n_rho, ring_y, 1), (2 * g.n_rho - 1, ring_y, 2),
-                   (g.n_rho, 2 * ring_y, 1), (2 * g.n_rho - 1, 2 * ring_y, 2)]
+    # (n_rho, ring) of the limit grid and of its three refinements for the
+    # grid floor; the largest field of these and of the chains' quotient
+    # sides is refused here, before any build
+    limit_grids = [(n, ring) for n in (g.n_rho, 2 * g.n_rho - 1)
+                   for ring in (ring_y, 2 * ring_y)]
     _check_field_size(max(
-        [_field_labels(rho_rows.size, n, ring) for n, ring, _ in limit_grids]
+        [_field_labels(rho_rows.size, n, ring) for n, ring in limit_grids]
         + [_field_labels(rho_rows.size, g.n_rho, ring) for ring in rings_x]))
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
@@ -587,22 +698,27 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(table, twin, table[diagonal])
         return 0.5 * (table + twin)
 
-    def limit_distances(n_rho, ring, rscale):
-        """The class table of the limit surface on an n_rho x ring grid
-        whose rows refine the base grid's by rscale; the field is dropped
-        as soon as its lookup is taken."""
-        fld = distance_field(build_surface_graph(limit, n_rho, ring),
-                             rscale * rho_rows)
-        return fld.lookup(slot_a, rscale * row_b, col_y * (ring // ring_y))
+    def limit_distances(rscale):
+        """The class tables of the limit surface on the rings ring_y and
+        2 ring_y of a grid whose rows refine the base grid's by rscale,
+        from one stacked solve of the two graphs, which share their rho
+        rows; the table is dropped as soon as the lookups are taken."""
+        n_rho = rscale * (g.n_rho - 1) + 1
+        fields = _distance_fields(
+            [build_surface_graph(limit, n_rho, ring)
+             for ring in (ring_y, 2 * ring_y)], rscale * rho_rows)
+        return [fld.lookup(slot_a, rscale * row_b,
+                           col_y * (fld.n_theta // ring_y))
+                for fld in fields]
 
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
     # metrication error; the proportional refinement keeps the ratio.  The
     # floor is the largest observed change.
-    d_y = limit_distances(*limit_grids[0])
-    floor = max(float(np.max(np.abs(d_y - limit_distances(*ref))))
-                for ref in limit_grids[1:])
+    d_y, d_angular = limit_distances(1)
+    floor = max(float(np.max(np.abs(d_y - ref)))
+                for ref in (d_angular, *limit_distances(2)))
     sym_y = symmetrised(d_y, diag_y)
 
     rows = []

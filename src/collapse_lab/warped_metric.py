@@ -678,7 +678,10 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
     pole stays a smooth pole (f'(0) = r^3/r^3 = 1) and the transform is the
     identity for kappa = 0.  The inverse raises NotInRangeError if the warp
     meets or exceeds the asymptote r/kappa anywhere on the interval
-    (checked on a scan grid and again at every later evaluation).
+    (checked on a scan grid and again at every later evaluation), and also
+    if the inverse's natural domain ends at or before rho_max: the inverse
+    blows up exactly where f reaches r/kappa, which a scan can step over
+    (sin at r/kappa = 1/a, whose inverse is tan, blowing up at pi/(2a)).
     """
     _check_transform(r, kappa, sign)
     if sign == -1 and kappa > 0:
@@ -688,6 +691,10 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
             raise NotInRangeError(
                 "warp reaches r/kappa on the interval; no preimage")
     new_warp = transformed_warp(metric.warp, r, kappa, sign)
+    if sign == -1 and new_warp.open_right \
+            and new_warp.rho_max <= metric.rho_max:
+        raise NotInRangeError(f"warp reaches r/kappa at rho = "
+                              f"{new_warp.rho_max:g}; no preimage")
     return RotSymMetric(new_warp, metric.rho_min, metric.rho_max,
                         metric.capped_at_origin)
 

@@ -687,19 +687,32 @@ def test_curvature_past_warp_overflow_is_closed_form(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kappa, message", [
-    (1.0, "rho_max must stay strictly below the warp's blow-up point"),
+    (1.0, "warp reaches r/kappa at rho = 1.5708; no preimage"),
     (1.001, "warp reaches r/kappa on the interval; no preimage"),
 ], ids=["kappa-1", "kappa-1.001"])
 def test_transform_inverse_without_preimage_exits_1(tmp_path, capsys, kappa,
                                                     message):
-    # sin reaches r / kappa between the grid points: at kappa = 1 the
-    # inverse is tan, which blows up at pi/2 inside [0, 3], and at
+    # sin reaches r / kappa between the grid points: at kappa = 1 exactly
+    # at pi/2 inside [0, 3], where its inverse tan blows up, and at
     # kappa = 1.001 sin passes 1 / kappa near pi/2
     cfg = {"family": "sin", "a": 1.0, "r": 1.0, "kappa": kappa,
            "direction": "inverse", "rho_max": 3.0, "n": 9}
     code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
     assert code == 1 and out == ""
     assert err == f"collapse-lab: error: {message}\n"
+
+
+def test_transform_inverse_reaching_r_over_kappa_between_scan_points(
+        tmp_path, capsys):
+    """The config of the CI refusal step, with integer values and the
+    default table size: sin touches r / kappa = 1 only at pi/2, between
+    the range scan's points, and the refusal names r/kappa, not rho_max."""
+    cfg = {"family": "sin", "a": 1, "r": 1, "kappa": 1,
+           "direction": "inverse", "rho_max": 3}
+    code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
+    assert (code, out) == (1, "")
+    assert err == ("collapse-lab: error: warp reaches r/kappa at rho = "
+                   "1.5708; no preimage\n")
 
 
 @pytest.mark.parametrize("r", [1e-120, 1e-158])

@@ -356,14 +356,40 @@ def test_relaxation_check_sees_every_edge_group(kind, row, column):
     one kind, the labels of a lone source (0 there, inf elsewhere) are
     refused when the source reaches the row above it (the spokes into the
     pole among those edges), or sideways the strip column on its right or
-    on its left (padded column 1 or 5, the first or last strip column)."""
+    on its left (column 1 or 5 of the padded strip, the first or last
+    strip column).  The source sits in the second strip of a stacked table
+    of two copies of the graph; the check of that strip, with its two
+    walls, refuses the labels, and the check of the first strip, whose
+    right wall is the shared column 6, finds nothing to lower.  A scratch
+    of one strip row checks one row at a time, one of the strip's size
+    all rows at once."""
     weights = {name: np.full(9, math.inf) for name in ("ring", "rad", "diag")}
     weights["rad" if kind == "spoke" else kind][1:] = 1.0
     g = SurfaceGraph(rho_values=np.arange(9.0), n_theta=8,
                      pole=kind == "spoke", **weights)
-    d = np.full((9, 7, 1), math.inf)
-    d[row, column, 0] = 0.0
-    assert gh_collapse._relaxation_lowers(g, d, np.empty((9, 5, 1)))
+    d = np.full((9, 13, 1), math.inf)
+    d[row, 6 + column, 0] = 0.0
+    check = gh_collapse._relaxation_lowers
+    for scratch in (np.empty(5), np.empty(45)):
+        assert check(g, d[:, 6:], scratch)
+        assert not check(g, d[:, :7], scratch)
+
+
+def test_rho_pass_relaxes_both_diagonals_within_each_strip():
+    """_rho_pass relaxes a row from the row before it in the pass over the
+    radial edge and both diagonals of each strip, each strip with its own
+    diag, and no label crosses a wall: a lone source in the last column of
+    the first strip and one in the middle of the second reach the next row
+    at rad straight on and at their strip's diag on both sides, and
+    nothing else, ascending and descending."""
+    strips = [(slice(1, 5), [math.inf, 2.0]), (slice(6, 11), [math.inf, 3.0])]
+    want = np.full(12, math.inf)
+    want[[3, 4, 7, 8, 9]] = [2.0, 1.0, 3.0, 1.0, 3.0]
+    for ascending, src, dst in ((True, 0, 1), (False, 1, 0)):
+        d = np.full((2, 12, 1), math.inf)
+        d[src, [4, 8], 0] = 0.0
+        gh_collapse._rho_pass(d, [math.inf, 1.0], strips, ascending)
+        assert np.array_equal(d[dst, :, 0], want)
 
 
 def _certificate_graph(case):
@@ -423,45 +449,48 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
         assert len(checks) == 3
 
 
-def _is_theta_pass(straight):
-    """Whether a call of the kernel _pass is a theta pass, from its
-    arguments: a theta pass weighs its straight edges by one block of rows x
-    sources per column, a rho pass by one number per row."""
-    return np.ndim(straight[0]) > 0
-
-
 def _assert_fields_take_one_round(monkeypatch, cfg):
-    """Each of the five fields of a one-chain collapse solve (the limit,
-    its three refinements, and the chain's quotient side) is final after
-    its first three passes: one theta-ascending pass, one check, which
-    finds nothing to lower, and no theta-descending pass."""
-    fields = []
+    """The five fields of a one-chain collapse solve come from three
+    solves: the limit field with its angular refinement in one stacked
+    table, the radial and the proportional refinement in another, and the
+    chain's quotient side alone.  Each solve is final after its first
+    round: two rho passes, theta passes only ascending, and one check of
+    each strip, which finds nothing to lower, so no theta-descending pass
+    runs."""
+    solves = []
 
-    def field_spy(*args):
-        fields.append([])
-        return field(*args)
+    def solve_spy(graphs, rows):
+        solves.append({"strips": len(graphs), "rho": [], "theta": set(),
+                       "checks": []})
+        return solve(graphs, rows)
 
     def check_spy(*args):
-        fields[-1].append(("check", check(*args)))
-        return fields[-1][-1][1]
+        solves[-1]["checks"].append(check(*args))
+        return solves[-1]["checks"][-1]
 
-    def pass_spy(lines, straight, lo, hi, ascending):
-        if _is_theta_pass(straight):
-            fields[-1].append(("theta", ascending))
+    def rho_spy(d, rad, strips, ascending):
+        solves[-1]["rho"].append(ascending)
+        rho_kernel(d, rad, strips, ascending)
+
+    def theta_spy(lines, straight, lo, hi, ascending):
+        solves[-1]["theta"].add(ascending)
         kernel(lines, straight, lo, hi, ascending)
 
-    field, check, kernel = (gh_collapse.distance_field,
-                            gh_collapse._relaxation_lowers,
-                            gh_collapse._pass)
-    monkeypatch.setattr(gh_collapse, "distance_field", field_spy)
+    solve, check, rho_kernel, kernel = (gh_collapse._distance_fields,
+                                        gh_collapse._relaxation_lowers,
+                                        gh_collapse._rho_pass,
+                                        gh_collapse._pass)
+    monkeypatch.setattr(gh_collapse, "_distance_fields", solve_spy)
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
-    monkeypatch.setattr(gh_collapse, "_pass", pass_spy)
+    monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
+    monkeypatch.setattr(gh_collapse, "_pass", theta_spy)
     collapse_experiment(CollapseConfig.from_json(cfg))
-    assert fields == [[("theta", True), ("check", False)]] * 5
+    assert solves == [{"strips": k, "rho": [False, True], "theta": {True},
+                       "checks": [False] * k} for k in (2, 2, 1)]
 
 
 def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
-    """The demo collapse config's fields take one round each."""
+    """The demo collapse config's solves take one round each."""
     cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
                       / "configs" / "collapse.json").read_text())
     _assert_fields_take_one_round(monkeypatch, cfg)
@@ -473,7 +502,7 @@ def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
 ], ids=["c12", "fine-grid"])
 def test_benchmark_fields_converge_without_theta_descending_pass(
         monkeypatch, grid, sample, p_values):
-    """The fields of the two benchmark collapse shapes (sinh a = 1, r = 1,
+    """The solves of the two benchmark collapse shapes (sinh a = 1, r = 1,
     m1 = m2 = 1) take one round each, as the solve's speed assumes."""
     names = ("n_rho", "n_theta", "n_s")
     cfg = {"surface": {"family": "sinh", "a": 1.0}, "rho_max": 2.0,
@@ -483,34 +512,47 @@ def test_benchmark_fields_converge_without_theta_descending_pass(
     _assert_fields_take_one_round(monkeypatch, cfg)
 
 
+def _assert_certificate(src, dst, w, w_diag):
+    """Every in-edge from the line src into the line dst, the straight edge
+    and both diagonals, satisfies d[v] <= fl(d[u] + w)."""
+    assert np.all(dst <= src + w)
+    assert np.all(dst[:, 1:] <= src[:, :-1] + w_diag)
+    assert np.all(dst[:, :-1] <= src[:, 1:] + w_diag)
+
+
 def _certified_passes(monkeypatch, g, rows):
-    """Solves the field of g from the source rows with a spy on the kernel
-    _pass that checks its certificate after every pass, rho or theta,
+    """Solves the field of g from the source rows with spies on both
+    kernels that check their certificate after every pass, rho or theta,
     ascending or descending: every in-edge from the line before in the pass
     (the straight edge and both diagonals) satisfies d[v] <= fl(d[u] + w)
-    with the graph's own weights.  A rho pass runs on the rows of the
-    strip, whose in-edges from the row before weigh rad and diag of the
-    later row; a theta pass on the strip's columns, whose in-edges from the
-    column before weigh ring of their row and diag of the later row.
-    Returns the passes, (orientation, ascending) in order, and the field."""
+    with the graph's own weights.  A rho pass (_rho_pass) runs on the rows
+    of the label table, whose strip's in-edges from the row before weigh
+    rad and diag of the later row; a theta pass (_pass) on blocks of the
+    strip's columns, whose in-edges from the column before weigh ring of
+    their row and diag of the later row.  Returns the passes,
+    (orientation, ascending) in order, and the field."""
     passes = []
 
-    def spy(lines, straight, lo, hi, ascending):
-        kernel(lines, straight, lo, hi, ascending)
-        src, dst = ((lines[:-1], lines[1:]) if ascending
-                    else (lines[1:], lines[:-1]))
-        if _is_theta_pass(straight):
-            passes.append(("theta", ascending))
-            w, w_diag = g.ring[None, :, None], g.diag[None, 1:, None]
-        else:
-            passes.append(("rho", ascending))
-            w, w_diag = g.rad[1:, None, None], g.diag[1:, None, None]
-        assert np.all(dst <= src + w)
-        assert np.all(dst[:, 1:] <= src[:, :-1] + w_diag)
-        assert np.all(dst[:, :-1] <= src[:, 1:] + w_diag)
+    def lines_before(lines, ascending):
+        return ((lines[:-1], lines[1:]) if ascending
+                else (lines[1:], lines[:-1]))
 
-    kernel = gh_collapse._pass
-    monkeypatch.setattr(gh_collapse, "_pass", spy)
+    def rho_spy(d, rad, strips, ascending):
+        rho_kernel(d, rad, strips, ascending)
+        passes.append(("rho", ascending))
+        (cols, _), = strips
+        _assert_certificate(*lines_before(d[:, cols], ascending),
+                            g.rad[1:, None, None], g.diag[1:, None, None])
+
+    def theta_spy(lines, straight, lo, hi, ascending):
+        kernel(lines, straight, lo, hi, ascending)
+        passes.append(("theta", ascending))
+        _assert_certificate(*lines_before(lines, ascending),
+                            g.ring[None, :, None], g.diag[None, 1:, None])
+
+    rho_kernel, kernel = gh_collapse._rho_pass, gh_collapse._pass
+    monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
+    monkeypatch.setattr(gh_collapse, "_pass", theta_spy)
     return passes, distance_field(g, rows).dist
 
 
@@ -527,8 +569,8 @@ def _certificate_rows(g, n_src):
                                   "12-pole", "sphere-band"])
 def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
                                                               case, n_src):
-    """The certificate of the kernel after each pass (_certified_passes),
-    with the theta passes, which run on the column-major copy, in the
+    """The certificate of the kernels after each pass (_certified_passes),
+    with the theta passes, which run on column-major copies, in the
     order the sweep takes them.  Random per-row weights with and without a
     pole, and the sphere band, which takes three rounds and so runs
     descending passes; one source row, whose source run is one 8-byte item
@@ -551,8 +593,8 @@ def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
 @pytest.mark.parametrize("case", ["9-no-pole", "9-pole", "12-no-pole",
                                   "12-pole", "sphere-band"])
 def test_rho_pass_leaves_edges_from_previous_row_relaxed(monkeypatch, case):
-    """The certificate of the kernel after each pass (_certified_passes),
-    with the rho passes, which run on the padded labels in place and whose
+    """The certificate of the kernels after each pass (_certified_passes),
+    with the rho passes, which run on the label table in place and whose
     in-edges from row 0 include the pole spokes, in the sweep's order:
     rounds of rho descending, theta ascending and rho ascending, joined by
     a theta-descending pass.  Every case takes at least two rounds, so
@@ -609,6 +651,90 @@ def test_distance_field_checks_sources_and_size():
     with pytest.raises(DomainError, match=f"{4 * 2048 * 1025} labels"
                        ".*MAX_FIELD_LABELS"):
         distance_field(big, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("warp, rho_max, n_thetas, rows", [
+    (SinhWarp(1.0), 1.2, (12, 24), [0, 4, 9]),
+    (ConstWarp(1.5), 1.0, (12, 24), [0, 4, 9]),
+    (SinhWarp(1.0), 1.2, (9, 13), [0, 9]),
+    (ConstWarp(1.5), 1.0, (13, 8, 25), [3]),
+], ids=["pole", "no-pole", "odd-pole", "odd-no-pole-three"])
+def test_stacked_solve_equals_single_solves(warp, rho_max, n_thetas, rows):
+    """Graphs that share their rho rows, solved side by side in one label
+    table (_distance_fields), give each graph's own field bit for bit:
+    with and without a pole, and for odd rings, whose half strips have no
+    mirror column."""
+    metric = metric_from_warp(warp, rho_max)
+    graphs = [build_surface_graph(metric, 10, n) for n in n_thetas]
+    stacked = gh_collapse._distance_fields(graphs, rows)
+    assert len(stacked) == len(graphs)
+    for fld, g in zip(stacked, graphs):
+        assert fld.n_theta == g.n_theta
+        assert np.array_equal(fld.dist, distance_field(g, rows).dist)
+
+
+def test_stacked_solve_runs_the_rounds_of_its_slowest_strip(monkeypatch):
+    """On the sphere band from one source in row 0, the 24-column graph is
+    final after one round, while the 48-column graph needs a
+    theta-descending pass and a second round.  Stacked, the check sees
+    both strips in every round, so both take two rounds, and the strip
+    that was already final keeps its labels through the extra passes: both
+    fields equal the single solves bit for bit."""
+    metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
+    graphs = [build_surface_graph(metric, 17, n) for n in (24, 48)]
+    checks = []
+
+    def spy(graph, d, scratch):
+        checks.append((graph.n_theta, check(graph, d, scratch)))
+        return checks[-1][1]
+
+    check = gh_collapse._relaxation_lowers
+    monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
+    single = [distance_field(g, [0]).dist for g in graphs]
+    assert checks == [(24, False), (48, True), (48, False)]
+    checks.clear()
+    stacked = gh_collapse._distance_fields(graphs, [0])
+    assert checks == [(24, False), (48, True), (24, False), (48, False)]
+    for fld, want in zip(stacked, single):
+        assert np.array_equal(fld.dist, want)
+
+
+def test_smallest_scratch_block_gives_the_same_fields(monkeypatch):
+    """With the scratch at its floor, two label columns (_SCRATCH_LABELS
+    = 1), a theta pass copies one new column a block and the check takes
+    one or two strip rows a block; on the stacked sphere band, which runs
+    theta passes both ways, the fields equal those of the default scratch
+    bit for bit."""
+    metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
+    graphs = [build_surface_graph(metric, 17, n) for n in (25, 48)]
+    rows = [0, 8, 16]
+    want = [fld.dist for fld in gh_collapse._distance_fields(graphs, rows)]
+    monkeypatch.setattr(gh_collapse, "_SCRATCH_LABELS", 1)
+    blocks = []
+
+    def spy(lines, straight, lo, hi, ascending):
+        blocks.append((len(lines), ascending))
+        kernel(lines, straight, lo, hi, ascending)
+
+    kernel = gh_collapse._pass
+    monkeypatch.setattr(gh_collapse, "_pass", spy)
+    got = gh_collapse._distance_fields(graphs, rows)
+    assert set(blocks) == {(2, True), (2, False)}
+    for fld, dist in zip(got, want):
+        assert np.array_equal(fld.dist, dist)
+
+
+def test_stacked_solve_refuses_graphs_on_other_rho_rows():
+    """A stacked solve shares one radial grid, so graphs whose rho_values
+    differ, in count or in place, are refused before any label is
+    allocated."""
+    metric = metric_from_warp(ConstWarp(1.0), 1.0)
+    g = build_surface_graph(metric, 10, 12)
+    for other in (build_surface_graph(metric, 11, 12),
+                  build_surface_graph(metric_from_warp(ConstWarp(1.0), 2.0),
+                                      10, 12)):
+        with pytest.raises(DomainError, match="share rho_values"):
+            gh_collapse._distance_fields([g, other], [0])
 
 
 def test_half_graph_build_peak_memory():
@@ -1277,14 +1403,15 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
 
 
 def test_collapse_solve_peak_memory():
-    """A solve holds at most one field's label table and the check's
-    scratch table of the largest size at a time: each refinement field is
-    dropped once its floor term is taken, and the sweeps and the check
-    allocate nothing else of the table's size.  The bound is the sweep's
-    own: the two float64 tables of the largest field, the O(n_rho S) row
-    and column buffers of the passes, and a slack below half a table for
-    numpy's fixed-size ufunc buffers (the check's strided operands take
-    about 128 KiB) and the small class tables, so one more buffer of the
+    """A solve holds one stacked label table and the solver's scratch block
+    at a time: each stacked table is dropped once its floor terms are
+    taken, and the sweeps and the check allocate nothing else of the
+    table's size.  The bound is the sweep's own: the float64 labels of the
+    largest stacked table, the scratch block, the O(n_rho S) row and
+    column buffers of the passes, and a slack for numpy's fixed-size
+    ufunc buffers (the check's strided operands take about 128 KiB) and
+    the small class tables.  It is below the bound of a solve that also
+    held a scratch table of the strips' size, and one more buffer of the
     table's size fails it."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],
                grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
@@ -1297,17 +1424,27 @@ def test_collapse_solve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the largest field is the doubly refined limit surface's, 191 x 192,
-    # from 6 source rows: a half strip of 97 columns, padded to 99 in the
-    # labels, and the check's scratch table of the strip's size
-    n_rho, width, n_src = 191, 97, 6
-    tables = 8 * n_rho * n_src * ((width + 2) + width)
-    # ring and diag repeated across the sources, a theta pass's column and
-    # step, a rho pass's row
-    buffers = 8 * n_src * (4 * n_rho + width)
+    # the largest table stacks the radially refined limit surface's fields
+    # on rings 96 and 192, 191 rows from 6 source rows: half strips of 49
+    # and 97 columns and three walls
+    n_rho, widths, n_src = 191, (49, 97), 6
+    columns = 1 + sum(w + 1 for w in widths)
+    table = 8 * n_rho * columns * n_src
+    scratch = 8 * gh_collapse._SCRATCH_LABELS
+    # ring and diag repeated across the sources for both graphs, a theta
+    # pass's column and step, a rho pass's row and step
+    buffers = 8 * n_src * (6 * n_rho + 2 * columns)
     slack = 256 * 1024
-    assert slack < 8 * n_rho * n_src * width // 2
-    assert peak < tables + buffers + slack
+    bound = table + scratch + buffers + slack
+    assert scratch + buffers + slack < table
+    # the bound of a solve of the largest field alone that kept a scratch
+    # table of its strip's size: labels of the strip and its two pads,
+    # the scratch, and its buffers
+    width = widths[1]
+    alone = (8 * n_rho * n_src * ((width + 2) + width)
+             + 8 * n_src * (4 * n_rho + width) + slack)
+    assert bound < alone
+    assert peak < bound
 
 
 def test_collapse_config_validation():

@@ -384,6 +384,16 @@ def test_inverse_promotions_and_range_guard():
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
     with pytest.raises(NotInRangeError):
         quotient_transform(metric, 1.0, 1.0, sign=-1)
+    # sin a rho / a touches r/kappa = 1/a only at pi/(2a), where its
+    # inverse tan blows up: refused past that point, kept below it
+    for a, rho_max in ((1.0, 3.0), (2.0, 1.5)):
+        metric = metric_from_warp(SinWarp(a), rho_max)
+        with pytest.raises(NotInRangeError,
+                           match=f"at rho = {0.5 * math.pi / a:g}; no pre"):
+            quotient_transform(metric, 1.0, a, sign=-1)
+    inverse = quotient_transform(metric_from_warp(SinWarp(1.0), 1.5), 1.0,
+                                 1.0, sign=-1)
+    assert isinstance(inverse.warp, TanWarp)
     with pytest.raises(NotInRangeError):
         transformed_warp(ConstWarp(2.0), 1.0, 1.0, sign=-1)
     # kappa^2 c^2 past the float range: far above r/kappa for the inverse,
