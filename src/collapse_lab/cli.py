@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GeometryError
+from .errors import (ConfigError, DomainError, GeometryError,
+                     GramConditionWarning)
 from .schema import check_keys, read_int, read_number, read_rows, read_str
 
 # Each handler imports the modules it runs, so a call loads only those.
@@ -91,6 +94,8 @@ def _rho_grid(cfg: dict, default_max: float = 2.0):
         raise ConfigError("need n >= 2 grid points")
     if not rho_max > rho_min:
         raise ConfigError("need rho_max > rho_min")
+    if rho_max - rho_min == math.inf:
+        raise DomainError("rho_max - rho_min overflows a float")
     return np.linspace(rho_min, rho_max, n)
 
 
@@ -164,10 +169,10 @@ def _cmd_soliton(cfg: dict):
     res1 = np.full_like(f, np.nan)
     res2 = np.full_like(f, np.nan)
     ok = f > DELTA_CAP
-    if np.any(ok):
-        r1, r2 = soliton_residual(warp, pot, rho[ok])
-        res1[ok] = r1
-        res2[ok] = r2
+    if not np.any(ok):
+        raise DomainError(f"f <= DELTA_CAP = {DELTA_CAP} on every row, so "
+                          f"res1 and res2 are undefined; raise rho_max")
+    res1[ok], res2[ok] = soliton_residual(warp, pot, rho[ok])
     rows = np.column_stack([rho, f, fp, k, phi, res1, res2])
     info = [f"soliton: A={params.A:g} B={params.B:g} "
             f"step={step:g} rows={len(rho)}"]
@@ -180,10 +185,15 @@ def _cmd_quotient(cfg: dict):
     check_keys(cfg, ("metric", "h_vectors", "frame"))
     g, vectors, frame = (np.array(read_rows(cfg, key))
                          for key in ("metric", "h_vectors", "frame"))
-    h = quotient_metric_form(PointMetric(g), OrbitBasis(vectors), frame)
+    # the Gram check warns once a frame row; each distinct warning becomes
+    # one note
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", GramConditionWarning)
+        h = quotient_metric_form(PointMetric(g), OrbitBasis(vectors), frame)
+    notes = dict.fromkeys(f"quotient: warning: {w.message}" for w in caught)
     n = h.dim
     header = [f"c{j}" for j in range(n)]
-    return _csv(header, h.matrix), [f"quotient: {n} x {n} matrix"]
+    return _csv(header, h.matrix), [f"quotient: {n} x {n} matrix", *notes]
 
 
 def _berger_metric_of(cfg: dict):

@@ -20,15 +20,17 @@ label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
 theta up and rho up, each round followed by a check that one relaxation of
 every edge lowers no label, and by a theta-down pass only when the check
 fails.  Each pass relaxes every grid line from the line before it over the
-straight edge and both diagonals.  Graphs that share their rho rows are
-solved side by side in one row-major label table, their half strips
-between walls of inf: a rho pass (_rho_pass) relaxes whole rows of it, all
-strips at once, and a theta pass runs the line kernel _pass strip by strip
-on column-major copies of blocks of columns in a small scratch block, so
-both kinds of pass work on contiguous blocks.  The rho-up pass leaves every
-edge from the row below relaxed, so the check relaxes the other edges only,
-block after block of rows in the same scratch.  The fixed point is
-Dijkstra's output to the last bit.
+straight edge and both diagonals.  There is one kernel per orientation,
+each running in one direction: a descending pass is the ascending kernel
+on the reversed view.  Graphs that share their rho rows are solved side by
+side in one row-major label table, their half strips between walls of
+inf: the rho kernel (_rho_pass) relaxes whole rows of it, all strips at
+once, and the theta kernel (_theta_pass) runs strip by strip on
+column-major copies of blocks of columns in a small scratch block, so both
+work on contiguous blocks.  The rho-up pass leaves every edge from the row
+below relaxed, so the check relaxes the other edges only, block after
+block of rows in the same scratch.  The fixed point is Dijkstra's output
+to the last bit.
 
 collapse_experiment compares the quotient against the transformed limit
 surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
@@ -186,90 +188,88 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
                         ring=ring, rad=rad, diag=diag)
 
 
-def _pass(lines: np.ndarray, straight, lo, hi, ascending: bool) -> None:
-    """One Gauss-Seidel pass over lines, (n_lines, n_pos, sources), in line
-    order or against it: each line is relaxed from the line before it in the
-    pass, vectorised over positions x sources, over three in-edges into
-    each position i: the straight edge from position i, weight straight[w],
-    and the diagonals from positions i - 1 and i + 1, weights lo[w] and
-    hi[w], where w is the greater index of the two lines.  A weight
-    broadcasts against a line (straight) or against a line without its
-    first or last position (lo, hi); the weights are sequences over the
-    lines, sliced once a pass.  The theta passes run it on blocks of strip
-    columns (_sweep): a position's two diagonals there weigh diag of two
-    different rows, so unlike the rho pass's (_rho_pass) they cannot share
-    one candidate.
-
-    Each line is relaxed only after the line before it is final, so on
-    return every in-edge from the line before in the pass satisfies
-    d[v] <= fl(d[u] + w).
-    """
-    line = np.empty_like(lines[0])
-    line_heads, line_tails = line[:-1], line[1:]
-    step = np.empty_like(line_tails)
-    # (line j, the line before it in the pass and that line without its
-    # last and without its first position, the weights between them)
-    if ascending:
-        order = zip(lines[1:], lines[:-1], lines[:-1, :-1], lines[:-1, 1:],
-                    straight[1:], lo[1:], hi[1:])
-    else:
-        order = zip(lines[-2::-1], lines[:0:-1], lines[:0:-1, :-1],
-                    lines[:0:-1, 1:], straight[:0:-1], lo[:0:-1], hi[:0:-1])
-    for target, src, heads, tails, w, w_lo, w_hi in order:
-        np.add(src, w, out=line)
-        np.add(heads, w_lo, out=step)               # from position i - 1
-        np.minimum(line_tails, step, out=line_tails)
-        np.add(tails, w_hi, out=step)               # from position i + 1
-        np.minimum(line_heads, step, out=line_heads)
-        np.minimum(target, line, out=target)
-
-
-def _rho_pass(d: np.ndarray, rad, strips, ascending: bool) -> None:
+def _rho_pass(d: np.ndarray, rad, strips) -> None:
     """One Gauss-Seidel pass over the rows of the stacked labels d,
-    (n_rho, columns, sources), in row order or against it: each row is
-    relaxed from the row before it in the pass over three in-edges into
-    each strip column, the radial edge, weight rad[w], and the diagonals
-    from both side columns of the same strip, weight diag[w] of that
-    strip's graph, where w is the greater index of the two rows.  strips
-    holds (columns, diag) for each strip: its column slice of d and its
-    graph's diag list; the wall columns around the strips hold inf.
+    (n_rho, columns, sources), in row order: row i is relaxed from row
+    i - 1 over three in-edges into each strip column, the radial edge,
+    weight rad[i], and the diagonals from both side columns of the same
+    strip, weight diag[i] of that strip's graph.  strips holds (columns,
+    diag) for each strip: its column slice of d and its graph's diag list;
+    the wall columns around the strips hold inf.  The descending pass is
+    this one on d[::-1], with every weight list w reversed as
+    [inf] + w[:0:-1].
 
     A row takes 3 + 2 k ufunc calls for k strips.  The radial edge is one
     add over the whole row, walls included, which stay inf.  A strip's
-    diagonals are one candidate fl(min(left, right) + diag[w]), the lesser
+    diagonals are one candidate fl(min(left, right) + diag[i]), the lesser
     of its two diagonals because rounding is monotone, written into its
     part of a step row whose wall entries stay inf.  Then one min merges
     the step row into the line and one the line into the target row.
 
     Each row is relaxed only after the row before it is final, so on
-    return every in-edge from the row before in the pass satisfies
-    d[v] <= fl(d[u] + w); _relaxation_lowers relies on this after a
-    rho-ascending pass.
+    return every in-edge from the row before satisfies d[v] <= fl(d[u] +
+    w); _relaxation_lowers relies on this after a rho-ascending pass.
     """
     line = np.empty_like(d[0])
     step = np.full_like(d[0], math.inf)
-    # (the strip's part of the step row, the labels left and right of its
-    # columns, its diag) for each strip
-    sides = [(step[cols], d[:, cols.start - 1:cols.stop - 1],
-              d[:, cols.start + 1:cols.stop + 1], diag)
-             for cols, diag in strips]
-    # the rows relaxed, the rows before them in the pass, and the weights
-    # between them, in the order of the pass
-    if ascending:
-        dst, src, w = slice(1, None), slice(None, -1), slice(1, None)
-    else:
-        dst, src = slice(-2, None, -1), slice(None, 0, -1)
-        w = src
-    diagonals = zip(*(zip(repeat(part), left[src], right[src], diag[w])
-                      for part, left, right, diag in sides))
-    for target, before, w_rad, row_diagonals in zip(d[dst], d[src], rad[w],
-                                                    diagonals):
-        np.add(before, w_rad, out=line)
+    # per row from row 1, per strip: (the strip's part of the step row, the
+    # labels left and right of its columns in the row before, its diag)
+    before = d[:-1]
+    diagonals = zip(*(zip(repeat(step[cols]),
+                          before[:, cols.start - 1:cols.stop - 1],
+                          before[:, cols.start + 1:cols.stop + 1], diag[1:])
+                      for cols, diag in strips))
+    for target, src, w_rad, row_diagonals in zip(d[1:], before, rad[1:],
+                                                 diagonals):
+        np.add(src, w_rad, out=line)
         for part, left, right, w_diag in row_diagonals:
             np.minimum(left, right, out=part)
             np.add(part, w_diag, out=part)
         np.minimum(line, step, out=line)
         np.minimum(target, line, out=target)
+
+
+def _theta_pass(strip: np.ndarray, ring: np.ndarray, diag: np.ndarray,
+                lines: np.ndarray) -> None:
+    """One Gauss-Seidel pass over the columns of strip, (n_rho, width),
+    each item a node's run of S labels, in column order: column j is
+    relaxed from column j - 1, vectorised over rows x sources, over three
+    in-edges into each row i: the ring edge from row i, weight ring[i],
+    and the diagonals from rows i - 1 and i + 1, weights diag[i - 1] and
+    diag[i], diag being the graph's diag[1:].  ring, (n_rho, S), and diag,
+    (n_rho - 1, S), are the same for every column, so the descending pass
+    is this one on strip[:, ::-1].
+
+    The pass runs on column-major copies of blocks of columns in lines,
+    (block, n_rho, S): each block after the first starts with the last
+    column of the block before it, already final in the pass, so the
+    blocks continue one pass.  Both copies move a node's run as one item
+    of 8 S bytes, which numpy copies faster than a float copy of the
+    transposed view.
+
+    Each column is relaxed only after the column before it is final, so on
+    return every in-edge from the column before satisfies d[v] <= fl(d[u]
+    + w).
+    """
+    block = len(lines)
+    runs = lines.view(strip.dtype)[:, :, 0]
+    line = np.empty_like(lines[0])
+    heads, tails = line[:-1], line[1:]
+    step = np.empty_like(tails)
+    width = strip.shape[1]
+    for a in range(0, width - 1, block - 1):
+        n = min(block, width - a)
+        np.copyto(runs[:n], strip[:, a:a + n].T)
+        for target, src, src_heads, src_tails in zip(
+                lines[1:n], lines[:n - 1], lines[:n - 1, :-1],
+                lines[:n - 1, 1:]):
+            np.add(src, ring, out=line)
+            np.add(src_heads, diag, out=step)       # from row i - 1
+            np.minimum(tails, step, out=tails)
+            np.add(src_tails, diag, out=step)       # from row i + 1
+            np.minimum(heads, step, out=heads)
+            np.minimum(target, line, out=target)
+        np.copyto(strip[:, a:a + n], runs[:n].T)
 
 
 def _sweep(graphs, d: np.ndarray, strips) -> None:
@@ -279,23 +279,17 @@ def _sweep(graphs, d: np.ndarray, strips) -> None:
 
     Each round is a pass rho descending, theta ascending and rho ascending,
     then the check (_relaxation_lowers), and a pass theta descending only
-    when the check finds a lower label in any strip.  A rho pass
-    (_rho_pass) relaxes whole rows of the table, all strips at once: the
-    graphs share rho_values, so they share rad.  A theta pass runs the
-    kernel _pass strip by strip on column-major copies of blocks of
-    columns, (block, n_rho, sources), in a scratch of about
-    _SCRATCH_LABELS labels: each block after the first starts with the
-    last column of the block before it, already final in the pass, so the
-    blocks continue one Gauss-Seidel pass.  Every column is weighed by the
-    same blocks of its graph, ring (straight) and diag[1:] (diagonals: row
-    i's edge from row i - 1 weighs diag[i], from row i + 1 diag[i + 1]),
-    repeated across the sources.  Both copies move a node's run of S
-    sources as one item of 8 S bytes, which numpy copies faster than a
-    float copy of the transposed view.  Either kind of pass follows any mix
-    of its straight steps with diagonal ones: on a flat stretch many such
-    mixes have the same length, rounding decides which is shortest, and a
-    pass that left the diagonals out would take several more sweeps to
-    find it.
+    when the check finds a lower label in any strip; a descending pass is
+    the ascending kernel on the reversed view.  A rho pass (_rho_pass)
+    relaxes whole rows of the table, all strips at once (the graphs share
+    rho_values, so they share rad), and a theta pass (_theta_pass) one
+    strip at a time, through a scratch of about _SCRATCH_LABELS labels,
+    every column weighed by the same blocks of its graph, ring and
+    diag[1:], repeated across the sources.  Either kind of pass follows
+    any mix of its straight steps with diagonal ones: on a flat stretch
+    many such mixes have the same length, rounding decides which is
+    shortest, and a pass that left the diagonals out would take several
+    more sweeps to find it.
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
@@ -310,40 +304,28 @@ def _sweep(graphs, d: np.ndarray, strips) -> None:
     scratch = np.empty(max(_SCRATCH_LABELS, 2 * column, widest * n_src))
     block = scratch.size // column
     lines = scratch[:block * column].reshape(block, n_rho, n_src)
-    run = np.dtype((np.void, 8 * n_src))        # a node's S labels
-    runs = lines.view(run)[:, :, 0]
     rad = graphs[0].rad.tolist()
-    rho_strips = [(cols, g.diag.tolist()) for g, cols in zip(graphs, strips)]
+    diags = [g.diag.tolist() for g in graphs]
+    up = rad, list(zip(strips, diags))
+    down = ([math.inf] + rad[:0:-1],
+            [(cols, [math.inf] + diag[:0:-1])
+             for cols, diag in zip(strips, diags)])
     padded = [d[:, cols.start - 1:cols.stop + 1] for cols in strips]
-    theta_strips = [(d.view(run)[:, cols, 0],
-                     np.repeat(g.ring[:, None], n_src, axis=1),
-                     np.repeat(g.diag[1:, None], n_src, axis=1))
-                    for g, cols in zip(graphs, strips)]
-
-    def theta_pass(ascending):
-        for strip, ring, diag in theta_strips:
-            width = strip.shape[1]
-            if ascending:
-                spans = [(a, min(a + block, width))
-                         for a in range(0, width - 1, block - 1)]
-            else:
-                spans = [(max(b - block, 0), b)
-                         for b in range(width, 1, 1 - block)]
-            for a, b in spans:
-                n = b - a
-                np.copyto(runs[:n], strip[:, a:b].T)
-                _pass(lines[:n], [ring] * n, [diag] * n, [diag] * n,
-                      ascending)
-                np.copyto(strip[:, a:b], runs[:n].T)
-
+    run = np.dtype((np.void, 8 * n_src))        # a node's S labels
+    theta = [(d.view(run)[:, cols, 0],
+              np.repeat(g.ring[:, None], n_src, axis=1),
+              np.repeat(g.diag[1:, None], n_src, axis=1))
+             for g, cols in zip(graphs, strips)]
     while True:
-        _rho_pass(d, rad, rho_strips, ascending=False)
-        theta_pass(ascending=True)
-        _rho_pass(d, rad, rho_strips, ascending=True)
+        _rho_pass(d[::-1], *down)
+        for strip, ring, diag in theta:
+            _theta_pass(strip, ring, diag, lines)
+        _rho_pass(d, *up)
         if not any(_relaxation_lowers(g, p, scratch)
                    for g, p in zip(graphs, padded)):
             return
-        theta_pass(ascending=False)
+        for strip, ring, diag in theta:
+            _theta_pass(strip[:, ::-1], ring, diag, lines)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
@@ -441,14 +423,7 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     Dijkstra's output bit for bit, whatever the sweep order, and the
     half-strip values are the full graph's.
 
-    This is the one-graph case of _distance_fields, which solves graphs
-    that share a radial grid side by side in one label table, (n_rho,
-    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
-    one contiguous block a row: the half strips in turn, with a column of
-    inf before, between and after them standing in for the edges a strip
-    does not have.  A field's dist is the transposed view of its strip.
-    The solve refuses a field of more than MAX_FIELD_LABELS labels before
-    allocating.
+    This is the one-graph case of _distance_fields.
     """
     return _distance_fields([graph], rho_rows)[0]
 
@@ -456,7 +431,13 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
 def _distance_fields(graphs, rho_rows) -> list[SurfaceDistanceField]:
     """The fields of distance_field from the same source rows on each of
     graphs, which must share rho_values, rad and pole (DomainError
-    otherwise), solved in one stacked label table (see distance_field)."""
+    otherwise), solved side by side in one label table, (n_rho,
+    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
+    one contiguous block a row: the half strips in turn, with a column of
+    inf before, between and after them standing in for the edges a strip
+    does not have.  A field's dist is the transposed view of its strip.
+    The solve refuses a field of more than MAX_FIELD_LABELS labels before
+    allocating."""
     first = graphs[0]
     if any(g.pole != first.pole
            or not np.array_equal(g.rho_values, first.rho_values)

@@ -123,6 +123,26 @@ def test_quotient_matrix_euclidean(tmp_path, capsys):
     assert "2 x 2" in err
 
 
+def test_quotient_near_singular_gram_is_one_note(tmp_path, capsys):
+    """A near-parallel orbit basis (Gram condition 4e14) is reported as one
+    info line, not as a Python warning per frame row: under
+    warnings-as-errors it still exits 0 with the unchanged table, and two
+    frame rows, each solving the Gram system, still give one line."""
+    note = ("quotient: warning: orbit-basis Gram condition 4.04e+14 "
+            "exceeds 1e12\n")
+    cfg = {"metric": np.eye(3).tolist(),
+           "h_vectors": [[1, 0, 0], [1, 1e-7, 0]], "frame": [[0, 0, 1]]}
+    code, out, err = _run_strict(tmp_path, capsys, "quotient", cfg)
+    assert code == 0 and out == "c0\n1\n"
+    assert err == "quotient: 1 x 1 matrix\n" + note
+    cfg = {"metric": np.eye(4).tolist(),
+           "h_vectors": [[1, 0, 0, 0], [1, 1e-7, 0, 0]],
+           "frame": [[0, 0, 1, 0], [0, 0, 0, 1]]}
+    code, out, err = _run_strict(tmp_path, capsys, "quotient", cfg)
+    assert code == 0 and out == "c0,c1\n1,0\n0,1\n"
+    assert err == "quotient: 2 x 2 matrix\n" + note
+
+
 def test_berger_scan_round_metric(tmp_path, capsys):
     cfg = {"xi": math.pi / 2, "radius_min": 0.1, "radius_max": 0.9,
            "num": 5, "samples": 60, "seed": 1}
@@ -675,6 +695,31 @@ def test_non_finite_table_exits_1(tmp_path, capsys, command, cfg, column):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("collapse-lab: error: ") and column in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("transform", {"family": "const", "a": 1, "r": 1, "kappa": 1,
+                   "rho_min": -1e308, "rho_max": 1e308, "n": 3}),
+    ("curvature", {"family": "const", "a": 1, "rho_min": -1e308,
+                   "rho_max": 1e308, "n": 3}),
+], ids=["transform", "curvature"])
+def test_overflowing_rho_span_exits_1(tmp_path, capsys, command, cfg):
+    # both ends are finite, but the grid's span is not: np.linspace would
+    # warn twice and fill the grid with nan
+    code, out, err = _run_strict(tmp_path, capsys, command, cfg)
+    assert code == 1 and out == ""
+    assert err == "collapse-lab: error: rho_max - rho_min overflows a float\n"
+
+
+def test_soliton_without_residual_rows_exits_1(tmp_path, capsys):
+    # f stays below DELTA_CAP on every row, so res1 and res2 would be nan
+    # on all of them
+    cfg = {"A": 1, "rho_max": 1e-5, "step": 1e-6}
+    code, out, err = _run_strict(tmp_path, capsys, "soliton", cfg)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("collapse-lab: error: ")
+    assert "DELTA_CAP = 0.0001" in err
 
 
 def test_curvature_past_warp_overflow_is_closed_form(tmp_path, capsys):

@@ -376,19 +376,21 @@ def test_relaxation_check_sees_every_edge_group(kind, row, column):
 
 
 def test_rho_pass_relaxes_both_diagonals_within_each_strip():
-    """_rho_pass relaxes a row from the row before it in the pass over the
-    radial edge and both diagonals of each strip, each strip with its own
-    diag, and no label crosses a wall: a lone source in the last column of
-    the first strip and one in the middle of the second reach the next row
-    at rad straight on and at their strip's diag on both sides, and
-    nothing else, ascending and descending."""
+    """_rho_pass relaxes a row from the row before it over the radial edge
+    and both diagonals of each strip, each strip with its own diag, and no
+    label crosses a wall: a lone source in the last column of the first
+    strip and one in the middle of the second reach the next row at rad
+    straight on and at their strip's diag on both sides, and nothing else,
+    in row order and, on the reversed view with the weights of the
+    later row, against it."""
     strips = [(slice(1, 5), [math.inf, 2.0]), (slice(6, 11), [math.inf, 3.0])]
     want = np.full(12, math.inf)
     want[[3, 4, 7, 8, 9]] = [2.0, 1.0, 3.0, 1.0, 3.0]
-    for ascending, src, dst in ((True, 0, 1), (False, 1, 0)):
+    for reverse, src, dst in ((False, 0, 1), (True, 1, 0)):
         d = np.full((2, 12, 1), math.inf)
         d[src, [4, 8], 0] = 0.0
-        gh_collapse._rho_pass(d, [math.inf, 1.0], strips, ascending)
+        gh_collapse._rho_pass(d[::-1] if reverse else d, [math.inf, 1.0],
+                              strips)
         assert np.array_equal(d[dst, :, 0], want)
 
 
@@ -449,6 +451,13 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
         assert len(checks) == 3
 
 
+def _ascending(view, axis):
+    """Whether a kernel call runs its lines in the table's order: a
+    descending pass is the same kernel on the view reversed along the axis
+    of its lines, which has a negative stride there."""
+    return view.strides[axis] > 0
+
+
 def _assert_fields_take_one_round(monkeypatch, cfg):
     """The five fields of a one-chain collapse solve come from three
     solves: the limit field with its angular refinement in one stacked
@@ -468,22 +477,22 @@ def _assert_fields_take_one_round(monkeypatch, cfg):
         solves[-1]["checks"].append(check(*args))
         return solves[-1]["checks"][-1]
 
-    def rho_spy(d, rad, strips, ascending):
-        solves[-1]["rho"].append(ascending)
-        rho_kernel(d, rad, strips, ascending)
+    def rho_spy(d, rad, strips):
+        solves[-1]["rho"].append(_ascending(d, 0))
+        rho_kernel(d, rad, strips)
 
-    def theta_spy(lines, straight, lo, hi, ascending):
-        solves[-1]["theta"].add(ascending)
-        kernel(lines, straight, lo, hi, ascending)
+    def theta_spy(strip, ring, diag, lines):
+        solves[-1]["theta"].add(_ascending(strip, 1))
+        kernel(strip, ring, diag, lines)
 
     solve, check, rho_kernel, kernel = (gh_collapse._distance_fields,
                                         gh_collapse._relaxation_lowers,
                                         gh_collapse._rho_pass,
-                                        gh_collapse._pass)
+                                        gh_collapse._theta_pass)
     monkeypatch.setattr(gh_collapse, "_distance_fields", solve_spy)
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
     monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
-    monkeypatch.setattr(gh_collapse, "_pass", theta_spy)
+    monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
     collapse_experiment(CollapseConfig.from_json(cfg))
     assert solves == [{"strips": k, "rho": [False, True], "theta": {True},
                        "checks": [False] * k} for k in (2, 2, 1)]
@@ -525,34 +534,43 @@ def _certified_passes(monkeypatch, g, rows):
     kernels that check their certificate after every pass, rho or theta,
     ascending or descending: every in-edge from the line before in the pass
     (the straight edge and both diagonals) satisfies d[v] <= fl(d[u] + w)
-    with the graph's own weights.  A rho pass (_rho_pass) runs on the rows
-    of the label table, whose strip's in-edges from the row before weigh
-    rad and diag of the later row; a theta pass (_pass) on blocks of the
+    with the graph's own weights, not the reversed lists a descending pass
+    receives, so a wrong reversal fails.  A rho pass (_rho_pass) runs on
+    the rows of the label table, whose strip's in-edges from the row before
+    weigh rad and diag of the later row; a theta pass (_theta_pass) on the
     strip's columns, whose in-edges from the column before weigh ring of
-    their row and diag of the later row.  Returns the passes,
-    (orientation, ascending) in order, and the field."""
+    their row and diag of the later row.  A descending pass is the kernel
+    on a reversed view (_ascending), which the spies turn back to the
+    table's order.  Returns the passes, (orientation, ascending) in order,
+    and the field."""
     passes = []
 
     def lines_before(lines, ascending):
         return ((lines[:-1], lines[1:]) if ascending
                 else (lines[1:], lines[:-1]))
 
-    def rho_spy(d, rad, strips, ascending):
-        rho_kernel(d, rad, strips, ascending)
-        passes.append(("rho", ascending))
+    def rho_spy(d, rad, strips):
+        rho_kernel(d, rad, strips)
+        up = _ascending(d, 0)
+        passes.append(("rho", up))
         (cols, _), = strips
-        _assert_certificate(*lines_before(d[:, cols], ascending),
+        table = d if up else d[::-1]
+        _assert_certificate(*lines_before(table[:, cols], up),
                             g.rad[1:, None, None], g.diag[1:, None, None])
 
-    def theta_spy(lines, straight, lo, hi, ascending):
-        kernel(lines, straight, lo, hi, ascending)
-        passes.append(("theta", ascending))
-        _assert_certificate(*lines_before(lines, ascending),
+    def theta_spy(strip, ring, diag, lines):
+        kernel(strip, ring, diag, lines)
+        up = _ascending(strip, 1)
+        passes.append(("theta", up))
+        # the strip's runs of S labels as floats, columns first
+        runs = strip if up else strip[:, ::-1]
+        labels = runs.view(float).reshape(len(runs), runs.shape[1], -1)
+        _assert_certificate(*lines_before(labels.transpose(1, 0, 2), up),
                             g.ring[None, :, None], g.diag[None, 1:, None])
 
-    rho_kernel, kernel = gh_collapse._rho_pass, gh_collapse._pass
+    rho_kernel, kernel = gh_collapse._rho_pass, gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
-    monkeypatch.setattr(gh_collapse, "_pass", theta_spy)
+    monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
     return passes, distance_field(g, rows).dist
 
 
@@ -570,12 +588,12 @@ def _certificate_rows(g, n_src):
 def test_theta_pass_leaves_edges_from_previous_column_relaxed(monkeypatch,
                                                               case, n_src):
     """The certificate of the kernels after each pass (_certified_passes),
-    with the theta passes, which run on column-major copies, in the
-    order the sweep takes them.  Random per-row weights with and without a
-    pole, and the sphere band, which takes three rounds and so runs
-    descending passes; one source row, whose source run is one 8-byte item
-    of the copy, and seven.  At one source row the fields also equal
-    scipy's Dijkstra bit for bit."""
+    with the theta passes, which run on column-major copies, in the order
+    the sweep takes them, checked on the whole strip.  Random per-row
+    weights with and without a pole, and the sphere band, which takes
+    three rounds and so runs descending passes; one source row, whose
+    source run is one 8-byte item of the copy, and seven.  At one source
+    row the fields also equal scipy's Dijkstra bit for bit."""
     g = _certificate_graph(case)
     rows = _certificate_rows(g, n_src)
     passes, got = _certified_passes(monkeypatch, g, rows)
@@ -712,12 +730,12 @@ def test_smallest_scratch_block_gives_the_same_fields(monkeypatch):
     monkeypatch.setattr(gh_collapse, "_SCRATCH_LABELS", 1)
     blocks = []
 
-    def spy(lines, straight, lo, hi, ascending):
-        blocks.append((len(lines), ascending))
-        kernel(lines, straight, lo, hi, ascending)
+    def spy(strip, ring, diag, lines):
+        blocks.append((len(lines), _ascending(strip, 1)))
+        kernel(strip, ring, diag, lines)
 
-    kernel = gh_collapse._pass
-    monkeypatch.setattr(gh_collapse, "_pass", spy)
+    kernel = gh_collapse._theta_pass
+    monkeypatch.setattr(gh_collapse, "_theta_pass", spy)
     got = gh_collapse._distance_fields(graphs, rows)
     assert set(blocks) == {(2, True), (2, False)}
     for fld, dist in zip(got, want):
