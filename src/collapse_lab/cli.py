@@ -185,12 +185,10 @@ def _cmd_quotient(cfg: dict):
     check_keys(cfg, ("metric", "h_vectors", "frame"))
     g, vectors, frame = (np.array(read_rows(cfg, key))
                          for key in ("metric", "h_vectors", "frame"))
-    # the Gram check warns once a frame row; each distinct warning becomes
-    # one note
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GramConditionWarning)
         h = quotient_metric_form(PointMetric(g), OrbitBasis(vectors), frame)
-    notes = dict.fromkeys(f"quotient: warning: {w.message}" for w in caught)
+    notes = [f"quotient: warning: {w.message}" for w in caught]
     n = h.dim
     header = [f"c{j}" for j in range(n)]
     return _csv(header, h.matrix), [f"quotient: {n} x {n} matrix", *notes]

@@ -139,6 +139,17 @@ def _field_labels(sources: int, n_rho: int, n_theta: int) -> int:
     return sources * n_rho * (n_theta // 2 + 1)
 
 
+def _stack_layout(rings):
+    """The half-strip columns of the stacked table of _distance_fields for
+    graphs of the given n_theta (rings), and the table's width: a column
+    of inf before, between and after the strips."""
+    strips, start = [], 1
+    for n in rings:
+        strips.append(slice(start, start + n // 2 + 1))
+        start = strips[-1].stop + 1
+    return strips, start
+
+
 def _check_field_size(n_labels: int) -> None:
     if n_labels > MAX_FIELD_LABELS:
         raise DomainError(f"distance field of {n_labels} labels (sources x "
@@ -289,7 +300,8 @@ def _sweep(graphs, d: np.ndarray, strips) -> None:
     any mix of its straight steps with diagonal ones: on a flat stretch
     many such mixes have the same length, rounding decides which is
     shortest, and a pass that left the diagonals out would take several
-    more sweeps to find it.
+    more sweeps to find it: radial-only rho passes took 13 to 21 rounds,
+    and a ring-only theta pass 3, on flat fields this sweep solves in one.
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
@@ -428,7 +440,8 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     return _distance_fields([graph], rho_rows)[0]
 
 
-def _distance_fields(graphs, rho_rows) -> list[SurfaceDistanceField]:
+def _distance_fields(graphs, rho_rows,
+                     labels=None) -> list[SurfaceDistanceField]:
     """The fields of distance_field from the same source rows on each of
     graphs, which must share rho_values, rad and pole (DomainError
     otherwise), solved side by side in one label table, (n_rho,
@@ -436,6 +449,8 @@ def _distance_fields(graphs, rho_rows) -> list[SurfaceDistanceField]:
     one contiguous block a row: the half strips in turn, with a column of
     inf before, between and after them standing in for the edges a strip
     does not have.  A field's dist is the transposed view of its strip.
+    Given labels, a flat float64 buffer of at least the table's size, the
+    table is the head of it, and the fields are views of it.
     The solve refuses a field of more than MAX_FIELD_LABELS labels before
     allocating."""
     first = graphs[0]
@@ -452,11 +467,11 @@ def _distance_fields(graphs, rho_rows) -> list[SurfaceDistanceField]:
         raise DomainError(f"source rows must lie in [0, {n_rho})")
     for g in graphs:
         _check_field_size(_field_labels(rho_rows.size, n_rho, g.n_theta))
-    strips, start = [], 1
-    for g in graphs:
-        strips.append(slice(start, start + g.n_theta // 2 + 1))
-        start = strips[-1].stop + 1
-    d = np.full((n_rho, start, rho_rows.size), math.inf)
+    strips, width = _stack_layout([g.n_theta for g in graphs])
+    shape = (n_rho, width, rho_rows.size)
+    size = math.prod(shape)
+    d = (np.empty(size) if labels is None else labels[:size]).reshape(shape)
+    d.fill(math.inf)
     for cols in strips:
         d[rho_rows, cols.start, np.arange(rho_rows.size)] = 0.0
         if first.pole:
@@ -574,8 +589,15 @@ class CollapseRow:
     grid_floor_estimate: float
 
 
+def _unique(values) -> np.ndarray:
+    """np.unique of an integer array, without the import of numpy.ma that
+    np.unique makes (numpy 2.4) and the first solve of a process would pay."""
+    a = np.sort(values, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 def _subgrid_indices(lo: int, hi: int, count: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(lo, hi, count)).astype(int))
+    return _unique(np.round(np.linspace(lo, hi, count)).astype(int))
 
 
 def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
@@ -598,7 +620,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     of the graph distances, not a bound on their discretization error.
     The limit field and its angular refinement share their rho rows, and
     so do the radial and the proportional refinement, so each pair is one
-    stacked solve (_distance_fields).
+    stacked solve (_distance_fields).  Every solve of the call fills one
+    label buffer, sized for the largest stacked table.
     Quotient distances are non-increasing along a chain by construction
     (larger groups minimize over more translates); the quotient table is
     one running minimum per chain that folds in only the group elements the
@@ -629,8 +652,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
     # n_theta; s offsets stay signed, since theta - kappa s is not periodic
     # in s for non-integer kappa.
-    dth = np.unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
-    ds = np.unique(s_idx[None, :] - s_idx[:, None])
+    dth = _unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
+    ds = _unique(s_idx[None, :] - s_idx[:, None])
     p_max = max(config.p_values)
     entries = p_max * rho_rows.size ** 2 * dth.size
     if entries > MAX_CLASS_ENTRIES:
@@ -648,14 +671,19 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    # (n_rho, ring) of the limit grid and of its three refinements for the
-    # grid floor; the largest field of these and of the chains' quotient
-    # sides is refused here, before any build
-    limit_grids = [(n, ring) for n in (g.n_rho, 2 * g.n_rho - 1)
-                   for ring in (ring_y, 2 * ring_y)]
-    _check_field_size(max(
-        [_field_labels(rho_rows.size, n, ring) for n, ring in limit_grids]
-        + [_field_labels(rho_rows.size, g.n_rho, ring) for ring in rings_x]))
+    # (n_rho, rings) of each solve: the limit grid and its angular
+    # refinement, the radial and the proportional refinement for the grid
+    # floor, and each chain's quotient side; the largest field of these is
+    # refused here, before any build
+    solves = ([(n, (ring_y, 2 * ring_y)) for n in (g.n_rho, 2 * g.n_rho - 1)]
+              + [(g.n_rho, (ring,)) for ring in rings_x])
+    _check_field_size(max(_field_labels(rho_rows.size, n, ring)
+                          for n, rings in solves for ring in rings))
+    # one label buffer serves every solve: with a table per solve, freeing
+    # the largest (mmapped) raised glibc's mmap threshold, so the next call
+    # took the smaller tables from the heap, whose pages stay resident
+    labels = np.empty(rho_rows.size * max(n * _stack_layout(rings)[1]
+                                          for n, rings in solves))
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
@@ -683,11 +711,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         """The class tables of the limit surface on the rings ring_y and
         2 ring_y of a grid whose rows refine the base grid's by rscale,
         from one stacked solve of the two graphs, which share their rho
-        rows; the table is dropped as soon as the lookups are taken."""
+        rows; the lookups are taken before the next solve refills the
+        label buffer."""
         n_rho = rscale * (g.n_rho - 1) + 1
         fields = _distance_fields(
             [build_surface_graph(limit, n_rho, ring)
-             for ring in (ring_y, 2 * ring_y)], rscale * rho_rows)
+             for ring in (ring_y, 2 * ring_y)], rscale * rho_rows, labels)
         return [fld.lookup(slot_a, rscale * row_b,
                            col_y * (fld.n_theta // ring_y))
                 for fld in fields]
@@ -704,8 +733,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
 
     rows = []
     for chain, ring_x in zip(chains, rings_x):
-        fld_x = distance_field(build_surface_graph(base, g.n_rho, ring_x),
-                               rho_rows)
+        fld_x, = _distance_fields(
+            [build_surface_graph(base, g.n_rho, ring_x)], rho_rows, labels)
         col_x = dth[:, None] * (ring_x // g.n_theta)
         sq_x, prev = math.inf, 0
         for p in chain:

@@ -12,6 +12,10 @@ for an explicit orbit basis; transform_killing and quotient_metric_form agree
 wherever both apply, and both stay positive definite with
 
     lambda_min(h) >= r^2 / (kappa^2 |K|^2 + r^2) * lambda_min(g).
+
+project_onto_complement is the one projector: it factors the orbit Gram
+once per call, for a vector or every row of a frame, and both
+quotient_metric_form and circle_quotient_pushforward project through it.
 """
 
 from __future__ import annotations
@@ -140,37 +144,38 @@ def transform_killing(g, killing, r: float, kappa: float) -> PointMetric:
     return PointMetric(h)
 
 
-def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD Gram system, failing loudly on degeneracy."""
+def project_onto_complement(g_prod, basis: OrbitBasis, x) -> np.ndarray:
+    """Component of x orthogonal (w.r.t. g_prod) to the orbit basis, for
+    one vector x or each row of a (k, n) array x.
+
+    The orbit Gram V G V^T is checked, condition-warned and factored once
+    per call; each row then solves (V G V^T) alpha = V G x with the factor
+    and returns x - V^T alpha, bit for bit as a call on that row alone.
+    Idempotent; returns the zero vector on basis members.
+    """
+    gm = _as_metric(g_prod)
+    x = _as_vector(x)
+    v = basis.vectors
+    if v.shape[1] != gm.dim or not 1 <= x.ndim <= 2 or x.shape[-1] != gm.dim:
+        raise DomainError("dimension mismatch between metric, basis, vector")
+    rows = x.reshape(-1, gm.dim)
+    gv = v @ gm.matrix             # (m, n)
+    gram = gv @ v.T                # (m, m)
+    rhs = [gv @ row for row in rows]
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise DomainError("orbit basis and projected vector must be finite")
     cond = np.linalg.cond(gram)
     if cond > _COND_WARN:
         warnings.warn(f"orbit-basis Gram condition {cond:.3g} exceeds 1e12",
-                      GramConditionWarning, stacklevel=3)
+                      GramConditionWarning, stacklevel=2)
     try:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise DegenerateBasisError(
             "orbit basis is metric-degenerate (Gram not SPD)") from None
-    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
-
-
-def project_onto_complement(g_prod, basis: OrbitBasis, x) -> np.ndarray:
-    """Component of x orthogonal (w.r.t. g_prod) to the orbit basis.
-
-    Solves the Gram system (V G V^T) alpha = V G x and returns
-    x - V^T alpha.  Idempotent; returns the zero vector on basis members.
-    """
-    gm = _as_metric(g_prod)
-    x = _as_vector(x)
-    v = basis.vectors
-    if v.shape[1] != gm.dim or x.shape != (gm.dim,):
-        raise DomainError("dimension mismatch between metric, basis, vector")
-    gv = v @ gm.matrix             # (m, n)
-    gram = gv @ v.T                # (m, m)
-    alpha = _gram_solve(gram, gv @ x)
-    return x - v.T @ alpha
+    proj = [row - v.T @ np.linalg.solve(low.T, np.linalg.solve(low, b))
+            for row, b in zip(rows, rhs)]
+    return np.reshape(proj, x.shape)
 
 
 def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
@@ -179,7 +184,8 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
 
     The basis rows together with the frame rows must span the ambient space
     (otherwise TransversalityError); then h is positive definite and is
-    returned as a PointMetric.
+    returned as a PointMetric.  The frame is projected in one call, so a
+    near-singular orbit Gram warns once.
     """
     gm = _as_metric(g_prod)
     frame = np.asarray(frame, dtype=float)
@@ -193,10 +199,9 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
         raise DomainError("orbit basis or frame has non-finite entries")
     if np.linalg.matrix_rank(span) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
-    proj = np.array([project_onto_complement(gm, basis, x) for x in frame])
+    proj = project_onto_complement(gm, basis, frame)
     h = proj @ gm.matrix @ proj.T
-    h = 0.5 * (h + h.T)
-    return PointMetric(h)
+    return PointMetric(0.5 * (h + h.T))
 
 
 def circle_quotient_pushforward(f_val: float, r: float):
@@ -204,31 +209,23 @@ def circle_quotient_pushforward(f_val: float, r: float):
     d rho^2 + f^2 d theta^2 + r^2 ds^2 along the unit field
     W = (d_theta + d_s)/sqrt(f^2 + r^2).
 
-    Returns (p_rho, p_theta, p_s, h) where the p_* are the images of the
-    coordinate vectors (components in the (rho, theta, s) frame, computed
-    as V - g(V, W) W) and h is the quotient metric form
+    Returns (p_rho, p_theta, p_s, h): the p_* are the images V - g(V, W) W
+    of the coordinate vectors in the (rho, theta, s) frame, from one call
+    of project_onto_complement, and h is the quotient metric form
 
         diag(1, r^2 f^2 / (f^2 + r^2))
 
-    assembled from the pushforwards, not from the closed form.  An
-    f^2 + r^2 past the float range raises DomainError.
+    assembled from the pushforwards as quotient_metric_form assembles it,
+    not from the closed form.  An f^2 + r^2 past the float range raises
+    DomainError.
     """
     if f_val <= 0 or r <= 0:
         raise DomainError("need f > 0 and r > 0")
     f2, r2 = f_val * f_val, r * r
-    denom = f2 + r2
-    if not denom < math.inf:
+    if not f2 + r2 < math.inf:
         raise DomainError(f"f^2 + r^2 overflows (f = {f_val:g}, r = {r:g})")
     g = np.diag([1.0, f2, r2])
-    w = np.array([0.0, 1.0, 1.0]) / np.sqrt(denom)
-
-    def push(v):
-        return v - (v @ g @ w) * w
-
-    p_rho = push(np.array([1.0, 0.0, 0.0]))
-    p_theta = push(np.array([0.0, 1.0, 0.0]))
-    p_s = push(np.array([0.0, 0.0, 1.0]))
-    h = np.array([[p_rho @ g @ p_rho, p_rho @ g @ p_theta],
-                  [p_theta @ g @ p_rho, p_theta @ g @ p_theta]])
-    h = 0.5 * (h + h.T)
-    return p_rho, p_theta, p_s, PointMetric(h)
+    push = project_onto_complement(g, OrbitBasis([[0.0, 1.0, 1.0]]),
+                                   np.eye(3))
+    h = push[:2] @ g @ push[:2].T
+    return (*push, PointMetric(0.5 * (h + h.T)))

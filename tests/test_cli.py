@@ -309,6 +309,24 @@ def test_demo_configs_run_without_scipy():
     assert out.strip() == f"{[0] * len(DEMO_CONFIGS)} []"
 
 
+def test_demo_collapse_leaves_numpy_ma_unimported():
+    """The collapse path deduplicates its offsets without np.unique, which
+    imports numpy.ma (numpy 2.4): a demo collapse run in a fresh process
+    adds no numpy.ma to sys.modules.  numpy 1.x imports numpy.ma with
+    numpy itself, so there the check has nothing to add to."""
+    code = ("import sys\n"
+            "import numpy\n"
+            "had_ma = 'numpy.ma' in sys.modules\n"
+            "from collapse_lab.cli import main\n"
+            "code = main(['collapse', '--config', sys.argv[1], '--out', "
+            "'/dev/null', '--quiet'])\n"
+            "print(code, 'numpy.ma' in sys.modules and not had_ma)")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code,
+                          str(DEMO_DIR / "collapse.json")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0 False"
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(TINY_COLLAPSE))

@@ -468,10 +468,10 @@ def _assert_fields_take_one_round(monkeypatch, cfg):
     runs."""
     solves = []
 
-    def solve_spy(graphs, rows):
+    def solve_spy(graphs, rows, labels=None):
         solves.append({"strips": len(graphs), "rho": [], "theta": set(),
                        "checks": []})
-        return solve(graphs, rows)
+        return solve(graphs, rows, labels)
 
     def check_spy(*args):
         solves[-1]["checks"].append(check(*args))
@@ -519,6 +519,35 @@ def test_benchmark_fields_converge_without_theta_descending_pass(
            "grid": dict(zip(names, grid)),
            "sample": dict(zip(names, sample))}
     _assert_fields_take_one_round(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("n_rho, n_theta", [(48, 96), (96, 192), (192, 64)])
+def test_flat_fields_converge_in_one_round(monkeypatch, n_rho, n_theta):
+    """On the flat strip (f = 1, rho_max = 2), from six source rows spread
+    from row 0 to the last, the first round's passes already give the
+    fixed point: one check, which finds nothing to lower, and no
+    theta-descending pass.  A sweep whose rho or theta passes dropped a
+    diagonal group takes several rounds here, since on a flat field many
+    mixes of straight and diagonal steps tie and rounding picks one."""
+    g = build_surface_graph(metric_from_warp(ConstWarp(1.0), 2.0), n_rho,
+                            n_theta)
+    rows = np.round(np.linspace(0, n_rho - 1, 6)).astype(int)
+    checks, theta = [], []
+
+    def check_spy(*args):
+        checks.append(check(*args))
+        return checks[-1]
+
+    def theta_spy(strip, ring, diag, lines):
+        theta.append(_ascending(strip, 1))
+        kernel(strip, ring, diag, lines)
+
+    check, kernel = gh_collapse._relaxation_lowers, gh_collapse._theta_pass
+    monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
+    monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
+    distance_field(g, rows)
+    assert checks == [False]
+    assert theta == [True]
 
 
 def _assert_certificate(src, dst, w, w_diag):
@@ -689,6 +718,23 @@ def test_stacked_solve_equals_single_solves(warp, rho_max, n_thetas, rows):
     for fld, g in zip(stacked, graphs):
         assert fld.n_theta == g.n_theta
         assert np.array_equal(fld.dist, distance_field(g, rows).dist)
+
+
+def test_stacked_solve_in_a_given_buffer_equals_its_own_table():
+    """Given a label buffer larger than the table and holding stale values,
+    a stacked solve refills the head of it and gives the fields of a solve
+    in a table of its own bit for bit, as views of the buffer."""
+    metric = metric_from_warp(SinhWarp(1.0), 1.2)
+    graphs = [build_surface_graph(metric, 10, n) for n in (12, 24)]
+    rows = [0, 4, 9]
+    want = [fld.dist for fld in gh_collapse._distance_fields(graphs, rows)]
+    size = len(rows) * 10 * gh_collapse._stack_layout((12, 24))[1]
+    labels = np.full(size + 7, -1.0)
+    got = gh_collapse._distance_fields(graphs, rows, labels)
+    for fld, dist in zip(got, want):
+        assert np.shares_memory(fld.dist, labels)
+        assert np.array_equal(fld.dist, dist)
+    assert np.all(labels[size:] == -1.0)
 
 
 def test_stacked_solve_runs_the_rounds_of_its_slowest_strip(monkeypatch):
@@ -1420,15 +1466,38 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
     assert peak < n_pts * n_pts * 8
 
 
+def test_collapse_solves_share_one_label_buffer(monkeypatch):
+    """Every solve of a collapse run fills the same label buffer, sized for
+    its largest stacked table, so a process that solves again allocates no
+    table of another size."""
+    buffers = []
+
+    def spy(graphs, rows, labels=None):
+        width = gh_collapse._stack_layout([g.n_theta for g in graphs])[1]
+        buffers.append((labels, len(rows) * graphs[0].n_rho * width))
+        return solve(graphs, rows, labels)
+
+    solve = gh_collapse._distance_fields
+    monkeypatch.setattr(gh_collapse, "_distance_fields", spy)
+    collapse_experiment(CollapseConfig.from_json(
+        dict(SMALL_CONFIG, p_values=[2, 4, 3, 9])))
+    labels = buffers[0][0]
+    assert len(buffers) == 4
+    assert all(buf is labels for buf, _ in buffers)
+    assert labels.dtype == np.float64
+    assert labels.size == max(size for _, size in buffers)
+
+
 def test_collapse_solve_peak_memory():
-    """A solve holds one stacked label table and the solver's scratch block
-    at a time: each stacked table is dropped once its floor terms are
-    taken, and the sweeps and the check allocate nothing else of the
-    table's size.  The bound is the sweep's own: the float64 labels of the
-    largest stacked table, the scratch block, the O(n_rho S) row and
-    column buffers of the passes, and a slack for numpy's fixed-size
-    ufunc buffers (the check's strided operands take about 128 KiB) and
-    the small class tables.  It is below the bound of a solve that also
+    """A run holds one label buffer, sized for its largest stacked table,
+    from its first solve to its last, and the solver's scratch block:
+    every solve fills the head of the buffer, and the sweeps and the check
+    allocate nothing else of the table's size.  The bound is the sweep's
+    own: the float64 labels of the largest stacked table, the scratch
+    block, the O(n_rho S) row and column buffers of the passes, and a
+    slack for numpy's fixed-size ufunc buffers (the check's strided
+    operands take about 128 KiB) and the small class tables, which here
+    live next to the buffer.  It is below the bound of a solve that also
     held a scratch table of the strips' size, and one more buffer of the
     table's size fails it."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],

@@ -211,6 +211,32 @@ def test_projection_warns_on_bad_conditioning():
         project_onto_complement(np.eye(3), basis, [0.0, 0.0, 1.0])
 
 
+def test_projection_of_rows_equals_per_row_calls():
+    """A (k, n) array projects row by row with one Gram factor: each row
+    equals the call on that row alone bit for bit, and a one-row array
+    keeps its shape."""
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n))
+        g = random_spd(rng, n)
+        basis = OrbitBasis(rng.normal(size=(m, n)))
+        xs = rng.normal(size=(int(rng.integers(1, 5)), n))
+        got = project_onto_complement(g, basis, xs)
+        assert got.shape == xs.shape
+        for row, x in zip(got, xs):
+            assert np.array_equal(row, project_onto_complement(g, basis, x))
+
+
+def test_projection_of_rows_warns_once():
+    """The Gram is checked once per call, so a near-singular basis warns
+    once however many rows are projected."""
+    basis = OrbitBasis([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-7, 0.0, 0.0]])
+    with pytest.warns(GramConditionWarning) as caught:
+        project_onto_complement(np.eye(4), basis, np.eye(4)[2:])
+    assert len(caught) == 1
+
+
 def test_non_finite_input_is_rejected():
     # np.linalg.cholesky and solve pass inf through instead of failing
     with pytest.raises(InvalidMetricError):
@@ -294,6 +320,19 @@ def test_quotient_form_transversality_errors():
                              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_quotient_form_near_singular_gram_warns_once():
+    """Two frame rows against a near-parallel basis (Gram condition 4e14)
+    give one GramConditionWarning: the frame is projected in one call."""
+    with pytest.warns(GramConditionWarning) as caught:
+        h = quotient_metric_form(np.eye(4), OrbitBasis([[1.0, 0.0, 0.0, 0.0],
+                                                        [1.0, 1e-7, 0.0, 0.0]]),
+                                 [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    assert len(caught) == 1
+    assert str(caught[0].message) == ("orbit-basis Gram condition 4.04e+14 "
+                                      "exceeds 1e12")
+    assert np.array_equal(h.matrix, np.eye(2))
+
+
 def test_quotient_form_output_is_positive_definite():
     # PointMetric construction itself certifies SPD via factorization
     rng = np.random.default_rng(53)
@@ -363,3 +402,20 @@ def test_pushforward_agrees_with_quotient_form():
         g = np.diag([1.0, f * f, r * r])
         h_form = quotient_metric_form(g, OrbitBasis([[0.0, 1.0, 1.0]]), frame)
         np.testing.assert_allclose(h_push.matrix, h_form.matrix, atol=1e-13)
+
+
+def test_pushforward_is_the_projector_on_the_coordinate_frame():
+    """The pushforwards are project_onto_complement of the coordinate
+    vectors against d_theta + d_s, and h is quotient_metric_form of the
+    (rho, theta) frame, both bit for bit: one projector serves both."""
+    rng = np.random.default_rng(71)
+    basis = OrbitBasis([[0.0, 1.0, 1.0]])
+    for _ in range(50):
+        f = float(rng.uniform(0.05, 4.0))
+        r = float(rng.uniform(0.3, 3.0))
+        *push, h = circle_quotient_pushforward(f, r)
+        g = np.diag([1.0, f * f, r * r])
+        for p, e in zip(push, np.eye(3)):
+            assert np.array_equal(p, project_onto_complement(g, basis, e))
+        assert np.array_equal(
+            h.matrix, quotient_metric_form(g, basis, np.eye(3)[:2]).matrix)
