@@ -12,8 +12,8 @@ The library has five parts:
                    direction, Gram projections, pushforward forms.
 * su2_geometry   - unit quaternions, the left-invariant frame, Berger
                    metrics, the Hopf map and submersion distortion scans.
-* gh_collapse    - grid-graph geodesics, Z_p quotient distances, the
-                   collapse experiment and its correspondence distortion.
+* gh_collapse    - the Z_p collapse experiment and its correspondence
+                   distortion, on a grid-graph geodesic solver of its own.
 
 The `collapse-lab` console script (see cli) drives all of it from JSON
 configs and writes CSV.
@@ -38,9 +38,8 @@ _EXPORTS = {
         "TangencyError", "TransversalityError", "TrivialSolitonError",
     ),
     "gh_collapse": (
-        "CollapseConfig", "CollapseRow", "GridSpec", "SurfaceDistanceField",
-        "SurfaceGraph", "build_surface_graph", "circle_distance",
-        "collapse_experiment", "distance_field",
+        "CollapseConfig", "CollapseRow", "GridSpec", "circle_distance",
+        "collapse_experiment",
     ),
     "killing_quotient": (
         "OrbitBasis", "PointMetric", "circle_quotient_pushforward",

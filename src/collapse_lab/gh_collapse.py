@@ -2,20 +2,22 @@
 
 The surface piece is discretized as an 8-neighbor grid graph in (rho, theta)
 with edge weights sqrt(drho^2 + f(rho_mid)^2 dtheta^2); exact shortest paths
-on that graph stand in for geodesic distance.  Product distances split as
-sqrt(d_P^2 + d_S1^2) (exact for Riemannian products, with the circle factor
-analytic), and the Z_p quotient distance minimizes over group translates:
-collapse_experiment minimizes the squared sum d_P^2 + d_S1^2 and takes one
-square root at the end, since the square root is monotone.
+on that graph stand in for geodesic distance.  The solver is private to
+collapse_experiment: the package exports none of its names.  Product
+distances split as sqrt(d_P^2 + d_S1^2) (exact for Riemannian products,
+with the circle factor analytic), and the Z_p quotient distance minimizes
+over group translates: collapse_experiment minimizes the squared sum
+d_P^2 + d_S1^2 and takes one square root at the end, since the square root
+is monotone.
 
 Every weight of the graph depends only on the rho rows an edge joins, so the
-graph is a few per-row weight tables (build_surface_graph), and rotations
-theta -> theta + 2 pi k / n_theta and the reflection theta -> -theta are
+graph is a few per-row weight tables (build_surface_graph), and the
+rotations by whole columns and the reflection theta -> -theta are
 weight-preserving automorphisms of it.  Every distance field is solved from
 sources at theta = 0, which the reflection fixes, so only the half strip
-theta in [0, pi] (grid columns 0 .. n_theta // 2) is solved, and the field
-is that half-strip table: its lookup takes integer columns of any sign and
-folds them into the strip.  The solver (distance_field) is a
+(grid columns 0 .. n_theta // 2) is solved, and the field is that
+half-strip table: its lookup takes integer columns of any sign and folds
+them into the strip.  The solver (_distance_fields) is a
 label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
 theta up and rho up, each round followed by a check that one relaxation of
 every edge lowers no label, and by a theta-down pass only when the check
@@ -33,10 +35,11 @@ block of rows in the same scratch.  The fixed point is Dijkstra's output
 to the last bit.
 
 collapse_experiment compares the quotient against the transformed limit
-surface through the correspondence (rho, theta, s) -> (rho, theta - kappa s)
-and reports, per p, the distortion, the implied upper bound distortion / 2
-on the GH distance between the sampled sets (the quotient sample and its
-image in the limit surface, not the whole spaces), and a grid-floor
+surface, with theta taken mod 2 pi / m2' (m2' = m2 / gcd(m1, m2)), through
+the correspondence (rho, theta, s) -> (rho, theta - kappa s) and reports,
+per p, the distortion, the implied upper bound distortion / 2 on the GH
+distance between the sampled sets (the quotient sample and its image in
+the limit surface, not the whole spaces), and a grid-floor
 estimate: the largest change of the sampled limit-surface distances when
 the grid is refined.  The floor is the refinement sensitivity of the graph
 distances, not a bound on their discretization error: the 8-neighbor
@@ -80,9 +83,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class SurfaceGraph:
-    """8-neighbor grid graph over (rho, theta); theta wraps modulo 2 pi.
+    """8-neighbor grid graph over (rho, theta); theta wraps modulo the
+    period of build_surface_graph.
 
-    Node (i, j) sits at rho_values[i] and theta = 2 pi j / n_theta.  Every
+    Node (i, j) sits at rho_values[i] and theta = period j / n_theta.  Every
     edge weight depends only on the rows it joins, so the graph is held as
     per-row weight tables; an edge that does not exist weighs inf:
       ring[i]  the ring edges (i, j) - (i, j + 1), f(rho_i) dtheta;
@@ -158,15 +162,19 @@ def _check_field_size(n_labels: int) -> None:
                           f"coarser grid or fewer sample rho rows")
 
 
-def build_surface_graph(metric: RotSymMetric, n_rho: int,
-                        n_theta: int) -> SurfaceGraph:
-    """Discretize the surface of revolution on an n_rho x n_theta grid.
+def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
+                        period: float = TWO_PI) -> SurfaceGraph:
+    """Discretize the surface of revolution on an n_rho x n_theta grid
+    whose columns span one period of theta: 2 pi for the surface itself,
+    2 pi / m for its quotient by the rotations Z_m, an orbifold whose
+    capped pole is a cone point of angle 2 pi / m.
 
-    Edge weights are sqrt(drho^2 + f(rho_mid)^2 dtheta^2) with f evaluated
-    at segment midpoints for radial/diagonal edges and at the node row for
-    ring edges.  All weights must be positive and finite, so f may vanish
-    only at a capped origin (where the row degenerates to the pole node);
-    truncate before any other zero of f, and before f overflows.  A graph
+    Edge weights are sqrt(drho^2 + f(rho_mid)^2 dtheta^2), dtheta = period
+    / n_theta, with f evaluated at segment midpoints for radial/diagonal
+    edges and at the node row for ring edges.  All weights must be
+    positive and finite, so f may vanish only at a capped origin (where
+    the row degenerates to the pole node); truncate before any other zero
+    of f, and before f overflows.  A graph
     whose field from one source would exceed MAX_FIELD_LABELS raises
     DomainError before its rows are allocated: no field could solve it.
     """
@@ -180,7 +188,7 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int,
     with np.errstate(over="ignore", invalid="ignore"):
         f_nodes = np.asarray(w.f(rho), dtype=float)
         mid_f = np.asarray(w.f(0.5 * (rho[:-1] + rho[1:])), dtype=float)
-    dtheta = TWO_PI / n_theta
+    dtheta = period / n_theta
     drho = np.diff(rho)
     for f in (f_nodes[int(pole):], mid_f):
         if not np.all((f > 0) & (f < math.inf)):
@@ -409,11 +417,14 @@ class SurfaceDistanceField:
         return self.dist[rho_row, src_slot, np.minimum(j, n - j)][()]
 
 
-def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
-    """Exact graph distances from (row, theta = 0) for each requested row;
-    an empty list of rows raises DomainError.
+def _distance_fields(graphs, rho_rows,
+                     labels=None) -> list[SurfaceDistanceField]:
+    """Exact graph distances from (row, theta = 0) for each of rho_rows on
+    each of graphs, which must share rho_values, rad and pole (DomainError
+    otherwise); an empty list of rows raises DomainError, and so does a
+    field of more than MAX_FIELD_LABELS labels, before allocating.
 
-    The reflection theta -> -theta fixes every source and maps the graph
+    The reflection theta -> -theta fixes every source and maps a graph
     onto itself with identical edge weights, so each field satisfies
     d(i, j) = d(i, n_theta - j), and only the half strip is solved: the
     induced subgraph on columns 0 .. n_theta // 2, with the pole and its
@@ -422,37 +433,23 @@ def distance_field(graph: SurfaceGraph, rho_rows) -> SurfaceDistanceField:
     the only edges the half strip drops run between mirror columns (for odd
     n_theta a folded diagonal, parallel to a shorter radial edge).
 
+    The half strips are solved side by side in one label table, (n_rho,
+    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
+    one contiguous block a row, with a column of inf before, between and
+    after them standing in for the edges a strip does not have.  Given
+    labels, a flat float64 buffer of at least the table's size, the table
+    is the head of it; a field's dist is the transposed view of its strip.
+
     The labels start at inf, 0 at the sources, and every change lowers a
     label to some fl(d[u] + w_uv), so each label is the rounded length of
     a path and, rounding being monotone, never below Dijkstra's.  The
-    solver (_sweep) runs rounds of passes rho down, theta up and rho up,
-    with a pass theta down between rounds, until relaxing every in-edge of
-    every node (the eight grid directions and the pole spokes) lowers no
-    label: the rho-up pass leaves the in-edges from the row below relaxed,
-    and the check (_relaxation_lowers) relaxes the rest.  Then d[v] <=
-    fl(d[u] + w_uv) on every edge, and by induction along Dijkstra's
-    shortest-path tree no label is above Dijkstra's either: the fields are
-    Dijkstra's output bit for bit, whatever the sweep order, and the
-    half-strip values are the full graph's.
-
-    This is the one-graph case of _distance_fields.
+    solver (_sweep) stops only when relaxing every in-edge of every node
+    (the eight grid directions and the pole spokes) lowers no label.  Then
+    d[v] <= fl(d[u] + w_uv) on every edge, and by induction along
+    Dijkstra's shortest-path tree no label is above Dijkstra's either: the
+    fields are Dijkstra's output bit for bit, whatever the sweep order, and
+    the half-strip values are the full graph's.
     """
-    return _distance_fields([graph], rho_rows)[0]
-
-
-def _distance_fields(graphs, rho_rows,
-                     labels=None) -> list[SurfaceDistanceField]:
-    """The fields of distance_field from the same source rows on each of
-    graphs, which must share rho_values, rad and pole (DomainError
-    otherwise), solved side by side in one label table, (n_rho,
-    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
-    one contiguous block a row: the half strips in turn, with a column of
-    inf before, between and after them standing in for the edges a strip
-    does not have.  A field's dist is the transposed view of its strip.
-    Given labels, a flat float64 buffer of at least the table's size, the
-    table is the head of it, and the fields are views of it.
-    The solve refuses a field of more than MAX_FIELD_LABELS labels before
-    allocating."""
     first = graphs[0]
     if any(g.pole != first.pole
            or not np.array_equal(g.rho_values, first.rho_values)
@@ -603,10 +600,18 @@ def _subgrid_indices(lo: int, hi: int, count: int) -> np.ndarray:
 def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     """Distortion of the natural correspondence for each p in the config.
 
+    The limit is the transformed surface (quotient_transform) with theta
+    taken mod 2 pi / m2', m2' = m2 / gcd(m1, m2): the slice s = 0 meets
+    every orbit of the circle action m2' times.  So for m2' = 1 the limit
+    is the transformed surface itself, with its smooth cap, and for m2' > 1
+    it is the orbifold quotient by Z_m2', whose pole is a cone point of
+    angle 2 pi / m2'.
+
     The surface and its transform are discretized on the same grid, with
     the rings refined so that every angle looked up is a node: the limit
     side's ring_y = lcm(n_theta, m2 n_s / gcd(m1, m2 n_s)) holds every slice
-    angle theta - kappa s, and each divisibility chain (a maximal run of p
+    angle theta - kappa s on a full turn, and so on the period 2 pi / m2'
+    that its columns span, and each divisibility chain (a maximal run of p
     values each dividing the next) gets one quotient-side field, whose ring
     lcm(n_theta, p / gcd(m1, p)) at the chain's last p holds every group
     rotation of the chain.  So every lookup is an integer-column gather, a
@@ -671,6 +676,8 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
+    # m2': the limit graphs' ring_y columns span 2 pi / m2'
+    orbits = m2 // math.gcd(m1, m2)
     # (n_rho, rings) of each solve: the limit grid and its angular
     # refinement, the radial and the proportional refinement for the grid
     # floor, and each chain's quotient side; the largest field of these is
@@ -692,10 +699,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     row_b = rho_rows[None, :, None, None]
     same_slot = slot_a == slots[None, :, None, None]
     # the correspondence (rho, theta, s) -> (rho, theta - kappa s) puts a
-    # class at the limit column dtheta - kappa ds of ring_y; rotations are
-    # reduced in Python integers, which do not overflow
+    # class at the angle dtheta - kappa ds: column c of a full turn of
+    # ring_y columns, so column orbits * c of the orbifold's ring; rotations
+    # are reduced in Python integers, which do not overflow
     step_y = m1 * ring_y // (m2 * g.n_s) % ring_y
-    col_y = (dth[:, None] * (ring_y // g.n_theta) - step_y * ds) % ring_y
+    col_y = ((dth[:, None] * (ring_y // g.n_theta) - step_y * ds) * orbits
+             % ring_y)
     s_x = (TWO_PI * ds / g.n_s).reshape(1, 1, 1, -1)
     diag_x = same_slot & (dth == 0)[:, None] & (ds == 0)
     diag_y = same_slot & (col_y == 0)
@@ -715,7 +724,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         label buffer."""
         n_rho = rscale * (g.n_rho - 1) + 1
         fields = _distance_fields(
-            [build_surface_graph(limit, n_rho, ring)
+            [build_surface_graph(limit, n_rho, ring, TWO_PI / orbits)
              for ring in (ring_y, 2 * ring_y)], rscale * rho_rows, labels)
         return [fld.lookup(slot_a, rscale * row_b,
                            col_y * (fld.n_theta // ring_y))

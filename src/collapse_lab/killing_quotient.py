@@ -183,14 +183,17 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     directions transverse to the orbit basis.
 
     The basis rows together with the frame rows must span the ambient space
-    (otherwise TransversalityError); then h is positive definite and is
-    returned as a PointMetric.  The frame is projected in one call, so a
+    (otherwise TransversalityError), and the frame must have a row
+    (otherwise DomainError); then h is positive definite and is returned
+    as a PointMetric.  The frame is projected in one call, so a
     near-singular orbit Gram warns once.
     """
     gm = _as_metric(g_prod)
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[1] != gm.dim:
         raise DomainError("frame must be rows of ambient vectors")
+    if frame.shape[0] == 0:
+        raise DomainError("frame must have at least one row")
     if basis.count + frame.shape[0] != gm.dim:
         raise TransversalityError(
             "orbit basis plus frame must have exactly ambient dimension")

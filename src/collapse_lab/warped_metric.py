@@ -682,6 +682,12 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
     if the inverse's natural domain ends at or before rho_max: the inverse
     blows up exactly where f reaches r/kappa, which a scan can step over
     (sin at r/kappa = 1/a, whose inverse is tan, blowing up at pi/(2a)).
+
+    The result is the whole quotient only when kappa = m1 / m2 has m2' =
+    m2 / gcd(m1, m2) = 1.  For m2' > 1 each orbit of the circle action
+    meets the slice s = 0 m2' times, so the quotient is this surface with
+    theta taken mod 2 pi / m2': a cone of angle 2 pi / m2' at the pole,
+    not the smooth cap (collapse_experiment measures against that).
     """
     _check_transform(r, kappa, sign)
     if sign == -1 and kappa > 0:

@@ -302,3 +302,27 @@ def test_criterion_14_cli_determinism(tmp_path):
              for _ in range(2)]
     assert truns[0] == truns[1] and len(truns[0]) > 0
     report(14, "repeated CLI runs are byte-identical")
+
+
+def test_criterion_15_orbifold_collapse_convergence():
+    # for m2' = m2 / gcd(m1, m2) > 1 the limit is the transformed surface
+    # with theta taken mod 2 pi / m2', a cone of angle 2 pi / m2' at the pole
+    worst = []
+    for m1, m2 in ((1, 2), (1, 3)):
+        rows = collapse_experiment(CollapseConfig.from_json({
+            "surface": {"family": "sinh", "a": 1.0},
+            "rho_max": 2.0,
+            "r": 1.0,
+            "m1": m1,
+            "m2": m2,
+            "p_values": [4, 16, 64, 256],
+            "grid": {"n_rho": 48, "n_theta": 48, "n_s": 32},
+            "sample": {"n_rho": 6, "n_theta": 6, "n_s": 4},
+        }))
+        dists = [row.distortion for row in rows]
+        floor = rows[0].grid_floor_estimate
+        assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
+        assert dists[-1] <= 2.0 * floor
+        worst.append(f"({m1}, {m2}) {dists[-1]:.4f} [floor {floor:.4f}]")
+    report(15, "orbifold limits: distortion at p = 256 non-increasing and "
+               "<= 2x floor, " + ", ".join(worst))

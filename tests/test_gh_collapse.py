@@ -17,10 +17,8 @@ from collapse_lab import (
     ConstWarp,
     LinearWarp,
     WarpCurve,
-    build_surface_graph,
     circle_distance,
     collapse_experiment,
-    distance_field,
     metric_from_warp,
     quotient_transform,
 )
@@ -28,18 +26,20 @@ from collapse_lab import gh_collapse
 from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
 from collapse_lab.gh_collapse import (
     MAX_FIELD_LABELS,
-    _check_metric,
-    _subgrid_indices,
     SurfaceGraph,
+    _check_metric,
+    _distance_fields,
+    _subgrid_indices,
+    build_surface_graph,
 )
 
 TWO_PI = 2.0 * math.pi
 
 
-def _column(angle, n_theta):
-    """Node columns of angles that lie on the nodes of an n_theta ring, to
-    within 1e-9 of a column."""
-    x = np.asarray(angle, dtype=float) * n_theta / TWO_PI
+def _column(angle, n_theta, period=TWO_PI):
+    """Node columns of angles that lie on the nodes of an n_theta ring
+    spanning the period, to within 1e-9 of a column."""
+    x = np.asarray(angle, dtype=float) * n_theta / period
     j = np.rint(x)
     assert np.max(np.abs(x - j), initial=0.0) <= 1e-9
     return j.astype(int)
@@ -98,7 +98,7 @@ def test_graph_node_layout_with_pole():
     assert ids[0].tolist() == [0] * 12
     assert ids[1, 0] == 1
     assert ids[2, 5] == 1 + 12 + 5
-    fld = distance_field(g, [0, 4])
+    fld = _distance_fields([g], [0, 4])[0]
     assert np.all(fld.lookup(0, 0, np.arange(12)) == 0.0)
     pole = fld.lookup(1, 0, np.arange(12))
     assert np.all(pole == pole[0]) and pole[0] > 0
@@ -206,14 +206,15 @@ def test_graph_csr_matches_coo_reference(warp, rho_max, half, n_theta,
     solver's distances equal scipy's Dijkstra on the reference CSR bit for
     bit, from every node of the full graph (the fields read at every
     rotation, _all_pairs) and from every row of the half strip
-    (distance_field)."""
+    (_distance_fields)."""
     metric = metric_from_warp(warp, rho_max)
     g = build_surface_graph(metric, n_rho, n_theta)
     ref = _coo_reference_csr(metric, n_rho, n_theta, half)
     if half:
         ids = _node_ids(g, half=True)
         want = dijkstra(ref, indices=ids[:, 0])[:, ids]
-        got = distance_field(g, np.arange(n_rho)).dist.transpose(1, 0, 2)
+        got = _distance_fields([g], np.arange(n_rho))[0].dist
+        got = got.transpose(1, 0, 2)
     else:
         want = dijkstra(ref, indices=np.arange(ref.shape[0]))
         got = _all_pairs(g)
@@ -241,7 +242,7 @@ def _all_pairs(g):
     weight-preserving automorphisms of the graph, as collapse_experiment
     assumes."""
     ids = _node_ids(g, half=False)
-    fld = distance_field(g, np.arange(g.n_rho))
+    fld = _distance_fields([g], np.arange(g.n_rho))[0]
     k, c, i, j = np.ix_(*map(np.arange, ids.shape * 2))
     d = np.empty((ids.max() + 1,) * 2)
     d[ids[k, c], ids[i, j]] = fld.lookup(k, i, j - c)
@@ -272,7 +273,7 @@ def test_graph_size_cap():
     # field of 2049 x 1025 labels from one source
     g = build_surface_graph(metric_from_warp(SinhWarp(1.0), 2.0), 2049, 2048)
     assert g.pole and 1 + (g.n_rho - 1) * g.n_theta > 2 ** 22
-    fld = distance_field(g, [1024])
+    fld = _distance_fields([g], [1024])[0]
     assert fld.dist.shape == (2049, 1, 1025)
     assert np.all(np.isfinite(fld.dist))
     assert fld.lookup(0, 1025, 0) == g.rad[1025]
@@ -287,7 +288,7 @@ def test_graph_size_cap():
 @pytest.mark.parametrize("n_theta", [8, 9, 12, 13, 25])
 def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
     """The half strip the solver relaxes is the full reference graph
-    restricted to columns 0 .. n_theta // 2: distance_field equals Dijkstra
+    restricted to columns 0 .. n_theta // 2: the solved field equals Dijkstra
     on that induced subgraph, sliced out of the full CSR."""
     metric = metric_from_warp(warp, rho_max)
     g = build_surface_graph(metric, 10, n_theta)
@@ -298,7 +299,7 @@ def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
     full = _coo_reference_csr(metric, 10, n_theta, half=False)
     strip = _node_ids(g, half=True)
     want = dijkstra(full[keep][:, keep], indices=strip[:, 0])[:, strip]
-    got = distance_field(g, np.arange(10)).dist
+    got = _distance_fields([g], np.arange(10))[0].dist
     assert np.array_equal(got.transpose(1, 0, 2), want)
 
 
@@ -309,7 +310,7 @@ def test_half_graph_node_index_folds(warp):
     lookup is that gather."""
     metric = metric_from_warp(warp, 1.0)
     g = build_surface_graph(metric, 9, 13)
-    fld = distance_field(g, [0, 4, 8])
+    fld = _distance_fields([g], [0, 4, 8])[0]
     assert fld.dist.shape == (9, 3, 7)
     ids = _node_ids(g, half=False)
     full = dijkstra(_coo_reference_csr(metric, 9, 13, half=False),
@@ -338,7 +339,7 @@ def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
     for n_rho, n_theta in ((17, 12), (24, 25)):
         checks.clear()
         g = build_surface_graph(metric, n_rho, n_theta)
-        got = distance_field(g, np.arange(n_rho)).dist
+        got = _distance_fields([g], np.arange(n_rho))[0].dist
         assert checks[0] and not checks[-1]
         ids = _node_ids(g, half=True)
         ref = _coo_reference_csr(metric, n_rho, n_theta, half=True)
@@ -445,7 +446,7 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
 
     check = gh_collapse._relaxation_lowers
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
-    distance_field(g, np.arange(g.n_rho))
+    _distance_fields([g], np.arange(g.n_rho))
     assert checks and not checks[-1]
     if case == "sphere-band":
         assert len(checks) == 3
@@ -545,7 +546,7 @@ def test_flat_fields_converge_in_one_round(monkeypatch, n_rho, n_theta):
     check, kernel = gh_collapse._relaxation_lowers, gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
-    distance_field(g, rows)
+    _distance_fields([g], rows)
     assert checks == [False]
     assert theta == [True]
 
@@ -600,7 +601,7 @@ def _certified_passes(monkeypatch, g, rows):
     rho_kernel, kernel = gh_collapse._rho_pass, gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
-    return passes, distance_field(g, rows).dist
+    return passes, _distance_fields([g], rows)[0].dist
 
 
 def _certificate_rows(g, n_src):
@@ -676,8 +677,8 @@ def test_distance_field_random_row_weights(pole, n_theta):
     ids = _node_ids(g, half=True)
     half = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, True)
     want = dijkstra(half, indices=ids[:, 0])[:, ids]
-    assert np.array_equal(distance_field(g, rows).dist.transpose(1, 0, 2),
-                          want)
+    got = _distance_fields([g], rows)[0].dist
+    assert np.array_equal(got.transpose(1, 0, 2), want)
     full = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, False)
     assert np.array_equal(_all_pairs(g),
                           dijkstra(full, indices=np.arange(full.shape[0])))
@@ -687,9 +688,9 @@ def test_distance_field_checks_sources_and_size():
     g = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0), 8, 12)
     for rows in ([8], [-1]):
         with pytest.raises(DomainError, match="source rows"):
-            distance_field(g, rows)
+            _distance_fields([g], rows)
     with pytest.raises(DomainError, match="at least one source row"):
-        distance_field(g, [])
+        _distance_fields([g], [])
     # three sources on this half strip fit the label cap, four are refused
     # before the label table is allocated
     big = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0),
@@ -697,7 +698,7 @@ def test_distance_field_checks_sources_and_size():
     assert 3 * 2048 * 1025 <= MAX_FIELD_LABELS < 4 * 2048 * 1025
     with pytest.raises(DomainError, match=f"{4 * 2048 * 1025} labels"
                        ".*MAX_FIELD_LABELS"):
-        distance_field(big, [0, 1, 2, 3])
+        _distance_fields([big], [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("warp, rho_max, n_thetas, rows", [
@@ -717,7 +718,7 @@ def test_stacked_solve_equals_single_solves(warp, rho_max, n_thetas, rows):
     assert len(stacked) == len(graphs)
     for fld, g in zip(stacked, graphs):
         assert fld.n_theta == g.n_theta
-        assert np.array_equal(fld.dist, distance_field(g, rows).dist)
+        assert np.array_equal(fld.dist, _distance_fields([g], rows)[0].dist)
 
 
 def test_stacked_solve_in_a_given_buffer_equals_its_own_table():
@@ -754,7 +755,7 @@ def test_stacked_solve_runs_the_rounds_of_its_slowest_strip(monkeypatch):
 
     check = gh_collapse._relaxation_lowers
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
-    single = [distance_field(g, [0]).dist for g in graphs]
+    single = [_distance_fields([g], [0])[0].dist for g in graphs]
     assert checks == [(24, False), (48, True), (48, False)]
     checks.clear()
     stacked = gh_collapse._distance_fields(graphs, [0])
@@ -821,7 +822,7 @@ def test_half_graph_build_peak_memory():
 def test_flat_cylinder_radial_distance():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    fld = distance_field(g, [0])
+    fld = _distance_fields([g], [0])[0]
     assert abs(fld.lookup(0, 8, 0) - 1.0) <= 1e-12
 
 
@@ -830,14 +831,14 @@ def test_flat_cylinder_half_circumference():
     # the graph carries it without any 8-neighbor direction error
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    fld = distance_field(g, [0])
+    fld = _distance_fields([g], [0])[0]
     assert abs(fld.lookup(0, 0, 8) - math.pi) <= 1e-12
 
 
 def test_sphere_meridian_distance():
     m = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
     g = build_surface_graph(m, 29, 16)
-    fld = distance_field(g, [0])
+    fld = _distance_fields([g], [0])[0]
     want = math.pi - 0.6
     assert abs(fld.lookup(0, 28, 0) - want) <= 1e-12
 
@@ -845,7 +846,7 @@ def test_sphere_meridian_distance():
 def test_pole_to_rim_distance():
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     g = build_surface_graph(m, 17, 16)
-    rim = distance_field(g, [0]).lookup(0, 16, np.arange(16))
+    rim = _distance_fields([g], [0])[0].lookup(0, 16, np.arange(16))
     assert np.max(np.abs(rim - 1.0)) <= 1e-12
 
 
@@ -855,7 +856,7 @@ def test_diagonal_distance_overshoot_bounded():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     n_rho, n_theta = 17, 101
     g = build_surface_graph(m, n_rho, n_theta)
-    val = distance_field(g, [0]).lookup(0, 16, 16)
+    val = _distance_fields([g], [0])[0].lookup(0, 16, 16)
     true = math.hypot(1.0, 16 * TWO_PI / n_theta)
     assert val >= true - 1e-12
     assert val <= 1.09 * true
@@ -879,7 +880,7 @@ def test_distance_field_disconnected_graph():
                      pole=False, ring=np.ones(9), rad=cut, diag=cut.copy())
     for rows in ([0], [8], [0, 8]):
         with pytest.raises(ConnectivityError):
-            distance_field(g, rows)
+            _distance_fields([g], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +890,7 @@ def test_distance_field_disconnected_graph():
 def test_distance_field_matches_node_distances():
     m = metric_from_warp(SinhWarp(1.0), 1.2)
     g = build_surface_graph(m, 9, 12)
-    fld = distance_field(g, [1, 5])
+    fld = _distance_fields([g], [1, 5])[0]
     ids = _node_ids(g, half=False)
     d = dijkstra(_coo_reference_csr(m, 9, 12, half=False),
                  indices=ids[[1, 5], 0])
@@ -916,7 +917,7 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     # scipy's undirected Dijkstra on the full edge-list reference
     ref = _coo_reference_csr(metric, 10, n_theta, half=False)
     d = dijkstra(ref, directed=False, indices=nodes[rows, 0])
-    fld = distance_field(g, rows)
+    fld = _distance_fields([g], rows)[0]
     # the stored table is the full field at the strip nodes (a pole graph's
     # row 0 repeats the pole in every column), and lookup unfolds it to
     # every column
@@ -1016,7 +1017,7 @@ def test_circle_distance_wraparound():
 def _cylinder_lookup(n_theta=16):
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, n_theta)
-    fld = distance_field(g, [0, 4, 8])
+    fld = _distance_fields([g], [0, 4, 8])[0]
     slot = {0: 0, 4: 1, 8: 2}
 
     def dp_lookup(pa, pb, rot):
@@ -1077,22 +1078,19 @@ def test_torus_quotient_matches_circle_radius():
 # the dense reference's slice correspondence and distortion
 # ---------------------------------------------------------------------------
 
-def _slice_map(points, kappa):
+def _slice_map(points, kappa, period=TWO_PI):
     """The slice correspondence (rho, theta, s) -> (rho, theta - kappa s) of
-    the sample points.
+    the sample points, the limit angle taken mod period: 2 pi / m2' on the
+    orbifold limit, m2' = m2 / gcd(m1, m2).
 
     Returns (image, limit_points): limit_points are the distinct images,
-    deduplicated on keys rounded to 1e-12 with an angle of 2 pi taken as
-    0, and point i corresponds to limit_points[image[i]].  Group translates
-    of a point have coincident images only when m2 = 1: for m2 > 1 the
-    limit surface's residual Z_m2 identifications are not applied, so the
-    distortion stays an upper bound, and the orbifold quotient changes this
-    map."""
+    deduplicated on keys rounded to 1e-12 with an angle of one period taken
+    as 0, and point i corresponds to limit_points[image[i]]."""
     limit_points, seen, image = [], {}, []
     for rho, theta, s in points:
-        phi = (theta - kappa * s) % TWO_PI
+        phi = (theta - kappa * s) % period
         key_phi = round(phi, 12)
-        if key_phi >= round(TWO_PI, 12):
+        if key_phi >= round(period, 12):
             key_phi = phi = 0.0
         key = (round(float(rho), 12), key_phi)
         if key not in seen:
@@ -1100,6 +1098,17 @@ def _slice_map(points, kappa):
             limit_points.append((float(rho), float(phi)))
         image.append(seen[key])
     return np.array(image), limit_points
+
+
+def test_natural_correspondence_orbifold_identifies_translates():
+    # slopes (1, 2): the slice s = 0 meets each orbit twice, at theta and
+    # theta + pi, which the limit angle taken mod pi identifies
+    pts = [(0.5, 0.0, 0.0), (0.5, math.pi, 0.0), (0.5, 0.25, 0.5)]
+    image, limit_points = _slice_map(pts, 0.5, math.pi)
+    assert image.tolist() == [0, 0, 0]
+    assert limit_points == [(0.5, 0.0)]
+    image, _ = _slice_map(pts, 0.5)
+    assert image.tolist() == [0, 1, 0]
 
 
 def _distortion(d_x, d_y, image):
@@ -1168,7 +1177,7 @@ def test_quotient_matrix_triangle_defect_tiny():
     assert m.capped_at_origin
     g = build_surface_graph(m, 12, 16)
     rows = [1, 6, 11]
-    fld = distance_field(g, rows)
+    fld = _distance_fields([g], rows)[0]
     slot = {r: k for k, r in enumerate(rows)}
 
     def dp_lookup(pa, pb, rot):
@@ -1206,13 +1215,13 @@ def test_limit_consistency_within_refinement_budget():
     def d_limit(n_rho, ring):
         g = build_surface_graph(limit, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
-        fld = distance_field(g, [src])
+        fld = _distance_fields([g], [src])[0]
         return float(fld.lookup(0, n_rho - 1, _column(th, ring)))
 
     def d_quot(n_rho, ring, p):
         g = build_surface_graph(base, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
-        fld = distance_field(g, [src])
+        fld = _distance_fields([g], [src])[0]
 
         def dp_lookup(pa, pb, rot):
             return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
@@ -1240,6 +1249,57 @@ def test_limit_consistency_within_refinement_budget():
     # a coarser cyclic group is nearly indistinguishable from it
     dz = d_quot(16, 480, 120)
     assert abs(dz - dq) <= 1e-3
+
+
+def test_orbifold_limit_matches_zp_quotient():
+    """For slopes (1, 2) the slice s = 0 meets every orbit twice, so the
+    limit is the transformed surface with theta taken mod pi, not the
+    whole transformed surface.  Checked apart from collapse_experiment:
+    the pointwise _zp_distance at p = 512 on the product agrees with the
+    graph distance on that orbifold within the refinement budgets of both
+    sides, on pairs where the full-turn limit is off by far more."""
+    base = metric_from_warp(SinhWarp(1.0), 1.2)
+    limit = quotient_transform(base, 1.0, 0.5)
+    # radial, angular and proportional: (n_rho, the factor of the rings)
+    refinements = ((31, 1), (16, 2), (31, 2))
+
+    def source(n_rho):
+        return round(0.32 / (1.2 / (n_rho - 1)))
+
+    def d_limit(n_rho, ring, period, phi):
+        g = build_surface_graph(limit, n_rho, ring, period)
+        fld, = _distance_fields([g], [source(n_rho)])
+        return float(fld.lookup(0, n_rho - 1,
+                                _column(phi % period, ring, period)))
+
+    def d_quot(n_rho, ring, theta, s):
+        fld, = _distance_fields([build_surface_graph(base, n_rho, ring)],
+                                [source(n_rho)])
+
+        def dp_lookup(pa, pb, rot):
+            return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
+
+        return _zp_distance(1.0, 1, 2, 512, ((source(n_rho), 0.0), 0.0),
+                            ((n_rho - 1, theta), s), dp_lookup)
+
+    # (theta, s) of the rim point; the source sits at rho = 0.32, theta = 0
+    # and s = 0.  Both sides take 512 columns a turn, which hold every angle
+    # and every rotation of Z_512
+    full_miss = 0.0
+    for theta, s in ((math.pi, 0.0), (math.pi / 2, 0.0),
+                     (3 * math.pi / 4, 0.0), (0.0, 3 * math.pi / 2),
+                     (3 * math.pi / 8, math.pi / 2)):
+        phi = theta - 0.5 * s
+        dy = d_limit(16, 256, math.pi, phi)
+        budget_y = max(abs(d_limit(n, 256 * k, math.pi, phi) - dy)
+                       for n, k in refinements)
+        dq = d_quot(16, 512, theta, s)
+        budget_x = max(abs(d_quot(n, 512 * k, theta, s) - dq)
+                       for n, k in refinements)
+        assert budget_x + budget_y < 0.05
+        assert abs(dq - dy) <= budget_x + budget_y + 1e-12
+        full_miss = max(full_miss, abs(dq - d_limit(16, 512, TWO_PI, phi)))
+    assert full_miss > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -1278,8 +1338,9 @@ def _dense_reference(config):
     """The dense algorithm as a reference: one n_pts x n_pts quotient
     matrix per group element, the slice map (_slice_map), the metric checks
     on the raw matrices, and their distortion (_distortion).  Same
-    discretization as collapse_experiment: the limit surface on the ring
-    that holds every slice angle, and one quotient-side field per
+    discretization as collapse_experiment: the limit surface, theta taken
+    mod 2 pi / m2', on the ring that holds every slice angle, and one
+    quotient-side field per
     divisibility chain, on the ring that holds every group rotation of the
     chain; the float angles of the points and rotations are snapped to
     those rings' nodes."""
@@ -1305,17 +1366,18 @@ def _dense_reference(config):
         np.arange(rows.size), thetas, svals, indexing="ij"))
     points = [(float(rows[k]), float(t), float(v))
               for k, t, v in zip(slot, theta, s)]
-    image, limit_points = _slice_map(points, m1 / m2)
+    period = TWO_PI / (m2 // math.gcd(m1, m2))
+    image, limit_points = _slice_map(points, m1 / m2, period)
     slot_of_rho = {p_[0]: k for p_, k in zip(points, slot)}
     lim_slot = np.array([slot_of_rho[rho] for rho, _ in limit_points])
     lim_phi = np.array([phi for _, phi in limit_points])
     dphi = lim_phi[None, :] - lim_phi[:, None]
 
     def limit_matrix(n_rho, n_theta, scale):
-        fld = distance_field(build_surface_graph(limit, n_rho, n_theta),
-                             scale * rows)
+        fld, = _distance_fields(
+            [build_surface_graph(limit, n_rho, n_theta, period)], scale * rows)
         return fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
-                          _column(dphi, n_theta))
+                          _column(dphi, n_theta, period))
 
     d_y = limit_matrix(g.n_rho, ring_y, 1)
     floor = max(float(np.max(np.abs(d_y - limit_matrix(*ref))))
@@ -1331,8 +1393,8 @@ def _dense_reference(config):
     for p, p_last in zip(p_values, last):
         ring_x = math.lcm(g.n_theta, p_last // math.gcd(m1, p_last))
         if ring_x not in fields:
-            fields[ring_x] = distance_field(
-                build_surface_graph(base, g.n_rho, ring_x), rows)
+            fields[ring_x], = _distance_fields(
+                [build_surface_graph(base, g.n_rho, ring_x)], rows)
         best = np.full(dth.shape, np.inf)
         for q in range(p):
             tau = TWO_PI * q / p
@@ -1401,7 +1463,9 @@ def test_collapse_common_factor_of_slopes_reduces_group():
     """On the demo config, slopes (2, 2) make Z_p act through Z_(p / 2)
     with slopes (1, 1): the group element k advances theta and s by
     2 pi (2 k mod p) / p.  So (2, 2) at p = 4, 16, 64 gives the rows of
-    (1, 1) at p = 2, 8, 32 to the last bit, floor included."""
+    (1, 1) at p = 2, 8, 32 to the last bit, floor included, and so do
+    (2, 4) and (1, 2), whose limits are the same orbifold, theta taken
+    mod pi."""
     cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
                       / "configs" / "collapse.json").read_text())
 
@@ -1413,6 +1477,7 @@ def test_collapse_common_factor_of_slopes_reduces_group():
                 for r in collapse_experiment(config)]
 
     assert rows(2, 2, [4, 16, 64]) == rows(1, 1, [2, 8, 32])
+    assert rows(2, 4, [4, 16, 64]) == rows(1, 2, [2, 8, 32])
 
 
 def test_collapse_row_depends_only_on_its_chain():

@@ -320,6 +320,15 @@ def test_quotient_form_transversality_errors():
                              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_quotient_form_refuses_empty_frame():
+    """An orbit basis that spans the whole space leaves no quotient
+    direction: the empty frame passes the dimension count and is refused
+    as a DomainError, not a numpy reduction error."""
+    with pytest.raises(DomainError, match="at least one row"):
+        quotient_metric_form(np.eye(2), OrbitBasis([[1, 0], [0, 1]]),
+                             np.zeros((0, 2)))
+
+
 def test_quotient_form_near_singular_gram_warns_once():
     """Two frame rows against a near-parallel basis (Gram condition 4e14)
     give one GramConditionWarning: the frame is projected in one call."""

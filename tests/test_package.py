@@ -30,7 +30,13 @@ def test_import_loads_no_submodule():
 
 
 def test_every_export_resolves():
-    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 67
+    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 63
+    # the grid solver is private to the collapse experiment: its names are
+    # attributes of gh_collapse, not of the package
+    solver = {"SurfaceGraph", "build_surface_graph", "SurfaceDistanceField"}
+    assert not solver & set(collapse_lab.__all__)
+    assert "distance_field" not in collapse_lab.__all__
+    assert all(hasattr(collapse_lab.gh_collapse, name) for name in solver)
     for name in collapse_lab.__all__:
         obj = getattr(collapse_lab, name)
         assert obj.__module__.startswith("collapse_lab.")
