@@ -35,7 +35,7 @@ _EXPORTS = {
         "DegenerateBasisError", "DomainError", "GeometryError",
         "GramConditionWarning", "InvalidMetricError", "NoAsymptoteError",
         "NotInRangeError", "PoleProximityError", "QuotientCollapseError",
-        "TangencyError", "TransversalityError", "TrivialSolitonError",
+        "TangencyError", "TransversalityError",
     ),
     "gh_collapse": (
         "CollapseConfig", "CollapseRow", "GridSpec", "circle_distance",

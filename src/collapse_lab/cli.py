@@ -58,10 +58,7 @@ def _params_of(cfg: dict):
         if "kappa" in cfg:
             raise ConfigError("give either 'kappa' or 'm1' and 'm2', "
                               "not both")
-        m1, m2 = read_int(cfg, "m1"), read_int(cfg, "m2")
-        if m1 < 0 or m2 < 1:
-            raise DomainError("need m1 >= 0 and m2 >= 1")
-        kappa = _slope(m1, m2)
+        kappa = _slope(read_int(cfg, "m1"), read_int(cfg, "m2"))
     else:
         kappa = read_number(cfg, "kappa")
     _check_transform(r, kappa)
@@ -145,8 +142,8 @@ def _cmd_curvature(cfg: dict):
 
 
 def _cmd_soliton(cfg: dict):
-    from .soliton import (CallablePotential, SolitonParams, soliton_potential,
-                          soliton_residual, solve_warp_ode)
+    from .soliton import (SolitonParams, soliton_potential, soliton_residual,
+                          solve_warp_ode)
     from .warped_metric import DELTA_CAP
 
     check_keys(cfg, ("A", "B", "rho_max", "step"))
@@ -159,12 +156,7 @@ def _cmd_soliton(cfg: dict):
     f = warp.f(rho)
     fp = params.B - params.A * f * f          # the ODE itself
     k = 2.0 * params.A * fp                   # K = -f''/f via the ODE
-    if params.A == 0.0:
-        pot = CallablePotential(lambda x: np.zeros_like(np.asarray(x, float)),
-                                lambda x: np.zeros_like(np.asarray(x, float)),
-                                lambda x: np.zeros_like(np.asarray(x, float)))
-    else:
-        pot = soliton_potential(params)
+    pot = soliton_potential(params)
     phi = np.asarray(pot.phi(rho), dtype=float)
     res1 = np.full_like(f, np.nan)
     res2 = np.full_like(f, np.nan)

@@ -32,10 +32,6 @@ class BlowUpError(GeometryError):
     """Warp ODE integration would run into the finite-time blow-up."""
 
 
-class TrivialSolitonError(GeometryError):
-    """Potential requested for the flat (A = 0) case, where it is constant."""
-
-
 class InvalidMetricError(GeometryError):
     """Matrix is not symmetric positive definite to tolerance."""
 

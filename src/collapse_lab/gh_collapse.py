@@ -543,8 +543,7 @@ class CollapseConfig:
     def __post_init__(self):
         if self.rho_max <= 0 or self.r <= 0:
             raise DomainError("need rho_max > 0 and r > 0")
-        if self.m1 < 0 or self.m2 < 1:
-            raise DomainError("need m1 >= 0 and m2 >= 1")
+        _slope(self.m1, self.m2)            # refuses a bad slope pair
         if len(self.p_values) == 0 or any(p < 1 for p in self.p_values):
             raise DomainError("p_values must be non-empty and positive")
         for want, have in (("rho", (self.sample.n_rho, self.grid.n_rho)),

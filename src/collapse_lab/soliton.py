@@ -7,10 +7,11 @@ forms by sign of A (with a = sqrt(|A|)):
 
     A > 0:  f = tanh(a rho)/a,   potential  phi = 2 log cosh(a rho)
     A < 0:  f = tan(a rho)/a,    potential  phi = 2 log cos(a rho)
-    A = 0:  f = rho,             flat; the potential is constant
+    A = 0:  f = rho,             flat; the potential is the constant 0
 
 For other B > 0 the solution is sqrt(B/|A|) tanh(k rho) (tan for A < 0)
 with k = sqrt(|A| B), and the potential is the same with k in place of a.
+The flat potential is the k = 0 member of the cigar family.
 
 The pair (f, phi) satisfies the pointwise identities
 
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, PoleProximityError, TrivialSolitonError
+from .errors import BlowUpError, DomainError, PoleProximityError
 from .warped_metric import (
     DELTA_CAP,
     LinearWarp,
@@ -58,7 +58,7 @@ class SolitonParams:
 
     @property
     def a(self) -> float:
-        """sqrt(|A|); only meaningful for A != 0."""
+        """sqrt(|A|), the rate of the closed forms when B = 1."""
         return math.sqrt(abs(self.A))
 
 
@@ -77,7 +77,8 @@ class Potential:
 
 @dataclass(frozen=True)
 class CigarPotential(Potential):
-    """phi = 2 log cosh(a rho); evaluated in overflow-safe form."""
+    """phi = 2 log cosh(a rho); evaluated in overflow-safe form.  a = 0 is
+    the flat soliton's potential, +0.0 with both derivatives."""
     a: float
 
     def phi(self, rho):
@@ -89,8 +90,11 @@ class CigarPotential(Potential):
         return (2.0 * self.a * np.tanh(self.a * np.asarray(rho, dtype=float)))[()]
 
     def d2phi(self, rho):
-        c = np.cosh(self.a * np.asarray(rho, dtype=float))
-        return (2.0 * self.a * self.a / (c * c))[()]
+        # cosh^2 overflows past a rho ~ 355, where the quotient's true
+        # limit is the 0 it gives
+        with np.errstate(over="ignore"):
+            c = np.cosh(self.a * np.asarray(rho, dtype=float))
+            return (2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -107,23 +111,6 @@ class ExplodingPotential(Potential):
     def d2phi(self, rho):
         c = np.cos(self.a * np.asarray(rho, dtype=float))
         return (-2.0 * self.a * self.a / (c * c))[()]
-
-
-@dataclass(frozen=True)
-class CallablePotential(Potential):
-    """Wrap plain callables (value, first, second derivative)."""
-    value: Callable
-    deriv: Callable
-    second: Callable
-
-    def phi(self, rho):
-        return self.value(rho)
-
-    def dphi(self, rho):
-        return self.deriv(rho)
-
-    def d2phi(self, rho):
-        return self.second(rho)
 
 
 def solve_warp_ode(params: SolitonParams, rho_max: float,
@@ -194,14 +181,12 @@ def closed_form_warp(params: SolitonParams) -> WarpCurve:
 
 def soliton_potential(params: SolitonParams) -> Potential:
     """Potential paired with the exact warp sqrt(B/|A|) tanh(k rho) (tan for
-    A < 0), k = sqrt(|A| B), for every B > 0; A = 0 has no nonconstant
-    potential and raises TrivialSolitonError."""
+    A < 0), k = sqrt(|A| B), for every B > 0.  A = 0 gives CigarPotential(0),
+    the constant 0 paired with the flat warp f = sqrt(B) rho."""
     k = math.sqrt(abs(params.A) * params.B)     # params.a when B = 1
-    if params.A > 0:
-        return CigarPotential(k)
     if params.A < 0:
         return ExplodingPotential(k)
-    raise TrivialSolitonError("A = 0 is the flat plane; potential constant")
+    return CigarPotential(k)
 
 
 def soliton_residual(warp: WarpCurve, potential: Potential, rho):
@@ -253,14 +238,7 @@ def exploding_identity_residual(rho):
         raise DomainError("rho must stay delta_cap away from 0 and pi/2")
     warp = TanWarp(1.0)
     r_scalar = 2.0 * np.asarray(warp.curvature(rho), dtype=float)
-
-    def second(t):
-        c = np.cos(np.asarray(t, dtype=float))
-        return 2.0 / (c * c)
-
-    u = CallablePotential(
-        value=lambda t: np.log(4.0) - 2.0 * np.log(np.cos(np.asarray(t, dtype=float))),
-        deriv=lambda t: 2.0 * np.tan(np.asarray(t, dtype=float)),
-        second=second,
-    )
-    return np.abs(radial_laplacian(warp, u, rho) + r_scalar)[()]
+    # log(-R) = log 4 - phi for phi = 2 log cos(rho), so Delta log(-R) is
+    # -Delta phi
+    return np.abs(r_scalar
+                  - radial_laplacian(warp, ExplodingPotential(1.0), rho))[()]

@@ -132,18 +132,24 @@ class TanhWarp(WarpCurve):
     def f(self, rho):
         return np.tanh(self.a * np.asarray(rho, dtype=float)) / self.a
 
+    # Past a rho ~ 355, cosh^2 overflows to inf and each sech^2 quotient
+    # below is its true limit 0, so numpy need not warn of the overflow.
+
     def df(self, rho):
-        c = np.cosh(self.a * np.asarray(rho, dtype=float))
-        return 1.0 / (c * c)
+        with np.errstate(over="ignore"):
+            c = np.cosh(self.a * np.asarray(rho, dtype=float))
+            return 1.0 / (c * c)
 
     def d2f(self, rho):
         x = self.a * np.asarray(rho, dtype=float)
-        c = np.cosh(x)
-        return -2.0 * self.a * np.tanh(x) / (c * c)
+        with np.errstate(over="ignore"):
+            c = np.cosh(x)
+            return -2.0 * self.a * np.tanh(x) / (c * c)
 
     def curvature(self, rho):
-        c = np.cosh(self.a * np.asarray(rho, dtype=float))
-        return (2.0 * self.a * self.a / (c * c))[()]
+        with np.errstate(over="ignore"):
+            c = np.cosh(self.a * np.asarray(rho, dtype=float))
+            return (2.0 * self.a * self.a / (c * c))[()]
 
 
 @dataclass(frozen=True)
@@ -608,7 +614,10 @@ def _check_squares(r: float, kappa: float) -> None:
 
 def _slope(m1: int, m2: int) -> float:
     """kappa = m1 / m2 of the integer slope pair, refused with DomainError
-    when the quotient is past the float range."""
+    unless m1 >= 0 and m2 >= 1 or when the quotient is past the float
+    range."""
+    if m1 < 0 or m2 < 1:
+        raise DomainError("need m1 >= 0 and m2 >= 1")
     try:
         return m1 / m2
     except OverflowError:

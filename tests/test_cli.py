@@ -111,6 +111,31 @@ def test_soliton_unnormalized_b_matches_its_potential(tmp_path, capsys):
         assert np.max(data[1:, 5:]) <= 1e-3
 
 
+def test_soliton_flat_table(tmp_path, capsys):
+    """A = 0 is the flat plane, f = rho, with the zero potential: phi, K
+    and res2 vanish on every row, and res1 is finite off the pole row."""
+    cfg = {"A": 0, "rho_max": 2.0, "step": 0.01}
+    code, out, err = _run_strict(tmp_path, capsys, "soliton", cfg)
+    assert code == 0
+    _, data = parse_csv(out)
+    assert data.shape == (201, 7)
+    assert np.all(data[:, 4] == 0.0)
+    assert np.all(data[:, 2] == 1.0) and np.all(data[:, 3] == 0.0)
+    assert np.all(np.isnan(data[0, 5:]))
+    assert np.all(data[1:, 6] == 0.0) and np.all(np.isfinite(data[1:, 5]))
+
+
+def test_soliton_large_a_prints_only_its_info_line(tmp_path, capsys):
+    # a = sqrt(20000) ~ 141: cosh^2 of a rho overflows past rho ~ 2.5, where
+    # phi'' is its limit 0, so numpy has no overflow to warn of
+    cfg = {"A": 20000, "rho_max": 3, "step": 0.01}
+    code, out, err = _run_strict(tmp_path, capsys, "soliton", cfg)
+    assert code == 0
+    assert err == "soliton: A=20000 B=1 step=0.01 rows=301\n"
+    _, data = parse_csv(out)
+    assert np.all(np.isfinite(data[1:]))
+
+
 def test_quotient_matrix_euclidean(tmp_path, capsys):
     cfg = {"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "h_vectors": [[0, 0, 1]],

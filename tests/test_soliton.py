@@ -2,6 +2,7 @@
 soliton identities -f''/f = phi'' = (f'/f) phi'."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from collapse_lab import (
     SolitonParams,
     TanWarp,
     TanhWarp,
-    TrivialSolitonError,
     closed_form_warp,
     exploding_identity_residual,
     gauss_curvature,
@@ -26,11 +26,7 @@ from collapse_lab import (
     soliton_residual,
     solve_warp_ode,
 )
-from collapse_lab.soliton import (
-    CallablePotential,
-    CigarPotential,
-    ExplodingPotential,
-)
+from collapse_lab.soliton import CigarPotential, ExplodingPotential
 
 # interior points clear of the pole and of the tan blow-up
 CIGAR_PTS = np.linspace(0.1, 3.0, 50)
@@ -73,8 +69,12 @@ def test_potential_selection():
     assert isinstance(soliton_potential(SolitonParams(A=1.0)), CigarPotential)
     assert isinstance(soliton_potential(SolitonParams(A=-1.0)),
                       ExplodingPotential)
-    with pytest.raises(TrivialSolitonError):
-        soliton_potential(SolitonParams(A=0.0))
+    # A = 0 is the cigar at k = 0: the constant potential +0.0, with no -0.0
+    flat = soliton_potential(SolitonParams(A=0.0))
+    assert flat == CigarPotential(0.0)
+    rho = np.linspace(0.0, 3.0, 301)
+    for values in (flat.phi(rho), flat.dphi(rho), flat.d2phi(rho)):
+        assert np.all(values == 0.0) and not np.any(np.signbit(values))
     # B != 1: the same families at k = sqrt(|A| B); B = 1 gives a exactly
     assert soliton_potential(SolitonParams(A=1.0, B=0.5)) \
         == CigarPotential(math.sqrt(0.5))
@@ -198,6 +198,25 @@ def test_residual_rejects_pole_points():
                          0.0)
 
 
+def test_flat_soliton_residual_is_exactly_zero():
+    """The matched A = 0 pair, f = rho with the zero potential, has both
+    residuals exactly 0, not only to rounding."""
+    rho = np.linspace(0.01, 3.0, 300)
+    res1, res2 = soliton_residual(
+        LinearWarp(), soliton_potential(SolitonParams(0.0)), rho)
+    assert np.all(res1 == 0.0) and np.all(res2 == 0.0)
+
+
+@pytest.mark.parametrize("x", [400.0, 800.0])
+def test_cigar_curvature_past_cosh_overflow_is_zero(x):
+    # cosh^2 overflows at a rho = 400, and cosh itself at 800; phi'' is its
+    # limit 0 there, and the suite's warnings-as-errors sees no overflow
+    pot = CigarPotential(200.0)
+    rho = np.array([0.0, x / 200.0])
+    assert pot.d2phi(rho).tolist() == [2.0 * 200.0 ** 2, 0.0]
+    assert pot.d2phi(x / 200.0) == 0.0
+
+
 def test_numeric_solution_passes_residual_check():
     """RK4 + spline derivatives satisfy the identities to spline accuracy."""
     params = SolitonParams(A=1.0)
@@ -213,34 +232,27 @@ def test_numeric_solution_passes_residual_check():
 # Laplacian and the exploding-curvature identity
 # ---------------------------------------------------------------------------
 
+# radial_laplacian reads only u.dphi and u.d2phi of its radial function
+
 def test_radial_laplacian_flat_quadratic():
     # f = rho, u = rho^2: u'' + u'/rho = 2 + 2 = 4
-    u = CallablePotential(value=lambda t: np.asarray(t) ** 2,
-                          deriv=lambda t: 2.0 * np.asarray(t),
-                          second=lambda t: np.full_like(np.asarray(t,
-                                                                   dtype=float),
-                                                        2.0))
+    u = types.SimpleNamespace(dphi=lambda t: 2.0 * np.asarray(t),
+                              d2phi=lambda t: np.full_like(t, 2.0))
     got = radial_laplacian(LinearWarp(), u, np.linspace(0.3, 2.0, 7))
     np.testing.assert_allclose(got, 4.0, rtol=1e-14)
 
 
 def test_radial_laplacian_sphere_eigenfunction():
     # f = sin, u = cos: Delta u = -2 cos (first spherical harmonic)
-    u = CallablePotential(value=lambda t: np.cos(np.asarray(t, dtype=float)),
-                          deriv=lambda t: -np.sin(np.asarray(t, dtype=float)),
-                          second=lambda t: -np.cos(np.asarray(t, dtype=float)))
+    u = types.SimpleNamespace(dphi=lambda t: -np.sin(t),
+                              d2phi=lambda t: -np.cos(t))
     rho = np.linspace(0.2, 2.8, 11)
     np.testing.assert_allclose(radial_laplacian(SinWarp(1.0), u, rho),
                                -2.0 * np.cos(rho), rtol=1e-12)
 
 
 def test_radial_laplacian_constant_function():
-    u = CallablePotential(value=lambda t: np.ones_like(np.asarray(t,
-                                                                  dtype=float)),
-                          deriv=lambda t: np.zeros_like(np.asarray(t,
-                                                                   dtype=float)),
-                          second=lambda t: np.zeros_like(np.asarray(t,
-                                                                    dtype=float)))
+    u = types.SimpleNamespace(dphi=np.zeros_like, d2phi=np.zeros_like)
     got = radial_laplacian(TanhWarp(1.0), u, np.linspace(0.5, 2.0, 5))
     np.testing.assert_allclose(got, 0.0, atol=1e-15)
     with pytest.raises(PoleProximityError):

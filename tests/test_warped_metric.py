@@ -37,7 +37,7 @@ from collapse_lab import (
     transformed_warp,
     warp_from_json,
 )
-from collapse_lab.warped_metric import TransformedWarp
+from collapse_lab.warped_metric import TransformedWarp, _slope
 
 
 def fd_second(fun, x, h=1e-4):
@@ -102,6 +102,23 @@ def test_specific_curvature_values():
     metric = metric_from_warp(TanWarp(1.0), 1.5)
     assert scalar_curvature(metric, math.pi / 4) == pytest.approx(-8.0,
                                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [400.0, 800.0])
+def test_tanh_sech_squared_past_cosh_overflow_is_zero(x):
+    # cosh^2 overflows at a rho = 400, and cosh itself at 800; f', f'' and
+    # K take their limit 0 there, and the suite's warnings-as-errors sees
+    # no overflow
+    warp, rho = TanhWarp(200.0), x / 200.0
+    assert warp.df(rho) == warp.d2f(rho) == warp.curvature(rho) == 0.0
+    assert gauss_curvature(metric_from_warp(warp, rho), rho) == 0.0
+
+
+def test_slope_refuses_bad_pair_before_dividing():
+    assert _slope(3, 2) == 1.5
+    for m1, m2 in ((1, 0), (-1, 1), (1, -2)):
+        with pytest.raises(DomainError, match="need m1 >= 0 and m2 >= 1"):
+            _slope(m1, m2)
 
 
 def test_caps_at_origin():
