@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "errors": (
-        "BlowUpError", "ConfigError", "ConnectivityError",
+        "BlowUpError", "ConfigError",
         "DegenerateBasisError", "DomainError", "GeometryError",
         "GramConditionWarning", "InvalidMetricError", "NoAsymptoteError",
         "NotInRangeError", "PoleProximityError", "QuotientCollapseError",

@@ -228,13 +228,17 @@ def _cmd_collapse(cfg: dict):
     from .gh_collapse import CollapseConfig, collapse_experiment
 
     config = CollapseConfig.from_json(cfg)
-    rows = collapse_experiment(config)
-    table = [(row.p, row.distortion, row.gh_upper_bound,
-              row.grid_floor_estimate) for row in rows]
+    # an overflow is refused with the table, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = collapse_experiment(config)
+    table = np.array([(row.p, row.distortion, row.gh_upper_bound,
+                       row.grid_floor_estimate) for row in rows])
     info = [f"collapse: p={row.p} distortion={row.distortion:.6g}"
             for row in rows]
-    return _csv(["p", "distortion", "gh_upper_bound",
-                 "grid_floor_estimate"], table), info
+    return _finite_table(["p", "distortion", "gh_upper_bound",
+                          "grid_floor_estimate"], table,
+                         "the distances overflow a float; lower a, rho_max "
+                         "or r"), info
 
 
 _HANDLERS = {

@@ -52,10 +52,6 @@ class QuotientCollapseError(GeometryError):
     """Slope angle 0 or pi: the three-dimensional quotient degenerates."""
 
 
-class ConnectivityError(GeometryError):
-    """Surface graph is disconnected; shortest paths are undefined."""
-
-
 class GramConditionWarning(UserWarning):
     """Orbit-basis Gram matrix is nearly singular (condition > 1e12)."""
 

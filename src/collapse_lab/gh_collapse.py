@@ -63,7 +63,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, ConnectivityError, DomainError
+from .errors import ConfigError, DomainError
 from .schema import check_keys, is_int, read_int, read_number
 from .warped_metric import (
     RotSymMetric,
@@ -117,8 +117,8 @@ class SurfaceGraph:
 # the float64 labels, plus a scratch block of fixed size (_SCRATCH_LABELS),
 # so the cap bounds a one-field solve near 64 MiB, and the two-field
 # stacked solves of collapse_experiment near 128 MiB.  The graph itself is
-# three weights a row, so the cap sizes graphs too: build_surface_graph
-# refuses one whose field from one source exceeds it.
+# three weights a row, so the cap sizes graphs too: collapse_experiment
+# refuses the largest field of its solves before any build.
 MAX_FIELD_LABELS = 2 ** 23
 
 
@@ -174,13 +174,11 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
     edges and at the node row for ring edges.  All weights must be
     positive and finite, so f may vanish only at a capped origin (where
     the row degenerates to the pole node); truncate before any other zero
-    of f, and before f overflows.  A graph
-    whose field from one source would exceed MAX_FIELD_LABELS raises
-    DomainError before its rows are allocated: no field could solve it.
+    of f, and before f overflows.  The grid size is not checked here:
+    collapse_experiment refuses its fields before any build.
     """
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
-    _check_field_size(_field_labels(1, n_rho, n_theta))
     pole = bool(metric.capped_at_origin)
     rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)
     w = metric.warp
@@ -420,9 +418,11 @@ class SurfaceDistanceField:
 def _distance_fields(graphs, rho_rows,
                      labels=None) -> list[SurfaceDistanceField]:
     """Exact graph distances from (row, theta = 0) for each of rho_rows on
-    each of graphs, which must share rho_values, rad and pole (DomainError
-    otherwise); an empty list of rows raises DomainError, and so does a
-    field of more than MAX_FIELD_LABELS labels, before allocating.
+    each of graphs.  Nothing is checked again: the one caller,
+    collapse_experiment, refuses fields above MAX_FIELD_LABELS before any
+    build and passes valid rows and graphs that share rho_values, rad and
+    pole.  Those graphs are connected, so a label left at inf is a float
+    overflow, which the caller's table refuses.
 
     The reflection theta -> -theta fixes every source and maps a graph
     onto itself with identical edge weights, so each field satisfies
@@ -451,19 +451,8 @@ def _distance_fields(graphs, rho_rows,
     the half-strip values are the full graph's.
     """
     first = graphs[0]
-    if any(g.pole != first.pole
-           or not np.array_equal(g.rho_values, first.rho_values)
-           or not np.array_equal(g.rad, first.rad) for g in graphs[1:]):
-        raise DomainError("the graphs of a stacked solve must share "
-                          "rho_values, rad and pole")
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
     n_rho = first.n_rho
-    if rho_rows.size == 0:
-        raise DomainError("need at least one source row")
-    if np.any((rho_rows < 0) | (rho_rows >= n_rho)):
-        raise DomainError(f"source rows must lie in [0, {n_rho})")
-    for g in graphs:
-        _check_field_size(_field_labels(rho_rows.size, n_rho, g.n_theta))
     strips, width = _stack_layout([g.n_theta for g in graphs])
     shape = (n_rho, width, rho_rows.size)
     size = math.prod(shape)
@@ -474,13 +463,9 @@ def _distance_fields(graphs, rho_rows,
         if first.pole:
             d[0, cols, rho_rows == 0] = 0.0
     _sweep(graphs, d, strips)
-    fields = []
-    for g, cols in zip(graphs, strips):
-        dist = d[:, cols].transpose(0, 2, 1)
-        if dist.max() == math.inf:
-            raise ConnectivityError("surface graph is disconnected")
-        fields.append(SurfaceDistanceField(n_theta=g.n_theta, dist=dist))
-    return fields
+    return [SurfaceDistanceField(n_theta=g.n_theta,
+                                 dist=d[:, cols].transpose(0, 2, 1))
+            for g, cols in zip(graphs, strips)]
 
 
 # ---------------------------------------------------------------------------

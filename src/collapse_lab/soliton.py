@@ -43,6 +43,12 @@ BLOWUP_STEP_MARGIN = 10  # keep 10 steps clear of the tan blow-up
 # the RK4 loop runs in Python: the cap keeps a solve to seconds and its
 # tables to tens of MB
 MAX_ODE_STEPS = 1_000_000
+# Largest k h, k = sqrt(A B), of an accepted A > 0 step: the fixed point
+# sqrt(B/A) of f' = B - A f^2 has rate -2k, and from k h ~ 1.367 on the RK4
+# nodes settle on a spurious value short of the true limit (at k h = 1.35
+# the last node is still on it to 2e-15).  A < 0 stays below pi/20 through
+# BLOWUP_STEP_MARGIN.
+MAX_RK4_KH = 1.35
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,9 @@ def solve_warp_ode(params: SolitonParams, rho_max: float,
     requested step exactly doubles the node count; against the closed forms
     the node values converge at fourth order.  For A < 0 the integration
     refuses to run closer than BLOWUP_STEP_MARGIN steps to the blow-up at
-    pi/(2a), and a step that needs more than MAX_ODE_STEPS steps is refused
-    before anything is allocated.
+    pi/(2a); for A > 0 a step whose k h exceeds MAX_RK4_KH, k = sqrt(A B),
+    is refused; and so is a step that needs more than MAX_ODE_STEPS steps,
+    each before anything is allocated.
 
     Returns a TabulatedWarp through the RK4 nodes (not-a-knot cubic-spline
     evaluators in numpy; second derivatives of the spline are only
@@ -149,6 +156,15 @@ def solve_warp_ode(params: SolitonParams, rho_max: float,
     n = max(4, round(ratio))
     h = rho_max / n
     A, B = params.A, params.B
+    if A > 0:
+        k = math.sqrt(A) * math.sqrt(B)         # A B may overflow
+        if k * h > MAX_RK4_KH:
+            need = rho_max * k / MAX_RK4_KH     # fewest steps, as a float
+            fix = (f"use step <= {rho_max / math.ceil(need):.6g}"
+                   if need <= MAX_ODE_STEPS else "lower rho_max")
+            raise DomainError(f"step {h:g} gives k h = {k * h:.6g}, k = "
+                              f"sqrt(A B), past the RK4 stability bound "
+                              f"MAX_RK4_KH = {MAX_RK4_KH}; {fix}")
 
     def rhs(f):
         return B - A * f * f

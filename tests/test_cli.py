@@ -127,13 +127,26 @@ def test_soliton_flat_table(tmp_path, capsys):
 
 def test_soliton_large_a_prints_only_its_info_line(tmp_path, capsys):
     # a = sqrt(20000) ~ 141: cosh^2 of a rho overflows past rho ~ 2.5, where
-    # phi'' is its limit 0, so numpy has no overflow to warn of
-    cfg = {"A": 20000, "rho_max": 3, "step": 0.01}
+    # phi'' is its limit 0, so numpy has no overflow to warn of; the step
+    # keeps k h = 0.14 well inside RK4's stability bound
+    cfg = {"A": 20000, "rho_max": 3, "step": 0.001}
     code, out, err = _run_strict(tmp_path, capsys, "soliton", cfg)
     assert code == 0
-    assert err == "soliton: A=20000 B=1 step=0.01 rows=301\n"
+    assert err == "soliton: A=20000 B=1 step=0.001 rows=3001\n"
     _, data = parse_csv(out)
     assert np.all(np.isfinite(data[1:]))
+    assert abs(data[-1, 1] - 1.0 / math.sqrt(20000)) <= 2e-16
+
+
+def test_soliton_unstable_step_exits_1(tmp_path, capsys):
+    # k h = 1.41 is past RK4's stability bound: the nodes would settle on
+    # f = 0.00495 against the true 1 / sqrt(20000) = 0.00707
+    cfg = {"A": 20000, "rho_max": 3, "step": 0.01}
+    code, out, err = _run_strict(tmp_path, capsys, "soliton", cfg)
+    assert code == 1 and out == ""
+    assert err == ("collapse-lab: error: step 0.01 gives k h = 1.41421, "
+                   "k = sqrt(A B), past the RK4 stability bound "
+                   "MAX_RK4_KH = 1.35; use step <= 0.00952381\n")
 
 
 def test_quotient_matrix_euclidean(tmp_path, capsys):
@@ -722,22 +735,53 @@ def test_square_underflowing_transform_exits_1(tmp_path, capsys, cfg):
     assert err.startswith("collapse-lab: error: r^2 underflows")
 
 
+def _collapse_small(surface, rho_max, r=1):
+    return {"surface": surface, "rho_max": rho_max, "r": r, "m1": 0,
+            "m2": 1, "p_values": [2],
+            "grid": {"n_rho": 8, "n_theta": 8, "n_s": 4},
+            "sample": {"n_rho": 2, "n_theta": 2, "n_s": 2}}
+
+
 @pytest.mark.parametrize("command, cfg, column", [
     ("transform", _demo("transform", rho_max=800.0), "f = inf"),
     ("berger", _demo("berger", radius_max=1e308), "max_distortion = inf"),
     ("collapse", _demo("collapse", rho_max=800.0), "positive and finite"),
     ("curvature", {"family": "sinh", "a": 1e300}, "K = -inf in row 0"),
     ("curvature", {"family": "tanh", "a": 1e200}, "K = inf in row 0"),
+    ("collapse", _collapse_small({"family": "const", "a": 1e200}, 2),
+     "distortion = inf in row 0"),
+    ("collapse", _collapse_small({"family": "const", "a": 1}, 1e308),
+     "distortion = nan in row 0"),
+    ("collapse", _collapse_small({"family": "const", "a": 1e308}, 2),
+     "distortion = nan in row 0"),
+    ("collapse", _collapse_small({"family": "linear"}, 1e160),
+     "distortion = inf in row 0"),
 ], ids=["transform", "berger", "collapse", "curvature-sinh",
-        "curvature-tanh"])
+        "curvature-tanh", "collapse-ring-squared", "collapse-span",
+        "collapse-ring-sum", "collapse-linear"])
 def test_non_finite_table_exits_1(tmp_path, capsys, command, cfg, column):
     # the sinh warp overflows past rho = 710; R a_i overflows at 1e308;
     # the curvature's a^2 overflows at a = 1e300 and 1e200, and past the
-    # first row tanh's 2 a^2 / cosh^2 is inf / inf
+    # first row tanh's 2 a^2 / cosh^2 is inf / inf; every collapse graph
+    # weight below is finite, but a distance squares past the float range
+    # (the ring of const a = 1e200, the linear warp up to 1e160) or a sum
+    # of distances overflows (rho_max = 1e308, ring weights of 7.9e307)
     code, out, err = _run_strict(tmp_path, capsys, command, cfg)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("collapse-lab: error: ") and column in err
+
+
+def test_collapse_overflow_past_the_minimum_is_exact(tmp_path, capsys):
+    # with r = 1e154 every nonzero circle distance squares past the float
+    # range, but for p = 2 each class has a group element at circle
+    # distance 0, and with m1 = 0 both surfaces are the same: the terms
+    # that overflow are never the minimum
+    cfg = _collapse_small({"family": "sinh", "a": 1}, 2, r=1e154)
+    code, out, err = _run_strict(tmp_path, capsys, "collapse", cfg)
+    assert code == 0
+    assert out == "p,distortion,gh_upper_bound,grid_floor_estimate\n2,0,0,0\n"
+    assert err == "collapse: p=2 distortion=0\n"
 
 
 @pytest.mark.parametrize("command, cfg", [

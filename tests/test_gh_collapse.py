@@ -23,9 +23,8 @@ from collapse_lab import (
     quotient_transform,
 )
 from collapse_lab import gh_collapse
-from collapse_lab.errors import ConfigError, ConnectivityError, DomainError
+from collapse_lab.errors import ConfigError, DomainError
 from collapse_lab.gh_collapse import (
-    MAX_FIELD_LABELS,
     SurfaceGraph,
     _check_metric,
     _distance_fields,
@@ -250,25 +249,9 @@ def _all_pairs(g):
 
 
 def test_graph_size_cap():
-    """A graph is sized by the field it solves: one that a field from one
-    source row could not hold under MAX_FIELD_LABELS is refused before its
-    rows are allocated, and any other builds, however many nodes its full
-    ring has."""
-    metric = metric_from_warp(ConstWarp(1.0), 1.0)
-    # a one-source field holds n_rho x (n_theta // 2 + 1) labels
-    n_rho = MAX_FIELD_LABELS // 32
-    for n_theta in (62, 63):
-        assert build_surface_graph(metric, n_rho, n_theta).n_rho == n_rho
-    build_surface_graph(metric, 8, 8)           # imports and caches
-    tracemalloc.start()
-    try:
-        with pytest.raises(DomainError, match=f"{(n_rho + 1) * 32} labels"
-                           ".*MAX_FIELD_LABELS"):
-            build_surface_graph(metric, n_rho + 1, 62)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n_rho                     # not one float a row
+    """A graph is sized by the field it solves, which collapse_experiment
+    caps at MAX_FIELD_LABELS: one whose full ring has more than 2^22 nodes
+    builds and solves from one source row."""
     # 1 + 2048 x 2048 nodes over the full ring, one more than 2^22, in a
     # field of 2049 x 1025 labels from one source
     g = build_surface_graph(metric_from_warp(SinhWarp(1.0), 2.0), 2049, 2048)
@@ -684,23 +667,6 @@ def test_distance_field_random_row_weights(pole, n_theta):
                           dijkstra(full, indices=np.arange(full.shape[0])))
 
 
-def test_distance_field_checks_sources_and_size():
-    g = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0), 8, 12)
-    for rows in ([8], [-1]):
-        with pytest.raises(DomainError, match="source rows"):
-            _distance_fields([g], rows)
-    with pytest.raises(DomainError, match="at least one source row"):
-        _distance_fields([g], [])
-    # three sources on this half strip fit the label cap, four are refused
-    # before the label table is allocated
-    big = build_surface_graph(metric_from_warp(ConstWarp(1.0), 1.0),
-                              2048, 2048)
-    assert 3 * 2048 * 1025 <= MAX_FIELD_LABELS < 4 * 2048 * 1025
-    with pytest.raises(DomainError, match=f"{4 * 2048 * 1025} labels"
-                       ".*MAX_FIELD_LABELS"):
-        _distance_fields([big], [0, 1, 2, 3])
-
-
 @pytest.mark.parametrize("warp, rho_max, n_thetas, rows", [
     (SinhWarp(1.0), 1.2, (12, 24), [0, 4, 9]),
     (ConstWarp(1.5), 1.0, (12, 24), [0, 4, 9]),
@@ -789,19 +755,6 @@ def test_smallest_scratch_block_gives_the_same_fields(monkeypatch):
         assert np.array_equal(fld.dist, dist)
 
 
-def test_stacked_solve_refuses_graphs_on_other_rho_rows():
-    """A stacked solve shares one radial grid, so graphs whose rho_values
-    differ, in count or in place, are refused before any label is
-    allocated."""
-    metric = metric_from_warp(ConstWarp(1.0), 1.0)
-    g = build_surface_graph(metric, 10, 12)
-    for other in (build_surface_graph(metric, 11, 12),
-                  build_surface_graph(metric_from_warp(ConstWarp(1.0), 2.0),
-                                      10, 12)):
-        with pytest.raises(DomainError, match="share rho_values"):
-            gh_collapse._distance_fields([g, other], [0])
-
-
 def test_half_graph_build_peak_memory():
     """The graph is three weights a row: building it allocates below 16
     floats a grid row, however fine the angular grid."""
@@ -870,17 +823,6 @@ def test_distance_field_lookup_symmetry():
     d = _all_pairs(g)
     assert np.max(np.abs(d - d.T)) <= 1e-12
     assert np.max(np.abs(np.diag(d))) == 0.0
-
-
-def test_distance_field_disconnected_graph():
-    # hand-built graph whose rows 0-3 and 4-8 share no edge
-    cut = np.full(9, 0.1)
-    cut[[0, 4]] = math.inf
-    g = SurfaceGraph(rho_values=np.linspace(0.0, 1.0, 9), n_theta=8,
-                     pole=False, ring=np.ones(9), rad=cut, diag=cut.copy())
-    for rows in ([0], [8], [0, 8]):
-        with pytest.raises(ConnectivityError):
-            _distance_fields([g], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_export_resolves():
-    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 62
+    assert len(set(collapse_lab.__all__)) == len(collapse_lab.__all__) == 61
     # the grid solver is private to the collapse experiment: its names are
     # attributes of gh_collapse, not of the package
     solver = {"SurfaceGraph", "build_surface_graph", "SurfaceDistanceField"}

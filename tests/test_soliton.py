@@ -2,6 +2,7 @@
 soliton identities -f''/f = phi'' = (f'/f) phi'."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -26,7 +27,8 @@ from collapse_lab import (
     soliton_residual,
     solve_warp_ode,
 )
-from collapse_lab.soliton import CigarPotential, ExplodingPotential
+from collapse_lab.soliton import (MAX_RK4_KH, CigarPotential,
+                                  ExplodingPotential)
 
 # interior points clear of the pole and of the tan blow-up
 CIGAR_PTS = np.linspace(0.1, 3.0, 50)
@@ -153,6 +155,27 @@ def test_ode_blow_up_guard():
     with pytest.raises(BlowUpError):
         solve_warp_ode(SolitonParams(A=-1.0), rho_max=1.5, step=0.01)
     solve_warp_ode(SolitonParams(A=-1.0), rho_max=1.4, step=0.01)
+
+
+@pytest.mark.parametrize("B", [1.0, 4.0])
+def test_ode_stability_guard(B):
+    """An A > 0 step is accepted while k h, k = sqrt(A B), stays within
+    MAX_RK4_KH, and the last node lands on the fixed point sqrt(B / A);
+    past the bound the step is refused before the solve, and the step the
+    refusal names is accepted."""
+    def last_node(A, step):
+        warp = solve_warp_ode(SolitonParams(A=A, B=B), rho_max=3.0,
+                              step=step)
+        return warp.f_nodes[-1] / math.sqrt(B / A)
+
+    # k h = 1.34996 with h = 0.01
+    assert last_node(18224.0 / B, 0.01) == pytest.approx(1.0, rel=1e-14)
+    # k h = 1.414: RK4 would settle 30% short of sqrt(B / A)
+    with pytest.raises(DomainError, match=f"k h = 1.41421.*MAX_RK4_KH = "
+                       f"{MAX_RK4_KH}; use step <= ") as info:
+        solve_warp_ode(SolitonParams(A=20000.0 / B, B=B), 3.0, 0.01)
+    step = float(re.search(r"use step <= (\S+)$", str(info.value))[1])
+    assert last_node(20000.0 / B, step) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_ode_argument_validation():
