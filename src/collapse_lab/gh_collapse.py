@@ -2,8 +2,8 @@
 
 The surface piece is discretized as an 8-neighbor grid graph in (rho, theta)
 with edge weights sqrt(drho^2 + f(rho_mid)^2 dtheta^2); exact shortest paths
-on that graph stand in for geodesic distance.  The solver is private to
-collapse_experiment: the package exports none of its names.  Product
+on that graph stand in for geodesic distance.  The solver's one caller is
+_GridSurfaces, the backend of collapse_experiment; none is exported.  Product
 distances split as sqrt(d_P^2 + d_S1^2) (exact for Riemannian products,
 with the circle factor analytic), and the Z_p quotient distance minimizes
 over group translates: collapse_experiment minimizes the squared sum
@@ -116,9 +116,9 @@ class SurfaceGraph:
 # 1)), that one distance field may hold.  The solver keeps 8 bytes a label,
 # the float64 labels, plus a scratch block of fixed size (_SCRATCH_LABELS),
 # so the cap bounds a one-field solve near 64 MiB, and the two-field
-# stacked solves of collapse_experiment near 128 MiB.  The graph itself is
-# three weights a row, so the cap sizes graphs too: collapse_experiment
-# refuses the largest field of its solves before any build.
+# stacked solves of _GridSurfaces near 128 MiB.  The graph itself is three
+# weights a row, so the cap sizes graphs too: _GridSurfaces refuses the
+# largest field of its solves before any build.
 MAX_FIELD_LABELS = 2 ** 23
 
 
@@ -136,13 +136,6 @@ _SCRATCH_LABELS = 2 ** 15
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
-def _field_labels(sources: int, n_rho: int, n_theta: int) -> int:
-    """Labels of a distance field with the given number of source rows on
-    an n_rho x n_theta grid: sources x half-strip nodes, the pole row held
-    in every column."""
-    return sources * n_rho * (n_theta // 2 + 1)
-
-
 def _stack_layout(rings):
     """The half-strip columns of the stacked table of _distance_fields for
     graphs of the given n_theta (rings), and the table's width: a column
@@ -152,14 +145,6 @@ def _stack_layout(rings):
         strips.append(slice(start, start + n // 2 + 1))
         start = strips[-1].stop + 1
     return strips, start
-
-
-def _check_field_size(n_labels: int) -> None:
-    if n_labels > MAX_FIELD_LABELS:
-        raise DomainError(f"distance field of {n_labels} labels (sources x "
-                          f"half-strip nodes) exceeds the cap "
-                          f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
-                          f"coarser grid or fewer sample rho rows")
 
 
 def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
@@ -175,7 +160,7 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
     positive and finite, so f may vanish only at a capped origin (where
     the row degenerates to the pole node); truncate before any other zero
     of f, and before f overflows.  The grid size is not checked here:
-    collapse_experiment refuses its fields before any build.
+    _GridSurfaces refuses its fields before any build.
     """
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
@@ -401,10 +386,11 @@ class SurfaceDistanceField:
     table: dist[i, k, j] is the distance from source k to node (i, j) for
     the columns j = 0 .. n_theta // 2 (a pole row holds the pole in every
     column); lookup folds every column into the strip by the reflection
-    symmetry.
+    symmetry.  Its rows are grid rows for a solved field and sample slots
+    for the tables that _GridSurfaces.fields returns.
     """
     n_theta: int
-    dist: np.ndarray                # (n_rho, S, n_theta // 2 + 1)
+    dist: np.ndarray                # (rows, S, n_theta // 2 + 1)
 
     def lookup(self, src_slot, rho_row, column):
         """Distance from source src_slot to node (rho_row, column), the
@@ -419,10 +405,10 @@ def _distance_fields(graphs, rho_rows,
                      labels=None) -> list[SurfaceDistanceField]:
     """Exact graph distances from (row, theta = 0) for each of rho_rows on
     each of graphs.  Nothing is checked again: the one caller,
-    collapse_experiment, refuses fields above MAX_FIELD_LABELS before any
-    build and passes valid rows and graphs that share rho_values, rad and
-    pole.  Those graphs are connected, so a label left at inf is a float
-    overflow, which the caller's table refuses.
+    _GridSurfaces, refuses fields above MAX_FIELD_LABELS before any build
+    and passes valid rows and graphs that share rho_values, rad and pole.
+    Those graphs are connected, so a label left at inf is a float overflow,
+    which the caller's table refuses.
 
     The reflection theta -> -theta fixes every source and maps a graph
     onto itself with identical edge weights, so each field satisfies
@@ -466,6 +452,50 @@ def _distance_fields(graphs, rho_rows,
     return [SurfaceDistanceField(n_theta=g.n_theta,
                                  dist=d[:, cols].transpose(0, 2, 1))
             for g, cols in zip(graphs, strips)]
+
+
+class _GridSurfaces:
+    """The grid backend of collapse_experiment: fields from the sample rho
+    rows of an n_rho-row grid, on the limit side's floor_ring with the
+    floor's refinements, and on each quotient-side ring.  It refuses the
+    largest field above MAX_FIELD_LABELS before any build, and every solve
+    fills its one label buffer, sized for the largest stacked table: with a
+    table per solve, freeing the largest (mmapped) raised glibc's mmap
+    threshold, so the next call took the smaller tables from the heap,
+    whose pages stay resident.  A field and its angular refinement share
+    their rho rows, and so do the radial and the proportional refinement,
+    so each pair is one stacked solve (_distance_fields)."""
+
+    def __init__(self, n_rho, rho_rows, floor_ring, rings):
+        self.n_rho, self.rho_rows = n_rho, rho_rows
+        # (n_rho, rings) of each solve: the floor's two pairs, then each ring
+        solves = ([(n, (floor_ring, 2 * floor_ring))
+                   for n in (n_rho, 2 * n_rho - 1)]
+                  + [(n_rho, (ring,)) for ring in rings])
+        n_labels = rho_rows.size * max(n * (ring // 2 + 1)
+                                       for n, rs in solves for ring in rs)
+        if n_labels > MAX_FIELD_LABELS:
+            raise DomainError(f"distance field of {n_labels} labels (sources "
+                              f"x half-strip nodes) exceeds the cap "
+                              f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
+                              f"coarser grid or fewer sample rho rows")
+        self.labels = np.empty(rho_rows.size * max(n * _stack_layout(rs)[1]
+                                                   for n, rs in solves))
+
+    def fields(self, metric, period, ring, refine=False):
+        """The field of metric on ring columns spanning period, then with
+        refine its angular, radial and proportional refinements, each copied
+        out of the buffer by sample slot and counted in columns of ring."""
+        scales = (1, 2) if refine else (1,)     # of the rows, of the ring
+        out = []
+        for scale in scales:
+            rows = scale * self.rho_rows
+            graphs = [build_surface_graph(metric, scale * (self.n_rho - 1) + 1,
+                                          k * ring, period) for k in scales]
+            out += [SurfaceDistanceField(ring, fld.dist[rows, :, ::k])
+                    for fld, k in zip(_distance_fields(graphs, rows,
+                                                       self.labels), scales)]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +629,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     values each dividing the next) gets one quotient-side field, whose ring
     lcm(n_theta, p / gcd(m1, p)) at the chain's last p holds every group
     rotation of the chain.  So every lookup is an integer-column gather, a
-    row depends only on its own chain, and a field above MAX_FIELD_LABELS,
-    on any limit grid or any chain's ring, raises DomainError before any
-    build.
+    row depends only on its own chain, and the grid backend (_GridSurfaces)
+    refuses a field above MAX_FIELD_LABELS, on any grid, before any build.
 
     The grid-floor estimate is the largest change of the sampled
     limit-surface distances across three refinements of the limit grid
     (radial, angular, both), shared by all rows: the refinement sensitivity
     of the graph distances, not a bound on their discretization error.
-    The limit field and its angular refinement share their rho rows, and
-    so do the radial and the proportional refinement, so each pair is one
-    stacked solve (_distance_fields).  Every solve of the call fills one
-    label buffer, sized for the largest stacked table.
     Quotient distances are non-increasing along a chain by construction
     (larger groups minimize over more translates); the quotient table is
     one running minimum per chain that folds in only the group elements the
@@ -660,28 +685,16 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    # m2': the limit graphs' ring_y columns span 2 pi / m2'
+    surfaces = _GridSurfaces(g.n_rho, rho_rows, ring_y, rings_x)
+    # m2': the limit side's ring_y columns span 2 pi / m2'
     orbits = m2 // math.gcd(m1, m2)
-    # (n_rho, rings) of each solve: the limit grid and its angular
-    # refinement, the radial and the proportional refinement for the grid
-    # floor, and each chain's quotient side; the largest field of these is
-    # refused here, before any build
-    solves = ([(n, (ring_y, 2 * ring_y)) for n in (g.n_rho, 2 * g.n_rho - 1)]
-              + [(g.n_rho, (ring,)) for ring in rings_x])
-    _check_field_size(max(_field_labels(rho_rows.size, n, ring)
-                          for n, rings in solves for ring in rings))
-    # one label buffer serves every solve: with a table per solve, freeing
-    # the largest (mmapped) raised glibc's mmap threshold, so the next call
-    # took the smaller tables from the heap, whose pages stay resident
-    labels = np.empty(rho_rows.size * max(n * _stack_layout(rings)[1]
-                                          for n, rings in solves))
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
     slots = np.arange(rho_rows.size)
     slot_a = slots[:, None, None, None]
-    row_b = rho_rows[None, :, None, None]
-    same_slot = slot_a == slots[None, :, None, None]
+    slot_b = slots[None, :, None, None]
+    same_slot = slot_a == slot_b
     # the correspondence (rho, theta, s) -> (rho, theta - kappa s) puts a
     # class at the angle dtheta - kappa ds: column c of a full turn of
     # ring_y columns, so column orbits * c of the orbifold's ring; rotations
@@ -700,41 +713,27 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(table, twin, table[diagonal])
         return 0.5 * (table + twin)
 
-    def limit_distances(rscale):
-        """The class tables of the limit surface on the rings ring_y and
-        2 ring_y of a grid whose rows refine the base grid's by rscale,
-        from one stacked solve of the two graphs, which share their rho
-        rows; the lookups are taken before the next solve refills the
-        label buffer."""
-        n_rho = rscale * (g.n_rho - 1) + 1
-        fields = _distance_fields(
-            [build_surface_graph(limit, n_rho, ring, TWO_PI / orbits)
-             for ring in (ring_y, 2 * ring_y)], rscale * rho_rows, labels)
-        return [fld.lookup(slot_a, rscale * row_b,
-                           col_y * (fld.n_theta // ring_y))
-                for fld in fields]
-
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
     # metrication error; the proportional refinement keeps the ratio.  The
     # floor is the largest observed change.
-    d_y, d_angular = limit_distances(1)
-    floor = max(float(np.max(np.abs(d_y - ref)))
-                for ref in (d_angular, *limit_distances(2)))
+    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in
+                  surfaces.fields(limit, TWO_PI / orbits, ring_y, refine=True))
+    floor = max(float(np.max(np.abs(d_y - ref))) for ref in refs)
+    del refs
     sym_y = symmetrised(d_y, diag_y)
 
     rows = []
     for chain, ring_x in zip(chains, rings_x):
-        fld_x, = _distance_fields(
-            [build_surface_graph(base, g.n_rho, ring_x)], rho_rows, labels)
+        fld_x, = surfaces.fields(base, TWO_PI, ring_x)
         col_x = dth[:, None] * (ring_x // g.n_theta)
         sq_x, prev = math.inf, 0
         for p in chain:
             for k in range(p):
                 if prev and k % (p // prev) == 0:
                     continue            # visited by the previous p
-                dp = fld_x.lookup(slot_a, row_b,
+                dp = fld_x.lookup(slot_a, slot_b,
                                   col_x + m1 * k * ring_x // p % ring_x)
                 dc = circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
                                      config.r)

@@ -32,6 +32,7 @@ from collapse_lab import (
     transform_killing,
     transformed_warp,
 )
+from collapse_lab import gh_collapse
 from collapse_lab.gh_collapse import CollapseConfig, collapse_experiment
 from collapse_lab.killing_quotient import circle_quotient_pushforward
 from collapse_lab.soliton import (
@@ -326,3 +327,56 @@ def test_criterion_15_orbifold_collapse_convergence():
         worst.append(f"({m1}, {m2}) {dists[-1]:.4f} [floor {floor:.4f}]")
     report(15, "orbifold limits: distortion at p = 256 non-increasing and "
                "<= 2x floor, " + ", ".join(worst))
+
+
+def test_criterion_16_collapse_rate_on_exact_distances(monkeypatch):
+    # (M x S^1) / Z_p -> (M x S^1) / S^1 is a submetry whose fibers are
+    # circle orbits mod 2 pi / p, of length at most 2 pi L / p with
+    # L = hypot(m1 f, m2 r), so the slice map's distortion is at most
+    # pi L / p (Burago-Burago-Ivanov, Ch. 7).  On a flat cylinder, a const
+    # warp whose transform is again constant, the surface distances are
+    # exact: a backend that returns them leaves only the collapse in the
+    # distortion, and nothing to refine
+    calls = []
+
+    class FlatCylinders:
+        def __init__(self, n_rho, rho_rows, floor_ring, rings):
+            self.n_rho, self.rho_rows = n_rho, rho_rows
+
+        def fields(self, metric, period, ring, refine=False):
+            calls.append(ring)
+            rho = np.linspace(metric.rho_min, metric.rho_max,
+                              self.n_rho)[self.rho_rows]
+            f = metric.warp.f(rho)
+            assert np.all(f == f[0])
+            c = np.arange(ring // 2 + 1)
+            dist = np.hypot(rho[:, None, None] - rho[None, :, None],
+                            f[0] * period * np.minimum(c, ring - c) / ring)
+            return [gh_collapse.SurfaceDistanceField(ring, dist)] * (
+                4 if refine else 1)
+
+    monkeypatch.setattr(gh_collapse, "_GridSurfaces", FlatCylinders)
+    worst, n_rows = 0.0, 0
+    for m1, m2 in ((1, 1), (1, 2), (0, 1), (2, 1), (3, 2), (2, 2), (3, 7)):
+        for r in (1.0, 0.5):
+            for a in (1.0, 0.7):
+                rows = collapse_experiment(CollapseConfig.from_json({
+                    "surface": {"family": "const", "a": a},
+                    "rho_max": 2.0,
+                    "r": r,
+                    "m1": m1,
+                    "m2": m2,
+                    "p_values": [2, 4, 8, 16, 32, 64, 3, 9, 27],
+                    "grid": {"n_rho": 24, "n_theta": 24, "n_s": 12},
+                    "sample": {"n_rho": 5, "n_theta": 6, "n_s": 4},
+                }))
+                for row in rows:
+                    bound = math.pi * math.hypot(m1 * a, m2 * r) / row.p
+                    assert row.grid_floor_estimate == 0.0
+                    assert row.distortion <= bound * (1 + 1e-12)
+                    worst = max(worst, row.distortion / bound)
+                n_rows += len(rows)
+    assert calls                    # the grid solved none of these rows
+    assert worst >= 1 - 1e-12       # odd p reach the bound on (1, 1)
+    report(16, f"flat cylinders, exact distances: distortion <= pi L / p "
+               f"in all {n_rows} rows, worst ratio {worst:.16f}")

@@ -249,9 +249,9 @@ def _all_pairs(g):
 
 
 def test_graph_size_cap():
-    """A graph is sized by the field it solves, which collapse_experiment
-    caps at MAX_FIELD_LABELS: one whose full ring has more than 2^22 nodes
-    builds and solves from one source row."""
+    """A graph is sized by the field it solves, which the grid backend
+    (_GridSurfaces) caps at MAX_FIELD_LABELS: one whose full ring has more
+    than 2^22 nodes builds and solves from one source row."""
     # 1 + 2048 x 2048 nodes over the full ring, one more than 2^22, in a
     # field of 2049 x 1025 labels from one source
     g = build_surface_graph(metric_from_warp(SinhWarp(1.0), 2.0), 2049, 2048)
@@ -1493,6 +1493,46 @@ def test_collapse_solves_share_one_label_buffer(monkeypatch):
     assert all(buf is labels for buf, _ in buffers)
     assert labels.dtype == np.float64
     assert labels.size == max(size for _, size in buffers)
+
+
+def test_grid_surfaces_return_copies_of_the_label_buffer():
+    """The tables of _GridSurfaces.fields are copied out of the label
+    buffer by sample slot, so a later call, which refills the buffer,
+    leaves them as they are.  Each is its solved field at the sample rows,
+    counted in columns of the ring: an angular refinement keeps every
+    other column."""
+    metric = metric_from_warp(SinhWarp(1.0), 1.2)
+    rows = np.array([1, 6, 15])
+    surfaces = gh_collapse._GridSurfaces(16, rows, 24, [48])
+    tables = surfaces.fields(metric, TWO_PI, 24, refine=True)
+    kept = [fld.dist.copy() for fld in tables]
+    assert [fld.n_theta for fld in tables] == [24] * 4
+    assert not any(np.shares_memory(fld.dist, surfaces.labels)
+                   for fld in tables)
+    for fld, (n_rho, ring, rscale) in zip(
+            tables, ((16, 24, 1), (16, 48, 1), (31, 24, 2), (31, 48, 2))):
+        want, = _distance_fields(
+            [build_surface_graph(metric, n_rho, ring)], rscale * rows)
+        assert np.array_equal(fld.dist,
+                              want.dist[rscale * rows, :, ::ring // 24])
+    quotient, = surfaces.fields(metric_from_warp(SinhWarp(2.0), 1.2),
+                                TWO_PI, 48)
+    assert not np.shares_memory(quotient.dist, surfaces.labels)
+    for fld, dist in zip(tables, kept):
+        assert np.array_equal(fld.dist, dist)
+
+
+def test_collapse_slope_0_1_meets_fiber_bound():
+    """With slopes (0, 1) the group turns the circle factor alone, so two
+    points of the demo config's sample a quarter turn apart on one circle
+    fiber are pi r / 2 apart in the quotient at p = 2 and meet in the
+    limit: the distortion is the fiber bound pi r / p = pi / 2 to the last
+    bit, with no grid error in it."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+    row, = collapse_experiment(CollapseConfig.from_json(
+        dict(cfg, m1=0, m2=1, p_values=[2])))
+    assert row.distortion.hex() == (math.pi / 2).hex()
 
 
 def test_collapse_solve_peak_memory():
