@@ -129,10 +129,12 @@ MAX_FIELD_LABELS = 2 ** 23
 _SCRATCH_LABELS = 2 ** 15
 
 
-# Largest work of one group Z_p: p lookups of S x S x D_theta surface
-# distances in a collapse solve (S sample rho rows, D_theta theta offsets),
-# one group element at a time, so the cap bounds the lookups of a solve
-# rather than a table held in memory.
+# Largest work of one group Z_p, and largest class table: p lookups of
+# S x S x D_theta surface distances in a collapse solve (S sample rho rows,
+# D_theta theta offsets), one group element at a time, and the S x S x
+# D_theta x D_s float64 entries (D_s signed s offsets) of each class table,
+# several of which are held at once, so the cap bounds both the lookups of
+# a solve and each table held in memory (32 MiB).
 MAX_CLASS_ENTRIES = 2 ** 22
 
 
@@ -462,9 +464,12 @@ class _GridSurfaces:
     fills its one label buffer, sized for the largest stacked table: with a
     table per solve, freeing the largest (mmapped) raised glibc's mmap
     threshold, so the next call took the smaller tables from the heap,
-    whose pages stay resident.  A field and its angular refinement share
-    their rho rows, and so do the radial and the proportional refinement,
-    so each pair is one stacked solve (_distance_fields)."""
+    whose pages stay resident.  The buffer lives from the first solve to
+    the last: fields returns copies, so the caller drops the backend, and
+    the buffer with it, once it holds every field of its run.  A field and
+    its angular refinement share their rho rows, and so do the radial and
+    the proportional refinement, so each pair is one stacked solve
+    (_distance_fields)."""
 
     def __init__(self, n_rho, rho_rows, floor_ring, rings):
         self.n_rho, self.rho_rows = n_rho, rho_rows
@@ -631,6 +636,10 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     rotation of the chain.  So every lookup is an integer-column gather, a
     row depends only on its own chain, and the grid backend (_GridSurfaces)
     refuses a field above MAX_FIELD_LABELS, on any grid, before any build.
+    Every field of the run is taken from the backend first, the limit
+    surface's with its refinements and then one per chain; the backend and
+    its label buffer are dropped before the first lookup, so the class
+    tables reuse the buffer's memory.
 
     The grid-floor estimate is the largest change of the sampled
     limit-surface distances across three refinements of the limit grid
@@ -646,11 +655,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     the rounding differs from minimizing np.hypot(dp, dc).
 
     Distances are computed once per offset class (source slot, target slot,
-    theta offset mod n_theta, signed s offset) rather than per point pair.
-    The symmetrisation 0.5 (d + d^T) pairs each class with
-    (kb, ka, -dtheta, -ds); every table gets the metric checks
-    (_check_metric) before it is averaged.  The distortion is the largest
-    |d_X - d_Y| over the classes.
+    theta offset mod n_theta, signed s offset) rather than per point pair;
+    a class table above MAX_CLASS_ENTRIES, like the lookups of a group
+    above it, is refused before any solve.  The symmetrisation 0.5 (d +
+    d^T) pairs each class with (kb, ka, -dtheta, -ds); every table gets the
+    metric checks (_check_metric) before it is averaged.  The distortion is
+    the largest |d_X - d_Y| over the classes.
     """
     base = metric_from_warp(config.surface, config.rho_max)
     limit = quotient_transform(base, config.r, _slope(config.m1, config.m2))
@@ -675,6 +685,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
                           f"of order {p_max} exceeds the cap "
                           f"MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use a "
                           f"smaller group or sample")
+    entries = rho_rows.size ** 2 * dth.size * ds.size
+    if entries > MAX_CLASS_ENTRIES:
+        raise DomainError(f"class table of {entries} entries (sample rho "
+                          f"rows^2 x theta offsets x s offsets) exceeds the "
+                          f"cap MAX_CLASS_ENTRIES = {MAX_CLASS_ENTRIES}; use "
+                          f"a smaller sample")
 
     chains = [[]]
     for p in config.p_values:
@@ -713,20 +729,25 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(table, twin, table[diagonal])
         return 0.5 * (table + twin)
 
+    # the backend goes with its label buffer before the first lookup, so the
+    # class tables reuse the buffer's memory
+    fields_y = surfaces.fields(limit, TWO_PI / orbits, ring_y, refine=True)
+    fields_x = [surfaces.fields(base, TWO_PI, ring_x)[0]
+                for ring_x in rings_x]
+    del surfaces
+
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
     # metrication error; the proportional refinement keeps the ratio.  The
     # floor is the largest observed change.
-    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in
-                  surfaces.fields(limit, TWO_PI / orbits, ring_y, refine=True))
+    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in fields_y)
     floor = max(float(np.max(np.abs(d_y - ref))) for ref in refs)
-    del refs
+    del fields_y, refs
     sym_y = symmetrised(d_y, diag_y)
 
     rows = []
-    for chain, ring_x in zip(chains, rings_x):
-        fld_x, = surfaces.fields(base, TWO_PI, ring_x)
+    for chain, ring_x, fld_x in zip(chains, rings_x, fields_x):
         col_x = dth[:, None] * (ring_x // g.n_theta)
         sq_x, prev = math.inf, 0
         for p in chain:

@@ -640,6 +640,22 @@ def test_collapse_class_table_beyond_cap_exits_1(tmp_path, capsys):
     assert "MAX_CLASS_ENTRIES = 4194304" in err
 
 
+def test_collapse_class_table_size_beyond_cap_exits_1(tmp_path, capsys,
+                                                      monkeypatch):
+    # 392 lookups of one group element on rings of 8 columns, but class
+    # tables of 7^2 x 8 x 32767 entries, about 103 MB each: refused before
+    # any graph is built
+    built = _count_graph_builds(monkeypatch)
+    cfg = json.loads((DEMO_DIR / "collapse.json").read_text())
+    sizes = {"n_rho": 8, "n_theta": 8, "n_s": 16384}
+    cfg.update(m1=0, m2=1, p_values=[1], grid=sizes, sample=dict(sizes))
+    code, out, err = run_cli(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == "" and built == []
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "collapse-lab: error" in err and "12844664 entries" in err
+    assert "MAX_CLASS_ENTRIES = 4194304" in err
+
+
 def test_collapse_label_table_beyond_cap_exits_1(tmp_path, capsys):
     # every graph and the class table are under their caps, but the 1023
     # sample rows off the pole, as sources on the 2047 x 1025 refined limit

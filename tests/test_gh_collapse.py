@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1276,16 +1277,20 @@ def test_collapse_experiment_frozen_small_case():
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
-def _dense_reference(config):
-    """The dense algorithm as a reference: one n_pts x n_pts quotient
-    matrix per group element, the slice map (_slice_map), the metric checks
-    on the raw matrices, and their distortion (_distortion).  Same
+def _dense_matrices(config, period=None):
+    """The dense algorithm's matrices: for each p the n_pts x n_pts quotient
+    matrix, the minimum over the group of one product-distance matrix per
+    group element, the limit matrix on the images of the slice map
+    (_slice_map), and the metric checks on the raw matrices.  Same
     discretization as collapse_experiment: the limit surface, theta taken
-    mod 2 pi / m2', on the ring that holds every slice angle, and one
-    quotient-side field per
-    divisibility chain, on the ring that holds every group rotation of the
-    chain; the float angles of the points and rotations are snapped to
-    those rings' nodes."""
+    mod period (by default 2 pi / m2', the orbifold limit), on the ring
+    that holds every slice angle of a full turn, and one quotient-side
+    field per divisibility chain, on the ring that holds every group
+    rotation of the chain; the float angles of the points and rotations
+    are snapped to those rings' nodes.
+
+    Returns (d_y, image, floor, [(p, d_x) for each p]): the limit matrix,
+    the slice map as indices into it, and the grid floor."""
     base = metric_from_warp(config.surface, config.rho_max)
     limit = quotient_transform(base, config.r, config.m1 / config.m2)
     g, smp = config.grid, config.sample
@@ -1308,7 +1313,8 @@ def _dense_reference(config):
         np.arange(rows.size), thetas, svals, indexing="ij"))
     points = [(float(rows[k]), float(t), float(v))
               for k, t, v in zip(slot, theta, s)]
-    period = TWO_PI / (m2 // math.gcd(m1, m2))
+    if period is None:
+        period = TWO_PI / (m2 // math.gcd(m1, m2))
     image, limit_points = _slice_map(points, m1 / m2, period)
     slot_of_rho = {p_[0]: k for p_, k in zip(points, slot)}
     lim_slot = np.array([slot_of_rho[rho] for rho, _ in limit_points])
@@ -1331,7 +1337,7 @@ def _dense_reference(config):
     dth = theta[None, :] - theta[:, None]
     dsv = s[None, :] - s[:, None]
     fields = {}
-    out = []
+    quotients = []
     for p, p_last in zip(p_values, last):
         ring_x = math.lcm(g.n_theta, p_last // math.gcd(m1, p_last))
         if ring_x not in fields:
@@ -1344,8 +1350,28 @@ def _dense_reference(config):
                                        _column(dth + m1 * tau, ring_x))
             d_s1 = circle_distance(0.0, dsv + m2 * tau, config.r)
             np.minimum(best, np.hypot(dp, d_s1), out=best)
-        out.append((p, _distortion(_metric(best), d_y, image), floor))
-    return out
+        quotients.append((p, _metric(best)))
+    return d_y, image, floor, quotients
+
+
+def _dense_reference(config):
+    """The dense algorithm as a reference: (p, distortion, floor) for each
+    p, the distortion (_distortion) of the slice map between the matrices
+    of _dense_matrices."""
+    d_y, image, floor, quotients = _dense_matrices(config)
+    return [(p, _distortion(d_x, d_y, image), floor) for p, d_x in quotients]
+
+
+def _eccentricity_bound(d_x, d_y):
+    """The eccentricity lower bound on the GH distance between the finite
+    metric spaces of the matrices d_x and d_y (Memoli 2012): half the
+    Hausdorff distance on the real line between their sets of
+    eccentricities, each point's largest distance.  Any correspondence R
+    moves an eccentricity by at most dis R, so the bound is at most the
+    dis R / 2 of every R."""
+    gaps = np.abs(d_x.max(axis=1)[:, None] - d_y.max(axis=1)[None, :])
+    return 0.5 * max(float(gaps.min(axis=1).max()),
+                     float(gaps.min(axis=0).max()))
 
 
 REFERENCE_CASES = {
@@ -1377,6 +1403,37 @@ def test_collapse_experiment_matches_dense_reference(case):
     for row, (_, dist, floor) in zip(rows, want):
         assert row.distortion == pytest.approx(dist, rel=1e-12, abs=1e-15)
         assert row.grid_floor_estimate == pytest.approx(floor, rel=1e-12)
+
+
+def _orbifold_demo_config():
+    """The demo config with slopes (1, 2) on the chain 4, 16, 64."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+    return CollapseConfig.from_json(dict(cfg, m1=1, m2=2,
+                                         p_values=[4, 16, 64]))
+
+
+def test_eccentricity_bound_brackets_orbifold_collapse():
+    """On the orbifold limit the eccentricity lower bound of the sampled
+    GH distance stays at or below the slice map's upper bound dis / 2."""
+    config = _orbifold_demo_config()
+    rows = collapse_experiment(config)
+    d_y, _, _, quotients = _dense_matrices(config)
+    assert [r.p for r in rows] == [p for p, _ in quotients]
+    for row, (_, d_x) in zip(rows, quotients):
+        assert 0.0 <= _eccentricity_bound(d_x, d_y) <= row.gh_upper_bound
+
+
+def test_eccentricity_bound_rises_against_full_turn_limit():
+    """Against the wrong limit, the transformed surface with theta taken
+    mod 2 pi, the eccentricity lower bound rises with p past 0.6 by
+    p = 64: it certifies that the quotients do not converge to it, which
+    the slice map's upper bound alone could not."""
+    d_y, _, _, quotients = _dense_matrices(_orbifold_demo_config(),
+                                           period=TWO_PI)
+    bounds = [_eccentricity_bound(d_x, d_y) for _, d_x in quotients]
+    assert bounds == sorted(bounds)
+    assert bounds[-1] > 0.6
 
 
 @pytest.mark.parametrize("p_values, x_lookups", [
@@ -1522,6 +1579,32 @@ def test_grid_surfaces_return_copies_of_the_label_buffer():
         assert np.array_equal(fld.dist, dist)
 
 
+def test_collapse_frees_the_label_buffer_before_any_lookup(monkeypatch):
+    """A collapse run takes every field from its backend, the limit
+    surface's with its refinements and one per chain, before the first
+    lookup, and drops the backend there, so no class table is built next
+    to the label buffer."""
+    buffers, alive = [], []
+
+    class Spy(gh_collapse._GridSurfaces):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(weakref.ref(self.labels))
+
+    lookup = gh_collapse.SurfaceDistanceField.lookup
+
+    def spy(self, *args):
+        alive.append(buffers[0]() is not None)
+        return lookup(self, *args)
+
+    monkeypatch.setattr(gh_collapse, "_GridSurfaces", Spy)
+    monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", spy)
+    collapse_experiment(CollapseConfig.from_json(
+        dict(SMALL_CONFIG, p_values=[2, 4, 3, 9])))
+    assert len(buffers) == 1
+    assert alive and not any(alive)
+
+
 def test_collapse_slope_0_1_meets_fiber_bound():
     """With slopes (0, 1) the group turns the circle factor alone, so two
     points of the demo config's sample a quarter turn apart on one circle
@@ -1543,10 +1626,10 @@ def test_collapse_solve_peak_memory():
     own: the float64 labels of the largest stacked table, the scratch
     block, the O(n_rho S) row and column buffers of the passes, and a
     slack for numpy's fixed-size ufunc buffers (the check's strided
-    operands take about 128 KiB) and the small class tables, which here
-    live next to the buffer.  It is below the bound of a solve that also
-    held a scratch table of the strips' size, and one more buffer of the
-    table's size fails it."""
+    operands take about 128 KiB) and the small fields copied out of the
+    buffer; the class tables are built only after the buffer is freed.
+    It is below the bound of a solve that also held a scratch table of the
+    strips' size, and one more buffer of the table's size fails it."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],
                grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
                sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
