@@ -7,8 +7,8 @@ _GridSurfaces, the backend of collapse_experiment; none is exported.  Product
 distances split as sqrt(d_P^2 + d_S1^2) (exact for Riemannian products,
 with the circle factor analytic), and the Z_p quotient distance minimizes
 over group translates: collapse_experiment minimizes the squared sum
-d_P^2 + d_S1^2 and takes one square root at the end, since the square root
-is monotone.
+d_P^2 + d_S1^2 over blocks of group elements and takes one square root at
+the end, since the square root is monotone.
 
 Every weight of the graph depends only on the rho rows an edge joins, so the
 graph is a few per-row weight tables (build_surface_graph), and the
@@ -24,10 +24,13 @@ every edge lowers no label, and by a theta-down pass only when the check
 fails.  Each pass relaxes every grid line from the line before it over the
 straight edge and both diagonals.  There is one kernel per orientation,
 each running in one direction: a descending pass is the ascending kernel
-on the reversed view.  Graphs that share their rho rows are solved side by
-side in one row-major label table, their half strips between walls of
-inf: the rho kernel (_rho_pass) relaxes whole rows of it, all strips at
-once, and the theta kernel (_theta_pass) runs strip by strip on
+on the reversed view.  Graphs that share their rho rows can be solved side
+by side in one row-major label table, their half strips between walls of
+inf (_GridSurfaces stacks only a field with its angular refinement, and
+solves every other field alone, so no solve is larger than its largest
+field with its walls): the rho kernel (_rho_pass) relaxes whole rows of
+it, all strips at once, and the theta kernel (_theta_pass) runs strip by
+strip on
 column-major copies of blocks of columns in a small scratch block, so both
 work on contiguous blocks.  The rho-up pass leaves every edge from the row
 below relaxed, so the check relaxes the other edges only, block after
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -115,23 +118,24 @@ class SurfaceGraph:
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
 # 1)), that one distance field may hold.  The solver keeps 8 bytes a label,
 # the float64 labels, plus a scratch block of fixed size (_SCRATCH_LABELS),
-# so the cap bounds a one-field solve near 64 MiB, and the two-field
-# stacked solves of _GridSurfaces near 128 MiB.  The graph itself is three
-# weights a row, so the cap sizes graphs too: _GridSurfaces refuses the
-# largest field of its solves before any build.
+# so the cap bounds every solve of _GridSurfaces near 64 MiB: none holds
+# more than the largest field of its run and two walls.  The graph itself
+# is three weights a row, so the cap sizes graphs too: _GridSurfaces
+# refuses the largest field of its solves before any build.
 MAX_FIELD_LABELS = 2 ** 23
 
 
 # Labels of the solver's scratch block (256 KiB of float64), or of two
 # label columns or one label row of a strip if either is larger: a theta
 # pass copies block after block of columns into it, and the convergence
-# check writes its candidates there block after block of rows.
+# check writes its candidates there block after block of rows.  It also
+# sizes the blocks of group elements that collapse_experiment folds at once.
 _SCRATCH_LABELS = 2 ** 15
 
 
 # Largest work of one group Z_p, and largest class table: p lookups of
 # S x S x D_theta surface distances in a collapse solve (S sample rho rows,
-# D_theta theta offsets), one group element at a time, and the S x S x
+# D_theta theta offsets), group elements taken in blocks, and the S x S x
 # D_theta x D_s float64 entries (D_s signed s offsets) of each class table,
 # several of which are held at once, so the cap bounds both the lookups of
 # a solve and each table held in memory (32 MiB).
@@ -456,27 +460,34 @@ def _distance_fields(graphs, rho_rows,
             for g, cols in zip(graphs, strips)]
 
 
+# The solves of a field and its floor refinements: (scale of the rows,
+# scales of the ring) of each.  The field and its angular refinement share
+# their rho rows, so they are one stacked solve, which is smaller than the
+# proportional refinement alone; the radial and the proportional refinement
+# are solved one at a time.
+_FLOOR_SOLVES = ((1, (1, 2)), (2, (1,)), (2, (2,)))
+
+
 class _GridSurfaces:
     """The grid backend of collapse_experiment: fields from the sample rho
     rows of an n_rho-row grid, on the limit side's floor_ring with the
     floor's refinements, and on each quotient-side ring.  It refuses the
     largest field above MAX_FIELD_LABELS before any build, and every solve
-    fills its one label buffer, sized for the largest stacked table: with a
-    table per solve, freeing the largest (mmapped) raised glibc's mmap
-    threshold, so the next call took the smaller tables from the heap,
-    whose pages stay resident.  The buffer lives from the first solve to
-    the last: fields returns copies, so the caller drops the backend, and
-    the buffer with it, once it holds every field of its run.  A field and
-    its angular refinement share their rho rows, and so do the radial and
-    the proportional refinement, so each pair is one stacked solve
-    (_distance_fields)."""
+    fills its one label buffer, sized for the largest single solve
+    (_FLOOR_SOLVES, then one per ring), so no table exceeds the largest
+    field with its two walls: with a table per solve, freeing the largest
+    (mmapped) raised glibc's mmap threshold, so the next call took the
+    smaller tables from the heap, whose pages stay resident.  The buffer
+    lives from the first solve to the last: fields returns copies, so the
+    caller drops the backend, and the buffer with it, once it holds every
+    field of its run."""
 
     def __init__(self, n_rho, rho_rows, floor_ring, rings):
         self.n_rho, self.rho_rows = n_rho, rho_rows
-        # (n_rho, rings) of each solve: the floor's two pairs, then each ring
-        solves = ([(n, (floor_ring, 2 * floor_ring))
-                   for n in (n_rho, 2 * n_rho - 1)]
-                  + [(n_rho, (ring,)) for ring in rings])
+        # (n_rho, rings) of each solve: the floor's three, then each ring
+        solves = ([(scale * (n_rho - 1) + 1, [k * floor_ring for k in ks])
+                   for scale, ks in _FLOOR_SOLVES]
+                  + [(n_rho, [ring]) for ring in rings])
         n_labels = rho_rows.size * max(n * (ring // 2 + 1)
                                        for n, rs in solves for ring in rs)
         if n_labels > MAX_FIELD_LABELS:
@@ -491,15 +502,14 @@ class _GridSurfaces:
         """The field of metric on ring columns spanning period, then with
         refine its angular, radial and proportional refinements, each copied
         out of the buffer by sample slot and counted in columns of ring."""
-        scales = (1, 2) if refine else (1,)     # of the rows, of the ring
         out = []
-        for scale in scales:
+        for scale, ks in _FLOOR_SOLVES if refine else ((1, (1,)),):
             rows = scale * self.rho_rows
             graphs = [build_surface_graph(metric, scale * (self.n_rho - 1) + 1,
-                                          k * ring, period) for k in scales]
+                                          k * ring, period) for k in ks]
             out += [SurfaceDistanceField(ring, fld.dist[rows, :, ::k])
                     for fld, k in zip(_distance_fields(graphs, rows,
-                                                       self.labels), scales)]
+                                                       self.labels), ks)]
         return out
 
 
@@ -648,9 +658,12 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     Quotient distances are non-increasing along a chain by construction
     (larger groups minimize over more translates); the quotient table is
     one running minimum per chain that folds in only the group elements the
-    previous p did not visit, so a chain visits each element once.  The
-    minimum is taken over the squared product distances dp * dp + dc * dc
-    (surface lookup dp, circle distance dc) and the square root once per p:
+    previous p did not visit, so a chain visits each element once.  It
+    takes them in blocks of _SCRATCH_LABELS // (S^2 D_theta), at least
+    one: one lookup per block, then per s offset one add and one minimum
+    over the block into the running minimum.  The minimum is taken over
+    the squared product distances dp * dp + dc * dc (surface lookup dp,
+    circle distance dc) and the square root once per p:
     the square root is monotone, so it commutes with the minimum, and only
     the rounding differs from minimizing np.hypot(dp, dc).
 
@@ -718,7 +731,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     step_y = m1 * ring_y // (m2 * g.n_s) % ring_y
     col_y = ((dth[:, None] * (ring_y // g.n_theta) - step_y * ds) * orbits
              % ring_y)
-    s_x = (TWO_PI * ds / g.n_s).reshape(1, 1, 1, -1)
+    s_x = TWO_PI * ds / g.n_s
     diag_x = same_slot & (dth == 0)[:, None] & (ds == 0)
     diag_y = same_slot & (col_y == 0)
 
@@ -746,22 +759,36 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     del fields_y, refs
     sym_y = symmetrised(d_y, diag_y)
 
+    # The quotient side folds the group elements in blocks of as many
+    # S x S x D_theta lookups as the solver's scratch block holds; its
+    # running minimum is held s offset first, (D_s, S, S, D_theta), so each
+    # s offset's part of it is contiguous
+    block = max(1, _SCRATCH_LABELS // (rho_rows.size ** 2 * dth.size))
     rows = []
     for chain, ring_x, fld_x in zip(chains, rings_x, fields_x):
-        col_x = dth[:, None] * (ring_x // g.n_theta)
-        sq_x, prev = math.inf, 0
+        col_x = dth * (ring_x // g.n_theta)
+        sq_x = np.full((ds.size, rho_rows.size, rho_rows.size, dth.size),
+                       math.inf)
+        prev = 0
         for p in chain:
-            for k in range(p):
-                if prev and k % (p // prev) == 0:
-                    continue            # visited by the previous p
-                dp = fld_x.lookup(slot_a, slot_b,
-                                  col_x + m1 * k * ring_x // p % ring_x)
-                dc = circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
-                                     config.r)
-                sq_x = np.minimum(sq_x, dp * dp + dc * dc)
+            # the elements the previous p did not visit
+            new = (k for k in range(p) if not prev or k % (p // prev))
+            while ks := list(islice(new, block)):
+                shifts = np.array([m1 * k * ring_x // p % ring_x for k in ks])
+                dp = fld_x.lookup(slots[:, None, None], slots[:, None],
+                                  col_x + shifts[:, None, None, None])
+                np.multiply(dp, dp, out=dp)
+                turns = np.array([TWO_PI * (m2 * k % p) / p for k in ks])
+                dc = circle_distance(0.0, s_x + turns[:, None], config.r)
+                dc *= dc
+                work = np.empty_like(dp)
+                for sq, dc_j in zip(sq_x, dc.T):
+                    np.add(dp, dc_j[:, None, None, None], out=work)
+                    np.minimum(sq, np.minimum.reduce(work), out=sq)
             prev = p
-            dist = float(np.max(np.abs(symmetrised(np.sqrt(sq_x), diag_x)
-                                       - sym_y)))
+            dist = float(np.max(np.abs(
+                symmetrised(np.sqrt(sq_x).transpose(1, 2, 3, 0), diag_x)
+                - sym_y)))
             rows.append(CollapseRow(p=p, distortion=dist,
                                     gh_upper_bound=0.5 * dist,
                                     grid_floor_estimate=floor))

@@ -444,13 +444,13 @@ def _ascending(view, axis):
 
 
 def _assert_fields_take_one_round(monkeypatch, cfg):
-    """The five fields of a one-chain collapse solve come from three
+    """The five fields of a one-chain collapse solve come from four
     solves: the limit field with its angular refinement in one stacked
-    table, the radial and the proportional refinement in another, and the
-    chain's quotient side alone.  Each solve is final after its first
-    round: two rho passes, theta passes only ascending, and one check of
-    each strip, which finds nothing to lower, so no theta-descending pass
-    runs."""
+    table, the radial refinement alone, the proportional refinement alone,
+    and the chain's quotient side alone.  Each solve is final after its
+    first round: two rho passes, theta passes only ascending, and one
+    check of each strip, which finds nothing to lower, so no
+    theta-descending pass runs."""
     solves = []
 
     def solve_spy(graphs, rows, labels=None):
@@ -480,7 +480,7 @@ def _assert_fields_take_one_round(monkeypatch, cfg):
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
     collapse_experiment(CollapseConfig.from_json(cfg))
     assert solves == [{"strips": k, "rho": [False, True], "theta": {True},
-                       "checks": [False] * k} for k in (2, 2, 1)]
+                       "checks": [False] * k} for k in (2, 1, 1, 1)]
 
 
 def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
@@ -1436,26 +1436,171 @@ def test_eccentricity_bound_rises_against_full_turn_limit():
     assert bounds[-1] > 0.6
 
 
-@pytest.mark.parametrize("p_values, x_lookups", [
+@pytest.mark.parametrize("p_values, x_elements", [
     ([2, 4, 8], 8), ([3, 4], 7), ([4, 4], 4), ([8, 4], 12)])
 def test_collapse_chain_visits_each_group_element_once(monkeypatch, p_values,
-                                                       x_lookups):
+                                                       x_elements):
     """Along a chain p | p' the quotient table folds in only the new group
-    elements; a p that the previous one does not divide starts over.  The
-    limit side takes one lookup per field, four in all."""
-    calls = []
+    elements; a p that the previous one does not divide starts over.  A
+    quotient-side lookup takes a block of group elements, one column table
+    (elements, 1, 1, theta offsets) each, so the elements are counted
+    through its columns.  The limit side takes one lookup per field of
+    (theta offset, s offset) columns, four in all."""
+    limit, elements = [], []
     lookup = gh_collapse.SurfaceDistanceField.lookup
 
-    def counted(self, *args):
-        calls.append(None)
-        return lookup(self, *args)
+    def counted(self, src_slot, rho_row, column):
+        if np.ndim(column) == 4:
+            elements.append(np.shape(column)[0])
+        else:
+            limit.append(np.ndim(column))
+        return lookup(self, src_slot, rho_row, column)
 
     monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", counted)
     cfg = dict(SMALL_CONFIG, p_values=p_values,
                grid={"n_rho": 16, "n_theta": 16, "n_s": 8},
                sample={"n_rho": 3, "n_theta": 3, "n_s": 2})
     collapse_experiment(CollapseConfig.from_json(cfg))
-    assert len(calls) == x_lookups + 4
+    assert sum(elements) == x_elements
+    assert limit == [2] * 4
+
+
+def _per_element_rows(config):
+    """collapse_experiment with its quotient side folded one group element
+    at a time, the loop as it was before the blocked fold, as a reference:
+    (p, distortion, gh_upper_bound, grid_floor_estimate) for each p."""
+    unique = gh_collapse._unique
+    base = metric_from_warp(config.surface, config.rho_max)
+    limit = quotient_transform(base, config.r, config.m1 / config.m2)
+    g, smp = config.grid, config.sample
+    m1, m2 = config.m1, config.m2
+    rho_rows = _subgrid_indices(int(base.capped_at_origin), g.n_rho - 1,
+                                smp.n_rho)
+    th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
+    s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
+    dth = unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
+    ds = unique(s_idx[None, :] - s_idx[:, None])
+    chains = [[]]
+    for p in config.p_values:
+        if chains[-1] and p % chains[-1][-1]:
+            chains.append([])
+        chains[-1].append(p)
+    ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
+    rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
+               for c in chains]
+    surfaces = gh_collapse._GridSurfaces(g.n_rho, rho_rows, ring_y, rings_x)
+    orbits = m2 // math.gcd(m1, m2)
+    neg_th = np.searchsorted(dth, -dth % g.n_theta)
+    neg_s = ds.size - 1 - np.arange(ds.size)
+    slots = np.arange(rho_rows.size)
+    slot_a = slots[:, None, None, None]
+    slot_b = slots[None, :, None, None]
+    step_y = m1 * ring_y // (m2 * g.n_s) % ring_y
+    col_y = ((dth[:, None] * (ring_y // g.n_theta) - step_y * ds) * orbits
+             % ring_y)
+    s_x = (TWO_PI * ds / g.n_s).reshape(1, 1, 1, -1)
+
+    def symmetrised(table):
+        twin = table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
+        return 0.5 * (table + twin)
+
+    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in
+                  surfaces.fields(limit, TWO_PI / orbits, ring_y, True))
+    floor = max(float(np.max(np.abs(d_y - ref))) for ref in refs)
+    sym_y = symmetrised(d_y)
+    rows = []
+    for chain, ring_x in zip(chains, rings_x):
+        fld_x, = surfaces.fields(base, TWO_PI, ring_x)
+        col_x = dth[:, None] * (ring_x // g.n_theta)
+        sq_x, prev = math.inf, 0
+        for p in chain:
+            for k in range(p):
+                if prev and k % (p // prev) == 0:
+                    continue            # visited by the previous p
+                dp = fld_x.lookup(slot_a, slot_b,
+                                  col_x + m1 * k * ring_x // p % ring_x)
+                dc = circle_distance(0.0, s_x + TWO_PI * (m2 * k % p) / p,
+                                     config.r)
+                sq_x = np.minimum(sq_x, dp * dp + dc * dc)
+            prev = p
+            dist = float(np.max(np.abs(symmetrised(np.sqrt(sq_x)) - sym_y)))
+            rows.append((p, dist, 0.5 * dist, floor))
+    return rows
+
+
+@pytest.mark.parametrize("p_values, new", [
+    ([2, 4, 8], [2, 2, 4]), ([3, 4], [3, 4]), ([4, 4], [4, 0]),
+    ([8, 4], [8, 4])], ids=["2-4-8", "3-4", "4-4", "8-4"])
+@pytest.mark.parametrize("m1, m2", [(1, 1), (1, 2), (3, 2), (0, 1)])
+def test_blocked_fold_equals_per_element_fold(monkeypatch, m1, m2,
+                                              p_values, new):
+    """The quotient side folds each p's new group elements in blocks of
+    _SCRATCH_LABELS // (S^2 D_theta), one lookup a block: the rows are
+    those of the per-element fold to the last bit, with blocks of one
+    element, of three (which divides none of the new-element counts 2, 4
+    and 8), and of the default size, which takes each p's new elements at
+    once.  The sample (3 rho rows, 4 of 16 theta columns) has S^2 D_theta
+    = 36."""
+    cfg = dict(SMALL_CONFIG, m1=m1, m2=m2, p_values=p_values,
+               grid={"n_rho": 16, "n_theta": 16, "n_s": 8},
+               sample={"n_rho": 3, "n_theta": 4, "n_s": 2})
+    config = CollapseConfig.from_json(cfg)
+    want = [tuple(float(v).hex() for v in row)
+            for row in _per_element_rows(config)]
+    lookup = gh_collapse.SurfaceDistanceField.lookup
+    for scratch, block in ((1, 1), (3 * 36, 3), (None, max(new))):
+        if scratch is not None:
+            monkeypatch.setattr(gh_collapse, "_SCRATCH_LABELS", scratch)
+        blocks = []
+
+        def spy(self, src_slot, rho_row, column):
+            if np.ndim(column) == 4:
+                blocks.append(np.shape(column)[0])
+            return lookup(self, src_slot, rho_row, column)
+
+        monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", spy)
+        got = [tuple(float(v).hex() for v in (r.p, r.distortion,
+                                              r.gh_upper_bound,
+                                              r.grid_floor_estimate))
+               for r in collapse_experiment(config)]
+        assert got == want
+        assert blocks == [min(block, n - a) for n in new
+                          for a in range(0, n, block)]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ring, largest", [(48, "proportional"),
+                                           (128, "chain")])
+def test_grid_surfaces_buffer_is_its_largest_single_solve(monkeypatch, ring,
+                                                          largest):
+    """The label buffer of _GridSurfaces holds the largest table of its
+    solves, no more: the limit field with its angular refinement stacked,
+    the radial and the proportional refinement alone, and each ring's
+    field alone.  On 16 rows with the floor ring 24, the proportional
+    refinement (31 rows, 25 + 2 columns) outweighs a quotient ring of 48
+    (16 rows, 25 + 2 columns), and a ring of 128 (16 rows, 65 + 2
+    columns) outweighs it."""
+    tables = {}
+    solve = gh_collapse._distance_fields
+
+    def spy(graphs, rows, labels=None):
+        width = gh_collapse._stack_layout([g.n_theta for g in graphs])[1]
+        name = (("limit pair", "radial", "proportional")[len(tables)]
+                if len(tables) < 3 else "chain")
+        tables[name] = len(rows) * graphs[0].n_rho * width
+        return solve(graphs, rows, labels)
+
+    monkeypatch.setattr(gh_collapse, "_distance_fields", spy)
+    metric = metric_from_warp(SinhWarp(1.0), 1.2)
+    rows = np.array([1, 6, 15])
+    surfaces = gh_collapse._GridSurfaces(16, rows, 24, [ring])
+    surfaces.fields(metric, TWO_PI, 24, refine=True)
+    surfaces.fields(metric, TWO_PI, ring)
+    assert tables == {"limit pair": 3 * 16 * (1 + 14 + 26),
+                      "radial": 3 * 31 * (13 + 2),
+                      "proportional": 3 * 31 * (25 + 2),
+                      "chain": 3 * 16 * (ring // 2 + 3)}
+    assert surfaces.labels.size == max(tables.values()) == tables[largest]
 
 
 def test_collapse_common_factor_of_slopes_reduces_group():
@@ -1532,8 +1677,9 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
 
 def test_collapse_solves_share_one_label_buffer(monkeypatch):
     """Every solve of a collapse run fills the same label buffer, sized for
-    its largest stacked table, so a process that solves again allocates no
-    table of another size."""
+    its largest table, so a process that solves again allocates no table of
+    another size: the limit pair, the radial and the proportional
+    refinement, and one field for each of the chains 2 | 4 and 3 | 9."""
     buffers = []
 
     def spy(graphs, rows, labels=None):
@@ -1546,7 +1692,7 @@ def test_collapse_solves_share_one_label_buffer(monkeypatch):
     collapse_experiment(CollapseConfig.from_json(
         dict(SMALL_CONFIG, p_values=[2, 4, 3, 9])))
     labels = buffers[0][0]
-    assert len(buffers) == 4
+    assert len(buffers) == 5
     assert all(buf is labels for buf, _ in buffers)
     assert labels.dtype == np.float64
     assert labels.size == max(size for _, size in buffers)
@@ -1619,17 +1765,18 @@ def test_collapse_slope_0_1_meets_fiber_bound():
 
 
 def test_collapse_solve_peak_memory():
-    """A run holds one label buffer, sized for its largest stacked table,
+    """A run holds one label buffer, sized for its largest single solve,
     from its first solve to its last, and the solver's scratch block:
     every solve fills the head of the buffer, and the sweeps and the check
     allocate nothing else of the table's size.  The bound is the sweep's
-    own: the float64 labels of the largest stacked table, the scratch
-    block, the O(n_rho S) row and column buffers of the passes, and a
-    slack for numpy's fixed-size ufunc buffers (the check's strided
+    own: the float64 labels of the largest field with its two walls, the
+    scratch block, the O(n_rho S) row and column buffers of the passes,
+    and a slack for numpy's fixed-size ufunc buffers (the check's strided
     operands take about 128 KiB) and the small fields copied out of the
     buffer; the class tables are built only after the buffer is freed.
     It is below the bound of a solve that also held a scratch table of the
-    strips' size, and one more buffer of the table's size fails it."""
+    strip's size, and a table that stacked the radial and the proportional
+    refinement fails it."""
     cfg = dict(SMALL_CONFIG, p_values=[2, 4],
                grid={"n_rho": 96, "n_theta": 96, "n_s": 16},
                sample={"n_rho": 6, "n_theta": 6, "n_s": 4})
@@ -1641,26 +1788,28 @@ def test_collapse_solve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the largest table stacks the radially refined limit surface's fields
-    # on rings 96 and 192, 191 rows from 6 source rows: half strips of 49
-    # and 97 columns and three walls
-    n_rho, widths, n_src = 191, (49, 97), 6
-    columns = 1 + sum(w + 1 for w in widths)
+    # the largest table is the proportional refinement alone, the radially
+    # refined limit surface's field on ring 192, 191 rows from 6 source
+    # rows: a half strip of 97 columns and its two walls
+    n_rho, width, n_src = 191, 97, 6
+    columns = width + 2
     table = 8 * n_rho * columns * n_src
     scratch = 8 * gh_collapse._SCRATCH_LABELS
-    # ring and diag repeated across the sources for both graphs, a theta
-    # pass's column and step, a rho pass's row and step
-    buffers = 8 * n_src * (6 * n_rho + 2 * columns)
+    # ring and diag repeated across the sources, a theta pass's column and
+    # step, a rho pass's row and step
+    buffers = 8 * n_src * (4 * n_rho + 2 * columns)
     slack = 256 * 1024
     bound = table + scratch + buffers + slack
     assert scratch + buffers + slack < table
     # the bound of a solve of the largest field alone that kept a scratch
     # table of its strip's size: labels of the strip and its two pads,
     # the scratch, and its buffers
-    width = widths[1]
     alone = (8 * n_rho * n_src * ((width + 2) + width)
              + 8 * n_src * (4 * n_rho + width) + slack)
     assert bound < alone
+    # the radial pair stacked, half strips of 49 and 97 columns and three
+    # walls, and the scratch block alone exceed the bound
+    assert 8 * n_rho * (1 + 50 + 98) * n_src + scratch > bound
     assert peak < bound
 
 
