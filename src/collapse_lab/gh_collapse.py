@@ -17,25 +17,21 @@ weight-preserving automorphisms of it.  Every distance field is solved from
 sources at theta = 0, which the reflection fixes, so only the half strip
 (grid columns 0 .. n_theta // 2) is solved, and the field is that
 half-strip table: its lookup takes integer columns of any sign and folds
-them into the strip.  The solver (_distance_fields) is a
-label-correcting one in numpy: rounds of Gauss-Seidel passes rho down,
-theta up and rho up, each round followed by a check that one relaxation of
-every edge lowers no label, and by a theta-down pass only when the check
-fails.  Each pass relaxes every grid line from the line before it over the
-straight edge and both diagonals.  There is one kernel per orientation,
-each running in one direction: a descending pass is the ascending kernel
-on the reversed view.  Graphs that share their rho rows can be solved side
-by side in one row-major label table, their half strips between walls of
-inf (_GridSurfaces stacks only a field with its angular refinement, and
-solves every other field alone, so no solve is larger than its largest
-field with its walls): the rho kernel (_rho_pass) relaxes whole rows of
-it, all strips at once, and the theta kernel (_theta_pass) runs strip by
-strip on
-column-major copies of blocks of columns in a small scratch block, so both
-work on contiguous blocks.  The rho-up pass leaves every edge from the row
-below relaxed, so the check relaxes the other edges only, block after
-block of rows in the same scratch.  The fixed point is Dijkstra's output
-to the last bit.
+them into the strip.  The solver (_distance_field) solves one graph in its
+own row-major label table, the half strip between two wall columns of inf.
+It is a label-correcting one in numpy: rounds of Gauss-Seidel passes rho
+down, theta up and rho up, each round followed by a check that one
+relaxation of every edge lowers no label, and by a theta-down pass only
+when the check fails.  Each pass relaxes every grid line from the line
+before it over the straight edge and both diagonals.  There is one kernel
+per orientation, each running in one direction: a descending pass is the
+ascending kernel on the reversed view.  The rho kernel (_rho_pass)
+relaxes whole rows of the table, and the theta kernel (_theta_pass) runs
+on column-major copies of blocks of columns in a small scratch block, so
+both work on contiguous blocks.  The rho-up pass leaves every edge from
+the row below relaxed, so the check relaxes the other edges only, block
+after block of rows in the same scratch.  The fixed point is Dijkstra's
+output to the last bit.
 
 collapse_experiment compares the quotient against the transformed limit
 surface, with theta taken mod 2 pi / m2' (m2' = m2 / gcd(m1, m2)), through
@@ -62,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -117,16 +113,16 @@ class SurfaceGraph:
 
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
 # 1)), that one distance field may hold.  The solver keeps 8 bytes a label,
-# the float64 labels, plus a scratch block of fixed size (_SCRATCH_LABELS),
-# so the cap bounds every solve of _GridSurfaces near 64 MiB: none holds
-# more than the largest field of its run and two walls.  The graph itself
-# is three weights a row, so the cap sizes graphs too: _GridSurfaces
-# refuses the largest field of its solves before any build.
+# the float64 labels with two wall columns, plus a scratch block of fixed
+# size (_SCRATCH_LABELS), so the cap bounds every solve of _GridSurfaces
+# near 64 MiB: each solves one field.  The graph itself is three weights a
+# row, so the cap sizes graphs too: _GridSurfaces refuses the largest field
+# of its solves before any build.
 MAX_FIELD_LABELS = 2 ** 23
 
 
 # Labels of the solver's scratch block (256 KiB of float64), or of two
-# label columns or one label row of a strip if either is larger: a theta
+# label columns or one label row of the strip if either is larger: a theta
 # pass copies block after block of columns into it, and the convergence
 # check writes its candidates there block after block of rows.  It also
 # sizes the blocks of group elements that collapse_experiment folds at once.
@@ -140,17 +136,6 @@ _SCRATCH_LABELS = 2 ** 15
 # several of which are held at once, so the cap bounds both the lookups of
 # a solve and each table held in memory (32 MiB).
 MAX_CLASS_ENTRIES = 2 ** 22
-
-
-def _stack_layout(rings):
-    """The half-strip columns of the stacked table of _distance_fields for
-    graphs of the given n_theta (rings), and the table's width: a column
-    of inf before, between and after the strips."""
-    strips, start = [], 1
-    for n in rings:
-        strips.append(slice(start, start + n // 2 + 1))
-        start = strips[-1].stop + 1
-    return strips, start
 
 
 def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
@@ -196,23 +181,20 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
                         ring=ring, rad=rad, diag=diag)
 
 
-def _rho_pass(d: np.ndarray, rad, strips) -> None:
-    """One Gauss-Seidel pass over the rows of the stacked labels d,
-    (n_rho, columns, sources), in row order: row i is relaxed from row
-    i - 1 over three in-edges into each strip column, the radial edge,
-    weight rad[i], and the diagonals from both side columns of the same
-    strip, weight diag[i] of that strip's graph.  strips holds (columns,
-    diag) for each strip: its column slice of d and its graph's diag list;
-    the wall columns around the strips hold inf.  The descending pass is
-    this one on d[::-1], with every weight list w reversed as
-    [inf] + w[:0:-1].
+def _rho_pass(d: np.ndarray, rad, diag) -> None:
+    """One Gauss-Seidel pass over the rows of the labels d, (n_rho, width +
+    2, sources), the half strip between two wall columns of inf, in row
+    order: row i is relaxed from row i - 1 over three in-edges into each
+    strip column, the radial edge, weight rad[i], and the diagonals from
+    both side columns, weight diag[i].  The descending pass is this one on
+    d[::-1], with both weight lists w reversed as [inf] + w[:0:-1].
 
-    A row takes 3 + 2 k ufunc calls for k strips.  The radial edge is one
-    add over the whole row, walls included, which stay inf.  A strip's
-    diagonals are one candidate fl(min(left, right) + diag[i]), the lesser
-    of its two diagonals because rounding is monotone, written into its
-    part of a step row whose wall entries stay inf.  Then one min merges
-    the step row into the line and one the line into the target row.
+    A row takes 5 ufunc calls.  The radial edge is one add over the whole
+    row, walls included, which stay inf.  The diagonals are one candidate
+    fl(min(left, right) + diag[i]), the lesser of the two because rounding
+    is monotone, written into the strip's part of a step row whose wall
+    entries stay inf.  Then one min merges the step row into the line and
+    one the line into the target row.
 
     Each row is relaxed only after the row before it is final, so on
     return every in-edge from the row before satisfies d[v] <= fl(d[u] +
@@ -220,19 +202,13 @@ def _rho_pass(d: np.ndarray, rad, strips) -> None:
     """
     line = np.empty_like(d[0])
     step = np.full_like(d[0], math.inf)
-    # per row from row 1, per strip: (the strip's part of the step row, the
-    # labels left and right of its columns in the row before, its diag)
+    part = step[1:-1]
     before = d[:-1]
-    diagonals = zip(*(zip(repeat(step[cols]),
-                          before[:, cols.start - 1:cols.stop - 1],
-                          before[:, cols.start + 1:cols.stop + 1], diag[1:])
-                      for cols, diag in strips))
-    for target, src, w_rad, row_diagonals in zip(d[1:], before, rad[1:],
-                                                 diagonals):
+    for target, src, left, right, w_rad, w_diag in zip(
+            d[1:], before, before[:, :-2], before[:, 2:], rad[1:], diag[1:]):
         np.add(src, w_rad, out=line)
-        for part, left, right, w_diag in row_diagonals:
-            np.minimum(left, right, out=part)
-            np.add(part, w_diag, out=part)
+        np.minimum(left, right, out=part)
+        np.add(part, w_diag, out=part)
         np.minimum(line, step, out=line)
         np.minimum(target, line, out=target)
 
@@ -280,61 +256,49 @@ def _theta_pass(strip: np.ndarray, ring: np.ndarray, diag: np.ndarray,
         np.copyto(strip[:, a:a + n], runs[:n].T)
 
 
-def _sweep(graphs, d: np.ndarray, strips) -> None:
-    """Sweep the stacked labels d, (n_rho, columns, sources), to the fixed
-    point of relaxing every edge of every graph, graph b's half strip in
-    the columns strips[b] of d, between wall columns of inf.
+def _sweep(graph: SurfaceGraph, d: np.ndarray) -> None:
+    """Sweep the labels d, (n_rho, width + 2, sources), graph's half strip
+    between two wall columns of inf, to the fixed point of relaxing every
+    edge.
 
     Each round is a pass rho descending, theta ascending and rho ascending,
     then the check (_relaxation_lowers), and a pass theta descending only
-    when the check finds a lower label in any strip; a descending pass is
-    the ascending kernel on the reversed view.  A rho pass (_rho_pass)
-    relaxes whole rows of the table, all strips at once (the graphs share
-    rho_values, so they share rad), and a theta pass (_theta_pass) one
-    strip at a time, through a scratch of about _SCRATCH_LABELS labels,
-    every column weighed by the same blocks of its graph, ring and
-    diag[1:], repeated across the sources.  Either kind of pass follows
-    any mix of its straight steps with diagonal ones: on a flat stretch
-    many such mixes have the same length, rounding decides which is
-    shortest, and a pass that left the diagonals out would take several
-    more sweeps to find it: radial-only rho passes took 13 to 21 rounds,
-    and a ring-only theta pass 3, on flat fields this sweep solves in one.
+    when the check finds a lower label; a descending pass is the ascending
+    kernel on the reversed view.  A rho pass (_rho_pass) relaxes whole rows
+    of the table, and a theta pass (_theta_pass) the strip's columns,
+    through a scratch of about _SCRATCH_LABELS labels, every column weighed
+    by the same blocks of ring and diag[1:], repeated across the sources.
+    Either kind of pass follows any mix of its straight steps with
+    diagonal ones: on a flat stretch many such mixes have the same length,
+    rounding decides which is shortest, and a pass that left the diagonals
+    out would take several more sweeps to find it: radial-only rho passes
+    took 13 to 21 rounds, and a ring-only theta pass 3, on flat fields
+    this sweep solves in one.
 
     The check runs right after the rho-ascending pass, which leaves every
     in-edge from the row below relaxed, so it relaxes only the in-edges
-    from the side columns and from the row above, strip by strip on the
-    strip and its two walls, with its candidates in the same scratch.  A
-    table whose labels are final after the first three passes never runs
-    the fourth.
+    from the side columns and from the row above, with its candidates in
+    the same scratch.  A table whose labels are final after the first
+    three passes never runs the fourth.
     """
-    n_rho, _, n_src = d.shape
+    n_rho, width, n_src = d.shape
     column = n_rho * n_src
-    widest = max(cols.stop - cols.start for cols in strips)
-    scratch = np.empty(max(_SCRATCH_LABELS, 2 * column, widest * n_src))
+    scratch = np.empty(max(_SCRATCH_LABELS, 2 * column, (width - 2) * n_src))
     block = scratch.size // column
     lines = scratch[:block * column].reshape(block, n_rho, n_src)
-    rad = graphs[0].rad.tolist()
-    diags = [g.diag.tolist() for g in graphs]
-    up = rad, list(zip(strips, diags))
-    down = ([math.inf] + rad[:0:-1],
-            [(cols, [math.inf] + diag[:0:-1])
-             for cols, diag in zip(strips, diags)])
-    padded = [d[:, cols.start - 1:cols.stop + 1] for cols in strips]
+    rad, diag = graph.rad.tolist(), graph.diag.tolist()
+    down = [math.inf] + rad[:0:-1], [math.inf] + diag[:0:-1]
     run = np.dtype((np.void, 8 * n_src))        # a node's S labels
-    theta = [(d.view(run)[:, cols, 0],
-              np.repeat(g.ring[:, None], n_src, axis=1),
-              np.repeat(g.diag[1:, None], n_src, axis=1))
-             for g, cols in zip(graphs, strips)]
+    strip = d.view(run)[:, 1:-1, 0]
+    ring = np.repeat(graph.ring[:, None], n_src, axis=1)
+    diag_theta = np.repeat(graph.diag[1:, None], n_src, axis=1)
     while True:
         _rho_pass(d[::-1], *down)
-        for strip, ring, diag in theta:
-            _theta_pass(strip, ring, diag, lines)
-        _rho_pass(d, *up)
-        if not any(_relaxation_lowers(g, p, scratch)
-                   for g, p in zip(graphs, padded)):
+        _theta_pass(strip, ring, diag_theta, lines)
+        _rho_pass(d, rad, diag)
+        if not _relaxation_lowers(graph, d, scratch):
             return
-        for strip, ring, diag in theta:
-            _theta_pass(strip[:, ::-1], ring, diag, lines)
+        _theta_pass(strip[:, ::-1], ring, diag_theta, lines)
 
 
 def _relaxation_lowers(graph: SurfaceGraph, d: np.ndarray,
@@ -407,17 +371,16 @@ class SurfaceDistanceField:
         return self.dist[rho_row, src_slot, np.minimum(j, n - j)][()]
 
 
-def _distance_fields(graphs, rho_rows,
-                     labels=None) -> list[SurfaceDistanceField]:
+def _distance_field(graph: SurfaceGraph, rho_rows,
+                    labels=None) -> SurfaceDistanceField:
     """Exact graph distances from (row, theta = 0) for each of rho_rows on
-    each of graphs.  Nothing is checked again: the one caller,
-    _GridSurfaces, refuses fields above MAX_FIELD_LABELS before any build
-    and passes valid rows and graphs that share rho_values, rad and pole.
-    Those graphs are connected, so a label left at inf is a float overflow,
-    which the caller's table refuses.
+    graph.  Nothing is checked again: the one caller, _GridSurfaces,
+    refuses fields above MAX_FIELD_LABELS before any build and passes
+    valid rows.  The graph is connected, so a label left at inf is a float
+    overflow, which the caller's table refuses.
 
-    The reflection theta -> -theta fixes every source and maps a graph
-    onto itself with identical edge weights, so each field satisfies
+    The reflection theta -> -theta fixes every source and maps the graph
+    onto itself with identical edge weights, so the field satisfies
     d(i, j) = d(i, n_theta - j), and only the half strip is solved: the
     induced subgraph on columns 0 .. n_theta // 2, with the pole and its
     spokes to those columns.  The fold is exact: a shortest path from a
@@ -425,12 +388,12 @@ def _distance_fields(graphs, rho_rows,
     the only edges the half strip drops run between mirror columns (for odd
     n_theta a folded diagonal, parallel to a shorter radial edge).
 
-    The half strips are solved side by side in one label table, (n_rho,
-    1 + sum(n_theta // 2 + 2), S), sources last so that a rho pass reads
-    one contiguous block a row, with a column of inf before, between and
-    after them standing in for the edges a strip does not have.  Given
-    labels, a flat float64 buffer of at least the table's size, the table
-    is the head of it; a field's dist is the transposed view of its strip.
+    The half strip is solved in a label table (n_rho, n_theta // 2 + 3,
+    S), sources last so that a rho pass reads one contiguous block a row,
+    the strip in columns 1 .. -2, between two wall columns of inf standing
+    in for the edges the strip does not have.  Given labels, a flat
+    float64 buffer of at least the table's size, the table is the head of
+    it; the field's dist is the transposed view of the strip.
 
     The labels start at inf, 0 at the sources, and every change lowers a
     label to some fl(d[u] + w_uv), so each label is the rounded length of
@@ -439,77 +402,68 @@ def _distance_fields(graphs, rho_rows,
     (the eight grid directions and the pole spokes) lowers no label.  Then
     d[v] <= fl(d[u] + w_uv) on every edge, and by induction along
     Dijkstra's shortest-path tree no label is above Dijkstra's either: the
-    fields are Dijkstra's output bit for bit, whatever the sweep order, and
+    field is Dijkstra's output bit for bit, whatever the sweep order, and
     the half-strip values are the full graph's.
     """
-    first = graphs[0]
     rho_rows = np.atleast_1d(np.asarray(rho_rows, dtype=int))
-    n_rho = first.n_rho
-    strips, width = _stack_layout([g.n_theta for g in graphs])
-    shape = (n_rho, width, rho_rows.size)
+    shape = (graph.n_rho, graph.n_theta // 2 + 3, rho_rows.size)
     size = math.prod(shape)
     d = (np.empty(size) if labels is None else labels[:size]).reshape(shape)
     d.fill(math.inf)
-    for cols in strips:
-        d[rho_rows, cols.start, np.arange(rho_rows.size)] = 0.0
-        if first.pole:
-            d[0, cols, rho_rows == 0] = 0.0
-    _sweep(graphs, d, strips)
-    return [SurfaceDistanceField(n_theta=g.n_theta,
-                                 dist=d[:, cols].transpose(0, 2, 1))
-            for g, cols in zip(graphs, strips)]
+    d[rho_rows, 1, np.arange(rho_rows.size)] = 0.0
+    if graph.pole:
+        d[0, 1:-1, rho_rows == 0] = 0.0
+    _sweep(graph, d)
+    return SurfaceDistanceField(n_theta=graph.n_theta,
+                                dist=d[:, 1:-1].transpose(0, 2, 1))
 
 
-# The solves of a field and its floor refinements: (scale of the rows,
-# scales of the ring) of each.  The field and its angular refinement share
-# their rho rows, so they are one stacked solve, which is smaller than the
-# proportional refinement alone; the radial and the proportional refinement
-# are solved one at a time.
-_FLOOR_SOLVES = ((1, (1, 2)), (2, (1,)), (2, (2,)))
+# The solves of a field and its floor refinements, the field itself first,
+# then its angular, radial and proportional refinement: (scale of the rows,
+# scale of the ring) of each.
+_REFINEMENTS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 class _GridSurfaces:
     """The grid backend of collapse_experiment: fields from the sample rho
     rows of an n_rho-row grid, on the limit side's floor_ring with the
-    floor's refinements, and on each quotient-side ring.  It refuses the
-    largest field above MAX_FIELD_LABELS before any build, and every solve
-    fills its one label buffer, sized for the largest single solve
-    (_FLOOR_SOLVES, then one per ring), so no table exceeds the largest
-    field with its two walls: with a table per solve, freeing the largest
-    (mmapped) raised glibc's mmap threshold, so the next call took the
-    smaller tables from the heap, whose pages stay resident.  The buffer
-    lives from the first solve to the last: fields returns copies, so the
-    caller drops the backend, and the buffer with it, once it holds every
-    field of its run."""
+    floor's refinements, and on each quotient-side ring, one graph and one
+    solve each.  It refuses the largest field above MAX_FIELD_LABELS
+    before any build, and every solve fills its one label buffer, sized
+    for the largest field of its run with its two walls: with a table per
+    solve, freeing the largest (mmapped) raised glibc's mmap threshold, so
+    the next call took the smaller tables from the heap, whose pages stay
+    resident.  The buffer lives from the first solve to the last: fields
+    returns copies, so the caller drops the backend, and the buffer with
+    it, once it holds every field of its run."""
 
     def __init__(self, n_rho, rho_rows, floor_ring, rings):
         self.n_rho, self.rho_rows = n_rho, rho_rows
-        # (n_rho, rings) of each solve: the floor's three, then each ring
-        solves = ([(scale * (n_rho - 1) + 1, [k * floor_ring for k in ks])
-                   for scale, ks in _FLOOR_SOLVES]
-                  + [(n_rho, [ring]) for ring in rings])
+        # (n_rho, ring) of each solve: the floor's four, then each ring
+        solves = ([(scale * (n_rho - 1) + 1, k * floor_ring)
+                   for scale, k in _REFINEMENTS]
+                  + [(n_rho, ring) for ring in rings])
         n_labels = rho_rows.size * max(n * (ring // 2 + 1)
-                                       for n, rs in solves for ring in rs)
+                                       for n, ring in solves)
         if n_labels > MAX_FIELD_LABELS:
             raise DomainError(f"distance field of {n_labels} labels (sources "
                               f"x half-strip nodes) exceeds the cap "
                               f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
                               f"coarser grid or fewer sample rho rows")
-        self.labels = np.empty(rho_rows.size * max(n * _stack_layout(rs)[1]
-                                                   for n, rs in solves))
+        self.labels = np.empty(rho_rows.size * max(n * (ring // 2 + 3)
+                                                   for n, ring in solves))
 
     def fields(self, metric, period, ring, refine=False):
         """The field of metric on ring columns spanning period, then with
         refine its angular, radial and proportional refinements, each copied
         out of the buffer by sample slot and counted in columns of ring."""
         out = []
-        for scale, ks in _FLOOR_SOLVES if refine else ((1, (1,)),):
+        for scale, k in _REFINEMENTS if refine else _REFINEMENTS[:1]:
             rows = scale * self.rho_rows
-            graphs = [build_surface_graph(metric, scale * (self.n_rho - 1) + 1,
-                                          k * ring, period) for k in ks]
-            out += [SurfaceDistanceField(ring, fld.dist[rows, :, ::k])
-                    for fld, k in zip(_distance_fields(graphs, rows,
-                                                       self.labels), ks)]
+            graph = build_surface_graph(metric, scale * (self.n_rho - 1) + 1,
+                                        k * ring, period)
+            fld = _distance_field(graph, rows, self.labels)
+            out.append(SurfaceDistanceField(ring, fld.dist[rows, :, ::k]))
         return out
 
 
@@ -579,6 +533,12 @@ class CollapseConfig:
         for want, have in (("rho", (self.sample.n_rho, self.grid.n_rho)),
                            ("theta", (self.sample.n_theta, self.grid.n_theta)),
                            ("s", (self.sample.n_s, self.grid.n_s))):
+            # no field within the cap has more rows or columns, and the
+            # products that place the sample on such a grid fit in int64
+            if have[1] > MAX_FIELD_LABELS:
+                raise DomainError(f"grid n_{want} = {have[1]} exceeds the "
+                                  f"cap on every grid size, MAX_FIELD_LABELS"
+                                  f" = {MAX_FIELD_LABELS}")
             if have[0] < 1 or have[0] > have[1]:
                 raise DomainError(f"sample n_{want} must lie in [1, grid]")
 

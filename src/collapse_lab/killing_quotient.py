@@ -43,7 +43,8 @@ class PointMetric:
     """Symmetric positive definite matrix: a metric at one point.
 
     Construction validates finiteness, symmetry (to 1e-12, relative) and
-    positive definiteness (Cholesky).
+    positive definiteness (Cholesky), and stores 0.5 (m + m^T), refusing a
+    sum that overflows.
     """
     matrix: np.ndarray
 
@@ -55,9 +56,14 @@ class PointMetric:
         if not np.all(np.isfinite(m)):
             raise InvalidMetricError("metric entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > _SYM_TOL * scale:
-            raise InvalidMetricError("metric must be symmetric to 1e-12")
-        m = 0.5 * (m + m.T)
+        # an overflow makes inf, which is refused as asymmetric or below
+        with np.errstate(over="ignore"):
+            if np.max(np.abs(m - m.T)) > _SYM_TOL * scale:
+                raise InvalidMetricError("metric must be symmetric to 1e-12")
+            m = 0.5 * (m + m.T)
+        if not np.all(np.isfinite(m)):
+            raise InvalidMetricError("metric entries overflow in the "
+                                     "symmetrisation 0.5 (m + m^T)")
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -194,6 +200,8 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
         raise DomainError("frame must be rows of ambient vectors")
     if frame.shape[0] == 0:
         raise DomainError("frame must have at least one row")
+    if basis.dim != gm.dim:
+        raise DomainError("orbit basis rows must have the metric's dimension")
     if basis.count + frame.shape[0] != gm.dim:
         raise TransversalityError(
             "orbit basis plus frame must have exactly ambient dimension")
@@ -203,8 +211,7 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     if np.linalg.matrix_rank(span) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
     proj = project_onto_complement(gm, basis, frame)
-    h = proj @ gm.matrix @ proj.T
-    return PointMetric(0.5 * (h + h.T))
+    return PointMetric(proj @ gm.matrix @ proj.T)
 
 
 def circle_quotient_pushforward(f_val: float, r: float):
@@ -230,5 +237,4 @@ def circle_quotient_pushforward(f_val: float, r: float):
     g = np.diag([1.0, f2, r2])
     push = project_onto_complement(g, OrbitBasis([[0.0, 1.0, 1.0]]),
                                    np.eye(3))
-    h = push[:2] @ g @ push[:2].T
-    return (*push, PointMetric(0.5 * (h + h.T)))
+    return (*push, PointMetric(push[:2] @ g @ push[:2].T))

@@ -751,6 +751,43 @@ def test_square_underflowing_transform_exits_1(tmp_path, capsys, cfg):
     assert err.startswith("collapse-lab: error: r^2 underflows")
 
 
+@pytest.mark.parametrize("value", [2 ** 63, 10 ** 30])
+@pytest.mark.parametrize("key", ["n_rho", "n_theta", "n_s"])
+def test_collapse_grid_size_past_int64_exits_1(tmp_path, capsys, key, value):
+    """A grid size past int64 is refused by the cap on every grid size
+    before any index array is built: n_theta and n_s overflowed the
+    sample's grid indices, and n_rho reached numpy as an object array."""
+    cfg = _demo("collapse")
+    cfg["grid"] = dict(cfg["grid"], **{key: value})
+    code, out, err = _run_strict(tmp_path, capsys, "collapse", cfg)
+    assert code == 1 and out == ""
+    assert err == (f"collapse-lab: error: grid {key} = {value} exceeds the "
+                   f"cap on every grid size, MAX_FIELD_LABELS = 8388608\n")
+
+
+def test_quotient_rejects_short_orbit_basis_row(tmp_path, capsys):
+    # [[1]] against the 3 x 3 metric passed the count check and failed in
+    # the concatenation with the frame
+    code, out, err = _run_strict(tmp_path, capsys, "quotient",
+                                 _demo("quotient", h_vectors=[[1.0]]))
+    assert code == 1 and out == ""
+    assert err == ("collapse-lab: error: orbit basis rows must have the "
+                   "metric's dimension\n")
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_quotient_rejects_metric_whose_symmetrisation_overflows(
+        tmp_path, capsys, entry):
+    # a finite 1.7e308 on the diagonal doubles past the float range in
+    # m + m^T; it is refused, not halved first into a wrong answer
+    cfg = _demo("quotient")
+    cfg["metric"][entry][entry] = 1.7e308
+    code, out, err = _run_strict(tmp_path, capsys, "quotient", cfg)
+    assert code == 1 and out == ""
+    assert err == ("collapse-lab: error: metric entries overflow in the "
+                   "symmetrisation 0.5 (m + m^T)\n")
+
+
 def _collapse_small(surface, rho_max, r=1):
     return {"surface": surface, "rho_max": rho_max, "r": r, "m1": 0,
             "m2": 1, "p_values": [2],

@@ -28,7 +28,7 @@ from collapse_lab.errors import ConfigError, DomainError
 from collapse_lab.gh_collapse import (
     SurfaceGraph,
     _check_metric,
-    _distance_fields,
+    _distance_field,
     _subgrid_indices,
     build_surface_graph,
 )
@@ -98,7 +98,7 @@ def test_graph_node_layout_with_pole():
     assert ids[0].tolist() == [0] * 12
     assert ids[1, 0] == 1
     assert ids[2, 5] == 1 + 12 + 5
-    fld = _distance_fields([g], [0, 4])[0]
+    fld = _distance_field(g, [0, 4])
     assert np.all(fld.lookup(0, 0, np.arange(12)) == 0.0)
     pole = fld.lookup(1, 0, np.arange(12))
     assert np.all(pole == pole[0]) and pole[0] > 0
@@ -206,14 +206,14 @@ def test_graph_csr_matches_coo_reference(warp, rho_max, half, n_theta,
     solver's distances equal scipy's Dijkstra on the reference CSR bit for
     bit, from every node of the full graph (the fields read at every
     rotation, _all_pairs) and from every row of the half strip
-    (_distance_fields)."""
+    (_distance_field)."""
     metric = metric_from_warp(warp, rho_max)
     g = build_surface_graph(metric, n_rho, n_theta)
     ref = _coo_reference_csr(metric, n_rho, n_theta, half)
     if half:
         ids = _node_ids(g, half=True)
         want = dijkstra(ref, indices=ids[:, 0])[:, ids]
-        got = _distance_fields([g], np.arange(n_rho))[0].dist
+        got = _distance_field(g, np.arange(n_rho)).dist
         got = got.transpose(1, 0, 2)
     else:
         want = dijkstra(ref, indices=np.arange(ref.shape[0]))
@@ -242,7 +242,7 @@ def _all_pairs(g):
     weight-preserving automorphisms of the graph, as collapse_experiment
     assumes."""
     ids = _node_ids(g, half=False)
-    fld = _distance_fields([g], np.arange(g.n_rho))[0]
+    fld = _distance_field(g, np.arange(g.n_rho))
     k, c, i, j = np.ix_(*map(np.arange, ids.shape * 2))
     d = np.empty((ids.max() + 1,) * 2)
     d[ids[k, c], ids[i, j]] = fld.lookup(k, i, j - c)
@@ -257,7 +257,7 @@ def test_graph_size_cap():
     # field of 2049 x 1025 labels from one source
     g = build_surface_graph(metric_from_warp(SinhWarp(1.0), 2.0), 2049, 2048)
     assert g.pole and 1 + (g.n_rho - 1) * g.n_theta > 2 ** 22
-    fld = _distance_fields([g], [1024])[0]
+    fld = _distance_field(g, [1024])
     assert fld.dist.shape == (2049, 1, 1025)
     assert np.all(np.isfinite(fld.dist))
     assert fld.lookup(0, 1025, 0) == g.rad[1025]
@@ -283,7 +283,7 @@ def test_half_graph_is_induced_subgraph(warp, rho_max, n_theta):
     full = _coo_reference_csr(metric, 10, n_theta, half=False)
     strip = _node_ids(g, half=True)
     want = dijkstra(full[keep][:, keep], indices=strip[:, 0])[:, strip]
-    got = _distance_fields([g], np.arange(10))[0].dist
+    got = _distance_field(g, np.arange(10)).dist
     assert np.array_equal(got.transpose(1, 0, 2), want)
 
 
@@ -294,7 +294,7 @@ def test_half_graph_node_index_folds(warp):
     lookup is that gather."""
     metric = metric_from_warp(warp, 1.0)
     g = build_surface_graph(metric, 9, 13)
-    fld = _distance_fields([g], [0, 4, 8])[0]
+    fld = _distance_field(g, [0, 4, 8])
     assert fld.dist.shape == (9, 3, 7)
     ids = _node_ids(g, half=False)
     full = dijkstra(_coo_reference_csr(metric, 9, 13, half=False),
@@ -323,7 +323,7 @@ def test_distance_field_sweeps_until_no_edge_lowers(monkeypatch):
     for n_rho, n_theta in ((17, 12), (24, 25)):
         checks.clear()
         g = build_surface_graph(metric, n_rho, n_theta)
-        got = _distance_fields([g], np.arange(n_rho))[0].dist
+        got = _distance_field(g, np.arange(n_rho)).dist
         assert checks[0] and not checks[-1]
         ids = _node_ids(g, half=True)
         ref = _coo_reference_csr(metric, n_rho, n_theta, half=True)
@@ -342,12 +342,13 @@ def test_relaxation_check_sees_every_edge_group(kind, row, column):
     refused when the source reaches the row above it (the spokes into the
     pole among those edges), or sideways the strip column on its right or
     on its left (column 1 or 5 of the padded strip, the first or last
-    strip column).  The source sits in the second strip of a stacked table
-    of two copies of the graph; the check of that strip, with its two
-    walls, refuses the labels, and the check of the first strip, whose
-    right wall is the shared column 6, finds nothing to lower.  A scratch
-    of one strip row checks one row at a time, one of the strip's size
-    all rows at once."""
+    strip column).  The source sits in the right half of an array of two
+    tables side by side: the check of the table that holds it, the strip
+    with its two walls, refuses the labels, and the check of the table to
+    its left, whose right wall is the shared column 6, finds nothing to
+    lower, so the check reads no column outside the table it is given.  A
+    scratch of one strip row checks one row at a time, one of the strip's
+    size all rows at once."""
     weights = {name: np.full(9, math.inf) for name in ("ring", "rad", "diag")}
     weights["rad" if kind == "spoke" else kind][1:] = 1.0
     g = SurfaceGraph(rho_values=np.arange(9.0), n_theta=8,
@@ -362,20 +363,17 @@ def test_relaxation_check_sees_every_edge_group(kind, row, column):
 
 def test_rho_pass_relaxes_both_diagonals_within_each_strip():
     """_rho_pass relaxes a row from the row before it over the radial edge
-    and both diagonals of each strip, each strip with its own diag, and no
-    label crosses a wall: a lone source in the last column of the first
-    strip and one in the middle of the second reach the next row at rad
-    straight on and at their strip's diag on both sides, and nothing else,
-    in row order and, on the reversed view with the weights of the
-    later row, against it."""
-    strips = [(slice(1, 5), [math.inf, 2.0]), (slice(6, 11), [math.inf, 3.0])]
-    want = np.full(12, math.inf)
-    want[[3, 4, 7, 8, 9]] = [2.0, 1.0, 3.0, 1.0, 3.0]
+    and both diagonals, and no label crosses a wall: lone sources in the
+    first, a middle and the last column of the strip reach the next row at
+    rad straight on and at diag on both sides within the strip, and
+    nothing else, in row order and, on the reversed view with the weights
+    of the later row, against it."""
+    want = np.array([math.inf, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, math.inf])
     for reverse, src, dst in ((False, 0, 1), (True, 1, 0)):
-        d = np.full((2, 12, 1), math.inf)
-        d[src, [4, 8], 0] = 0.0
+        d = np.full((2, 8, 1), math.inf)
+        d[src, [1, 4, 6], 0] = 0.0
         gh_collapse._rho_pass(d[::-1] if reverse else d, [math.inf, 1.0],
-                              strips)
+                              [math.inf, 2.0])
         assert np.array_equal(d[dst, :, 0], want)
 
 
@@ -430,7 +428,7 @@ def test_check_runs_with_edges_from_row_below_relaxed(monkeypatch, case):
 
     check = gh_collapse._relaxation_lowers
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
-    _distance_fields([g], np.arange(g.n_rho))
+    _distance_field(g, np.arange(g.n_rho))
     assert checks and not checks[-1]
     if case == "sphere-band":
         assert len(checks) == 3
@@ -444,43 +442,41 @@ def _ascending(view, axis):
 
 
 def _assert_fields_take_one_round(monkeypatch, cfg):
-    """The five fields of a one-chain collapse solve come from four
-    solves: the limit field with its angular refinement in one stacked
-    table, the radial refinement alone, the proportional refinement alone,
-    and the chain's quotient side alone.  Each solve is final after its
-    first round: two rho passes, theta passes only ascending, and one
-    check of each strip, which finds nothing to lower, so no
+    """The five fields of a one-chain collapse solve come from five
+    solves of one graph each: the limit field, its angular, radial and
+    proportional refinement, and the chain's quotient side.  Each solve is
+    final after its first round: two rho passes, theta passes only
+    ascending, and one check, which finds nothing to lower, so no
     theta-descending pass runs."""
     solves = []
 
-    def solve_spy(graphs, rows, labels=None):
-        solves.append({"strips": len(graphs), "rho": [], "theta": set(),
-                       "checks": []})
-        return solve(graphs, rows, labels)
+    def solve_spy(graph, rows, labels=None):
+        solves.append({"rho": [], "theta": set(), "checks": []})
+        return solve(graph, rows, labels)
 
     def check_spy(*args):
         solves[-1]["checks"].append(check(*args))
         return solves[-1]["checks"][-1]
 
-    def rho_spy(d, rad, strips):
+    def rho_spy(d, rad, diag):
         solves[-1]["rho"].append(_ascending(d, 0))
-        rho_kernel(d, rad, strips)
+        rho_kernel(d, rad, diag)
 
     def theta_spy(strip, ring, diag, lines):
         solves[-1]["theta"].add(_ascending(strip, 1))
         kernel(strip, ring, diag, lines)
 
-    solve, check, rho_kernel, kernel = (gh_collapse._distance_fields,
+    solve, check, rho_kernel, kernel = (gh_collapse._distance_field,
                                         gh_collapse._relaxation_lowers,
                                         gh_collapse._rho_pass,
                                         gh_collapse._theta_pass)
-    monkeypatch.setattr(gh_collapse, "_distance_fields", solve_spy)
+    monkeypatch.setattr(gh_collapse, "_distance_field", solve_spy)
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
     monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
     collapse_experiment(CollapseConfig.from_json(cfg))
-    assert solves == [{"strips": k, "rho": [False, True], "theta": {True},
-                       "checks": [False] * k} for k in (2, 1, 1, 1)]
+    assert solves == [{"rho": [False, True], "theta": {True},
+                       "checks": [False]}] * 5
 
 
 def test_demo_fields_converge_without_theta_descending_pass(monkeypatch):
@@ -530,7 +526,7 @@ def test_flat_fields_converge_in_one_round(monkeypatch, n_rho, n_theta):
     check, kernel = gh_collapse._relaxation_lowers, gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", check_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
-    _distance_fields([g], rows)
+    _distance_field(g, rows)
     assert checks == [False]
     assert theta == [True]
 
@@ -563,13 +559,12 @@ def _certified_passes(monkeypatch, g, rows):
         return ((lines[:-1], lines[1:]) if ascending
                 else (lines[1:], lines[:-1]))
 
-    def rho_spy(d, rad, strips):
-        rho_kernel(d, rad, strips)
+    def rho_spy(d, rad, diag):
+        rho_kernel(d, rad, diag)
         up = _ascending(d, 0)
         passes.append(("rho", up))
-        (cols, _), = strips
         table = d if up else d[::-1]
-        _assert_certificate(*lines_before(table[:, cols], up),
+        _assert_certificate(*lines_before(table[:, 1:-1], up),
                             g.rad[1:, None, None], g.diag[1:, None, None])
 
     def theta_spy(strip, ring, diag, lines):
@@ -585,7 +580,7 @@ def _certified_passes(monkeypatch, g, rows):
     rho_kernel, kernel = gh_collapse._rho_pass, gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_rho_pass", rho_spy)
     monkeypatch.setattr(gh_collapse, "_theta_pass", theta_spy)
-    return passes, _distance_fields([g], rows)[0].dist
+    return passes, _distance_field(g, rows).dist
 
 
 def _certificate_rows(g, n_src):
@@ -661,59 +656,35 @@ def test_distance_field_random_row_weights(pole, n_theta):
     ids = _node_ids(g, half=True)
     half = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, True)
     want = dijkstra(half, indices=ids[:, 0])[:, ids]
-    got = _distance_fields([g], rows)[0].dist
+    got = _distance_field(g, rows).dist
     assert np.array_equal(got.transpose(1, 0, 2), want)
     full = _edge_list_csr(ring_w, rad_w, diag_w, spoke, n_theta, False)
     assert np.array_equal(_all_pairs(g),
                           dijkstra(full, indices=np.arange(full.shape[0])))
 
 
-@pytest.mark.parametrize("warp, rho_max, n_thetas, rows", [
-    (SinhWarp(1.0), 1.2, (12, 24), [0, 4, 9]),
-    (ConstWarp(1.5), 1.0, (12, 24), [0, 4, 9]),
-    (SinhWarp(1.0), 1.2, (9, 13), [0, 9]),
-    (ConstWarp(1.5), 1.0, (13, 8, 25), [3]),
-], ids=["pole", "no-pole", "odd-pole", "odd-no-pole-three"])
-def test_stacked_solve_equals_single_solves(warp, rho_max, n_thetas, rows):
-    """Graphs that share their rho rows, solved side by side in one label
-    table (_distance_fields), give each graph's own field bit for bit:
-    with and without a pole, and for odd rings, whose half strips have no
-    mirror column."""
-    metric = metric_from_warp(warp, rho_max)
-    graphs = [build_surface_graph(metric, 10, n) for n in n_thetas]
-    stacked = gh_collapse._distance_fields(graphs, rows)
-    assert len(stacked) == len(graphs)
-    for fld, g in zip(stacked, graphs):
-        assert fld.n_theta == g.n_theta
-        assert np.array_equal(fld.dist, _distance_fields([g], rows)[0].dist)
-
-
-def test_stacked_solve_in_a_given_buffer_equals_its_own_table():
+def test_solve_in_a_given_buffer_equals_its_own_table():
     """Given a label buffer larger than the table and holding stale values,
-    a stacked solve refills the head of it and gives the fields of a solve
-    in a table of its own bit for bit, as views of the buffer."""
+    a solve refills the head of it and gives the field of a solve in a
+    table of its own bit for bit, as a view of the buffer."""
     metric = metric_from_warp(SinhWarp(1.0), 1.2)
-    graphs = [build_surface_graph(metric, 10, n) for n in (12, 24)]
+    g = build_surface_graph(metric, 10, 24)
     rows = [0, 4, 9]
-    want = [fld.dist for fld in gh_collapse._distance_fields(graphs, rows)]
-    size = len(rows) * 10 * gh_collapse._stack_layout((12, 24))[1]
+    want = _distance_field(g, rows).dist
+    size = len(rows) * 10 * (24 // 2 + 3)
     labels = np.full(size + 7, -1.0)
-    got = gh_collapse._distance_fields(graphs, rows, labels)
-    for fld, dist in zip(got, want):
-        assert np.shares_memory(fld.dist, labels)
-        assert np.array_equal(fld.dist, dist)
+    got = _distance_field(g, rows, labels)
+    assert np.shares_memory(got.dist, labels)
+    assert np.array_equal(got.dist, want)
     assert np.all(labels[size:] == -1.0)
 
 
-def test_stacked_solve_runs_the_rounds_of_its_slowest_strip(monkeypatch):
+def test_solve_runs_rounds_until_its_check_passes(monkeypatch):
     """On the sphere band from one source in row 0, the 24-column graph is
     final after one round, while the 48-column graph needs a
-    theta-descending pass and a second round.  Stacked, the check sees
-    both strips in every round, so both take two rounds, and the strip
-    that was already final keeps its labels through the extra passes: both
-    fields equal the single solves bit for bit."""
+    theta-descending pass and a second round: each solve checks until
+    its check finds nothing to lower."""
     metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
-    graphs = [build_surface_graph(metric, 17, n) for n in (24, 48)]
     checks = []
 
     def spy(graph, d, scratch):
@@ -722,25 +693,21 @@ def test_stacked_solve_runs_the_rounds_of_its_slowest_strip(monkeypatch):
 
     check = gh_collapse._relaxation_lowers
     monkeypatch.setattr(gh_collapse, "_relaxation_lowers", spy)
-    single = [_distance_fields([g], [0])[0].dist for g in graphs]
+    for n_theta in (24, 48):
+        _distance_field(build_surface_graph(metric, 17, n_theta), [0])
     assert checks == [(24, False), (48, True), (48, False)]
-    checks.clear()
-    stacked = gh_collapse._distance_fields(graphs, [0])
-    assert checks == [(24, False), (48, True), (24, False), (48, False)]
-    for fld, want in zip(stacked, single):
-        assert np.array_equal(fld.dist, want)
 
 
 def test_smallest_scratch_block_gives_the_same_fields(monkeypatch):
     """With the scratch at its floor, two label columns (_SCRATCH_LABELS
     = 1), a theta pass copies one new column a block and the check takes
-    one or two strip rows a block; on the stacked sphere band, which runs
-    theta passes both ways, the fields equal those of the default scratch
-    bit for bit."""
+    one or two strip rows a block; on the 48-column sphere band, which
+    runs theta passes both ways, the field equals that of the default
+    scratch bit for bit."""
     metric = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
-    graphs = [build_surface_graph(metric, 17, n) for n in (25, 48)]
+    g = build_surface_graph(metric, 17, 48)
     rows = [0, 8, 16]
-    want = [fld.dist for fld in gh_collapse._distance_fields(graphs, rows)]
+    want = _distance_field(g, rows).dist
     monkeypatch.setattr(gh_collapse, "_SCRATCH_LABELS", 1)
     blocks = []
 
@@ -750,10 +717,9 @@ def test_smallest_scratch_block_gives_the_same_fields(monkeypatch):
 
     kernel = gh_collapse._theta_pass
     monkeypatch.setattr(gh_collapse, "_theta_pass", spy)
-    got = gh_collapse._distance_fields(graphs, rows)
+    got = _distance_field(g, rows)
     assert set(blocks) == {(2, True), (2, False)}
-    for fld, dist in zip(got, want):
-        assert np.array_equal(fld.dist, dist)
+    assert np.array_equal(got.dist, want)
 
 
 def test_half_graph_build_peak_memory():
@@ -776,7 +742,7 @@ def test_half_graph_build_peak_memory():
 def test_flat_cylinder_radial_distance():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    fld = _distance_fields([g], [0])[0]
+    fld = _distance_field(g, [0])
     assert abs(fld.lookup(0, 8, 0) - 1.0) <= 1e-12
 
 
@@ -785,14 +751,14 @@ def test_flat_cylinder_half_circumference():
     # the graph carries it without any 8-neighbor direction error
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, 16)
-    fld = _distance_fields([g], [0])[0]
+    fld = _distance_field(g, [0])
     assert abs(fld.lookup(0, 0, 8) - math.pi) <= 1e-12
 
 
 def test_sphere_meridian_distance():
     m = metric_from_warp(SinWarp(1.0), math.pi - 0.3, rho_min=0.3)
     g = build_surface_graph(m, 29, 16)
-    fld = _distance_fields([g], [0])[0]
+    fld = _distance_field(g, [0])
     want = math.pi - 0.6
     assert abs(fld.lookup(0, 28, 0) - want) <= 1e-12
 
@@ -800,7 +766,7 @@ def test_sphere_meridian_distance():
 def test_pole_to_rim_distance():
     m = metric_from_warp(SinhWarp(1.0), 1.0)
     g = build_surface_graph(m, 17, 16)
-    rim = _distance_fields([g], [0])[0].lookup(0, 16, np.arange(16))
+    rim = _distance_field(g, [0]).lookup(0, 16, np.arange(16))
     assert np.max(np.abs(rim - 1.0)) <= 1e-12
 
 
@@ -810,7 +776,7 @@ def test_diagonal_distance_overshoot_bounded():
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     n_rho, n_theta = 17, 101
     g = build_surface_graph(m, n_rho, n_theta)
-    val = _distance_fields([g], [0])[0].lookup(0, 16, 16)
+    val = _distance_field(g, [0]).lookup(0, 16, 16)
     true = math.hypot(1.0, 16 * TWO_PI / n_theta)
     assert val >= true - 1e-12
     assert val <= 1.09 * true
@@ -833,7 +799,7 @@ def test_distance_field_lookup_symmetry():
 def test_distance_field_matches_node_distances():
     m = metric_from_warp(SinhWarp(1.0), 1.2)
     g = build_surface_graph(m, 9, 12)
-    fld = _distance_fields([g], [1, 5])[0]
+    fld = _distance_field(g, [1, 5])
     ids = _node_ids(g, half=False)
     d = dijkstra(_coo_reference_csr(m, 9, 12, half=False),
                  indices=ids[[1, 5], 0])
@@ -860,7 +826,7 @@ def test_distance_field_fold_is_exact(warp, rho_max, n_theta):
     # scipy's undirected Dijkstra on the full edge-list reference
     ref = _coo_reference_csr(metric, 10, n_theta, half=False)
     d = dijkstra(ref, directed=False, indices=nodes[rows, 0])
-    fld = _distance_fields([g], rows)[0]
+    fld = _distance_field(g, rows)
     # the stored table is the full field at the strip nodes (a pole graph's
     # row 0 repeats the pole in every column), and lookup unfolds it to
     # every column
@@ -960,7 +926,7 @@ def test_circle_distance_wraparound():
 def _cylinder_lookup(n_theta=16):
     m = metric_from_warp(ConstWarp(1.0), 1.0)
     g = build_surface_graph(m, 9, n_theta)
-    fld = _distance_fields([g], [0, 4, 8])[0]
+    fld = _distance_field(g, [0, 4, 8])
     slot = {0: 0, 4: 1, 8: 2}
 
     def dp_lookup(pa, pb, rot):
@@ -1120,7 +1086,7 @@ def test_quotient_matrix_triangle_defect_tiny():
     assert m.capped_at_origin
     g = build_surface_graph(m, 12, 16)
     rows = [1, 6, 11]
-    fld = _distance_fields([g], rows)[0]
+    fld = _distance_field(g, rows)
     slot = {r: k for k, r in enumerate(rows)}
 
     def dp_lookup(pa, pb, rot):
@@ -1158,13 +1124,13 @@ def test_limit_consistency_within_refinement_budget():
     def d_limit(n_rho, ring):
         g = build_surface_graph(limit, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
-        fld = _distance_fields([g], [src])[0]
+        fld = _distance_field(g, [src])
         return float(fld.lookup(0, n_rho - 1, _column(th, ring)))
 
     def d_quot(n_rho, ring, p):
         g = build_surface_graph(base, n_rho, ring)
         src = round(0.32 / (1.2 / (n_rho - 1)))
-        fld = _distance_fields([g], [src])[0]
+        fld = _distance_field(g, [src])
 
         def dp_lookup(pa, pb, rot):
             return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
@@ -1211,13 +1177,13 @@ def test_orbifold_limit_matches_zp_quotient():
 
     def d_limit(n_rho, ring, period, phi):
         g = build_surface_graph(limit, n_rho, ring, period)
-        fld, = _distance_fields([g], [source(n_rho)])
+        fld = _distance_field(g, [source(n_rho)])
         return float(fld.lookup(0, n_rho - 1,
                                 _column(phi % period, ring, period)))
 
     def d_quot(n_rho, ring, theta, s):
-        fld, = _distance_fields([build_surface_graph(base, n_rho, ring)],
-                                [source(n_rho)])
+        fld = _distance_field(
+            build_surface_graph(base, n_rho, ring), [source(n_rho)])
 
         def dp_lookup(pa, pb, rot):
             return fld.lookup(0, pb[0], _column((pb[1] + rot) - pa[1], ring))
@@ -1322,8 +1288,8 @@ def _dense_matrices(config, period=None):
     dphi = lim_phi[None, :] - lim_phi[:, None]
 
     def limit_matrix(n_rho, n_theta, scale):
-        fld, = _distance_fields(
-            [build_surface_graph(limit, n_rho, n_theta, period)], scale * rows)
+        fld = _distance_field(
+            build_surface_graph(limit, n_rho, n_theta, period), scale * rows)
         return fld.lookup(lim_slot[:, None], scale * rows[lim_slot][None, :],
                           _column(dphi, n_theta, period))
 
@@ -1341,8 +1307,8 @@ def _dense_matrices(config, period=None):
     for p, p_last in zip(p_values, last):
         ring_x = math.lcm(g.n_theta, p_last // math.gcd(m1, p_last))
         if ring_x not in fields:
-            fields[ring_x], = _distance_fields(
-                [build_surface_graph(base, g.n_rho, ring_x)], rows)
+            fields[ring_x] = _distance_field(
+                build_surface_graph(base, g.n_rho, ring_x), rows)
         best = np.full(dth.shape, np.inf)
         for q in range(p):
             tau = TWO_PI * q / p
@@ -1574,31 +1540,30 @@ def test_blocked_fold_equals_per_element_fold(monkeypatch, m1, m2,
 def test_grid_surfaces_buffer_is_its_largest_single_solve(monkeypatch, ring,
                                                           largest):
     """The label buffer of _GridSurfaces holds the largest table of its
-    solves, no more: the limit field with its angular refinement stacked,
-    the radial and the proportional refinement alone, and each ring's
-    field alone.  On 16 rows with the floor ring 24, the proportional
-    refinement (31 rows, 25 + 2 columns) outweighs a quotient ring of 48
-    (16 rows, 25 + 2 columns), and a ring of 128 (16 rows, 65 + 2
-    columns) outweighs it."""
+    solves, no more: the limit field, its angular, radial and proportional
+    refinement, and each ring's field, one graph a solve.  On 16 rows with
+    the floor ring 24, the proportional refinement (31 rows, 25 + 2
+    columns) outweighs a quotient ring of 48 (16 rows, 25 + 2 columns),
+    and a ring of 128 (16 rows, 65 + 2 columns) outweighs it."""
     tables = {}
-    solve = gh_collapse._distance_fields
+    solve = gh_collapse._distance_field
+    names = ("limit", "angular", "radial", "proportional", "chain")
 
-    def spy(graphs, rows, labels=None):
-        width = gh_collapse._stack_layout([g.n_theta for g in graphs])[1]
-        name = (("limit pair", "radial", "proportional")[len(tables)]
-                if len(tables) < 3 else "chain")
-        tables[name] = len(rows) * graphs[0].n_rho * width
-        return solve(graphs, rows, labels)
+    def spy(graph, rows, labels=None):
+        tables[names[len(tables)]] = (len(rows) * graph.n_rho
+                                      * (graph.n_theta // 2 + 3))
+        return solve(graph, rows, labels)
 
-    monkeypatch.setattr(gh_collapse, "_distance_fields", spy)
+    monkeypatch.setattr(gh_collapse, "_distance_field", spy)
     metric = metric_from_warp(SinhWarp(1.0), 1.2)
     rows = np.array([1, 6, 15])
     surfaces = gh_collapse._GridSurfaces(16, rows, 24, [ring])
     surfaces.fields(metric, TWO_PI, 24, refine=True)
     surfaces.fields(metric, TWO_PI, ring)
-    assert tables == {"limit pair": 3 * 16 * (1 + 14 + 26),
-                      "radial": 3 * 31 * (13 + 2),
-                      "proportional": 3 * 31 * (25 + 2),
+    assert tables == {"limit": 3 * 16 * (12 + 3),
+                      "angular": 3 * 16 * (24 + 3),
+                      "radial": 3 * 31 * (12 + 3),
+                      "proportional": 3 * 31 * (24 + 3),
                       "chain": 3 * 16 * (ring // 2 + 3)}
     assert surfaces.labels.size == max(tables.values()) == tables[largest]
 
@@ -1678,21 +1643,21 @@ def test_collapse_experiment_memory_below_one_dense_matrix():
 def test_collapse_solves_share_one_label_buffer(monkeypatch):
     """Every solve of a collapse run fills the same label buffer, sized for
     its largest table, so a process that solves again allocates no table of
-    another size: the limit pair, the radial and the proportional
+    another size: the limit field, its angular, radial and proportional
     refinement, and one field for each of the chains 2 | 4 and 3 | 9."""
     buffers = []
 
-    def spy(graphs, rows, labels=None):
-        width = gh_collapse._stack_layout([g.n_theta for g in graphs])[1]
-        buffers.append((labels, len(rows) * graphs[0].n_rho * width))
-        return solve(graphs, rows, labels)
+    def spy(graph, rows, labels=None):
+        buffers.append((labels,
+                        len(rows) * graph.n_rho * (graph.n_theta // 2 + 3)))
+        return solve(graph, rows, labels)
 
-    solve = gh_collapse._distance_fields
-    monkeypatch.setattr(gh_collapse, "_distance_fields", spy)
+    solve = gh_collapse._distance_field
+    monkeypatch.setattr(gh_collapse, "_distance_field", spy)
     collapse_experiment(CollapseConfig.from_json(
         dict(SMALL_CONFIG, p_values=[2, 4, 3, 9])))
     labels = buffers[0][0]
-    assert len(buffers) == 5
+    assert len(buffers) == 6
     assert all(buf is labels for buf, _ in buffers)
     assert labels.dtype == np.float64
     assert labels.size == max(size for _, size in buffers)
@@ -1714,8 +1679,8 @@ def test_grid_surfaces_return_copies_of_the_label_buffer():
                    for fld in tables)
     for fld, (n_rho, ring, rscale) in zip(
             tables, ((16, 24, 1), (16, 48, 1), (31, 24, 2), (31, 48, 2))):
-        want, = _distance_fields(
-            [build_surface_graph(metric, n_rho, ring)], rscale * rows)
+        want = _distance_field(
+            build_surface_graph(metric, n_rho, ring), rscale * rows)
         assert np.array_equal(fld.dist,
                               want.dist[rscale * rows, :, ::ring // 24])
     quotient, = surfaces.fields(metric_from_warp(SinhWarp(2.0), 1.2),
