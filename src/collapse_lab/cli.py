@@ -113,7 +113,8 @@ def _cmd_transform(cfg: dict):
     rho = _rho_grid(cfg)
     metric = metric_from_warp(warp, float(rho[-1]), float(rho[0]))
     # the transformed metric refuses an inverse with no preimage anywhere on
-    # the interval, not only at the grid points
+    # the interval: it checks the warp at its exact maximum there, not at
+    # the grid points
     out = quotient_transform(metric, r, kappa,
                              1 if direction == "forward" else -1).warp
     # an overflow is refused with the table, so numpy need not warn of it

@@ -586,6 +586,21 @@ def _subgrid_indices(lo: int, hi: int, count: int) -> np.ndarray:
     return _unique(np.round(np.linspace(lo, hi, count)).astype(int))
 
 
+def _index_offsets(n: int, n_grid: int) -> np.ndarray:
+    """The sorted signed offsets i_b - i_a between the grid indices
+    i_k = floor(k n_grid / n), 0 <= a, b < n, in O(n).
+
+    With d n_grid = q_d n + e_d, i_{k+d} - i_k is q_d + 1 exactly when
+    e_k >= n - e_d, and otherwise q_d; so the offset d takes q_d + 1 for
+    some k < n - d exactly when e_d > 0 and the running maximum of e_k up
+    to k = n - d - 1 reaches n - e_d.
+    """
+    q, e = np.divmod(np.arange(n) * n_grid, n)
+    top = np.maximum.accumulate(e)
+    up = q[(e > 0) & (top[::-1] >= n - e)] + 1
+    return _unique(np.concatenate((-q, -up, q, up)))
+
+
 def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     """Distortion of the natural correspondence for each p in the config.
 
@@ -629,8 +644,10 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
 
     Distances are computed once per offset class (source slot, target slot,
     theta offset mod n_theta, signed s offset) rather than per point pair;
-    a class table above MAX_CLASS_ENTRIES, like the lookups of a group
-    above it, is refused before any solve.  The symmetrisation 0.5 (d +
+    the offsets come from the sample and grid sizes in O(n)
+    (_index_offsets), so a class table above MAX_CLASS_ENTRIES, like the
+    lookups of a group above it, is refused before any solve and before
+    any array of the squared sample size.  The symmetrisation 0.5 (d +
     d^T) pairs each class with (kb, ka, -dtheta, -ds); every table gets the
     metric checks (_check_metric) before it is averaged.  The distortion is
     the largest |d_X - d_Y| over the classes.
@@ -642,15 +659,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     m1, m2 = config.m1, config.m2
     lo = 1 if base.capped_at_origin else 0      # the pole row is one node
     rho_rows = _subgrid_indices(lo, g.n_rho - 1, smp.n_rho)
-    th_idx = (np.arange(smp.n_theta) * g.n_theta) // smp.n_theta
-    s_idx = (np.arange(smp.n_s) * g.n_s) // smp.n_s
 
     # Offset classes (source slot, target slot, theta offset, s offset) on
     # axes 0-3, keyed on grid-index offsets.  theta offsets are taken mod
     # n_theta; s offsets stay signed, since theta - kappa s is not periodic
     # in s for non-integer kappa.
-    dth = _unique((th_idx[None, :] - th_idx[:, None]) % g.n_theta)
-    ds = _unique(s_idx[None, :] - s_idx[:, None])
+    dth = _unique(_index_offsets(smp.n_theta, g.n_theta) % g.n_theta)
+    ds = _index_offsets(smp.n_s, g.n_s)
     p_max = max(config.p_values)
     entries = p_max * rho_rows.size ** 2 * dth.size
     if entries > MAX_CLASS_ENTRIES:

@@ -191,8 +191,11 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     The basis rows together with the frame rows must span the ambient space
     (otherwise TransversalityError), and the frame must have a row
     (otherwise DomainError); then h is positive definite and is returned
-    as a PointMetric.  The frame is projected in one call, so a
-    near-singular orbit Gram warns once.
+    as a PointMetric.  A frame row whose projection keeps less than
+    1 / _COND_WARN (1e-12) of its squared g-norm raises
+    TransversalityError too: the projection's rounding can then move
+    g(Xi_perp, Xi_perp) by more than about 1e-9 of itself.  The frame is
+    projected in one call, so a near-singular orbit Gram warns once.
     """
     gm = _as_metric(g_prod)
     frame = np.asarray(frame, dtype=float)
@@ -211,7 +214,19 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     if np.linalg.matrix_rank(span) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
     proj = project_onto_complement(gm, basis, frame)
-    return PointMetric(proj @ gm.matrix @ proj.T)
+    h = proj @ gm.matrix @ proj.T
+    # a row's projection is exact to about eps times the row's norm, so
+    # h_ii can be off by 2 eps / sqrt(kept) + eps^2 / kept of itself: about
+    # 1e-9 at kept = 1 / _COND_WARN, 5e68 at kept = 1e-100; a norm that
+    # overflows or underflows leaves h to PointMetric's checks
+    with np.errstate(all="ignore"):
+        kept = np.diag(h) / np.einsum("ij,jk,ik->i", frame, gm.matrix, frame)
+    if np.any(kept < 1.0 / _COND_WARN):
+        i = int(np.argmin(kept))
+        raise TransversalityError(
+            f"frame row {i} is nearly tangent to the orbits: its projection "
+            f"keeps {kept[i]:.3g} of its squared norm")
+    return PointMetric(h)
 
 
 def circle_quotient_pushforward(f_val: float, r: float):

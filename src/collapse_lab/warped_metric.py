@@ -80,6 +80,11 @@ class WarpCurve:
     def d2f(self, rho):
         raise NotImplementedError
 
+    def argmax(self, lo, hi) -> float:
+        """The rho in [lo, hi] where f is largest.  This default takes the
+        larger end, which is exact for a monotone warp."""
+        return hi if self.f(hi) >= self.f(lo) else lo
+
     def curvature(self, rho):
         """Gauss curvature -f''/f; only closed-form families implement it."""
         raise PoleProximityError(
@@ -208,6 +213,9 @@ class SinWarp(WarpCurve):
 
     def d2f(self, rho):
         return -self.a * np.sin(self.a * np.asarray(rho, dtype=float))
+
+    def argmax(self, lo, hi) -> float:
+        return min(max(math.pi / (2.0 * self.a), lo), hi)
 
     def curvature(self, rho):
         return np.full_like(np.asarray(rho, dtype=float), self.a * self.a)[()]
@@ -380,6 +388,22 @@ class TabulatedWarp(WarpCurve):
         u, (c3, c2, _, _) = self._local(rho)
         return (2.0 * c2 + (6.0 * c3) * u)[()]
 
+    def argmax(self, lo, hi) -> float:
+        """The largest f among the ends, the nodes inside [lo, hi] and the
+        critical points of each interval's cubic there: the roots u in
+        [0, h_i] of 3 c3 u^2 + 2 c2 u + c1, taken in the cancellation-free
+        form q = -(b + sign(b) sqrt(b^2 - 4 a c)) / 2, u = q / a and c / q."""
+        c3, c2, c1, _ = self._coef
+        a, b = 3.0 * c3, 2.0 * c2
+        with np.errstate(all="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c1), b))
+            u = np.stack((q / a, c1 / q))
+        x = self.rho_nodes
+        crit = (x[:-1] + u)[(u >= 0) & (u <= np.diff(x))]
+        rho = np.concatenate(([lo, hi], x, crit))
+        rho = rho[(rho >= lo) & (rho <= hi)]
+        return float(rho[np.argmax(self.f(rho))])
+
 
 def _chain_d(base, rho):
     rho = np.asarray(rho, dtype=float)
@@ -430,6 +454,10 @@ class TransformedWarp(WarpCurve):
     @property
     def open_right(self):
         return self.base.open_right
+
+    def argmax(self, lo, hi) -> float:
+        # r f / sqrt(r^2 + sign kappa^2 f^2) increases with f
+        return self.base.argmax(lo, hi)
 
     def _denominator(self, fb):
         d = self.r * self.r + self.sign * (self.kappa * self.kappa) * (fb * fb)
@@ -674,9 +702,6 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
     return TransformedWarp(warp, r, kappa, sign)
 
 
-_RANGE_SCAN = 257  # grid used to certify f < r/kappa on the interval
-
-
 def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
                        sign: int = 1) -> RotSymMetric:
     """Transform the metric by the quotient along the slope-kappa circle of
@@ -687,10 +712,12 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
     pole stays a smooth pole (f'(0) = r^3/r^3 = 1) and the transform is the
     identity for kappa = 0.  The inverse raises NotInRangeError if the warp
     meets or exceeds the asymptote r/kappa anywhere on the interval
-    (checked on a scan grid and again at every later evaluation), and also
-    if the inverse's natural domain ends at or before rho_max: the inverse
-    blows up exactly where f reaches r/kappa, which a scan can step over
-    (sin at r/kappa = 1/a, whose inverse is tan, blowing up at pi/(2a)).
+    (checked at the warp's exact maximum there, WarpCurve.argmax, and again
+    at every later evaluation), and also if the inverse's natural domain
+    ends at or before rho_max: the inverse blows up exactly where f reaches
+    r/kappa, which the rounded maximum can miss by an ulp (sin with
+    a = 0.7 at r = 1.3, kappa = a r peaks one ulp below r/kappa, and its
+    inverse tan blows up at that peak, pi/(2a)).
 
     The result is the whole quotient only when kappa = m1 / m2 has m2' =
     m2 / gcd(m1, m2) = 1.  For m2' > 1 each orbit of the circle action
@@ -700,11 +727,12 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
     """
     _check_transform(r, kappa, sign)
     if sign == -1 and kappa > 0:
-        grid = np.linspace(metric.rho_min, metric.rho_max, _RANGE_SCAN)
-        fv = np.asarray(metric.warp.f(grid), dtype=float)
-        if np.any(fv >= r / kappa):
-            raise NotInRangeError(
-                "warp reaches r/kappa on the interval; no preimage")
+        # a warp that overflows is inf there, past r/kappa
+        with np.errstate(over="ignore"):
+            peak = metric.warp.argmax(metric.rho_min, metric.rho_max)
+            if metric.warp.f(peak) >= r / kappa:
+                raise NotInRangeError(f"warp reaches r/kappa at rho = "
+                                      f"{peak:g}; no preimage")
     new_warp = transformed_warp(metric.warp, r, kappa, sign)
     if sign == -1 and new_warp.open_right \
             and new_warp.rho_max <= metric.rho_max:

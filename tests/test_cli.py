@@ -775,6 +775,20 @@ def test_quotient_rejects_short_orbit_basis_row(tmp_path, capsys):
                    "metric's dimension\n")
 
 
+def test_quotient_rejects_frame_row_lost_to_cancellation(tmp_path, capsys):
+    # in the g-norm of diag(1, 1e100, 1) the frame row (0, 1, 0) is nearly
+    # the orbit direction (0, 1, 1): its projection keeps 1 / (1e100 + 1)
+    # of its squared norm, and the rounded projection printed h11 = 4.9e68
+    # where the exact value is about 1
+    cfg = {"metric": [[1, 0, 0], [0, 1e100, 0], [0, 0, 1]],
+           "h_vectors": [[0, 1, 1]], "frame": [[1, 0, 0], [0, 1, 0]]}
+    code, out, err = _run_strict(tmp_path, capsys, "quotient", cfg)
+    assert (code, out) == (1, "")
+    assert err == ("collapse-lab: error: frame row 1 is nearly tangent to "
+                   "the orbits: its projection keeps 4.93e-32 of its "
+                   "squared norm\n")
+
+
 @pytest.mark.parametrize("entry", [0, 1, 2])
 def test_quotient_rejects_metric_whose_symmetrisation_overflows(
         tmp_path, capsys, entry):
@@ -873,13 +887,14 @@ def test_curvature_past_warp_overflow_is_closed_form(tmp_path, capsys):
 
 @pytest.mark.parametrize("kappa, message", [
     (1.0, "warp reaches r/kappa at rho = 1.5708; no preimage"),
-    (1.001, "warp reaches r/kappa on the interval; no preimage"),
+    (1.001, "warp reaches r/kappa at rho = 1.5708; no preimage"),
 ], ids=["kappa-1", "kappa-1.001"])
 def test_transform_inverse_without_preimage_exits_1(tmp_path, capsys, kappa,
                                                     message):
     # sin reaches r / kappa between the grid points: at kappa = 1 exactly
     # at pi/2 inside [0, 3], where its inverse tan blows up, and at
-    # kappa = 1.001 sin passes 1 / kappa near pi/2
+    # kappa = 1.001 sin passes 1 / kappa near pi/2; either way the refusal
+    # names the rho of sin's maximum
     cfg = {"family": "sin", "a": 1.0, "r": 1.0, "kappa": kappa,
            "direction": "inverse", "rho_max": 3.0, "n": 9}
     code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
@@ -891,13 +906,34 @@ def test_transform_inverse_reaching_r_over_kappa_between_scan_points(
         tmp_path, capsys):
     """The config of the CI refusal step, with integer values and the
     default table size: sin touches r / kappa = 1 only at pi/2, between
-    the range scan's points, and the refusal names r/kappa, not rho_max."""
+    the table's points, and the refusal names r/kappa, not rho_max."""
     cfg = {"family": "sin", "a": 1, "r": 1, "kappa": 1,
            "direction": "inverse", "rho_max": 3}
     code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
     assert (code, out) == (1, "")
     assert err == ("collapse-lab: error: warp reaches r/kappa at rho = "
                    "1.5708; no preimage\n")
+
+
+@pytest.mark.parametrize("cfg, rho", [
+    ({"family": "sin", "a": 1, "r": 0.99999999, "kappa": 1,
+      "direction": "inverse"}, "1.5708"),
+    ({"family": "sin", "a": 0.7, "r": 1.3, "kappa": 0.7 * 1.3,
+      "direction": "inverse", "rho_max": 3}, "2.24399"),
+    ({"family": "sinh", "a": 1, "r": 1, "kappa": 1e-300,
+      "direction": "inverse", "rho_max": 800, "n": 5}, "800"),
+], ids=["sin-peak-past-r-over-kappa", "sin-peak-an-ulp-below",
+        "sinh-overflow"])
+def test_transform_inverse_refuses_warp_peak(tmp_path, capsys, cfg, rho):
+    # sin passes r / kappa = 0.99999999 within 1.4e-4 of pi/2, between two
+    # points of a 257-point scan of [0, 2]; at a = 0.7, r = 1.3 and
+    # kappa = a r its peak is one ulp below r / kappa, and its inverse tan
+    # blows up there; sinh overflows at rho = 800, past r / kappa = 1e300,
+    # with no numpy warning
+    code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
+    assert (code, out) == (1, "")
+    assert err == (f"collapse-lab: error: warp reaches r/kappa at rho = "
+                   f"{rho}; no preimage\n")
 
 
 @pytest.mark.parametrize("r", [1e-120, 1e-158])

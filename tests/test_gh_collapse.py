@@ -29,6 +29,7 @@ from collapse_lab.gh_collapse import (
     SurfaceGraph,
     _check_metric,
     _distance_field,
+    _index_offsets,
     _subgrid_indices,
     build_surface_graph,
 )
@@ -1776,6 +1777,60 @@ def test_collapse_solve_peak_memory():
     # walls, and the scratch block alone exceed the bound
     assert 8 * n_rho * (1 + 50 + 98) * n_src + scratch > bound
     assert peak < bound
+
+
+@pytest.mark.parametrize("sizes", [
+    [(n, n_grid) for n_grid in range(1, 80) for n in range(1, n_grid + 1)],
+    [(10, 96), (999, 1000), (1000, 4096)],
+], ids=["all-below-80", "large"])
+def test_index_offsets_equal_the_difference_table(sizes):
+    """The O(n) offsets are the entries of the n x n table of differences
+    of the sample's grid indices floor(k n_grid / n), signed and mod
+    n_grid."""
+    for n, n_grid in sizes:
+        idx = (np.arange(n) * n_grid) // n
+        table = idx[None, :] - idx[:, None]
+        offsets = _index_offsets(n, n_grid)
+        assert np.array_equal(offsets, np.unique(table)), (n, n_grid)
+        assert np.array_equal(np.unique(offsets % n_grid),
+                              np.unique(table % n_grid)), (n, n_grid)
+
+
+def test_collapse_offset_classes_peak_memory():
+    """The offset classes come from the sample sizes in O(n): a run that
+    samples all 4000 columns of a 4000-column grid peaks below 64 MiB,
+    where one int64 4000 x 4000 difference table alone is 122 MiB."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "demos"
+                      / "configs" / "collapse.json").read_text())
+    cfg.update(p_values=[2, 4, 8, 16],
+               grid=dict(cfg["grid"], n_theta=4000),
+               sample=dict(cfg["sample"], n_theta=4000))
+    config = CollapseConfig.from_json(cfg)
+    tracemalloc.start()
+    try:
+        rows = collapse_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4
+    assert peak < 64 * 2 ** 20
+
+
+def test_collapse_class_cap_refuses_before_any_offset_table():
+    """A sample of 20000 columns is refused by the class-table cap after
+    O(n) work, a few int64 arrays of n entries, before any n x n array
+    exists (3 GiB of int64)."""
+    cfg = dict(SMALL_CONFIG, grid=dict(SMALL_CONFIG["grid"], n_theta=20000),
+               sample=dict(SMALL_CONFIG["sample"], n_theta=20000))
+    config = CollapseConfig.from_json(cfg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="class table of"):
+            collapse_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_collapse_config_validation():

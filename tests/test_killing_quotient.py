@@ -320,6 +320,18 @@ def test_quotient_form_transversality_errors():
                              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_quotient_form_refuses_frame_row_lost_to_cancellation():
+    """A frame row whose projection keeps less than 1e-12 of its squared
+    g-norm is refused; one that keeps 1e-10 of it is not."""
+    basis = OrbitBasis([[0.0, 1.0, 1.0]])
+    frame = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    with pytest.raises(TransversalityError, match="frame row 1 is nearly"):
+        quotient_metric_form(np.diag([1.0, 1e100, 1.0]), basis, frame)
+    # a = 1e10: the row keeps 1 / (a + 1) of its norm a, so h11 is about 1
+    h = quotient_metric_form(np.diag([1.0, 1e10, 1.0]), basis, frame)
+    assert h.matrix[1, 1] == pytest.approx(1.0, rel=1e-5)
+
+
 def test_quotient_form_refuses_empty_frame():
     """An orbit basis that spans the whole space leaves no quotient
     direction: the empty frame passes the dimension count and is refused

@@ -598,6 +598,58 @@ def test_scalar_and_array_evaluation_agree(name):
         assert np.array_equal(scalars, fn(rho)), method
 
 
+def test_warp_maxima_are_exact():
+    """argmax is the rho of the warp's largest value on [lo, hi]: sin's
+    interior peak pi/(2a) clipped to the interval, a transformed warp's
+    base peak, the larger end of a monotone warp, and a tabulated warp's
+    best node or cubic critical point, never below a dense sample."""
+    sin = SinWarp(0.7)
+    assert sin.argmax(0.0, 4.0) == math.pi / 1.4
+    assert (sin.argmax(0.0, 1.0), sin.argmax(3.0, 4.0)) == (1.0, 3.0)
+    assert TransformedWarp(sin, 1.3, 0.4).argmax(0.0, 4.0) == math.pi / 1.4
+    assert TransformedWarp(sin, 1.3, 0.4, -1).argmax(0.0, 1.0) == 1.0
+    assert SinhWarp(1.0).argmax(0.0, 2.0) == 2.0
+    tab = TabulatedWarp(np.linspace(0.0, 4.0, 5), [0.2, 1.0, 1.0, 0.2, 0.1])
+    for lo, hi in ((0.0, 4.0), (0.0, 1.2), (1.6, 3.9), (2.5, 4.0)):
+        peak = tab.argmax(lo, hi)
+        assert lo <= peak <= hi
+        assert tab.f(peak) >= np.max(tab.f(np.linspace(lo, hi, 100001)))
+
+
+def test_inverse_range_check_sees_peaks_between_scan_points():
+    """The inverse's range check reads the warp at its exact maximum, so a
+    peak past r/kappa that no point of a 257-point scan reaches is
+    refused: sin passes r/kappa = 0.99999999 within 1.4e-4 of pi/2, a
+    transformed sin peaks with it, and a spline overshoots its nodes."""
+    scan = np.linspace(0.0, 2.0, 257)
+    r = 0.99999999
+    assert np.max(SinWarp(1.0).f(scan)) < r
+    with pytest.raises(NotInRangeError, match="at rho = 1.5708; no pre"):
+        quotient_transform(metric_from_warp(SinWarp(1.0), 2.0), r, 1.0, -1)
+    there = quotient_transform(metric_from_warp(SinWarp(1.0), 2.0), 1.0, 0.5)
+    assert isinstance(there.warp, TransformedWarp)
+    bound = float(there.warp.f(math.pi / 2))
+    assert np.max(there.warp.f(scan)) < bound
+    with pytest.raises(NotInRangeError, match="at rho = 1.5708; no pre"):
+        quotient_transform(there, bound, 1.0, -1)
+    x = np.linspace(0.0, 4.0, 5)
+    tab = TabulatedWarp(x, [0.2, 1.0, 1.0, 0.2, 0.1])
+    r = 1.12356086          # between the scan's peak and the spline's
+    assert np.max(tab.f(x)) < np.max(tab.f(np.linspace(0.0, 4.0, 257))) < r
+    metric = RotSymMetric(tab, 0.0, 4.0)
+    with pytest.raises(NotInRangeError, match="at rho = 1.51578; no pre"):
+        quotient_transform(metric, r, 1.0, -1)
+    assert quotient_transform(metric, 1.1236, 1.0, -1).warp.kind == \
+        "inverse-transformed"
+    # sin with a = 0.7 at r = 1.3, kappa = a r peaks one ulp below r/kappa,
+    # so the inverse's natural domain, tan up to pi/(2a), refuses it
+    a, r = 0.7, 1.3
+    assert math.nextafter(float(SinWarp(a).f(math.pi / (2 * a))), 2.0) \
+        == r / (a * r)
+    with pytest.raises(NotInRangeError, match="at rho = 2.24399; no pre"):
+        quotient_transform(metric_from_warp(SinWarp(a), 3.0), r, a * r, -1)
+
+
 def test_asymptote_radius():
     assert asymptote_radius(3.0, 2.0) == 1.5
     # the transform approaches but never meets the asymptote
@@ -613,8 +665,8 @@ def test_transform_argument_validation():
         transformed_warp(SinhWarp(1.0), 1.0, -1.0)
     with pytest.raises(DomainError):
         transformed_warp(SinhWarp(1.0), -1.0, 1.0, sign=-1)
-    # quotient_transform refuses them before the inverse's range scan, which
-    # would otherwise report r/kappa <= 0 as NotInRangeError
+    # quotient_transform refuses them before the inverse's range check,
+    # which would otherwise report r/kappa <= 0 as NotInRangeError
     metric = metric_from_warp(SinhWarp(1.0), 2.0)
     for sign in (1, -1):
         for r, kappa, message in ((0.0, 1.0, "need r > 0"),
