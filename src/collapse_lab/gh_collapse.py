@@ -3,7 +3,7 @@
 The surface piece is discretized as an 8-neighbor grid graph in (rho, theta)
 with edge weights sqrt(drho^2 + f(rho_mid)^2 dtheta^2); exact shortest paths
 on that graph stand in for geodesic distance.  The solver's one caller is
-_GridSurfaces, the backend of collapse_experiment; none is exported.  Product
+_grid_fields, the backend of collapse_experiment; none is exported.  Product
 distances split as sqrt(d_P^2 + d_S1^2) (exact for Riemannian products,
 with the circle factor analytic), and the Z_p quotient distance minimizes
 over group translates: collapse_experiment minimizes the squared sum
@@ -114,9 +114,9 @@ class SurfaceGraph:
 # Largest label table, sources x half-strip nodes (n_rho x (n_theta // 2 +
 # 1)), that one distance field may hold.  The solver keeps 8 bytes a label,
 # the float64 labels with two wall columns, plus a scratch block of fixed
-# size (_SCRATCH_LABELS), so the cap bounds every solve of _GridSurfaces
+# size (_SCRATCH_LABELS), so the cap bounds every solve of _grid_fields
 # near 64 MiB: each solves one field.  The graph itself is three weights a
-# row, so the cap sizes graphs too: _GridSurfaces refuses the largest field
+# row, so the cap sizes graphs too: _grid_fields refuses the largest field
 # of its solves before any build.
 MAX_FIELD_LABELS = 2 ** 23
 
@@ -151,7 +151,7 @@ def build_surface_graph(metric: RotSymMetric, n_rho: int, n_theta: int,
     positive and finite, so f may vanish only at a capped origin (where
     the row degenerates to the pole node); truncate before any other zero
     of f, and before f overflows.  The grid size is not checked here:
-    _GridSurfaces refuses its fields before any build.
+    _grid_fields refuses its fields before any build.
     """
     if n_rho < 8 or n_theta < 8:
         raise DomainError("need at least an 8 x 8 grid")
@@ -357,7 +357,7 @@ class SurfaceDistanceField:
     the columns j = 0 .. n_theta // 2 (a pole row holds the pole in every
     column); lookup folds every column into the strip by the reflection
     symmetry.  Its rows are grid rows for a solved field and sample slots
-    for the tables that _GridSurfaces.fields returns.
+    for the tables that _grid_fields returns.
     """
     n_theta: int
     dist: np.ndarray                # (rows, S, n_theta // 2 + 1)
@@ -374,7 +374,7 @@ class SurfaceDistanceField:
 def _distance_field(graph: SurfaceGraph, rho_rows,
                     labels=None) -> SurfaceDistanceField:
     """Exact graph distances from (row, theta = 0) for each of rho_rows on
-    graph.  Nothing is checked again: the one caller, _GridSurfaces,
+    graph.  Nothing is checked again: the one caller, _grid_fields,
     refuses fields above MAX_FIELD_LABELS before any build and passes
     valid rows.  The graph is connected, so a label left at inf is a float
     overflow, which the caller's table refuses.
@@ -424,47 +424,41 @@ def _distance_field(graph: SurfaceGraph, rho_rows,
 _REFINEMENTS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-class _GridSurfaces:
-    """The grid backend of collapse_experiment: fields from the sample rho
-    rows of an n_rho-row grid, on the limit side's floor_ring with the
-    floor's refinements, and on each quotient-side ring, one graph and one
-    solve each.  It refuses the largest field above MAX_FIELD_LABELS
-    before any build, and every solve fills its one label buffer, sized
-    for the largest field of its run with its two walls: with a table per
-    solve, freeing the largest (mmapped) raised glibc's mmap threshold, so
-    the next call took the smaller tables from the heap, whose pages stay
-    resident.  The buffer lives from the first solve to the last: fields
-    returns copies, so the caller drops the backend, and the buffer with
-    it, once it holds every field of its run."""
+def _grid_fields(n_rho, rho_rows, surfaces):
+    """The grid backend of collapse_experiment: for each (metric, period,
+    ring, refine) of surfaces in turn, the field of metric from the sample
+    rho rows of an n_rho-row grid on ring columns spanning period, then
+    with refine its angular, radial and proportional refinements, one graph
+    and one solve each, all in one list.  Each field is copied out of the
+    label buffer by sample slot and counted in columns of ring.
 
-    def __init__(self, n_rho, rho_rows, floor_ring, rings):
-        self.n_rho, self.rho_rows = n_rho, rho_rows
-        # (n_rho, ring) of each solve: the floor's four, then each ring
-        solves = ([(scale * (n_rho - 1) + 1, k * floor_ring)
-                   for scale, k in _REFINEMENTS]
-                  + [(n_rho, ring) for ring in rings])
-        n_labels = rho_rows.size * max(n * (ring // 2 + 1)
-                                       for n, ring in solves)
-        if n_labels > MAX_FIELD_LABELS:
-            raise DomainError(f"distance field of {n_labels} labels (sources "
-                              f"x half-strip nodes) exceeds the cap "
-                              f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
-                              f"coarser grid or fewer sample rho rows")
-        self.labels = np.empty(rho_rows.size * max(n * (ring // 2 + 3)
-                                                   for n, ring in solves))
-
-    def fields(self, metric, period, ring, refine=False):
-        """The field of metric on ring columns spanning period, then with
-        refine its angular, radial and proportional refinements, each copied
-        out of the buffer by sample slot and counted in columns of ring."""
-        out = []
-        for scale, k in _REFINEMENTS if refine else _REFINEMENTS[:1]:
-            rows = scale * self.rho_rows
-            graph = build_surface_graph(metric, scale * (self.n_rho - 1) + 1,
-                                        k * ring, period)
-            fld = _distance_field(graph, rows, self.labels)
-            out.append(SurfaceDistanceField(ring, fld.dist[rows, :, ::k]))
-        return out
+    The largest field is refused above MAX_FIELD_LABELS before any build.
+    Every solve fills one label buffer, sized for that field with its two
+    walls: with a table per solve, freeing the largest (mmapped) raised
+    glibc's mmap threshold, so the next call took the smaller tables from
+    the heap, whose pages stay resident.  The buffer is freed on return,
+    before the caller's first lookup."""
+    # (metric, period, ring, row scale, grid rows, grid columns) a solve
+    solves = [(metric, period, ring, scale, scale * (n_rho - 1) + 1, k * ring)
+              for metric, period, ring, refine in surfaces
+              for scale, k in (_REFINEMENTS if refine else _REFINEMENTS[:1])]
+    n_labels = rho_rows.size * max(n * (cols // 2 + 1)
+                                   for *_, n, cols in solves)
+    if n_labels > MAX_FIELD_LABELS:
+        raise DomainError(f"distance field of {n_labels} labels (sources "
+                          f"x half-strip nodes) exceeds the cap "
+                          f"MAX_FIELD_LABELS = {MAX_FIELD_LABELS}; use a "
+                          f"coarser grid or fewer sample rho rows")
+    labels = np.empty(rho_rows.size * max(n * (cols // 2 + 3)
+                                          for *_, n, cols in solves))
+    fields = []
+    for metric, period, ring, scale, n, cols in solves:
+        rows = scale * rho_rows
+        fld = _distance_field(build_surface_graph(metric, n, cols, period),
+                              rows, labels)
+        fields.append(SurfaceDistanceField(ring,
+                                           fld.dist[rows, :, ::cols // ring]))
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +613,10 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     values each dividing the next) gets one quotient-side field, whose ring
     lcm(n_theta, p / gcd(m1, p)) at the chain's last p holds every group
     rotation of the chain.  So every lookup is an integer-column gather, a
-    row depends only on its own chain, and the grid backend (_GridSurfaces)
+    row depends only on its own chain, and the grid backend (_grid_fields)
     refuses a field above MAX_FIELD_LABELS, on any grid, before any build.
-    Every field of the run is taken from the backend first, the limit
-    surface's with its refinements and then one per chain; the backend and
-    its label buffer are dropped before the first lookup, so the class
-    tables reuse the buffer's memory.
+    One call of the backend solves every field of the run, the limit
+    surface's with its refinements and then one per chain.
 
     The grid-floor estimate is the largest change of the sampled
     limit-surface distances across three refinements of the limit grid
@@ -689,9 +681,13 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    surfaces = _GridSurfaces(g.n_rho, rho_rows, ring_y, rings_x)
     # m2': the limit side's ring_y columns span 2 pi / m2'
     orbits = m2 // math.gcd(m1, m2)
+    fields = _grid_fields(g.n_rho, rho_rows,
+                          [(limit, TWO_PI / orbits, ring_y, True)]
+                          + [(base, TWO_PI, ring_x, False)
+                             for ring_x in rings_x])
+    fields_y, fields_x = fields[:4], fields[4:]
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
@@ -717,13 +713,6 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
         _check_metric(table, twin, table[diagonal])
         return 0.5 * (table + twin)
 
-    # the backend goes with its label buffer before the first lookup, so the
-    # class tables reuse the buffer's memory
-    fields_y = surfaces.fields(limit, TWO_PI / orbits, ring_y, refine=True)
-    fields_x = [surfaces.fields(base, TWO_PI, ring_x)[0]
-                for ring_x in rings_x]
-    del surfaces
-
     # Grid floor: refinement study of the limit-surface distances.  The
     # radial-only and angular-only refinements change the cell aspect ratio
     # and so expose the direction-dependent part of the 8-neighbor
@@ -731,7 +720,7 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
     # floor is the largest observed change.
     d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in fields_y)
     floor = max(float(np.max(np.abs(d_y - ref))) for ref in refs)
-    del fields_y, refs
+    del fields, fields_y, refs
     sym_y = symmetrised(d_y, diag_y)
 
     # The quotient side folds the group elements in blocks of as many

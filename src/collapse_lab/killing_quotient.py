@@ -165,9 +165,11 @@ def project_onto_complement(g_prod, basis: OrbitBasis, x) -> np.ndarray:
     if v.shape[1] != gm.dim or not 1 <= x.ndim <= 2 or x.shape[-1] != gm.dim:
         raise DomainError("dimension mismatch between metric, basis, vector")
     rows = x.reshape(-1, gm.dim)
-    gv = v @ gm.matrix             # (m, n)
-    gram = gv @ v.T                # (m, m)
-    rhs = [gv @ row for row in rows]
+    # an overflowing product is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = v @ gm.matrix         # (m, n)
+        gram = gv @ v.T            # (m, m)
+        rhs = [gv @ row for row in rows]
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise DomainError("orbit basis and projected vector must be finite")
     cond = np.linalg.cond(gram)
@@ -211,7 +213,10 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     span = np.vstack([basis.vectors, frame])
     if not np.all(np.isfinite(span)):
         raise DomainError("orbit basis or frame has non-finite entries")
-    if np.linalg.matrix_rank(span) < gm.dim:
+    # rank of the rows scaled to unit max norm, so that no row is lost
+    # below the tolerance for its scale; a zero row fails before dividing
+    scale = np.max(np.abs(span), axis=1, keepdims=True)
+    if np.any(scale == 0) or np.linalg.matrix_rank(span / scale) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
     proj = project_onto_complement(gm, basis, frame)
     h = proj @ gm.matrix @ proj.T

@@ -471,32 +471,37 @@ class TransformedWarp(WarpCurve):
         d = self._denominator(fb)
         return (self.r * fb / np.sqrt(d))[()]
 
+    def _shrink(self, fb):
+        """t = kappa f / r and s = r / sqrt(D) = 1 / sqrt(1 + sign t^2),
+        refusing f at or past r/kappa: derivatives written in t and s stay
+        exact where r^2 or r^3 underflow and D^-1.5 or D^2 overflow."""
+        self._denominator(fb)
+        t = self.kappa * fb / self.r
+        return t, 1.0 / np.sqrt(1.0 + self.sign * (t * t))
+
     def df(self, rho):
         fb, dfb, _ = _chain_d(self.base, rho)
-        self._denominator(fb)               # refuses f at or past r/kappa
-        # r^3 d^-1.5 is the cube of r / sqrt(d) = 1 / sqrt(1 + sign t^2),
-        # t = kappa f / r, which stays exact at f = 0 where r^3 underflows,
-        # d^-1.5 overflows or r^2 is subnormal
-        t = self.kappa * fb / self.r
-        s = 1.0 / np.sqrt(1.0 + self.sign * (t * t))
+        _, s = self._shrink(fb)
         return (s * s * s * dfb)[()]
 
     def d2f(self, rho):
+        # s^3 (f'' - 3 sign (kappa/r)^2 f f'^2 s^2), (kappa/r)^2 f taken as
+        # t kappa / r, which is 0 at f = 0 even where kappa / r overflows
         fb, dfb, d2fb = _chain_d(self.base, rho)
-        d = self._denominator(fb)
-        return (self.r ** 3 * d ** -2.5
-                * (d2fb * d - 3.0 * self.sign * (self.kappa * self.kappa)
-                   * fb * (dfb * dfb)))[()]
+        t, s = self._shrink(fb)
+        return (s * s * s * (d2fb - 3.0 * self.sign * (t * self.kappa / self.r)
+                             * (dfb * dfb) * (s * s)))[()]
 
     def curvature(self, rho):
         if not self.base.has_closed_curvature:
             return super().curvature(rho)
+        # s^2 (K_base + 3 sign (kappa f' s / r)^2), the square 0 at f' = 0
+        # even where kappa / r overflows
         fb, dfb, _ = _chain_d(self.base, rho)
         kb = self.base.curvature(rho)
-        d = self._denominator(fb)
-        return (self.r * self.r * (kb * d + 3.0 * self.sign
-                                   * (self.kappa * self.kappa) * (dfb * dfb))
-                / (d * d))[()]
+        _, s = self._shrink(fb)
+        q = self.kappa * dfb * s / self.r
+        return (s * s * (kb + 3.0 * self.sign * (q * q)))[()]
 
 
 _FAMILIES = {

@@ -339,23 +339,21 @@ def test_criterion_16_collapse_rate_on_exact_distances(monkeypatch):
     # distortion, and nothing to refine
     calls = []
 
-    class FlatCylinders:
-        def __init__(self, n_rho, rho_rows, floor_ring, rings):
-            self.n_rho, self.rho_rows = n_rho, rho_rows
-
-        def fields(self, metric, period, ring, refine=False):
+    def flat_cylinders(n_rho, rho_rows, surfaces):
+        fields = []
+        for metric, period, ring, refine in surfaces:
             calls.append(ring)
-            rho = np.linspace(metric.rho_min, metric.rho_max,
-                              self.n_rho)[self.rho_rows]
+            rho = np.linspace(metric.rho_min, metric.rho_max, n_rho)[rho_rows]
             f = metric.warp.f(rho)
             assert np.all(f == f[0])
             c = np.arange(ring // 2 + 1)
             dist = np.hypot(rho[:, None, None] - rho[None, :, None],
                             f[0] * period * np.minimum(c, ring - c) / ring)
-            return [gh_collapse.SurfaceDistanceField(ring, dist)] * (
+            fields += [gh_collapse.SurfaceDistanceField(ring, dist)] * (
                 4 if refine else 1)
+        return fields
 
-    monkeypatch.setattr(gh_collapse, "_GridSurfaces", FlatCylinders)
+    monkeypatch.setattr(gh_collapse, "_grid_fields", flat_cylinders)
     worst, n_rows = 0.0, 0
     for m1, m2 in ((1, 1), (1, 2), (0, 1), (2, 1), (3, 2), (2, 2), (3, 7)):
         for r in (1.0, 0.5):

@@ -775,6 +775,28 @@ def test_quotient_rejects_short_orbit_basis_row(tmp_path, capsys):
                    "metric's dimension\n")
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e100])
+def test_quotient_accepts_rescaled_orbit_basis(tmp_path, capsys, scale):
+    # the demo's orbit direction (0, 1, 1) at another scale spans with the
+    # frame as well; the rank on the raw rows lost it below its tolerance
+    # and refused the basis as failing to span
+    want = _run_strict(tmp_path, capsys, "quotient", _demo("quotient"))
+    got = _run_strict(tmp_path, capsys, "quotient",
+                      _demo("quotient", h_vectors=[[0.0, scale, scale]]))
+    assert want[0] == 0 and got == want
+
+
+def test_quotient_refuses_overflowing_orbit_gram(tmp_path, capsys):
+    # (0, 1e200, 1e200) spans with the demo frame, and its Gram entry
+    # 5e400 overflows: refused in one line, with no overflow warning
+    code, out, err = _run_strict(
+        tmp_path, capsys, "quotient",
+        _demo("quotient", h_vectors=[[0.0, 1e200, 1e200]]))
+    assert (code, out) == (1, "")
+    assert err == ("collapse-lab: error: orbit basis and projected vector "
+                   "must be finite\n")
+
+
 def test_quotient_rejects_frame_row_lost_to_cancellation(tmp_path, capsys):
     # in the g-norm of diag(1, 1e100, 1) the frame row (0, 1, 0) is nearly
     # the orbit direction (0, 1, 1): its projection keeps 1 / (1e100 + 1)

@@ -252,7 +252,7 @@ def _all_pairs(g):
 
 def test_graph_size_cap():
     """A graph is sized by the field it solves, which the grid backend
-    (_GridSurfaces) caps at MAX_FIELD_LABELS: one whose full ring has more
+    (_grid_fields) caps at MAX_FIELD_LABELS: one whose full ring has more
     than 2^22 nodes builds and solves from one source row."""
     # 1 + 2048 x 2048 nodes over the full ring, one more than 2^22, in a
     # field of 2049 x 1025 labels from one source
@@ -1455,8 +1455,10 @@ def _per_element_rows(config):
     ring_y = math.lcm(g.n_theta, m2 * g.n_s // math.gcd(m1, m2 * g.n_s))
     rings_x = [math.lcm(g.n_theta, c[-1] // math.gcd(m1, c[-1]))
                for c in chains]
-    surfaces = gh_collapse._GridSurfaces(g.n_rho, rho_rows, ring_y, rings_x)
     orbits = m2 // math.gcd(m1, m2)
+    fields = gh_collapse._grid_fields(
+        g.n_rho, rho_rows, [(limit, TWO_PI / orbits, ring_y, True)]
+        + [(base, TWO_PI, ring_x, False) for ring_x in rings_x])
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)
     slots = np.arange(rho_rows.size)
@@ -1471,13 +1473,11 @@ def _per_element_rows(config):
         twin = table.transpose(1, 0, 2, 3)[:, :, neg_th][:, :, :, neg_s]
         return 0.5 * (table + twin)
 
-    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in
-                  surfaces.fields(limit, TWO_PI / orbits, ring_y, True))
+    d_y, *refs = (fld.lookup(slot_a, slot_b, col_y) for fld in fields[:4])
     floor = max(float(np.max(np.abs(d_y - ref))) for ref in refs)
     sym_y = symmetrised(d_y)
     rows = []
-    for chain, ring_x in zip(chains, rings_x):
-        fld_x, = surfaces.fields(base, TWO_PI, ring_x)
+    for chain, ring_x, fld_x in zip(chains, rings_x, fields[4:]):
         col_x = dth[:, None] * (ring_x // g.n_theta)
         sq_x, prev = math.inf, 0
         for p in chain:
@@ -1540,33 +1540,34 @@ def test_blocked_fold_equals_per_element_fold(monkeypatch, m1, m2,
                                            (128, "chain")])
 def test_grid_surfaces_buffer_is_its_largest_single_solve(monkeypatch, ring,
                                                           largest):
-    """The label buffer of _GridSurfaces holds the largest table of its
+    """The label buffer of _grid_fields holds the largest table of its
     solves, no more: the limit field, its angular, radial and proportional
     refinement, and each ring's field, one graph a solve.  On 16 rows with
     the floor ring 24, the proportional refinement (31 rows, 25 + 2
     columns) outweighs a quotient ring of 48 (16 rows, 25 + 2 columns),
     and a ring of 128 (16 rows, 65 + 2 columns) outweighs it."""
-    tables = {}
+    tables, buffers = {}, []
     solve = gh_collapse._distance_field
     names = ("limit", "angular", "radial", "proportional", "chain")
 
     def spy(graph, rows, labels=None):
         tables[names[len(tables)]] = (len(rows) * graph.n_rho
                                       * (graph.n_theta // 2 + 3))
+        buffers.append(labels)
         return solve(graph, rows, labels)
 
     monkeypatch.setattr(gh_collapse, "_distance_field", spy)
     metric = metric_from_warp(SinhWarp(1.0), 1.2)
-    rows = np.array([1, 6, 15])
-    surfaces = gh_collapse._GridSurfaces(16, rows, 24, [ring])
-    surfaces.fields(metric, TWO_PI, 24, refine=True)
-    surfaces.fields(metric, TWO_PI, ring)
+    gh_collapse._grid_fields(16, np.array([1, 6, 15]),
+                             [(metric, TWO_PI, 24, True),
+                              (metric, TWO_PI, ring, False)])
     assert tables == {"limit": 3 * 16 * (12 + 3),
                       "angular": 3 * 16 * (24 + 3),
                       "radial": 3 * 31 * (12 + 3),
                       "proportional": 3 * 31 * (24 + 3),
                       "chain": 3 * 16 * (ring // 2 + 3)}
-    assert surfaces.labels.size == max(tables.values()) == tables[largest]
+    assert all(buf is buffers[0] for buf in buffers)
+    assert buffers[0].size == max(tables.values()) == tables[largest]
 
 
 def test_collapse_common_factor_of_slopes_reduces_group():
@@ -1664,53 +1665,64 @@ def test_collapse_solves_share_one_label_buffer(monkeypatch):
     assert labels.size == max(size for _, size in buffers)
 
 
-def test_grid_surfaces_return_copies_of_the_label_buffer():
-    """The tables of _GridSurfaces.fields are copied out of the label
-    buffer by sample slot, so a later call, which refills the buffer,
-    leaves them as they are.  Each is its solved field at the sample rows,
-    counted in columns of the ring: an angular refinement keeps every
-    other column."""
+def test_grid_surfaces_return_copies_of_the_label_buffer(monkeypatch):
+    """The tables of _grid_fields are copied out of the label buffer by
+    sample slot, so each later solve, which refills the buffer, leaves the
+    tables before it as they are.  Each is its solved field at the sample
+    rows, counted in columns of the ring: an angular refinement keeps
+    every other column."""
+    buffers = []
+    solve = gh_collapse._distance_field
+
+    def spy(graph, rows, labels=None):
+        buffers.append(labels)
+        return solve(graph, rows, labels)
+
+    monkeypatch.setattr(gh_collapse, "_distance_field", spy)
     metric = metric_from_warp(SinhWarp(1.0), 1.2)
+    quotient_metric = metric_from_warp(SinhWarp(2.0), 1.2)
     rows = np.array([1, 6, 15])
-    surfaces = gh_collapse._GridSurfaces(16, rows, 24, [48])
-    tables = surfaces.fields(metric, TWO_PI, 24, refine=True)
-    kept = [fld.dist.copy() for fld in tables]
+    *tables, quotient = gh_collapse._grid_fields(
+        16, rows, [(metric, TWO_PI, 24, True),
+                   (quotient_metric, TWO_PI, 48, False)])
+    monkeypatch.undo()
+    assert len(buffers) == 5
     assert [fld.n_theta for fld in tables] == [24] * 4
-    assert not any(np.shares_memory(fld.dist, surfaces.labels)
-                   for fld in tables)
-    for fld, (n_rho, ring, rscale) in zip(
-            tables, ((16, 24, 1), (16, 48, 1), (31, 24, 2), (31, 48, 2))):
+    assert quotient.n_theta == 48
+    assert not any(np.shares_memory(fld.dist, buffers[0])
+                   for fld in (*tables, quotient))
+    for fld, (warp, n_rho, ring, rscale) in zip(
+            (*tables, quotient),
+            ((metric, 16, 24, 1), (metric, 16, 48, 1), (metric, 31, 24, 2),
+             (metric, 31, 48, 2), (quotient_metric, 16, 48, 1))):
         want = _distance_field(
-            build_surface_graph(metric, n_rho, ring), rscale * rows)
-        assert np.array_equal(fld.dist,
-                              want.dist[rscale * rows, :, ::ring // 24])
-    quotient, = surfaces.fields(metric_from_warp(SinhWarp(2.0), 1.2),
-                                TWO_PI, 48)
-    assert not np.shares_memory(quotient.dist, surfaces.labels)
-    for fld, dist in zip(tables, kept):
-        assert np.array_equal(fld.dist, dist)
+            build_surface_graph(warp, n_rho, ring), rscale * rows)
+        assert np.array_equal(
+            fld.dist, want.dist[rscale * rows, :, ::ring // fld.n_theta])
 
 
 def test_collapse_frees_the_label_buffer_before_any_lookup(monkeypatch):
-    """A collapse run takes every field from its backend, the limit
-    surface's with its refinements and one per chain, before the first
-    lookup, and drops the backend there, so no class table is built next
-    to the label buffer."""
+    """A collapse run solves every field, the limit surface's with its
+    refinements and one per chain, in one call of its backend, whose label
+    buffer is gone before the first lookup, so no class table is built
+    next to it."""
     buffers, alive = [], []
+    solve = gh_collapse._distance_field
 
-    class Spy(gh_collapse._GridSurfaces):
-        def __init__(self, *args):
-            super().__init__(*args)
-            buffers.append(weakref.ref(self.labels))
+    def solve_spy(graph, rows, labels=None):
+        if not buffers or buffers[-1]() is not labels:
+            buffers.append(weakref.ref(labels))
+        return solve(graph, rows, labels)
 
     lookup = gh_collapse.SurfaceDistanceField.lookup
 
-    def spy(self, *args):
+    def lookup_spy(self, *args):
         alive.append(buffers[0]() is not None)
         return lookup(self, *args)
 
-    monkeypatch.setattr(gh_collapse, "_GridSurfaces", Spy)
-    monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup", spy)
+    monkeypatch.setattr(gh_collapse, "_distance_field", solve_spy)
+    monkeypatch.setattr(gh_collapse.SurfaceDistanceField, "lookup",
+                        lookup_spy)
     collapse_experiment(CollapseConfig.from_json(
         dict(SMALL_CONFIG, p_values=[2, 4, 3, 9])))
     assert len(buffers) == 1

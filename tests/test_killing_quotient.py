@@ -318,6 +318,14 @@ def test_quotient_form_transversality_errors():
     with pytest.raises(TransversalityError):
         quotient_metric_form(g, OrbitBasis([[1.0, 0.0, 0.0]]),
                              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    # the rank is taken on rows scaled to unit size: a zero row is refused
+    # before the scaling, with no division warning
+    with pytest.raises(TransversalityError, match="fails to span"):
+        quotient_metric_form(g, OrbitBasis([[0.0, 0.0, 0.0]]),
+                             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(TransversalityError, match="fails to span"):
+        quotient_metric_form(g, OrbitBasis([[1.0, 0.0, 0.0]]),
+                             [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_quotient_form_refuses_frame_row_lost_to_cancellation():

@@ -513,6 +513,26 @@ def test_transformed_curvature_at_the_pole():
                                                        rel=1e-12)
 
 
+def test_transformed_derivatives_at_extreme_radii():
+    """d2f and the curvature of the transform are written in t = kappa f / r
+    and s^2 = 1 / (1 + t^2), so they stay finite and right where r^3,
+    D^-2.5 or D^2 (D = r^2 + kappa^2 f^2) overflow or underflow.  At
+    r = 1e110 the transform of sinh is sinh to 1e-220 of itself: K = -1
+    and f'' = sinh.  At r = 1e-110 the pole curvature is 3 kappa^2 / r^2 +
+    K_base = 3e220 and f''(0) = 0, as it is wherever f = 0, also when
+    kappa / r overflows (kappa = 1e154, r = 1e-161)."""
+    metric = quotient_transform(metric_from_warp(SinhWarp(1.0), 2.0),
+                                1e110, 1.0)
+    np.testing.assert_allclose(gauss_curvature(metric, [0.0, 1.0]),
+                               [-1.0, -1.0], rtol=1e-15)
+    wide = TransformedWarp(SinhWarp(1.0), 1e110, 1.0)
+    assert wide.d2f(1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
+    narrow = TransformedWarp(SinhWarp(1.0), 1e-110, 1.0)
+    assert narrow.curvature(0.0) == pytest.approx(3e220, rel=1e-15)
+    assert narrow.d2f(0.0) == 0.0
+    assert TransformedWarp(SinhWarp(1.0), 1e-161, 1e154).d2f(0.0) == 0.0
+
+
 def test_cigar_and_sphere_identities():
     """The two closed-form transform identities at kappa = a r."""
     rho = np.linspace(0.0, 4.0, 200)
