@@ -688,6 +688,14 @@ def collapse_experiment(config: CollapseConfig) -> list[CollapseRow]:
                           + [(base, TWO_PI, ring_x, False)
                              for ring_x in rings_x])
     fields_y, fields_x = fields[:4], fields[4:]
+    # a square below the smallest normal float keeps too few bits for the
+    # quotient side's minimum over squared distances
+    low = min([config.r * TWO_PI / (g.n_s * p_max)]
+              + [np.min(fld.dist, where=fld.dist > 0, initial=math.inf)
+                 for fld in fields_x])
+    if low * low < np.finfo(float).tiny:
+        raise DomainError(f"squared distances underflow a float (smallest "
+                          f"positive distance {low:g}); raise rho_max or r")
 
     neg_th = np.searchsorted(dth, -dth % g.n_theta)
     neg_s = ds.size - 1 - np.arange(ds.size)

@@ -154,16 +154,19 @@ def project_onto_complement(g_prod, basis: OrbitBasis, x) -> np.ndarray:
     """Component of x orthogonal (w.r.t. g_prod) to the orbit basis, for
     one vector x or each row of a (k, n) array x.
 
-    The orbit Gram V G V^T is checked, condition-warned and factored once
-    per call; each row then solves (V G V^T) alpha = V G x with the factor
-    and returns x - V^T alpha, bit for bit as a call on that row alone.
-    Idempotent; returns the zero vector on basis members.
+    The basis rows are scaled exactly, by powers of two, to max-abs entries
+    in [0.5, 1), which the projection does not depend on.  Their Gram
+    V G V^T is checked, condition-warned and factored once per call; each
+    row then solves (V G V^T) alpha = V G x with the factor and returns
+    x - V^T alpha, bit for bit as a call on that row alone.  Idempotent;
+    returns the zero vector on basis members.
     """
     gm = _as_metric(g_prod)
     x = _as_vector(x)
     v = basis.vectors
     if v.shape[1] != gm.dim or not 1 <= x.ndim <= 2 or x.shape[-1] != gm.dim:
         raise DomainError("dimension mismatch between metric, basis, vector")
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=1, keepdims=True))[1])
     rows = x.reshape(-1, gm.dim)
     # an overflowing product is refused below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +222,12 @@ def quotient_metric_form(g_prod, basis: OrbitBasis, frame) -> PointMetric:
     if np.any(scale == 0) or np.linalg.matrix_rank(span / scale) < gm.dim:
         raise TransversalityError("orbit basis plus frame fails to span")
     proj = project_onto_complement(gm, basis, frame)
-    h = proj @ gm.matrix @ proj.T
+    # an overflowing form is refused here, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = proj @ gm.matrix @ proj.T
+    if not np.all(np.isfinite(h)):
+        raise DomainError("quotient metric form h_ij = g(Xi_perp, Xj_perp) "
+                          "overflows a float")
     # a row's projection is exact to about eps times the row's norm, so
     # h_ii can be off by 2 eps / sqrt(kept) + eps^2 / kept of itself: about
     # 1e-9 at kept = 1 / _COND_WARN, 5e68 at kept = 1e-100; a norm that

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuotientCollapseError, TangencyError
-from .killing_quotient import transform_killing
 
 _TANGENT_TOL = 1e-8
 
@@ -218,18 +217,20 @@ def slope_quotient_metric(xi: float) -> BergerMetric:
     """Berger family (sin^2 xi, 1, 1) from collapsing the slope-xi direction.
 
     xi is the slope angle in radians, any float: it is reduced mod 2 pi.
-    Computed by applying transform_killing with g = I_3, K = e_1, r = 1 and
-    effective kappa = |cot xi|, so the first weight is 1/(cot^2 xi + 1).
-    Slope exactly 0 or pi collapses the quotient to two dimensions and
-    raises QuotientCollapseError.
+    The first weight is transform_killing's 1 / (kappa^2 + 1) with g = I_3,
+    K = e_1, r = 1 and kappa = |cot xi|, taken in its closed form sin^2 xi,
+    which does not cancel as xi -> 0.  Slope exactly 0 or pi collapses the
+    quotient to two dimensions and raises QuotientCollapseError; a sin^2 xi
+    that underflows to 0 raises DomainError.
     """
     angle = float(xi) % (2.0 * math.pi)
     if angle == 0.0 or angle == math.pi:
         raise QuotientCollapseError(
             "slope 0 or pi kills the F_1 direction entirely; the quotient "
             "is two-dimensional")
-    s, c = math.sin(angle), math.cos(angle)
-    kappa = abs(c / s)
-    h = transform_killing(np.eye(3), np.array([1.0, 0.0, 0.0]), 1.0, kappa)
-    m = h.matrix
-    return BergerMetric(A=float(m[0, 0]), B=float(m[1, 1]), C=float(m[2, 2]))
+    s = math.sin(angle)
+    a = s * s
+    if a == 0.0:
+        raise DomainError(f"the Berger weight A = sin^2 xi underflows to 0 "
+                          f"(xi = {xi:g})")
+    return BergerMetric(A=a, B=1.0, C=1.0)

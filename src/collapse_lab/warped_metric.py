@@ -1,7 +1,7 @@
 """Rotationally symmetric metrics g = d rho^2 + f(rho)^2 d theta^2 and the
 circle-quotient transformation that sends the warp f to
 
-    f_new = r * f / sqrt(kappa^2 * f^2 + r^2).
+    f_new = r f / sqrt(kappa^2 f^2 + r^2) = f / sqrt(1 + (kappa f / r)^2).
 
 The transformed metric is the one induced on the quotient of (surface) x S^1(r)
 by the diagonal circle action of slope kappa = m1/m2.  The map is the identity
@@ -412,19 +412,17 @@ def _chain_d(base, rho):
 
 @dataclass(frozen=True)
 class TransformedWarp(WarpCurve):
-    """r f / sqrt(D), D = r^2 + sign kappa^2 f^2, with exact chain-rule
-    derivatives.
+    """f s (_quotient_factor) with exact chain-rule derivatives in t and s.
 
     sign = +1 is the forward transform, used when the transform of a named
     family has no closed form; sign = -1 is its inverse, defined only while
-    the base warp stays strictly below r/kappa (D <= 0 raises
+    the base warp stays strictly below r/kappa (t >= 1 raises
     NotInRangeError).  Carries a closed-form curvature whenever the base
     warp does:
 
-        K_new = r^2 (K_base * D + 3 sign kappa^2 f'^2) / D^2
+        K_new = s^2 (K_base + 3 sign (kappa f' s / r)^2)
 
-    which stays finite at a capped pole.  It refuses the r and kappa that
-    transformed_warp refuses (_check_transform, _check_squares).
+    which stays finite at a capped pole.
     """
     base: WarpCurve
     r: float
@@ -433,7 +431,6 @@ class TransformedWarp(WarpCurve):
 
     def __post_init__(self):
         _check_transform(self.r, self.kappa, self.sign)
-        _check_squares(self.r, self.kappa)
 
     @property
     def kind(self):
@@ -456,28 +453,16 @@ class TransformedWarp(WarpCurve):
         return self.base.open_right
 
     def argmax(self, lo, hi) -> float:
-        # r f / sqrt(r^2 + sign kappa^2 f^2) increases with f
+        # f s increases with f
         return self.base.argmax(lo, hi)
 
-    def _denominator(self, fb):
-        d = self.r * self.r + self.sign * (self.kappa * self.kappa) * (fb * fb)
-        if self.sign < 0 and np.any(d <= 0):
-            raise NotInRangeError(
-                "warp reaches the asymptote r/kappa; inverse undefined")
-        return d
+    def _shrink(self, fb):
+        return _quotient_factor(fb, self.r, self.kappa, self.sign)
 
     def f(self, rho):
         fb = self.base.f(np.asarray(rho, dtype=float))
-        d = self._denominator(fb)
-        return (self.r * fb / np.sqrt(d))[()]
-
-    def _shrink(self, fb):
-        """t = kappa f / r and s = r / sqrt(D) = 1 / sqrt(1 + sign t^2),
-        refusing f at or past r/kappa: derivatives written in t and s stay
-        exact where r^2 or r^3 underflow and D^-1.5 or D^2 overflow."""
-        self._denominator(fb)
-        t = self.kappa * fb / self.r
-        return t, 1.0 / np.sqrt(1.0 + self.sign * (t * t))
+        _, s = self._shrink(fb)
+        return (fb * s)[()]
 
     def df(self, rho):
         fb, dfb, _ = _chain_d(self.base, rho)
@@ -495,8 +480,7 @@ class TransformedWarp(WarpCurve):
     def curvature(self, rho):
         if not self.base.has_closed_curvature:
             return super().curvature(rho)
-        # s^2 (K_base + 3 sign (kappa f' s / r)^2), the square 0 at f' = 0
-        # even where kappa / r overflows
+        # the square is 0 at f' = 0 even where kappa / r overflows
         fb, dfb, _ = _chain_d(self.base, rho)
         kb = self.base.curvature(rho)
         _, s = self._shrink(fb)
@@ -634,15 +618,27 @@ def _check_transform(r: float, kappa: float, sign: int = 1) -> None:
         raise DomainError("transform sign must be +1 or -1")
 
 
-def _check_squares(r: float, kappa: float) -> None:
-    """Refuse, with DomainError, an r or kappa whose square overflows,
-    and an r whose square underflows to 0, which drops r^2 from
-    r^2 + kappa^2 f^2 (0 / 0 at f = 0)."""
-    if not (math.isfinite(r * r) and math.isfinite(kappa * kappa)):
-        raise DomainError(f"r^2 or kappa^2 overflows (r = {r:g}, "
+def _quotient_factor(f, r: float, kappa: float, sign: int = 1):
+    """t = kappa f / r and the circle-quotient factor
+    s = 1 / sqrt(1 + sign t^2), so that the transform sends f to f s.
+
+    t has no unit of length, so neither does s: f s squares none of r,
+    kappa and f, and stays accurate wherever t and f s are floats.  For
+    sign = -1 a |t| at or past 1 (f at or above r/kappa, an overflowing t
+    included) raises NotInRangeError; for sign = +1 a t that overflows
+    raises DomainError.
+    """
+    with np.errstate(over="ignore"):     # an overflow is refused below
+        t = kappa * f / r
+    if sign < 0:
+        if (np.abs(t) >= 1.0).any():
+            raise NotInRangeError(
+                "warp reaches the asymptote r/kappa; inverse undefined")
+        return t, 1.0 / np.sqrt(1.0 - t * t)
+    if np.isinf(t).any():
+        raise DomainError(f"kappa f / r overflows (r = {r:g}, "
                           f"kappa = {kappa:g})")
-    if r * r == 0.0:
-        raise DomainError(f"r^2 underflows to 0 (r = {r:g})")
+    return t, 1.0 / np.hypot(1.0, t)
 
 
 def _slope(m1: int, m2: int) -> float:
@@ -666,7 +662,8 @@ _PROMOTIONS = ((SinhWarp, TanhWarp), (TanWarp, SinWarp))
 
 def transformed_warp(warp: WarpCurve, r: float, kappa: float,
                      sign: int = 1) -> WarpCurve:
-    """Warp-level transform r f / sqrt(D), D = r^2 + sign kappa^2 f^2.
+    """Warp-level transform f s, s = 1 / sqrt(1 + sign t^2), t = kappa f / r
+    (_quotient_factor).
 
     sign = +1 is the forward transform r f / sqrt(kappa^2 f^2 + r^2);
     sign = -1 is its inverse, which requires f < r/kappa wherever it is
@@ -676,31 +673,16 @@ def transformed_warp(warp: WarpCurve, r: float, kappa: float,
 
         sinh(a)  ->  tanh(a)   when kappa = a r
         tan(a)   ->  sin(a)    when kappa = a r
-        const c  ->  const r c / sqrt(r^2 + sign kappa^2 c^2)
+        const c  ->  const c s
 
     everything else becomes a TransformedWarp with chain-rule derivatives.
-    An r or kappa whose square overflows raises DomainError, and so do an r
-    whose square underflows to 0, which drops r^2 from r^2 + kappa^2 f^2
-    (0 / 0 at f = 0), and a constant warp whose r^2 + kappa^2 c^2
-    overflows.
     """
     _check_transform(r, kappa, sign)
     if kappa == 0.0:
         return warp
-    _check_squares(r, kappa)
     if isinstance(warp, ConstWarp):
-        c = warp.c
-        c2 = c * c
-        # c^2 past the float range is an overflow whatever the sign
-        d = r * r + sign * (kappa * kappa) * c2 if c2 < math.inf else math.inf
-        # an overflowing kappa^2 c^2 gives d = -inf for sign = -1, c far
-        # above r/kappa
-        if d <= 0:
-            raise NotInRangeError("constant warp at or above r/kappa")
-        if d == math.inf:
-            raise DomainError(f"r^2 + kappa^2 c^2 overflows (r = {r:g}, "
-                              f"kappa = {kappa:g}, c = {c:g})")
-        return ConstWarp(r * c / math.sqrt(d))
+        _, s = _quotient_factor(warp.c, r, kappa, sign)
+        return ConstWarp(float(warp.c * s))
     for family, image in (p if sign > 0 else p[::-1] for p in _PROMOTIONS):
         if isinstance(warp, family) and kappa == warp.a * r:
             return image(warp.a)
@@ -749,18 +731,14 @@ def quotient_transform(metric: RotSymMetric, r: float, kappa: float,
 
 def quotient_circle_radius(r1: float, r2: float, kappa: float) -> float:
     """Radius of the circle obtained by the slope-kappa quotient of the flat
-    torus S^1(r1) x S^1(r2):  sqrt(r1^2 r2^2 / (kappa^2 r1^2 + r2^2)).
-    A numerator or denominator past the float range raises DomainError."""
+    torus S^1(r1) x S^1(r2):  r1 r2 / sqrt(kappa^2 r1^2 + r2^2), which is
+    the transform r1 s of the constant warp r1 (_quotient_factor)."""
     if r1 <= 0 or r2 <= 0:
         raise DomainError("need r1, r2 > 0")
     if kappa < 0:
         raise DomainError("need kappa >= 0")
-    r1s, r2s = r1 * r1, r2 * r2
-    num, den = r1s * r2s, kappa * kappa * r1s + r2s
-    if not (num < math.inf and den < math.inf):
-        raise DomainError(f"r1^2 r2^2 or kappa^2 r1^2 + r2^2 overflows "
-                          f"(r1 = {r1:g}, r2 = {r2:g}, kappa = {kappa:g})")
-    return math.sqrt(num / den)
+    _, s = _quotient_factor(r1, r2, kappa)
+    return float(r1 * s)
 
 
 def asymptote_radius(r: float, kappa: float) -> float:

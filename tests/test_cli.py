@@ -716,39 +716,43 @@ def _run_strict(tmp_path, capsys, command, cfg):
 
 
 @pytest.mark.parametrize("command, cfg, message", [
-    ("transform", _demo("transform", r=1e200), "r^2 or kappa^2"),
-    ("transform", {"family": "sinh", "r": 1.0, "kappa": 1e200},
-     "r^2 or kappa^2"),
-    ("collapse", _demo("collapse", r=1e200), "r^2 or kappa^2"),
-    # kappa = |cot xi| = 1e300
-    ("berger", {"xi": 1e-300}, "r^2 or kappa^2"),
-    ("transform", {"family": "const", "a": 1e200, "r": 1.0, "kappa": 1.0},
-     "r^2 + kappa^2 c^2"),
+    # every squared distance of the quotient side overflows
+    ("collapse", _demo("collapse", r=1e200), "distortion = inf in row 0"),
+    # kappa = |cot xi| = 1e300, and A = sin^2 xi = 1e-600
+    ("berger", {"xi": 1e-300}, "the Berger weight A = sin^2 xi underflows"),
     # kappa = m1 / m2 = 10^400 is past the float range
-    ("transform", _demo("transform", m1=10 ** 400, m2=1), "m1 / m2"),
-    ("collapse", _demo("collapse", m1=10 ** 400, m2=1), "m1 / m2"),
-], ids=["transform-r", "transform-kappa", "collapse-r", "berger-xi",
-        "transform-const", "transform-m1", "collapse-m1"])
+    ("transform", _demo("transform", m1=10 ** 400, m2=1), "m1 / m2 overflows"),
+    ("collapse", _demo("collapse", m1=10 ** 400, m2=1), "m1 / m2 overflows"),
+], ids=["collapse-r", "berger-xi", "transform-m1", "collapse-m1"])
 def test_square_overflowing_transform_exits_1(tmp_path, capsys, command,
                                               cfg, message):
     code, out, err = _run_strict(tmp_path, capsys, command, cfg)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith(f"collapse-lab: error: {message} overflows")
+    assert err.startswith(f"collapse-lab: error: {message}")
 
 
-@pytest.mark.parametrize("cfg", [
-    {"family": "const", "a": 1e-200, "r": 1e-200, "kappa": 1.0},
-    {"family": "sinh", "a": 1.0, "r": 1e-200, "kappa": 1.0, "rho_max": 1.0,
-     "n": 3},
-], ids=["const", "sinh"])
-def test_square_underflowing_transform_exits_1(tmp_path, capsys, cfg):
-    # r^2 = 0 made the const branch's d = 0 (blamed on the inverse's range)
-    # and the sinh transform 0 / sqrt(0) = nan at f = 0 (blamed on overflow)
+@pytest.mark.parametrize("cfg, want", [
+    (_demo("transform", r=1e200), lambda f: f),
+    ({"family": "sinh", "r": 1.0, "kappa": 1e200},
+     lambda f: 1e-200 if f > 0 else 0.0),
+    ({"family": "const", "a": 1e200, "r": 1.0, "kappa": 1.0}, lambda f: 1.0),
+    ({"family": "const", "a": 1e-200, "r": 1e-200, "kappa": 1.0},
+     lambda f: 1e-200 * math.sqrt(0.5)),
+    ({"family": "sinh", "a": 1.0, "r": 1e-200, "kappa": 1.0, "rho_max": 1.0,
+      "n": 3}, lambda f: 1e-200 if f > 0 else 0.0),
+], ids=["transform-r", "transform-kappa", "transform-const", "underflow-const",
+        "underflow-sinh"])
+def test_square_past_float_range_transform_answers(tmp_path, capsys, cfg,
+                                                   want):
+    # a square of r, kappa or c leaves the float range, and these were
+    # refused; f / sqrt(1 + (kappa f / r)^2) is f to the last bit, or
+    # r / kappa = 1e-200 where f is far above it, or the constant over
+    # sqrt(2) at r = kappa c
     code, out, err = _run_strict(tmp_path, capsys, "transform", cfg)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("collapse-lab: error: r^2 underflows")
+    assert code == 0 and "Traceback" not in err
+    for _, f, got in parse_csv(out)[1]:
+        assert got == pytest.approx(want(f), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("value", [2 ** 63, 10 ** 30])
@@ -775,26 +779,31 @@ def test_quotient_rejects_short_orbit_basis_row(tmp_path, capsys):
                    "metric's dimension\n")
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1e100])
+@pytest.mark.parametrize("scale", [1e-200, 1e-20, 1e100, 1e200])
 def test_quotient_accepts_rescaled_orbit_basis(tmp_path, capsys, scale):
     # the demo's orbit direction (0, 1, 1) at another scale spans with the
     # frame as well; the rank on the raw rows lost it below its tolerance
-    # and refused the basis as failing to span
+    # and refused the basis as failing to span, and the orbit Gram of the
+    # raw rows underflowed to 0 (Gram not SPD) or overflowed (not finite)
     want = _run_strict(tmp_path, capsys, "quotient", _demo("quotient"))
     got = _run_strict(tmp_path, capsys, "quotient",
                       _demo("quotient", h_vectors=[[0.0, scale, scale]]))
     assert want[0] == 0 and got == want
 
 
-def test_quotient_refuses_overflowing_orbit_gram(tmp_path, capsys):
-    # (0, 1e200, 1e200) spans with the demo frame, and its Gram entry
-    # 5e400 overflows: refused in one line, with no overflow warning
-    code, out, err = _run_strict(
-        tmp_path, capsys, "quotient",
-        _demo("quotient", h_vectors=[[0.0, 1e200, 1e200]]))
+@pytest.mark.parametrize("row, col, entry", [
+    (0, 0, 1e300), (1, 1, 1e300), (0, 0, 1.7e308), (1, 2, -1e300)])
+def test_quotient_refuses_overflowing_form(tmp_path, capsys, row, col,
+                                           entry):
+    # the projected frame row is finite and its g-norm squared is not:
+    # numpy's matmul warned of the overflow, and PointMetric then blamed
+    # the input metric ("metric entries must be finite")
+    cfg = _demo("quotient")
+    cfg["frame"][row][col] = entry
+    code, out, err = _run_strict(tmp_path, capsys, "quotient", cfg)
     assert (code, out) == (1, "")
-    assert err == ("collapse-lab: error: orbit basis and projected vector "
-                   "must be finite\n")
+    assert err == ("collapse-lab: error: quotient metric form h_ij = "
+                   "g(Xi_perp, Xj_perp) overflows a float\n")
 
 
 def test_quotient_rejects_frame_row_lost_to_cancellation(tmp_path, capsys):

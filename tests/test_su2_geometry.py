@@ -418,6 +418,16 @@ def test_slope_quotient_collapse_regime():
         slope_quotient_metric(math.pi)
 
 
+def test_slope_quotient_weight_is_sin_squared():
+    # 1 / (cot^2 xi + 1) cancelled as xi -> 0: A was off by 2.2e-5 of
+    # itself at xi = 1e-6 and refused as not positive definite at 1e-8
+    for xi in (1e-6, 1e-7, 1e-8, 1e-150, 0.3):
+        m = slope_quotient_metric(xi)
+        assert (m.A, m.B, m.C) == (math.sin(xi) * math.sin(xi), 1.0, 1.0)
+    with pytest.raises(DomainError, match="A = sin\\^2 xi underflows to 0"):
+        slope_quotient_metric(1e-300)
+
+
 def test_slope_quotient_agrees_with_rank_one_transform():
     for xi in np.linspace(0.05, math.pi / 2, 20):
         m = slope_quotient_metric(float(xi))

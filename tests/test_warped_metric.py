@@ -6,6 +6,7 @@ never checked against itself.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,15 @@ from collapse_lab import (
     warp_from_json,
 )
 from collapse_lab.warped_metric import TransformedWarp, _slope
+
+
+def exact_transform(f, r, kappa, sign=1):
+    """r f / sqrt(r^2 + sign kappa^2 f^2) in 40-digit decimal arithmetic,
+    whose exponent range holds every square of a float, rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        f, r, kappa = (Decimal(x) for x in (f, r, kappa))
+        return float(r * f / (r * r + sign * kappa * kappa * f * f).sqrt())
 
 
 def fd_second(fun, x, h=1e-4):
@@ -411,24 +421,27 @@ def test_inverse_promotions_and_range_guard():
     inverse = quotient_transform(metric_from_warp(SinWarp(1.0), 1.5), 1.0,
                                  1.0, sign=-1)
     assert isinstance(inverse.warp, TanWarp)
-    with pytest.raises(NotInRangeError):
-        transformed_warp(ConstWarp(2.0), 1.0, 1.0, sign=-1)
-    # kappa^2 c^2 past the float range: far above r/kappa for the inverse,
-    # an overflow for the forward transform; c^2 past the float range is an
-    # overflow either way, even when kappa^2 underflows
-    with pytest.raises(NotInRangeError):
-        transformed_warp(ConstWarp(1e150), 1.0, 1e100, sign=-1)
-    for c, kappa, sign in ((1e150, 1e100, 1), (1e200, 1.0, 1),
-                           (1e200, 1.0, -1), (1e160, 1e-170, 1)):
-        with pytest.raises(DomainError, match="overflows"):
-            transformed_warp(ConstWarp(c), 1.0, kappa, sign)
-    # an r whose square underflows to 0 is refused in either direction; a
-    # subnormal r^2 is still a number
-    for warp, sign in ((ConstWarp(1e-200), 1), (ConstWarp(1e-200), -1),
-                       (SinhWarp(1.0), 1), (SinhWarp(1.0), -1)):
-        with pytest.raises(DomainError, match="r\\^2 underflows"):
-            transformed_warp(warp, 1e-200, 1.0, sign)
-    assert transformed_warp(ConstWarp(1e-160), 1e-160, 1.0).c > 0
+    # c at or above r/kappa has no preimage, however far past the float
+    # range kappa^2 c^2 or c^2 is
+    for c, r, kappa in ((2.0, 1.0, 1.0), (1e150, 1.0, 1e100),
+                        (1e200, 1.0, 1.0), (1e-200, 1e-200, 1.0)):
+        with pytest.raises(NotInRangeError):
+            transformed_warp(ConstWarp(c), r, kappa, sign=-1)
+    # the constant warp's transform is c s, with t = kappa c / r: exact
+    # where r^2, kappa^2 c^2 or c^2 leave the float range
+    for c, r, kappa in ((1e150, 1.0, 1e100), (1e200, 1.0, 1.0),
+                        (1e160, 1.0, 1e-170), (1e-200, 1e-200, 1.0),
+                        (1e-160, 1e-160, 1.0), (1.0, 1e-300, 1e-300)):
+        got = transformed_warp(ConstWarp(c), r, kappa).c
+        assert got == pytest.approx(exact_transform(c, r, kappa), rel=1e-15)
+    assert transformed_warp(ConstWarp(1e-200), 1e-200, 0.5, sign=-1).c == \
+        pytest.approx(exact_transform(1e-200, 1e-200, 0.5, -1), rel=1e-15)
+    # so is the transform of any warp where r^2 underflows to 0
+    for sign in (1, -1):
+        warp = transformed_warp(SinhWarp(1.0), 1e-200, 1.0, sign)
+        assert warp.f(0.0) == 0.0 and warp.df(0.0) == 1.0
+        assert warp.f(1e-201) == pytest.approx(
+            exact_transform(math.sinh(1e-201), 1e-200, 1.0, sign), rel=1e-15)
 
 
 _TAB_RHO = np.linspace(0.0, 1.0, 11)
@@ -567,10 +580,11 @@ def test_quotient_circle_radius_formula():
         quotient_circle_radius(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         quotient_circle_radius(1.0, 1.0, -1.0)
-    # r1^2 r2^2 or kappa^2 r1^2 past the float range would give nan or 0
-    for args in ((1e200, 1.0, 1.0), (1.0, 1.0, 1e200)):
-        with pytest.raises(DomainError, match="overflows"):
-            quotient_circle_radius(*args)
+    # exact where r1^2 r2^2 or kappa^2 r1^2 leave the float range
+    for r1, r2, kappa in ((1e200, 1.0, 1.0), (1.0, 1.0, 1e200),
+                          (1e-200, 1e-200, 1.0), (1e200, 1e200, 1e-300)):
+        assert quotient_circle_radius(r1, r2, kappa) == pytest.approx(
+            exact_transform(r1, r2, kappa), rel=1e-15)
 
 
 # floats whose pow(x, 2) is off by one ulp; x * x is correctly rounded
@@ -578,6 +592,8 @@ _POW_MISROUNDED = (0.5073711867288875, 0.5199819530763752, 3.8065733325547657)
 
 
 def test_squares_are_correctly_rounded():
+    """The curvatures square a with x * x, not pow; the constant warp's
+    transform squares nothing: it is c / hypot(1, kappa c / r)."""
     def square(x):
         return float(Fraction(x) ** 2)
 
@@ -585,7 +601,7 @@ def test_squares_are_correctly_rounded():
         assert x ** 2 != square(x)
         assert SinWarp(x).curvature(0.0) == square(x)
         assert SinhWarp(x).curvature(0.0) == -square(x)
-        want = 2.0 * x / math.sqrt(square(x) + square(0.5) * 4.0)
+        want = 2.0 * (1.0 / np.hypot(1.0, 0.5 * 2.0 / x))
         assert transformed_warp(ConstWarp(2.0), x, 0.5).c == want
 
 
@@ -605,14 +621,10 @@ _SCALAR_ARRAY_CASES = {
 def test_scalar_and_array_evaluation_agree(name):
     """A warp gives the same bits for a scalar rho as for that rho inside an
     array.  numpy squares an array exactly but a numpy scalar with pow,
-    which is not correctly rounded, so every square is written x * x.  The
-    transform's d2f keeps d ** -2.5, which is no square, so only its f and
-    df are compared."""
+    which is not correctly rounded, so every square is written x * x."""
     warp, rho_max = _SCALAR_ARRAY_CASES[name]
-    methods = (("f", "df") if isinstance(warp, TransformedWarp)
-               else ("f", "df", "d2f", "curvature"))
     rho = np.random.default_rng(31).uniform(0.0, rho_max, 4000)
-    for method in methods:
+    for method in ("f", "df", "d2f", "curvature"):
         fn = getattr(warp, method)
         scalars = np.array([fn(x) for x in rho.tolist()])
         assert np.array_equal(scalars, fn(rho)), method
@@ -696,10 +708,17 @@ def test_transform_argument_validation():
                 quotient_transform(metric, r, kappa, sign)
     with pytest.raises(NoAsymptoteError):
         asymptote_radius(1.0, 0.0)
-    # a TransformedWarp built directly refuses what transformed_warp does;
-    # an unrefused kappa^2 = inf would give f = 0 and nan
+    # a TransformedWarp built directly refuses what transformed_warp does
     for r, kappa, message in ((0.0, 1.0, "need r > 0"),
-                              (1.0, 1e200, "kappa\\^2 overflows"),
-                              (1e-200, 1.0, "r\\^2 underflows")):
+                              (1.0, -1.0, "need kappa >= 0")):
         with pytest.raises(DomainError, match=message):
             TransformedWarp(SinhWarp(1.0), r, kappa)
+    # kappa^2 past the float range or r^2 below it is no fault: f s is
+    # exact, r/kappa = 1e-200 on both warps where f is far above it
+    for r, kappa in ((1.0, 1e200), (1e-200, 1.0)):
+        warp = TransformedWarp(SinhWarp(1.0), r, kappa)
+        assert warp.f(0.0) == 0.0
+        assert warp.f(1.0) == pytest.approx(1e-200, rel=1e-15)
+    # only a t = kappa f / r past the float range is refused
+    with pytest.raises(DomainError, match="kappa f / r overflows"):
+        TransformedWarp(SinhWarp(1.0), 1e-300, 1e10).f(1.0)
